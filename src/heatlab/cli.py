@@ -25,6 +25,7 @@ from .experiments import (
     SeriesStatus,
     conjecture_ratio_series,
     davies_ratio_series,
+    parse_grid,
     resolvent_limit,
     run_scenario,
     theorem_limit_series,
@@ -33,7 +34,6 @@ from .experiments import (
 )
 from .kernels import HeatKernelEvaluator, LimitStatus
 from .operators import Potential, add_potential, assemble
-from .series import geometric_grid
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,15 +66,6 @@ def _build(args):
     if args.constant:
         op = add_potential(op, Potential.constant(fx.domain, args.constant))
     return fx, op
-
-
-def _grid(spec):
-    if spec is None:
-        return None
-    if spec.startswith("geometric:"):
-        a, b, n = spec.split(":")[1:]
-        return geometric_grid(float(a), float(b), int(n))
-    return np.asarray([float(v) for v in spec.replace(",", " ").split()])
 
 
 def _maybe_csv(args, name, fieldnames, rows):
@@ -131,13 +122,13 @@ def cmd_lambda0(args):
 
 def cmd_ratio(args):
     fx, op = _build(args)
-    grid = _grid(args.t_grid)
+    grid = parse_grid(args.t_grid, "--t-grid")
     if args.kind == "theorem":
         series = theorem_limit_series(op, fx.exhaustion, args.x, args.y,
                                       t_grid=grid, heat_tol=args.tol)
     elif args.kind == "resolvent":
         series = resolvent_limit(op, fx.exhaustion, args.x, args.y,
-                                 lambda_deltas=_grid(args.lambda_deltas),
+                                 lambda_deltas=parse_grid(args.lambda_deltas, "--lambda-deltas"),
                                  green_tol=args.tol)
     elif args.kind == "time-shift":
         series = time_shift_ratio_series(op, fx.exhaustion, args.x, args.y, args.tau,

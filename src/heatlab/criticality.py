@@ -75,8 +75,9 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-10,
             evaluator: HeatKernelEvaluator = None) -> Lambda0Result:
     """Limit of the principal Dirichlet eigenvalues along the exhaustion.
 
-    The level sequence is nonincreasing; the limit is Aitken-extrapolated and
-    reported with the last raw increment as a (conservative) error estimate.
+    The level sequence is nonincreasing; the limit is Neville-extrapolated in
+    1/(level size) and reported with the last raw increment as a
+    (conservative) error estimate.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     tol = float(tol)

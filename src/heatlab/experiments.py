@@ -372,6 +372,37 @@ EXPERIMENT_KINDS = (
 )
 
 
+def parse_grid(raw, name):
+    """Grid from ``geometric:start:stop:n`` or a comma/space separated list.
+
+    Returns None for an empty spec; the grid must be finite and strictly
+    increasing.  Errors are ValidationErrors prefixed with ``name``.
+    """
+    if raw is None or raw.strip() == "":
+        return None
+    raw = raw.strip()
+    if raw.startswith("geometric:"):
+        parts = raw.split(":")[1:]
+        if len(parts) != 3:
+            raise ValidationError(f"{name}: expected geometric:start:stop:n")
+        try:
+            grid = geometric_grid(float(parts[0]), float(parts[1]), int(parts[2]))
+        except ValueError:
+            raise ValidationError(f"{name}: bad geometric spec {raw!r}") from None
+    else:
+        try:
+            grid = np.asarray([float(v) for v in raw.replace(",", " ").split()])
+        except ValueError:
+            raise ValidationError(f"{name}: cannot parse grid {raw!r}") from None
+    if grid.size == 0:
+        raise ValidationError(f"{name}: grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"{name}: grid values must be finite")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValidationError(f"{name}: grid must be strictly increasing")
+    return grid
+
+
 @dataclass
 class ScenarioConfig:
     """Validated contents of a scenario file."""
@@ -449,29 +480,6 @@ class ScenarioConfig:
             except ValueError:
                 raise bad(name, key, f"not an integer: {raw!r}") from None
 
-        def parse_grid(raw, key):
-            if raw is None or raw.strip() == "":
-                return None
-            raw = raw.strip()
-            if raw.startswith("geometric:"):
-                parts = raw.split(":")[1:]
-                if len(parts) != 3:
-                    raise bad("experiment", key, "expected geometric:start:stop:n")
-                try:
-                    grid = geometric_grid(float(parts[0]), float(parts[1]), int(parts[2]))
-                except ValueError:
-                    raise bad("experiment", key, f"bad geometric spec {raw!r}") from None
-            else:
-                try:
-                    grid = np.asarray([float(v) for v in raw.replace(",", " ").split()])
-                except ValueError:
-                    raise bad("experiment", key, f"cannot parse grid {raw!r}") from None
-            if grid.size == 0:
-                raise bad("experiment", key, "grid is empty")
-            if np.any(np.diff(grid) <= 0.0):
-                raise bad("experiment", key, "grid must be strictly increasing")
-            return grid
-
         indicator_raw = pert.get("indicator", "") if hasattr(pert, "get") else ""
         indicator = []
         if indicator_raw.strip():
@@ -507,8 +515,9 @@ class ScenarioConfig:
             y1=get_int(exp, "y1", None),
             t=get_float(exp, "t", 1.0),
             tau=get_float(exp, "tau", -1.0),
-            t_grid=parse_grid(exp.get("t_grid"), "t_grid"),
-            lambda_deltas=parse_grid(exp.get("lambda_deltas"), "lambda_deltas"),
+            t_grid=parse_grid(exp.get("t_grid"), f"{path}: [experiment] t_grid"),
+            lambda_deltas=parse_grid(exp.get("lambda_deltas"),
+                                     f"{path}: [experiment] lambda_deltas"),
             heat_tol=get_float(exp, "heat_tol", None),
             green_tol=get_float(exp, "green_tol", None),
             bracket=(b_lo, b_hi),

@@ -345,6 +345,12 @@ class SymmetricFactor(_FactorBase):
         w = vecs.T @ (vec * self.sqrt_mu)
         return (vecs @ (self._decay(t) * w)) / self.sqrt_mu
 
+    def semigroup_matrix(self, t):
+        """Dense exp(-t K_S): the symmetrized spectral form scaled back to K_S."""
+        vecs = self.spectral()[1]
+        m = (vecs * self._decay(t)) @ vecs.T
+        return m / self.sqrt_mu[:, None] * self.sqrt_mu[None, :]
+
 
 class NonsymmetricFactor(_FactorBase):
     """Dense matrix-exponential evaluations for a nonsymmetric restriction."""
@@ -355,7 +361,8 @@ class NonsymmetricFactor(_FactorBase):
         self._expm_cache = {}
         self.route = "expm"
 
-    def _expm(self, t):
+    def semigroup_matrix(self, t):
+        """Dense exp(-t K_S) by scaling and squaring, cached per t."""
         m = self._expm_cache.get(t)
         if m is None:
             with self._lock:
@@ -368,15 +375,15 @@ class NonsymmetricFactor(_FactorBase):
     def kernel(self, ix, iy, t):
         if t == 0.0:
             return (1.0 / self.mu[iy]) if ix == iy else 0.0
-        return float(self._expm(t)[ix, iy] / self.mu[iy])
+        return float(self.semigroup_matrix(t)[ix, iy] / self.mu[iy])
 
     def kernel_matrix(self, t):
         if t == 0.0:
             return np.diag(1.0 / self.mu)
-        return self._expm(t) / self.mu[None, :]
+        return self.semigroup_matrix(t) / self.mu[None, :]
 
     def apply_semigroup(self, t, vec):
-        return self._expm(t) @ vec
+        return self.semigroup_matrix(t) @ vec
 
     @property
     def lambda_min(self):
@@ -392,16 +399,16 @@ def factorize(op: EllipticOperator, sub: IndexedSubdomain):
 def heat_kernel_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, t,
                        factor=None) -> float:
     """Dirichlet heat kernel k(x, y, t) on a fixed subdomain."""
-    if t < 0.0:
-        raise ValidationError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValidationError("time must be finite and nonnegative")
     fac = factor if factor is not None else factorize(op, sub)
     return fac.kernel(sub.local_of(x), sub.local_of(y), float(t))
 
 
 def heat_matrix_finite(op: EllipticOperator, sub: IndexedSubdomain, t, factor=None):
     """All-pairs kernel matrix on the subdomain, in its local indexing."""
-    if t < 0.0:
-        raise ValidationError("time must be nonnegative")
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValidationError("time must be finite and nonnegative")
     fac = factor if factor is not None else factorize(op, sub)
     return fac.kernel_matrix(float(t))
 
@@ -595,8 +602,8 @@ class HeatKernelEvaluator:
     def heat_kernel(self, x, y, t, tol=None, accelerate=True) -> LimitResult:
         """Exhaustion limit of the Dirichlet heat kernels at (x, y, t)."""
         t = float(t)
-        if t < 0.0:
-            raise ValidationError("time must be nonnegative")
+        if not (np.isfinite(t) and t >= 0.0):
+            raise ValidationError("time must be finite and nonnegative")
         start = self.exhaustion.first_level_containing(x, y)
         if t == 0.0:
             v = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0

@@ -38,6 +38,8 @@ class Potential:
             vec = np.asarray(values, dtype=float)
             if vec.shape != (domain.n_vertices,):
                 raise ValidationError("potential length does not match the domain")
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError("potential values must be finite")
         self.values = vec
 
     @classmethod

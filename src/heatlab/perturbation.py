@@ -5,9 +5,13 @@ The iterated kernels obey
     k^(0) = k,    k^(j)(x,y,t) = int_0^t sum_z k^(j-1)(x,z,t-s) V(z) k(z,y,s) mu(z) ds,
 
 and for couplings inside the series radius the perturbed kernel is the
-alternating resummation k_{P+eps V} = sum_j (-eps)^j k^(j).  Layers are
-computed on a uniform time grid with composite Simpson weights (step t/1024
-by default, validated by step halving).  For symmetric operators the j = 1
+alternating resummation k_{P+eps V} = sum_j (-eps)^j k^(j).  Layers live on
+a uniform time grid (step t/1024 by default, validated by step halving).
+Every time convolution, the layers and the Duhamel right-hand side alike, is
+composite Simpson marched with semigroup steps: since S(t_i - s) =
+S(2h) S(t_{i-2} - s), each grid value is the one two steps back propagated by
+S(2h) plus one Simpson block, so a layer costs O(N) products with the dense
+S(h), S(2h), S(3h) of either factor type.  For symmetric operators the j = 1
 convolution also has an exact spectral form, used as an independent route.
 """
 
@@ -32,34 +36,44 @@ DEFAULT_STEPS = 1024
 MAX_SERIES_TERMS = 64
 
 
-def _quadrature_weights(n_steps, h):
-    """Lower-triangular quadrature weights w[i, l] for int_0^{t_i} on a uniform grid.
-
-    Composite Simpson for even i; Simpson plus a 3/8 block for odd i >= 3;
-    trapezoid for i = 1.
-    """
-    w = np.zeros((n_steps + 1, n_steps + 1))
+def _march(step, start, n_steps):
+    """Rows start, S start, S^2 start, ..., S^n_steps start for a step matrix S."""
+    out = np.empty((n_steps + 1, start.size))
+    out[0] = start
     for i in range(1, n_steps + 1):
-        if i == 1:
-            w[1, 0] = w[1, 1] = h / 2.0
-            continue
+        out[i] = step @ out[i - 1]
+    return out
+
+
+def _convolve(f, steps, h):
+    """c(t_i) = int_0^{t_i} S(t_i - s) f(s) ds for all grid times t_i = i h.
+
+    ``f`` holds f(t_i) as rows and ``steps`` the matrices S(h), S(2h), S(3h).
+    Composite Simpson is additive over blocks and S(t_i - s) = S(2h) S(t_{i-2} - s),
+    so an even i propagates c(t_{i-2}) by S(2h) and adds one Simpson block; an
+    odd i >= 3 propagates c(t_{i-3}) by S(3h) and adds a 3/8 block; i = 1 is
+    the trapezoid rule.  These are the weights of Simpson with a closing 3/8
+    block on [0, t_i], applied without ever forming S(t_i - t_l).
+    """
+    s1, s2, s3 = steps
+    f1 = f @ s1.T  # S(h) f(t_l) for every l
+    f2 = f @ s2.T
+    c = np.zeros_like(f)
+    if len(f) > 1:
+        c[1] = h / 2.0 * (f1[0] + f[1])
+    for i in range(2, len(f)):
         if i % 2 == 0:
-            simpson_end = i
+            c[i] = (s2 @ (c[i - 2] + h / 3.0 * f[i - 2])
+                    + 4.0 * h / 3.0 * f1[i - 1] + h / 3.0 * f[i])
         else:
-            simpson_end = i - 3
-        if simpson_end > 0:
-            w[i, 0] += h / 3.0
-            w[i, simpson_end] += h / 3.0
-            w[i, 1:simpson_end:2] += 4.0 * h / 3.0
-            w[i, 2:simpson_end:2] += 2.0 * h / 3.0
-        if simpson_end < i:
-            if simpson_end == 0 and i == 3:
-                pass  # pure 3/8 rule below covers 0..3
-            w[i, simpson_end] += 3.0 * h / 8.0
-            w[i, simpson_end + 1] += 9.0 * h / 8.0
-            w[i, simpson_end + 2] += 9.0 * h / 8.0
-            w[i, simpson_end + 3] += 3.0 * h / 8.0
-    return w
+            c[i] = (s3 @ (c[i - 3] + 3.0 * h / 8.0 * f[i - 3])
+                    + 9.0 * h / 8.0 * (f2[i - 2] + f1[i - 1]) + 3.0 * h / 8.0 * f[i])
+    return c
+
+
+def _steps(factor, h):
+    """The semigroup steps S(h), S(2h), S(3h) that ``_convolve`` needs."""
+    return [factor.semigroup_matrix(k * h) for k in (1, 2, 3)]
 
 
 class IteratedKernelStack:
@@ -71,8 +85,8 @@ class IteratedKernelStack:
 
     def __init__(self, op: EllipticOperator, potential: Potential,
                  subset: IndexedSubdomain, t_max, n_steps=DEFAULT_STEPS, factor=None):
-        if t_max <= 0.0:
-            raise ValidationError("t_max must be positive")
+        if not (np.isfinite(t_max) and t_max > 0.0):
+            raise ValidationError("t_max must be finite and positive")
         self.op = op
         self.potential = potential
         self.sub = subset
@@ -83,93 +97,45 @@ class IteratedKernelStack:
         self.h = self.t_max / self.n_steps
         self.v_local = potential.values[subset.positions]
         self.mu = op.mu[subset.positions]
-        self._weights = _quadrature_weights(self.n_steps, self.h)
+        self._steps = _steps(self.factor, self.h)
         self._columns = {}  # iy -> [layer_0, layer_1, ...], each (n_steps+1, n)
-
-    def _base_column(self, iy):
-        """k^(0)(., y, t_i) for all grid times, via the per-level factorization."""
-        n = self.sub.size
-        fac = self.factor
-        out = np.empty((self.n_steps + 1, n))
-        if isinstance(fac, SymmetricFactor):
-            lam, vecs, _ = fac.spectral()
-            a = vecs[iy] * fac.sqrt_mu[iy]
-            with np.errstate(over="ignore"):
-                decay = np.exp(-np.outer(self.grid, lam))
-            decay[~np.isfinite(decay)] = 0.0
-            out = (decay * a) @ vecs.T
-            out /= fac.sqrt_mu[None, :]
-            out /= self.mu[iy]
-        else:
-            step = fac._expm(self.h)
-            e = np.zeros(n)
-            e[iy] = 1.0
-            col = e.copy()
-            out[0] = col
-            for i in range(1, self.n_steps + 1):
-                col = step @ col
-                out[i] = col
-            out /= self.mu[iy]
-        return out
-
-    def _next_layer(self, prev):
-        """One convolution step: layer_j(t_i) = int_0^{t_i} S(t_i - s) V layer_{j-1}(s) ds."""
-        n = self.sub.size
-        fac = self.factor
-        fv = prev * self.v_local[None, :]
-        out = np.zeros_like(prev)
-        if isinstance(fac, SymmetricFactor):
-            lam, vecs, _ = fac.spectral()
-            g = (fv * fac.sqrt_mu[None, :]) @ vecs  # (n_steps+1, n) in eigen coords
-            with np.errstate(over="ignore"):
-                decay = np.exp(-np.outer(self.grid, lam))
-            decay[~np.isfinite(decay)] = 0.0
-            for i in range(1, self.n_steps + 1):
-                wrow = self._weights[i, : i + 1]
-                acc = (decay[i::-1, :] * g[: i + 1, :] * wrow[:, None]).sum(axis=0)
-                out[i] = (vecs @ acc) / fac.sqrt_mu
-        else:
-            step = fac._expm(self.h)
-            for i in range(1, self.n_steps + 1):
-                wrow = self._weights[i, : i + 1]
-                acc = wrow[i] * fv[i]
-                for l in range(i - 1, -1, -1):
-                    acc = step @ acc
-                    acc += wrow[l] * fv[l]
-                out[i] = acc
-        return out
 
     def layer_column(self, y, j):
         iy = self.sub.local_of(y)
         layers = self._columns.setdefault(iy, [])
         if not layers:
-            layers.append(self._base_column(iy))
+            e = np.zeros(self.sub.size)
+            e[iy] = 1.0 / self.mu[iy]
+            layers.append(_march(self._steps[0], e, self.n_steps))
         while len(layers) <= j:
-            layers.append(self._next_layer(layers[-1]))
+            layers.append(_convolve(layers[-1] * self.v_local[None, :], self._steps, self.h))
         return layers[j]
 
-    def value(self, j, x, y, t):
-        """k^(j)(x, y, t) with t on the grid (off-grid t is linearly interpolated)."""
+    def column_at(self, j, y, t):
+        """k^(j)(., y, t) over the subset: the grid row when t is on the grid,
+        else 4-point Lagrange interpolation, O(h^4)."""
         t = float(t)
         if not (0.0 <= t <= self.t_max + 1e-12 * self.t_max):
             raise ValidationError(f"t={t:g} outside the quadrature grid [0, {self.t_max:g}]")
-        col = self.layer_column(y, j)[:, self.sub.local_of(x)]
+        rows = self.layer_column(y, j)
         pos = t / self.h
         i = int(round(pos))
         if abs(pos - i) <= 1e-9:
-            return float(col[min(i, self.n_steps)])
-        # off-grid: 4-point Lagrange interpolation, O(h^4)
+            return rows[min(i, self.n_steps)]
         i0 = min(max(int(np.floor(pos)) - 1, 0), self.n_steps - 3)
         ts = self.grid[i0:i0 + 4]
-        vs = col[i0:i0 + 4]
         out = 0.0
         for a in range(4):
             w = 1.0
             for b in range(4):
                 if a != b:
                     w *= (t - ts[b]) / (ts[a] - ts[b])
-            out += w * vs[a]
-        return float(out)
+            out = out + w * rows[i0 + a]
+        return out
+
+    def value(self, j, x, y, t):
+        """k^(j)(x, y, t); off-grid t is interpolated as in ``column_at``."""
+        return float(self.column_at(j, y, t)[self.sub.local_of(x)])
 
 
 def iterated_kernel(stack: IteratedKernelStack, j, x, y, t, self_check=False,
@@ -274,12 +240,7 @@ def three_k_constant(op: EllipticOperator, potential: Potential, subset: Indexed
         if symmetric:
             k1 = first_layer_spectral(op, potential, subset, t, factor=fac)
         else:
-            n = subset.size
-            k1 = np.empty((n, n))
-            for iy in range(n):
-                col = stack.layer_column(int(subset.labels[iy]), 1)
-                idx = int(round(t / stack.h))
-                k1[:, iy] = col[idx]
+            k1 = np.column_stack([stack.column_at(1, int(label), t) for label in subset.labels])
         if mode == "semibounded":
             iy = subset.local_of(y)
             num, den = k1[:, iy], k0[:, iy]
@@ -325,27 +286,21 @@ def duhamel_residual(op: EllipticOperator, potential: Potential, eps,
     with both sides computed independently (direct exponentials + Simpson).
     """
     t = float(t)
-    if t <= 0.0:
-        raise ValidationError("t must be positive")
+    if not (np.isfinite(t) and t > 0.0):
+        raise ValidationError("t must be finite and positive")
     fac_p = factorize(op, subset)
     op_pert = add_potential(op, potential, eps)
     fac_q = factorize(op_pert, subset)
     ix, iy = subset.local_of(x), subset.local_of(y)
     lhs = fac_q.kernel(ix, iy, t)
+    e = np.zeros(subset.size)
+    e[iy] = 1.0
+    v_local = potential.values[subset.positions]
 
     def rhs(n_steps):
-        grid = np.linspace(0.0, t, n_steps + 1)
         h = t / n_steps
-        weights = _quadrature_weights(n_steps, h)[n_steps]
-        n = subset.size
-        e = np.zeros(n)
-        e[iy] = 1.0
-        v_local = potential.values[subset.positions]
-        acc = np.zeros(n)
-        for l, s in enumerate(grid):
-            col_q = fac_q.apply_semigroup(s, e)  # exp(-s K') e_y
-            f = v_local * col_q
-            acc = acc + weights[l] * fac_p.apply_semigroup(t - s, f)
+        col_q = _march(fac_q.semigroup_matrix(h), e, n_steps)  # exp(-s K') e_y
+        acc = _convolve(col_q * v_local[None, :], _steps(fac_p, h), h)[n_steps]
         k_p = fac_p.kernel(ix, iy, t)
         mu_y = subset.mu[iy]
         return k_p - eps * acc[ix] / mu_y

@@ -26,19 +26,6 @@ def neville_extrapolate(h, values):
     return float(last), float(abs(last - prev))
 
 
-def aitken_extrapolate(values):
-    """Aitken delta-squared acceleration of the final three terms."""
-    v = np.asarray(values, dtype=float)
-    if len(v) < 3:
-        return float(v[-1]), float("inf")
-    a, b, c = v[-3], v[-2], v[-1]
-    denom = (c - b) - (b - a)
-    if denom == 0.0:
-        return float(c), abs(c - b)
-    limit = c - (c - b) ** 2 / denom
-    return float(limit), float(abs(limit - c))
-
-
 def fit_power_tail(t, values, powers=(0.5, 1.0, 1.5)):
     """Least-squares fit v(t) = a + b * t^(-p), p chosen by residual.
 

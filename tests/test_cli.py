@@ -108,3 +108,19 @@ def test_edge_list_fixture_from_cli(tmp_path, capsys):
     code = main(["heat", "--fixture", str(path), "--x", "0", "--y", "1", "--t", "1"])
     assert code == 0
     assert "k(0,1,1)" in capsys.readouterr().out
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio", "--t-grid", "geometric:5:200"],
+    ["ratio", "--t-grid", "10,5,20"],
+    ["heat", "--t", "nan"],
+    ["heat", "--t", "inf"],
+    ["green", "--constant", "nan"],
+])
+def test_bad_numeric_input_exits_2(argv, capsys):
+    code = main(argv + ["--fixture", "lat1", "--ambient-size", "257"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err
+    assert "converged" not in captured.out

@@ -31,6 +31,15 @@ def test_scalar_kernel_exact():
     assert hl.heat_kernel_finite(op2, sub, 0, 0, 0.7) == pytest.approx(np.exp(-1.75), abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_nonfinite_times_rejected(lat1, lat1_op, t):
+    sub = hl.restrict(lat1.domain, [0])
+    with pytest.raises(hl.ValidationError):
+        hl.heat_kernel_finite(lat1_op, sub, 0, 0, t)
+    with pytest.raises(hl.ValidationError):
+        hl.heat_matrix_finite(lat1_op, sub, t)
+
+
 def test_two_vertex_closed_graph():
     fx = closed_path_domain(2)
     op = hl.assemble(fx.domain)

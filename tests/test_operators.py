@@ -45,6 +45,13 @@ def test_potential_dimension_mismatch():
         hl.assemble(d, np.array([1.0, 2.0, 3.0]))
 
 
+def test_potential_rejects_nonfinite_values():
+    d = two_vertex_domain()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(hl.ValidationError):
+            hl.Potential(d, np.array([1.0, bad]))
+
+
 def test_adjoint_symmetric_is_identity(lat1_op, lat1):
     sub = hl.restrict(lat1.domain, range(-4, 5))
     a = hl.adjoint(lat1_op)

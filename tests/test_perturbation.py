@@ -7,6 +7,7 @@ Claims:
       on the transient radial fixture; C grows monotonically with samples
     - Neumann resummation matches direct kernels inside the radius
     - Duhamel residuals vanish to quadrature accuracy
+    - nonsymmetric (drift) stacks match direct kernels and the symmetric route
     - kernel log-convexity along potential segments holds at 200+ samples
 """
 
@@ -18,7 +19,9 @@ import pytest
 import heatlab as hl
 from heatlab import perturbation as pert
 from heatlab.domains import single_vertex_domain
-from heatlab.kernels import factorize
+from heatlab.kernels import NonsymmetricFactor, factorize
+
+from conftest import build_drift_lattice
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +178,57 @@ def test_duhamel_scalar_and_lattice(lat1_session):
 
     fx, op, v, sub = lat1_session
     assert pert.duhamel_residual(op, v, 0.5, sub, 0, 1, 1.0) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def drift_setup():
+    fx = build_drift_lattice(24)
+    op = hl.assemble(fx.domain)
+    v = hl.Potential.indicator(fx.domain, [0], 1.0)
+    sub = hl.restrict(fx.domain, range(-24, 25))
+    return op, v, sub
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_neumann_matches_direct_kernel_on_drift(drift_setup, eps):
+    op, v, sub = drift_setup
+    stack = pert.IteratedKernelStack(op, v, sub, t_max=2.0)
+    val, _ = pert.neumann_heat_kernel(stack, eps, 0, 0, 2.0, series_tol=1e-12)
+    direct = factorize(hl.add_potential(op, v, eps), sub).kernel(
+        sub.local_of(0), sub.local_of(0), 2.0)
+    assert val == pytest.approx(direct, rel=1e-8)
+
+
+def test_duhamel_on_drift(drift_setup):
+    op, v, sub = drift_setup
+    assert pert.duhamel_residual(op, v, 0.3, sub, 0, 0, 2.0) < 1e-8
+
+
+def test_nonsymmetric_layer_matches_symmetric_route(lat1_session):
+    fx, op, v, sub = lat1_session
+    sym = pert.IteratedKernelStack(op, v, sub, t_max=5.0)
+    non = pert.IteratedKernelStack(op, v, sub, t_max=5.0, factor=NonsymmetricFactor(op, sub))
+    for y in (0, 3):
+        ref = sym.layer_column(y, 1)
+        assert np.max(np.abs(non.layer_column(y, 1) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_three_k_nonsymmetric_off_grid(lat1_session):
+    # none of these times lies on the stack grid (step 5/1024); semibounded at
+    # the potential vertex keeps every sampled kernel well above round-off
+    fx, op, v, sub = lat1_session
+    t_grid = np.geomspace(0.5, 5.0, 7)
+    ref = pert.three_k_constant(op, v, sub, t_grid=t_grid, mode="semibounded", y=0)
+    got = pert.three_k_constant(op, v, sub, t_grid=t_grid, mode="semibounded", y=0,
+                                factor=NonsymmetricFactor(op, sub))
+    np.testing.assert_allclose(got.per_t_max, ref.per_t_max, rtol=1e-6)
+
+
+def test_stack_rejects_nonfinite_t_max(lat1_session):
+    fx, op, v, sub = lat1_session
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(hl.ValidationError):
+            pert.IteratedKernelStack(op, v, sub, t_max=bad)
 
 
 def test_equivalence_reports(rad3, rad3_op):
