@@ -71,7 +71,6 @@ from .perturbation import (
 )
 from .operators import (
     EllipticOperator,
-    OperatorFamily,
     Potential,
     add_potential,
     adjoint,

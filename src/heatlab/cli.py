@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .criticality import classify, critical_coupling, lambda0, perturbation_integrals
 from .domains import fixture as resolve_fixture
 from .errors import (
@@ -23,9 +21,12 @@ from .errors import (
 from .experiments import (
     ScenarioConfig,
     SeriesStatus,
+    build_operator,
+    build_perturbation,
     conjecture_ratio_series,
     davies_ratio_series,
     parse_grid,
+    parse_indicator,
     resolvent_limit,
     run_scenario,
     theorem_limit_series,
@@ -33,7 +34,7 @@ from .experiments import (
     write_csv,
 )
 from .kernels import HeatKernelEvaluator, LimitStatus
-from .operators import Potential, add_potential, assemble
+from .operators import add_potential
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,12 +61,7 @@ def _add_common(p):
 
 def _build(args):
     fx = resolve_fixture(args.fixture, ambient_size=args.ambient_size)
-    op = assemble(fx.domain)
-    if args.potential:
-        op = add_potential(op, Potential.from_file(fx.domain, args.potential), args.coupling)
-    if args.constant:
-        op = add_potential(op, Potential.constant(fx.domain, args.constant))
-    return fx, op
+    return fx, build_operator(fx.domain, args.potential, args.coupling, args.constant)
 
 
 def _maybe_csv(args, name, fieldnames, rows):
@@ -113,7 +109,7 @@ def cmd_green(args):
 
 def cmd_lambda0(args):
     fx, op = _build(args)
-    lam = lambda0(op, fx.exhaustion, tol=args.tol or 1e-8)
+    lam = lambda0(op, fx.exhaustion, tol=1e-8 if args.tol is None else args.tol)
     print(f"lambda0 = {lam.value:.17g} +- {lam.error:.3g}")
     _maybe_csv(args, "lambda0_history.csv", ["level", "lambda0_j"],
                [{"level": j, "lambda0_j": v} for j, v in lam.history])
@@ -154,17 +150,9 @@ def cmd_ratio(args):
 
 
 def _perturbation(args, fx):
-    parts = []
-    if getattr(args, "pert_file", None):
-        parts.append(Potential.from_file(fx.domain, args.pert_file).values)
-    if getattr(args, "pert_indicator", None):
-        vertices = [int(v) for v in args.pert_indicator.replace(",", " ").split()]
-        parts.append(Potential.indicator(fx.domain, vertices, args.pert_value).values)
-    if getattr(args, "pert_constant", None) is not None:
-        parts.append(np.full(fx.domain.n_vertices, args.pert_constant))
-    if not parts:
-        return None
-    return Potential(fx.domain, sum(parts))
+    return build_perturbation(fx.domain, args.pert_file,
+                              parse_indicator(args.pert_indicator, "--pert-indicator"),
+                              args.pert_value, args.pert_constant)
 
 
 def cmd_perturb(args):

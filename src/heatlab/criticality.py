@@ -27,11 +27,12 @@ from .kernels import (
     HeatKernelEvaluator,
     LimitResult,
     LimitStatus,
+    check_tolerance,
+    exhaustion_limit,
     factorize,
-    sequence_limit,
 )
 from .operators import EllipticOperator, Potential, add_potential, adjoint
-from .series import fit_log_time_formula, neville_extrapolate
+from .series import fit_log_time_formula, neville_extrapolate, neville_in_size
 
 
 class Classification(enum.Enum):
@@ -80,13 +81,10 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-10,
     (conservative) error estimate.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
-    tol = float(tol)
+    tol = check_tolerance(tol)
     history = []
     values = []
     sizes = []
-    exact_final = (not op.domain.truncated) and (
-        exhaustion[ev.last_usable_level()].size == op.domain.n_vertices
-    )
     for j in ev.usable_levels():
         lam = ev.principal_eigenvalue(j)
         if values and lam > values[-1] + 1e-9 * max(1.0, abs(values[-1])):
@@ -97,12 +95,10 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-10,
         values.append(lam)
         sizes.append(exhaustion[j].size)
         if len(values) >= 3:
-            m = min(5, len(values))
-            h = 1.0 / np.asarray(sizes[-m:], dtype=float)
-            extrap, err = neville_extrapolate(h, values[-m:])
+            extrap, err = neville_in_size(sizes, values, min(5, len(values)))
             if err <= tol * max(1.0, abs(extrap)):
                 return Lambda0Result(extrap, abs(values[-2] - values[-1]), history)
-    if exact_final:
+    if ev.exhausts_domain:
         return Lambda0Result(values[-1], 0.0, history)
     if len(values) == 1:
         return Lambda0Result(values[-1], float("inf"), history)
@@ -111,9 +107,7 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-10,
     shrinking = len(values) < 3 or abs(increments[-1]) <= abs(increments[-2]) * (1.0 + 1e-3)
     if not shrinking and d_last > tol * max(1.0, abs(values[-1])):
         raise NumericalError("principal eigenvalue increments are not shrinking; no convergence")
-    m = min(5, len(values))
-    h = 1.0 / np.asarray(sizes[-m:], dtype=float)
-    extrap, _ = neville_extrapolate(h, values[-m:])
+    extrap, _ = neville_in_size(sizes, values, min(5, len(values)))
     return Lambda0Result(extrap, d_last, history)
 
 
@@ -233,23 +227,20 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-6, x0=None, y0
         ev_star = HeatKernelEvaluator(adjoint(op), exhaustion,
                                       heat_tol=ev.heat_tol, green_tol=ev.green_tol)
         _, phi_star = ground_state(ev_star, x0)
-    sums, sizes, levels = [], [], []
     domain = op.domain
     usable = ev.usable_levels()
-    finite = (not domain.truncated) and exhaustion[usable[-1]].size == domain.n_vertices
     # on ambient truncations, the outermost level's new vertices appear in too
     # few levels for their phi extrapolation to be trusted; the mass series
     # stops one level short there (a finite domain is summed exactly instead)
-    mass_levels = usable if finite or len(usable) == 1 else usable[:-1]
-    for j in mass_levels:
-        labels = exhaustion[j].labels
-        total = sum(phi[int(x)] * phi_star[int(x)] * domain.mu[domain.index[int(x)]]
-                    for x in labels)
-        sums.append(total)
-        sizes.append(exhaustion[j].size)
-        levels.append(j)
-    mass = sequence_limit(sums, sizes, tol=ev.green_tol, levels=levels,
-                          exact_final=finite)
+    levels = usable if ev.exhausts_domain or len(usable) == 1 else usable[:-1]
+
+    def mass_at(j):
+        return sum(phi[int(x)] * phi_star[int(x)] * domain.mu[domain.index[int(x)]]
+                   for x in exhaustion[j].labels)
+
+    mass = exhaustion_limit(mass_at, levels, [exhaustion[j].size for j in levels],
+                            ev.green_tol, trend_divergence=True,
+                            exact_final=ev.exhausts_domain)
     if mass.status is LimitStatus.INCONCLUSIVE:
         raise InconclusiveError(f"mass series inconclusive: {mass.evidence}")
     kind = Classification.POSITIVE_CRITICAL if mass.converged else Classification.NULL_CRITICAL
@@ -341,6 +332,11 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
     """
     if not np.any(potential.negative_part > 0.0):
         raise ValidationError("potential must have a nonzero attractive part")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError("bracket must be finite")
+    if lo >= hi:
+        raise ValidationError("bracket must satisfy lo < hi")
     if np.count_nonzero(potential.values) > exhaustion[len(exhaustion) - 1].size:
         raise ValidationError("potential support exceeds the exhaustion")
     x0, y0 = default_reference_pair(exhaustion)
@@ -365,9 +361,6 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         history.append((alpha, side))
         return side
 
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if lo >= hi:
-        raise ValidationError("bracket must satisfy lo < hi")
     if critical_side(lo) or not critical_side(hi):
         raise NoSignChangeError(
             f"bracket ({lo:g}, {hi:g}) does not straddle the subcritical/critical transition")
@@ -437,7 +430,7 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
     if not base_green.converged:
         raise ValidationError(
             "operator is not subcritical: its Green limit did not converge")
-    top = ev.last_usable_level()
+    top = ev.usable_levels()[-1]
     sub = exhaustion[top]
     fac = ev.factor(top)
     n = sub.size

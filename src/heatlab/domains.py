@@ -9,7 +9,7 @@ along an exhaustion of finite subsets lying inside the truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,8 +57,8 @@ class WeightedDomain:
             mu = np.asarray(measure, dtype=float)
             if mu.shape != (n,):
                 raise ValidationError("measure length does not match vertex count")
-        if not np.all(mu > 0.0):
-            raise ValidationError("measure must be positive on every vertex")
+        if not np.all((mu > 0.0) & np.isfinite(mu)):
+            raise ValidationError("measure must be positive and finite on every vertex")
         self.mu = mu
 
         rows, cols, vals = [], [], []
@@ -80,6 +80,8 @@ class WeightedDomain:
             vals.append(float(w))
         self.weights = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         self.weights.sum_duplicates()
+        if not np.all(np.isfinite(self.weights.data)):
+            raise ValidationError("edge weights must be finite")
 
         sym = self.weights - self.weights.T
         self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
@@ -227,13 +229,11 @@ class Exhaustion:
 
 @dataclass
 class DomainFixture:
-    """A named domain with its exhaustion and the analytic facts it realizes."""
+    """A named domain with its exhaustion."""
 
     name: str
     domain: WeightedDomain
     exhaustion: Exhaustion
-    documented_facts: str = ""
-    caveats: list = field(default_factory=list)
 
     def __repr__(self):
         return f"DomainFixture({self.name!r}, n={self.domain.n_vertices}, levels={len(self.exhaustion)})"
@@ -303,12 +303,7 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0,
     else:
         raise ValidationError(f"unknown exhaustion growth: {growth!r}")
     exhaustion = Exhaustion(domain, [range(-r, r + 1) for r in radii])
-
-    facts = (
-        f"nearest-neighbor lattice, conductance {conductance:g}, measure {measure_rule}"
-        + (f" q={q:g}" if q else "")
-    )
-    return DomainFixture(name, domain, exhaustion, facts)
+    return DomainFixture(name, domain, exhaustion)
 
 
 def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0,
@@ -350,16 +345,14 @@ def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0,
     else:
         raise ValidationError(f"unknown exhaustion growth: {growth!r}")
     exhaustion = Exhaustion(domain, [range(1, r + 1) for r in radii])
-
-    facts = f"radial reduction of R^{d}, h={h:g}, outer Dirichlet ghost at i={n + 1}"
-    return DomainFixture(name, domain, exhaustion, facts)
+    return DomainFixture(name, domain, exhaustion)
 
 
 def single_vertex_domain(d_value=0.0, mu=1.0, name="point"):
     """One-vertex closed domain; handy for scalar closed forms."""
     domain = WeightedDomain([0], {0: mu}, {}, truncated=False, name=name)
     exhaustion = Exhaustion(domain, [[0]])
-    return DomainFixture(name, domain, exhaustion, f"single vertex, mu={mu:g}")
+    return DomainFixture(name, domain, exhaustion)
 
 
 def closed_path_domain(n_vertices, conductance=1.0, mu=1.0, name="closed_path"):
@@ -372,7 +365,7 @@ def closed_path_domain(n_vertices, conductance=1.0, mu=1.0, name="closed_path"):
         edges[(x + 1, x)] = conductance
     domain = WeightedDomain(vertices, measure, edges, truncated=False, name=name)
     exhaustion = Exhaustion(domain, [vertices])
-    return DomainFixture(name, domain, exhaustion, "closed path, reflecting ends")
+    return DomainFixture(name, domain, exhaustion)
 
 
 def load_edge_list(path, truncated=False, name=None):
@@ -464,5 +457,5 @@ def fixture(spec, ambient_size=None) -> DomainFixture:
 
     if os.path.exists(spec):
         domain = load_edge_list(spec)
-        return DomainFixture(spec, domain, ball_exhaustion(domain), f"edge list file {spec}")
+        return DomainFixture(spec, domain, ball_exhaustion(domain))
     raise ValidationError(f"unknown fixture: {spec!r}")

@@ -403,6 +403,45 @@ def parse_grid(raw, name):
     return grid
 
 
+def parse_indicator(raw, name):
+    """Vertex list of an indicator potential from a comma/space separated spec.
+
+    Returns [] for an empty spec; errors are ValidationErrors prefixed with ``name``.
+    """
+    if raw is None or raw.strip() == "":
+        return []
+    try:
+        return [int(v) for v in raw.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"{name}: bad vertex list {raw!r}") from None
+
+
+def build_operator(domain, potential_file=None, coupling=1.0, constant=0.0) -> EllipticOperator:
+    """P + coupling * V_file + constant, as the CLI flags and the [operator] section give it."""
+    op = assemble(domain)
+    if potential_file:
+        op = add_potential(op, Potential.from_file(domain, potential_file), coupling)
+    if constant:
+        op = add_potential(op, Potential.constant(domain, constant))
+    return op
+
+
+def build_perturbation(domain, pert_file=None, indicator=(), value=1.0,
+                       constant=None) -> Potential | None:
+    """Sum of a file potential, an indicator of ``indicator`` scaled by ``value``
+    and a constant; None when none of them is given."""
+    parts = []
+    if pert_file:
+        parts.append(Potential.from_file(domain, pert_file).values)
+    if indicator:
+        parts.append(Potential.indicator(domain, indicator, value).values)
+    if constant is not None:
+        parts.append(np.full(domain.n_vertices, constant))
+    if not parts:
+        return None
+    return Potential(domain, sum(parts))
+
+
 @dataclass
 class ScenarioConfig:
     """Validated contents of a scenario file."""
@@ -480,14 +519,6 @@ class ScenarioConfig:
             except ValueError:
                 raise bad(name, key, f"not an integer: {raw!r}") from None
 
-        indicator_raw = pert.get("indicator", "") if hasattr(pert, "get") else ""
-        indicator = []
-        if indicator_raw.strip():
-            try:
-                indicator = [int(v) for v in indicator_raw.replace(",", " ").split()]
-            except ValueError:
-                raise bad("perturbation", "indicator", f"bad vertex list {indicator_raw!r}") from None
-
         bracket_raw = exp.get("bracket", "0 8")
         try:
             b_lo, b_hi = [float(v) for v in bracket_raw.replace(",", " ").split()]
@@ -505,7 +536,8 @@ class ScenarioConfig:
             coupling=get_float(op_sec, "coupling", 1.0, "operator"),
             pert_constant=get_float(pert, "constant", None, "perturbation"),
             pert_file=(pert.get("potential_file") or None) if hasattr(pert, "get") else None,
-            pert_indicator=indicator,
+            pert_indicator=parse_indicator(pert.get("indicator"),
+                                           f"{path}: [perturbation] indicator"),
             pert_value=get_float(pert, "value", 1.0, "perturbation"),
             pert_coupling=get_float(pert, "coupling", 1.0, "perturbation"),
             x=get_int(exp, "x", 0),
@@ -531,26 +563,11 @@ class ScenarioConfig:
         return resolve_fixture(self.fixture_name, ambient_size=self.ambient_size)
 
     def build_operator(self, fixture: DomainFixture) -> EllipticOperator:
-        op = assemble(fixture.domain)
-        if self.potential_file:
-            pot = Potential.from_file(fixture.domain, self.potential_file)
-            op = add_potential(op, pot, self.coupling)
-        if self.constant:
-            op = add_potential(op, Potential.constant(fixture.domain, self.constant))
-        return op
+        return build_operator(fixture.domain, self.potential_file, self.coupling, self.constant)
 
     def build_perturbation(self, fixture: DomainFixture) -> Potential | None:
-        parts = []
-        if self.pert_file:
-            parts.append(Potential.from_file(fixture.domain, self.pert_file).values)
-        if self.pert_indicator:
-            parts.append(Potential.indicator(fixture.domain, self.pert_indicator,
-                                             self.pert_value).values)
-        if self.pert_constant is not None:
-            parts.append(np.full(fixture.domain.n_vertices, self.pert_constant))
-        if not parts:
-            return None
-        return Potential(fixture.domain, sum(parts))
+        return build_perturbation(fixture.domain, self.pert_file, self.pert_indicator,
+                                  self.pert_value, self.pert_constant)
 
 
 @dataclass

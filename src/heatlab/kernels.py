@@ -22,7 +22,6 @@ Nonsymmetric restrictions use dense scaling-and-squaring matrix exponentials.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .domains import Exhaustion, IndexedSubdomain
 from .errors import NumericalError, ValidationError
 from .operators import EllipticOperator
-from .series import increments_decreasing, neville_extrapolate
+from .series import increments_decreasing, neville_in_size
 
 #: restrictions whose jump rates exceed this use the inverse spectral route
 WELL_SCALED_RATE = 1e8
@@ -114,7 +113,6 @@ class _FactorBase:
         self.sub = sub
         self.mu = op.mu[sub.positions]
         self._a_s = op.measure_matrix()[sub.positions][:, sub.positions].tocsc()
-        self._lock = threading.RLock()
         self._lu = None
         self._lu_shift = 0.0
         self._principal = None
@@ -129,17 +127,15 @@ class _FactorBase:
         of the U diagonal carry the inertia of A_S (Sylvester).
         """
         if self._lu is None:
-            with self._lock:
-                if self._lu is None:
-                    kwargs = {}
-                    if self._symmetric_lu:
-                        kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                      options=dict(SymmetricMode=True))
-                    try:
-                        self._lu = spla.splu(self._a_s, **kwargs)
-                    except RuntimeError:
-                        self._lu_shift = 1.0
-                        self._lu = spla.splu((self._a_s + sp.diags(self.mu)).tocsc(), **kwargs)
+            kwargs = {}
+            if self._symmetric_lu:
+                kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              options=dict(SymmetricMode=True))
+            try:
+                self._lu = spla.splu(self._a_s, **kwargs)
+            except RuntimeError:
+                self._lu_shift = 1.0
+                self._lu = spla.splu((self._a_s + sp.diags(self.mu)).tocsc(), **kwargs)
         return self._lu, self._lu_shift
 
     def is_positive_definite(self):
@@ -206,9 +202,7 @@ class _FactorBase:
             if v.sum() < 0.0:
                 v = -v
             positive = bool(v.min() >= -1e-10 * max(v.max(), 1e-300))
-            with self._lock:
-                if self._principal is None:
-                    self._principal = (theta, v, positive)
+            self._principal = (theta, v, positive)
         return self._principal
 
     def lambda_min_estimate(self):
@@ -238,9 +232,7 @@ class _FactorBase:
             raise NumericalError("singular Dirichlet restriction; no finite Green function")
         e = np.zeros(self.sub.size)
         e[iy] = 1.0
-        col = lu.solve(e)
-        with self._lock:
-            self._green_cols[iy] = col
+        col = self._green_cols[iy] = lu.solve(e)
         return col
 
     def green_row(self, ix):
@@ -292,9 +284,7 @@ class SymmetricFactor(_FactorBase):
 
     def spectral(self):
         if self._spectral is None:
-            with self._lock:
-                if self._spectral is None:
-                    self._spectral = self._build_spectral()
+            self._spectral = self._build_spectral()
         return self._spectral
 
     @property
@@ -365,11 +355,7 @@ class NonsymmetricFactor(_FactorBase):
         """Dense exp(-t K_S) by scaling and squaring, cached per t."""
         m = self._expm_cache.get(t)
         if m is None:
-            with self._lock:
-                m = self._expm_cache.get(t)
-                if m is None:
-                    m = sla.expm(-t * self.k_dense)
-                    self._expm_cache[t] = m
+            m = self._expm_cache[t] = sla.expm(-t * self.k_dense)
         return m
 
     def kernel(self, ix, iy, t):
@@ -424,64 +410,99 @@ def principal_dirichlet_eigenvalue(op: EllipticOperator, sub: IndexedSubdomain) 
     return factorize(op, sub).principal_pair()[0]
 
 
-def sequence_limit(values, sizes, tol, cap=DIVERGENCE_CAP, accelerate=True,
-                   levels=None, exact_final=False) -> LimitResult:
-    """Classify a fully computed per-level sequence with the LimitResult rules.
+def check_tolerance(tol) -> float:
+    """A limit tolerance as a float; it must be finite and positive."""
+    tol = float(tol)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tol!r}")
+    return tol
 
-    Used for plain series over exhaustion levels (partial sums and the like)
-    where lazy evaluation buys nothing.  ``exact_final`` marks sequences whose
-    last value exhausts a genuinely finite domain and is therefore exact.
+
+def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
+                     exact_final) -> LimitResult:
+    """Drive per-level values to a LimitResult (converged/diverging/inconclusive).
+
+    ``value_at(j)`` is evaluated lazily, level by level, over ``levels`` (with
+    level sizes ``sizes``) until a rule decides:
+
+    * a NumericalError at level j (a nonpositive restriction inside the
+      exhaustion): diverging, value inf, at that level;
+    * a value beyond ``DIVERGENCE_CAP``: diverging;
+    * two consecutive relative increments below ``tol``: converged.
+
+    When the levels run out, the tail decides, in this order:
+
+    * ``trend_divergence`` and increments nondecreasing over 3 consecutive
+      levels: diverging.  This suits limits whose dichotomy is
+      finite-vs-infinite (Green values, mass series), not heat values at
+      fixed t, which are bounded;
+    * ``exact_final``, the last level exhausting a genuinely finite domain:
+      converged, exact;
+    * cleanly decaying increments: Neville extrapolation in 1/(level size),
+      converged when its error estimate meets ``tol``;
+    * otherwise inconclusive.
     """
-    values = [float(v) for v in values]
-    sizes = list(sizes)
-    levels = list(levels) if levels is not None else list(range(len(values)))
-    history = list(zip(levels, values))
-    for i, v in enumerate(values):
-        if abs(v) > cap:
-            return LimitResult(v, LimitStatus.DIVERGING, levels[i], history[: i + 1],
-                               evidence=f"value exceeded divergence cap {cap:g}")
-        if i >= 2:
+    tol = check_tolerance(tol)
+    history = []
+    values = []
+    for j in levels:
+        try:
+            v = float(value_at(j))
+        except NumericalError as exc:
+            return LimitResult(
+                float("inf"), LimitStatus.DIVERGING, j, history,
+                evidence=f"restriction failure at level {j}: {exc}",
+            )
+        history.append((j, v))
+        values.append(v)
+        if abs(v) > DIVERGENCE_CAP:
+            return LimitResult(v, LimitStatus.DIVERGING, j, history,
+                               evidence=f"value exceeded divergence cap {DIVERGENCE_CAP:g}")
+        if len(values) >= 3:
             scale = max(abs(v), 1e-300)
-            if (abs(values[i] - values[i - 1]) / scale < tol
-                    and abs(values[i - 1] - values[i - 2]) / scale < tol):
-                return LimitResult(v, LimitStatus.CONVERGED, levels[i], history[: i + 1],
-                                   error_estimate=abs(values[i] - values[i - 1]))
-    v = values[-1]
-    if _trend_diverging(values, sizes, tol):
-        return LimitResult(v, LimitStatus.DIVERGING, levels[-1], history,
+            i1 = abs(values[-1] - values[-2]) / scale
+            i2 = abs(values[-2] - values[-3]) / scale
+            if i1 < tol and i2 < tol:
+                return LimitResult(v, LimitStatus.CONVERGED, j, history,
+                                   error_estimate=abs(values[-1] - values[-2]))
+    v = values[-1] if values else float("nan")
+    last = history[-1][0] if history else None
+    if trend_divergence and _trend_diverging(values, sizes, tol):
+        return LimitResult(v, LimitStatus.DIVERGING, last, history,
                            evidence="increments nondecreasing over 3 consecutive levels")
-    if exact_final:
-        return LimitResult(v, LimitStatus.CONVERGED, levels[-1], history,
+    if exact_final and values:
+        return LimitResult(v, LimitStatus.CONVERGED, last, history,
                            model="exact", error_estimate=0.0)
-    if accelerate and len(values) >= 4 and increments_decreasing(values[-6:]):
+    if len(values) >= 4 and increments_decreasing(values[-6:]):
         m = min(6, len(values))
-        h = 1.0 / np.asarray(sizes[-m:], dtype=float)
-        value, err = neville_extrapolate(h, values[-m:])
+        value, err = neville_in_size(sizes, values, m)
         if err <= tol * max(abs(value), 1e-300):
-            return LimitResult(value, LimitStatus.CONVERGED, levels[-1], history,
+            return LimitResult(value, LimitStatus.CONVERGED, last, history,
                                model=f"neville({m})", error_estimate=err)
-        return LimitResult(value, LimitStatus.INCONCLUSIVE, levels[-1], history,
+        return LimitResult(value, LimitStatus.INCONCLUSIVE, last, history,
                            model=f"neville({m})", error_estimate=err,
-                           evidence="sequence exhausted before convergence")
-    return LimitResult(v, LimitStatus.INCONCLUSIVE, levels[-1], history,
-                       evidence="sequence exhausted before convergence")
+                           evidence="ambient truncation exhausted before convergence")
+    return LimitResult(v, LimitStatus.INCONCLUSIVE, last, history,
+                       evidence="ambient truncation exhausted before convergence")
 
 
 class HeatKernelEvaluator:
     """Exhaustion-driven kernel and Green evaluations with a per-level factor cache."""
 
     def __init__(self, op: EllipticOperator, exhaustion: Exhaustion,
-                 heat_tol=HEAT_TOL, green_tol=GREEN_TOL, divergence_cap=DIVERGENCE_CAP):
+                 heat_tol=HEAT_TOL, green_tol=GREEN_TOL):
         if exhaustion.domain is not op.domain:
             raise ValidationError("exhaustion and operator refer to different domains")
         self.op = op
         self.exhaustion = exhaustion
         self.heat_tol = float(heat_tol)
         self.green_tol = float(green_tol)
-        self.divergence_cap = float(divergence_cap)
         self._factors = {}
-        self._lock = threading.Lock()
         self._usable = self._usable_levels()
+        # a genuinely finite domain is exhausted exactly by its last usable level
+        self.exhausts_domain = (not op.domain.truncated) and (
+            exhaustion[self._usable[-1]].size == op.domain.n_vertices
+        )
 
     def _usable_levels(self):
         levels = list(range(len(self.exhaustion)))
@@ -498,21 +519,11 @@ class HeatKernelEvaluator:
     def factor(self, j):
         fac = self._factors.get(j)
         if fac is None:
-            with self._lock:
-                fac = self._factors.get(j)
-                if fac is None:
-                    fac = factorize(self.op, self.exhaustion[j])
-                    self._factors[j] = fac
+            fac = self._factors[j] = factorize(self.op, self.exhaustion[j])
         return fac
-
-    def level(self, j) -> IndexedSubdomain:
-        return self.exhaustion[j]
 
     def usable_levels(self):
         return list(self._usable)
-
-    def last_usable_level(self):
-        return self._usable[-1]
 
     def heat_finite(self, j, x, y, t):
         sub = self.exhaustion[j]
@@ -536,70 +547,12 @@ class HeatKernelEvaluator:
             raise NumericalError(f"ground state vanishes at reference vertex {x0}")
         return lam, phi / ref
 
-    def _exhaustion_limit(self, per_level, start, tol, accelerate=True,
-                          trend_divergence=True):
-        """Drive per-level values to a LimitResult (converged/diverging/inconclusive).
+    def _levels_from(self, start):
+        """Usable levels from ``start`` on, with their sizes."""
+        levels = [j for j in self._usable if j >= start]
+        return levels, [self.exhaustion[j].size for j in levels]
 
-        ``trend_divergence`` enables the increments-nondecreasing verdict;
-        it applies to Green-type limits whose dichotomy is finite-vs-infinite,
-        not to heat values at fixed t (those are bounded and merely report
-        Inconclusive when the ambient truncation is too small).
-        """
-        history = []
-        values = []
-        sizes = []
-        exact_final = (not self.op.domain.truncated) and (
-            self.exhaustion[self._usable[-1]].size == self.op.domain.n_vertices
-        )
-        for j in self._usable:
-            if j < start:
-                continue
-            try:
-                v = float(per_level(j))
-            except NumericalError as exc:
-                # a nonpositive restriction inside the exhaustion is divergence
-                # evidence: the limit blows up before this level
-                return LimitResult(
-                    float("inf"), LimitStatus.DIVERGING, j, history,
-                    evidence=f"restriction failure at level {j}: {exc}",
-                )
-            history.append((j, v))
-            values.append(v)
-            sizes.append(self.exhaustion[j].size)
-            if abs(v) > self.divergence_cap:
-                return LimitResult(v, LimitStatus.DIVERGING, j, history,
-                                   evidence=f"value exceeded divergence cap {self.divergence_cap:g}")
-            if len(values) >= 3:
-                scale = max(abs(v), 1e-300)
-                i1 = abs(values[-1] - values[-2]) / scale
-                i2 = abs(values[-2] - values[-3]) / scale
-                if i1 < tol and i2 < tol:
-                    return LimitResult(v, LimitStatus.CONVERGED, j, history,
-                                       error_estimate=abs(values[-1] - values[-2]))
-        # tolerance unmet within the ambient truncation: decide from the tail
-        v = values[-1] if values else float("nan")
-        if trend_divergence and _trend_diverging(values, sizes, tol):
-            return LimitResult(v, LimitStatus.DIVERGING, history[-1][0], history,
-                               evidence="increments nondecreasing over 3 consecutive levels")
-        if exact_final and values:
-            # a genuinely finite domain is exhausted exactly by its full set
-            return LimitResult(v, LimitStatus.CONVERGED, history[-1][0], history,
-                               model="exact", error_estimate=0.0)
-        if accelerate and len(values) >= 4 and increments_decreasing(values[-6:]):
-            m = min(6, len(values))
-            h = 1.0 / np.asarray(sizes[-m:], dtype=float)
-            value, err = neville_extrapolate(h, values[-m:])
-            if err <= tol * max(abs(value), 1e-300):
-                return LimitResult(value, LimitStatus.CONVERGED, history[-1][0], history,
-                                   model=f"neville({m})", error_estimate=err)
-            return LimitResult(value, LimitStatus.INCONCLUSIVE, history[-1][0], history,
-                               model=f"neville({m})", error_estimate=err,
-                               evidence="ambient truncation exhausted before convergence")
-        return LimitResult(v, LimitStatus.INCONCLUSIVE,
-                           history[-1][0] if history else None, history,
-                           evidence="ambient truncation exhausted before convergence")
-
-    def heat_kernel(self, x, y, t, tol=None, accelerate=True) -> LimitResult:
+    def heat_kernel(self, x, y, t, tol=None) -> LimitResult:
         """Exhaustion limit of the Dirichlet heat kernels at (x, y, t)."""
         t = float(t)
         if not (np.isfinite(t) and t >= 0.0):
@@ -608,16 +561,18 @@ class HeatKernelEvaluator:
         if t == 0.0:
             v = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0
             return LimitResult(v, LimitStatus.CONVERGED, start, [(start, v)], model="delta")
-        tol = self.heat_tol if tol is None else float(tol)
-        return self._exhaustion_limit(lambda j: self.heat_finite(j, x, y, t),
-                                      start, tol, accelerate, trend_divergence=False)
+        tol = self.heat_tol if tol is None else tol
+        return exhaustion_limit(lambda j: self.heat_finite(j, x, y, t),
+                                *self._levels_from(start), tol,
+                                trend_divergence=False, exact_final=self.exhausts_domain)
 
-    def green(self, x, y, tol=None, accelerate=True) -> LimitResult:
+    def green(self, x, y, tol=None) -> LimitResult:
         """Exhaustion limit of the Dirichlet Green values at (x, y).
 
         Convergence of this limit is subcriticality; divergence is criticality.
         """
         start = self.exhaustion.first_level_containing(x, y)
-        tol = self.green_tol if tol is None else float(tol)
-        return self._exhaustion_limit(lambda j: self.green_finite_level(j, x, y),
-                                      start, tol, accelerate)
+        tol = self.green_tol if tol is None else tol
+        return exhaustion_limit(lambda j: self.green_finite_level(j, x, y),
+                                *self._levels_from(start), tol,
+                                trend_divergence=True, exact_final=self.exhausts_domain)

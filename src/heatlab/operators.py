@@ -143,15 +143,6 @@ class EllipticOperator:
         u = np.asarray(u, dtype=float)
         return (self.measure_matrix() @ u) / self.mu
 
-    def max_rate(self):
-        """max over x of K(x, x); gauges the scaling of the action matrix."""
-        a = self.measure_matrix()
-        with np.errstate(over="ignore"):
-            return float(np.max(np.abs(a.diagonal()) / self.mu))
-
-    def with_potential(self, potential):
-        return EllipticOperator(self.domain, potential, _weights=self.weights)
-
     def __eq__(self, other):
         if not isinstance(other, EllipticOperator):
             return NotImplemented
@@ -194,7 +185,9 @@ def shift(op: EllipticOperator, lam) -> EllipticOperator:
 
 
 def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOperator:
-    """P + coupling * V."""
+    """P + coupling * V; the coupling must be finite."""
+    if not np.isfinite(coupling):
+        raise ValidationError("coupling must be finite")
     if isinstance(potential, Potential):
         vec = potential.values
     else:
@@ -229,17 +222,3 @@ def inner_product(op_or_domain, u, v) -> float:
     mu = op_or_domain.mu if hasattr(op_or_domain, "mu") else op_or_domain
     return float(np.sum(np.asarray(u) * np.asarray(v) * mu))
 
-
-class OperatorFamily:
-    """One-parameter family P_alpha = base + alpha * V."""
-
-    def __init__(self, base: EllipticOperator, perturbation: Potential, coupling_range=(0.0, 1.0)):
-        self.base = base
-        self.perturbation = perturbation
-        self.coupling_range = (float(coupling_range[0]), float(coupling_range[1]))
-
-    def member(self, alpha) -> EllipticOperator:
-        return add_potential(self.base, self.perturbation, alpha)
-
-    def __call__(self, alpha):
-        return self.member(alpha)

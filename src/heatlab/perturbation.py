@@ -196,6 +196,14 @@ def first_layer_spectral(op: EllipticOperator, potential: Potential,
     return m / fac.sqrt_mu[:, None] / fac.sqrt_mu[None, :]
 
 
+def _above_noise(k):
+    """Entries of a kernel matrix above 1e-7 of their diagonal scale
+    sqrt(k(x,x) k(y,y)): far enough above the spectral round-off floor
+    (~1e-17 of that scale) that kernel ratios there are not ratios of noise."""
+    d = np.diag(k)
+    return k > 1e-7 * np.sqrt(np.outer(d, d))
+
+
 @dataclass
 class ThreeKResult:
     """Sampled estimate of the 3-k constant and the bounded/unbounded verdict."""
@@ -218,7 +226,8 @@ def three_k_constant(op: EllipticOperator, potential: Potential, subset: Indexed
     """Max over samples of k^(1)_{|V|}(x, y, t) / k(x, y, t).
 
     mode 'bounded' samples all vertex pairs of the subset; 'semibounded'
-    fixes y and samples x.  The sup is flagged unbounded when the per-t
+    fixes y and samples x.  Pairs whose k(x, y, t) is within round-off of
+    zero are not sampled.  The sup is flagged unbounded when the per-t
     maximum keeps growing along the tail of the grid (fitted positive power).
     """
     if mode not in ("bounded", "semibounded"):
@@ -241,12 +250,12 @@ def three_k_constant(op: EllipticOperator, potential: Potential, subset: Indexed
             k1 = first_layer_spectral(op, potential, subset, t, factor=fac)
         else:
             k1 = np.column_stack([stack.column_at(1, int(label), t) for label in subset.labels])
+        good = _above_noise(k0)
         if mode == "semibounded":
             iy = subset.local_of(y)
-            num, den = k1[:, iy], k0[:, iy]
+            num, den, good = k1[:, iy], k0[:, iy], good[:, iy]
         else:
-            num, den = k1.ravel(), k0.ravel()
-        good = den > 0.0
+            num, den, good = k1.ravel(), k0.ravel(), good.ravel()
         per_t[it] = float(np.max(num[good] / den[good])) if np.any(good) else 0.0
     c_estimate = float(np.max(per_t))
     slope, _, _ = fit_loglog_slope(t_grid, per_t, decades=1.0)
@@ -370,12 +379,8 @@ def equivalence_check(op: EllipticOperator, potential: Potential,
         for t in t_grid:
             k0 = fac.kernel_matrix(t)
             ke = fac_e.kernel_matrix(t)
-            # sample only where both kernels sit far enough above the spectral
-            # round-off floor (~1e-17 of the diagonal scale) that ratio noise
-            # stays below the comparison slack
-            floor0 = 1e-7 * np.sqrt(np.outer(np.diag(k0), np.diag(k0)))
-            floor_e = 1e-7 * np.sqrt(np.outer(np.diag(ke), np.diag(ke)))
-            good = (k0 > floor0) & (ke > floor_e)
+            # sample only where ratio noise stays below the comparison slack
+            good = _above_noise(k0) & _above_noise(ke)
             ratios = ke[good] / k0[good]
             if ratios.size:
                 upper = max(upper, float(ratios.max()))

@@ -26,6 +26,12 @@ def neville_extrapolate(h, values):
     return float(last), float(abs(last - prev))
 
 
+def neville_in_size(sizes, values, m):
+    """Neville extrapolation of the last ``m`` values to 1/(level size) = 0."""
+    h = 1.0 / np.asarray(sizes[-m:], dtype=float)
+    return neville_extrapolate(h, values[-m:])
+
+
 def fit_power_tail(t, values, powers=(0.5, 1.0, 1.5)):
     """Least-squares fit v(t) = a + b * t^(-p), p chosen by residual.
 

@@ -78,7 +78,7 @@ def build_drift_lattice(n_half=192, right=1.2, left=0.8):
     radii.append(n_half - 1)
     radii.append(n_half)
     exhaustion = hl.Exhaustion(domain, [range(-s, s + 1) for s in sorted(set(radii))])
-    return hl.DomainFixture("drift", domain, exhaustion, "biased walk truncation")
+    return hl.DomainFixture("drift", domain, exhaustion)
 
 
 @pytest.fixture(scope="session")

@@ -110,6 +110,23 @@ def test_edge_list_fixture_from_cli(tmp_path, capsys):
     assert "k(0,1,1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, bad_line", [
+    ("heat", "0 1 nan\n"),
+    ("green", "0 1 nan\n"),
+    ("classify", "0 1 nan\n"),
+    ("heat", "1 2 inf\n"),
+    ("green", "2 inf\n"),
+])
+def test_edge_list_nonfinite_input_exits_2(tmp_path, capsys, command, bad_line):
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1.0\n1 1.0\n2 1.0\n"
+                    "0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n0 2 1.0\n2 0 1.0\n" + bad_line)
+    code = main([command, "--fixture", str(path), "--x", "0", "--y", "1", "--t", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err
+    assert "converged" not in captured.out
+
 
 @pytest.mark.parametrize("argv", [
     ["ratio", "--t-grid", "geometric:5:200"],
@@ -117,6 +134,14 @@ def test_edge_list_fixture_from_cli(tmp_path, capsys):
     ["heat", "--t", "nan"],
     ["heat", "--t", "inf"],
     ["green", "--constant", "nan"],
+    ["heat", "--tol", "nan"],
+    ["heat", "--tol", "-1"],
+    ["heat", "--tol", "0"],
+    ["lambda0", "--tol", "nan"],
+    ["coupling", "--bracket", "nan", "4", "--constant", "1",
+     "--pert-indicator", "0", "--pert-value", "-1"],
+    ["ratio", "--kind", "conjecture", "--pert-coupling", "nan", "--pert-indicator", "0"],
+    ["perturb", "--pert-indicator", "1,x"],
 ])
 def test_bad_numeric_input_exits_2(argv, capsys):
     code = main(argv + ["--fixture", "lat1", "--ambient-size", "257"])

@@ -153,13 +153,6 @@ def test_potential_parts_and_file(tmp_path, lat1):
     assert np.array_equal(loaded.values, pot.values)
 
 
-def test_operator_family_member_zero(lat1, lat1_op):
-    fam = hl.OperatorFamily(lat1_op, hl.Potential.indicator(lat1.domain, [0], 1.0))
-    member = fam.member(0.0)
-    assert member == lat1_op
-    assert fam.member(0.5).potential[lat1.domain.index[0]] == pytest.approx(0.5)
-
-
 def test_offdiagonal_sign_condition(drift, rad3):
     for fx in (drift, rad3):
         op = hl.assemble(fx.domain)

@@ -224,6 +224,18 @@ def test_three_k_nonsymmetric_off_grid(lat1_session):
     np.testing.assert_allclose(got.per_t_max, ref.per_t_max, rtol=1e-6)
 
 
+def test_three_k_bounded_mode_skips_round_off(lat1_session):
+    # bounded mode samples far pairs whose symmetric spectral kernel is only
+    # round-off (~1e-17 of the diagonal scale); both routes must skip them
+    fx, op, v, sub = lat1_session
+    ref = pert.three_k_constant(op, v, sub)
+    # at small t the largest ratio is k^(1)/k ~ t, taken at x = y = 0
+    assert ref.t_grid[0] == 0.05
+    assert ref.per_t_max[0] == pytest.approx(0.05, rel=1e-2)
+    got = pert.three_k_constant(op, v, sub, factor=NonsymmetricFactor(op, sub))
+    assert got.c_estimate == pytest.approx(ref.c_estimate, rel=1e-5)
+
+
 def test_stack_rejects_nonfinite_t_max(lat1_session):
     fx, op, v, sub = lat1_session
     for bad in (float("nan"), float("inf")):
