@@ -72,16 +72,16 @@ def default_reference_pair(exhaustion: Exhaustion):
     return x0, x0
 
 
-def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-10,
+def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
             evaluator: HeatKernelEvaluator = None) -> Lambda0Result:
     """Limit of the principal Dirichlet eigenvalues along the exhaustion.
 
     The level sequence is nonincreasing; the limit is Neville-extrapolated in
-    1/(level size) and reported with the last raw increment as a
-    (conservative) error estimate.
+    1/(level size) to tolerance ``tol`` (None: 1e-10) and reported with the
+    last raw increment as a (conservative) error estimate.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
-    tol = check_tolerance(tol)
+    tol = check_tolerance(1e-10 if tol is None else tol)
     history = []
     values = []
     sizes = []

@@ -436,23 +436,23 @@ def fixture(spec, ambient_size=None) -> DomainFixture:
     radial family).
     """
     spec = str(spec).strip()
+    if ambient_size is None:
+        ambient_size = DEFAULT_RADIAL_POINTS if spec.startswith("rad(") else DEFAULT_AMBIENT_1D
+    n_half = (int(ambient_size) - 1) // 2
     if spec == "lat1":
-        n_half = (int(ambient_size) - 1) // 2 if ambient_size else (DEFAULT_AMBIENT_1D - 1) // 2
         return build_lattice_1d(n_half, "unit")
     if spec.startswith("lat1_geo(") and spec.endswith(")"):
         try:
             q = float(spec[len("lat1_geo("):-1])
         except ValueError as exc:
             raise ValidationError(f"cannot parse fixture {spec!r}") from exc
-        n_half = (int(ambient_size) - 1) // 2 if ambient_size else (DEFAULT_AMBIENT_1D - 1) // 2
         return build_lattice_1d(n_half, "geometric", q=q)
     if spec.startswith("rad(") and spec.endswith(")"):
         try:
             d = int(spec[len("rad("):-1])
         except ValueError as exc:
             raise ValidationError(f"cannot parse fixture {spec!r}") from exc
-        n = int(ambient_size) if ambient_size else DEFAULT_RADIAL_POINTS
-        return build_radial(d, n_points=n)
+        return build_radial(d, n_points=int(ambient_size))
     import os
 
     if os.path.exists(spec):

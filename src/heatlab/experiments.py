@@ -26,13 +26,8 @@ from .criticality import (
     lambda0_log_estimate,
     perturbation_integrals,
 )
-from .domains import DomainFixture, fixture as resolve_fixture
-from .errors import (
-    HeatLabError,
-    InconclusiveError,
-    NumericalError,
-    ValidationError,
-)
+from .domains import fixture as resolve_fixture
+from .errors import NumericalError, ValidationError
 from .kernels import HeatKernelEvaluator, LimitStatus
 from .operators import EllipticOperator, Potential, add_potential, assemble, shift
 from .series import (
@@ -416,158 +411,120 @@ def parse_indicator(raw, name):
         raise ValidationError(f"{name}: bad vertex list {raw!r}") from None
 
 
-def build_operator(domain, potential_file=None, coupling=1.0, constant=0.0) -> EllipticOperator:
-    """P + coupling * V_file + constant, as the CLI flags and the [operator] section give it."""
-    op = assemble(domain)
-    if potential_file:
-        op = add_potential(op, Potential.from_file(domain, potential_file), coupling)
-    if constant:
-        op = add_potential(op, Potential.constant(domain, constant))
-    return op
+def _parse_number(conv, what):
+    def parse(raw, name):
+        try:
+            return conv(raw)
+        except ValueError:
+            raise ValidationError(f"{name}: not {what}: {raw!r}") from None
+    return parse
 
 
-def build_perturbation(domain, pert_file=None, indicator=(), value=1.0,
-                       constant=None) -> Potential | None:
-    """Sum of a file potential, an indicator of ``indicator`` scaled by ``value``
-    and a constant; None when none of them is given."""
-    parts = []
-    if pert_file:
-        parts.append(Potential.from_file(domain, pert_file).values)
-    if indicator:
-        parts.append(Potential.indicator(domain, indicator, value).values)
-    if constant is not None:
-        parts.append(np.full(domain.n_vertices, constant))
-    if not parts:
-        return None
-    return Potential(domain, sum(parts))
+def _parse_bracket(raw, name):
+    try:
+        lo, hi = [float(v) for v in raw.replace(",", " ").split()]
+    except ValueError:
+        raise ValidationError(f"{name}: expected two numbers, got {raw!r}") from None
+    return lo, hi
+
+
+_FLOAT = _parse_number(float, "a number")
+_INT = _parse_number(int, "an integer")
+
+# [section] key of a scenario file -> (ScenarioConfig field, parser or None for
+# text); an absent or empty key keeps the field default.
+_CONFIG_KEYS = {
+    ("fixture", "ambient_size"): ("ambient_size", _INT),
+    ("operator", "constant"): ("constant", _FLOAT),
+    ("operator", "potential_file"): ("potential_file", None),
+    ("operator", "coupling"): ("coupling", _FLOAT),
+    ("perturbation", "constant"): ("pert_constant", _FLOAT),
+    ("perturbation", "potential_file"): ("pert_file", None),
+    ("perturbation", "indicator"): ("pert_indicator", parse_indicator),
+    ("perturbation", "value"): ("pert_value", _FLOAT),
+    ("perturbation", "coupling"): ("pert_coupling", _FLOAT),
+    ("experiment", "x"): ("x", _INT),
+    ("experiment", "y"): ("y", _INT),
+    ("experiment", "x0"): ("x0", _INT),
+    ("experiment", "y0"): ("y0", _INT),
+    ("experiment", "y1"): ("y1", _INT),
+    ("experiment", "t"): ("t", _FLOAT),
+    ("experiment", "tau"): ("tau", _FLOAT),
+    ("experiment", "t_grid"): ("t_grid", parse_grid),
+    ("experiment", "lambda_deltas"): ("lambda_deltas", parse_grid),
+    ("experiment", "heat_tol"): ("heat_tol", _FLOAT),
+    ("experiment", "green_tol"): ("green_tol", _FLOAT),
+    ("experiment", "bracket"): ("bracket", _parse_bracket),
+    ("experiment", "perturbation_kind"): ("pert_kind", None),
+    ("experiment", "seed"): ("seed", _INT),
+    ("output", "dir"): ("out_dir", None),
+    ("output", "prefix"): ("prefix", None),
+}
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated contents of a scenario file."""
+    """One validated experiment request, from a scenario file or CLI flags.
+
+    The field defaults are the defaults of both front ends.  ``green_tol``
+    is also the tolerance of the ``lambda0`` kind; ``out_dir`` None writes
+    no files.
+    """
 
     fixture_name: str
-    ambient_size: int | None
     kind: str
-    constant: float
-    potential_file: str | None
-    coupling: float
-    pert_constant: float | None
-    pert_file: str | None
-    pert_indicator: list
-    pert_value: float
-    pert_coupling: float
-    x: int
-    y: int
-    x0: int | None
-    y0: int | None
-    y1: int | None
-    t: float
-    tau: float
-    t_grid: np.ndarray | None
-    lambda_deltas: np.ndarray | None
-    heat_tol: float | None
-    green_tol: float | None
-    bracket: tuple
-    pert_kind: str
-    seed: int
-    out_dir: str
-    prefix: str
+    ambient_size: int | None = None
+    constant: float = 0.0
+    potential_file: str | None = None
+    coupling: float = 1.0
+    pert_constant: float | None = None
+    pert_file: str | None = None
+    pert_indicator: list = field(default_factory=list)
+    pert_value: float = 1.0
+    pert_coupling: float = 1.0
+    x: int = 0
+    y: int = 0
+    x0: int | None = None
+    y0: int | None = None
+    y1: int | None = None
+    t: float = 1.0
+    tau: float = -1.0
+    t_grid: np.ndarray | None = None
+    lambda_deltas: np.ndarray | None = None
+    heat_tol: float | None = None
+    green_tol: float | None = None
+    bracket: tuple = (0.0, 8.0)
+    pert_kind: str = "semismall"
+    seed: int = 0
+    out_dir: str | None = None
+    prefix: str = ""
 
     @classmethod
     def from_file(cls, path):
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot parse config file {path!r}: {exc}") from None
         if not read:
             raise ValidationError(f"cannot read config file {path!r}")
         return cls.from_parser(parser, path)
 
     @classmethod
     def from_parser(cls, parser, path="<config>"):
-        def bad(section, key, msg):
-            return ValidationError(f"{path}: [{section}] {key}: {msg}")
-
-        if "fixture" not in parser or not parser["fixture"].get("name"):
-            raise ValidationError(f"{path}: missing [fixture] name")
-        fx = parser["fixture"]
-        op_sec = parser["operator"] if "operator" in parser else {}
-        pert = parser["perturbation"] if "perturbation" in parser else {}
-        if "experiment" not in parser or not parser["experiment"].get("kind"):
-            raise ValidationError(f"{path}: missing [experiment] kind")
-        exp = parser["experiment"]
-        out = parser["output"] if "output" in parser else {}
-
-        kind = exp.get("kind").strip()
+        for section, key in (("fixture", "name"), ("experiment", "kind")):
+            if section not in parser or not parser[section].get(key):
+                raise ValidationError(f"{path}: missing [{section}] {key}")
+        kind = parser["experiment"]["kind"].strip()
         if kind not in EXPERIMENT_KINDS:
-            raise bad("experiment", "kind", f"unknown kind {kind!r}; one of {EXPERIMENT_KINDS}")
-
-        def get_float(sec, key, default=None, name="experiment"):
-            raw = sec.get(key)
-            if raw is None or raw == "":
-                return default
-            try:
-                return float(raw)
-            except ValueError:
-                raise bad(name, key, f"not a number: {raw!r}") from None
-
-        def get_int(sec, key, default=None, name="experiment"):
-            raw = sec.get(key)
-            if raw is None or raw == "":
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise bad(name, key, f"not an integer: {raw!r}") from None
-
-        bracket_raw = exp.get("bracket", "0 8")
-        try:
-            b_lo, b_hi = [float(v) for v in bracket_raw.replace(",", " ").split()]
-        except ValueError:
-            raise bad("experiment", "bracket", f"expected two numbers, got {bracket_raw!r}") from None
-
-        pert_kind = exp.get("perturbation_kind", "semismall").strip()
-
-        return cls(
-            fixture_name=fx.get("name").strip(),
-            ambient_size=get_int(fx, "ambient_size", None, "fixture"),
-            kind=kind,
-            constant=get_float(op_sec, "constant", 0.0, "operator"),
-            potential_file=(op_sec.get("potential_file") or None) if hasattr(op_sec, "get") else None,
-            coupling=get_float(op_sec, "coupling", 1.0, "operator"),
-            pert_constant=get_float(pert, "constant", None, "perturbation"),
-            pert_file=(pert.get("potential_file") or None) if hasattr(pert, "get") else None,
-            pert_indicator=parse_indicator(pert.get("indicator"),
-                                           f"{path}: [perturbation] indicator"),
-            pert_value=get_float(pert, "value", 1.0, "perturbation"),
-            pert_coupling=get_float(pert, "coupling", 1.0, "perturbation"),
-            x=get_int(exp, "x", 0),
-            y=get_int(exp, "y", 0),
-            x0=get_int(exp, "x0", None),
-            y0=get_int(exp, "y0", None),
-            y1=get_int(exp, "y1", None),
-            t=get_float(exp, "t", 1.0),
-            tau=get_float(exp, "tau", -1.0),
-            t_grid=parse_grid(exp.get("t_grid"), f"{path}: [experiment] t_grid"),
-            lambda_deltas=parse_grid(exp.get("lambda_deltas"),
-                                     f"{path}: [experiment] lambda_deltas"),
-            heat_tol=get_float(exp, "heat_tol", None),
-            green_tol=get_float(exp, "green_tol", None),
-            bracket=(b_lo, b_hi),
-            pert_kind=pert_kind,
-            seed=get_int(exp, "seed", 0),
-            out_dir=out.get("dir", "out") if hasattr(out, "get") else "out",
-            prefix=out.get("prefix", "") if hasattr(out, "get") else "",
-        )
-
-    def build_fixture(self) -> DomainFixture:
-        return resolve_fixture(self.fixture_name, ambient_size=self.ambient_size)
-
-    def build_operator(self, fixture: DomainFixture) -> EllipticOperator:
-        return build_operator(fixture.domain, self.potential_file, self.coupling, self.constant)
-
-    def build_perturbation(self, fixture: DomainFixture) -> Potential | None:
-        return build_perturbation(fixture.domain, self.pert_file, self.pert_indicator,
-                                  self.pert_value, self.pert_constant)
+            raise ValidationError(
+                f"{path}: [experiment] kind: unknown kind {kind!r}; one of {EXPERIMENT_KINDS}")
+        values = {"out_dir": "out"}
+        for (section, key), (name, parse) in _CONFIG_KEYS.items():
+            raw = parser[section].get(key, "").strip() if section in parser else ""
+            if raw:
+                values[name] = parse(raw, f"{path}: [{section}] {key}") if parse else raw
+        return cls(parser["fixture"]["name"].strip(), kind, **values)
 
 
 @dataclass
@@ -578,67 +535,93 @@ class ScenarioResult:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Execute the configured experiment; write CSV artifacts and a summary.
+    """Execute the configured experiment; write its CSV artifacts and summary.
 
-    Deterministic given the config.  Exit status: 0 success, 3 when a limit
-    or series is inconclusive (hard errors raise and are mapped by the CLI).
+    Deterministic given the config.  Files go to ``config.out_dir`` only after
+    the experiment succeeded, and nowhere when it is None.  Exit status: 0
+    success, 3 when a limit or series is inconclusive (hard errors raise and
+    are mapped by the CLI).
     """
-    fixture = config.build_fixture()
-    op = config.build_operator(fixture)
-    exhaustion = fixture.exhaustion
-    os.makedirs(config.out_dir, exist_ok=True)
-    base = os.path.join(config.out_dir, (config.prefix + config.kind).replace("/", "_"))
-    csv_paths = []
-    status = 0
-    lines = [f"fixture: {fixture.name}", f"experiment: {config.kind}"]
+    fixture = resolve_fixture(config.fixture_name, ambient_size=config.ambient_size)
+    domain, exhaustion, kind = fixture.domain, fixture.exhaustion, config.kind
+    x, y = config.x, config.y
+    op = assemble(domain)
+    if config.potential_file:
+        op = add_potential(op, Potential.from_file(domain, config.potential_file), config.coupling)
+    if config.constant:
+        op = add_potential(op, Potential.constant(domain, config.constant))
 
-    def emit(name, fieldnames, rows):
-        path = f"{base}_{name}.csv" if name else f"{base}.csv"
-        write_csv(path, fieldnames, rows)
-        csv_paths.append(path)
+    def perturbation():
+        """File potential + indicator * value + constant of the perturbation."""
+        parts = []
+        if config.pert_file:
+            parts.append(Potential.from_file(domain, config.pert_file).values)
+        if config.pert_indicator:
+            parts.append(Potential.indicator(domain, config.pert_indicator,
+                                             config.pert_value).values)
+        if config.pert_constant is not None:
+            parts.append(np.full(domain.n_vertices, config.pert_constant))
+        if not parts:
+            raise ValidationError(f"{kind} needs a perturbation: a [perturbation] section or "
+                                  "--pert-file/--pert-indicator/--pert-constant")
+        return Potential(domain, sum(parts))
 
-    if config.kind == "classify":
+    lines = [f"fixture: {fixture.name}", f"experiment: {kind}"]
+    tables = []  # (name, fieldnames, rows) of each CSV artifact
+    inconclusive = False
+    series = None
+    if kind == "classify":
         report = classify(op, exhaustion, green_tol=config.green_tol)
         lines.append(report.to_text().rstrip())
-        emit("diagnostics", ["level", "lambda0_j", "green_j", "mass_j"],
-             report.diagnostic_rows())
-    elif config.kind == "heat":
+        tables.append(("diagnostics", ["level", "lambda0_j", "green_j", "mass_j"],
+                       report.diagnostic_rows()))
+    elif kind in ("heat", "green"):
         ev = HeatKernelEvaluator(op, exhaustion)
-        r = ev.heat_kernel(config.x, config.y, config.t, tol=config.heat_tol)
+        if kind == "heat":
+            r = ev.heat_kernel(x, y, config.t, tol=config.heat_tol)
+        else:
+            r = ev.green(x, y, tol=config.green_tol)
         lines += [f"value: {r.value:.17g}", f"status: {r.status.value}",
                   f"level: {r.level}", f"model: {r.model}"]
-        emit("history", ["level", "value"], [{"level": j, "value": v} for j, v in r.history])
-        status = 3 if r.status is LimitStatus.INCONCLUSIVE else 0
-    elif config.kind == "green":
-        ev = HeatKernelEvaluator(op, exhaustion)
-        r = ev.green(config.x, config.y, tol=config.green_tol)
-        lines += [f"value: {r.value:.17g}", f"status: {r.status.value}",
-                  f"level: {r.level}", f"model: {r.model}"]
-        emit("history", ["level", "value"], [{"level": j, "value": v} for j, v in r.history])
-        status = 3 if r.status is LimitStatus.INCONCLUSIVE else 0
-    elif config.kind == "lambda0":
-        lam = lambda0(op, exhaustion)
+        if r.evidence:
+            lines.append(f"evidence: {r.evidence}")
+        tables.append(("history", ["level", "value"],
+                       [{"level": j, "value": v} for j, v in r.history]))
+        inconclusive = r.status is LimitStatus.INCONCLUSIVE
+    elif kind == "lambda0":
+        lam = lambda0(op, exhaustion, tol=config.green_tol)
         lines += [f"lambda0: {lam.value:.17g}", f"error_estimate: {lam.error:.3g}"]
-        emit("history", ["level", "lambda0_j"],
-             [{"level": j, "lambda0_j": v} for j, v in lam.history])
-    elif config.kind == "lambda0_log":
+        tables.append(("history", ["level", "lambda0_j"],
+                       [{"level": j, "lambda0_j": v} for j, v in lam.history]))
+    elif kind == "lambda0_log":
         ev = HeatKernelEvaluator(op, exhaustion)
         grid = config.t_grid if config.t_grid is not None else geometric_grid(5.0, 200.0, 12)
-        est = lambda0_log_estimate(ev, config.x, config.y, grid, tol=config.heat_tol)
+        est = lambda0_log_estimate(ev, x, y, grid, tol=config.heat_tol)
         lines += [f"lambda0_estimate: {est.estimate:.12g}",
                   f"fit: a={est.fit[0]:.6g} b={est.fit[1]:.6g} c={est.fit[2]:.6g} rms={est.fit[3]:.3g}"]
-        emit("series", ["t", "value"], est.rows())
-    elif config.kind in ("theorem_limit", "time_shift", "davies", "conjecture", "resolvent"):
-        series = _run_series_experiment(config, fixture, op)
-        lines.append(series.summary().rstrip())
-        param = "lambda_delta" if config.kind == "resolvent" else "t"
-        emit("series", [param, "level", "value"], series.rows(param=param))
-        status = 3 if series.status is SeriesStatus.INCONCLUSIVE else 0
-    elif config.kind == "coupling":
-        pot = config.build_perturbation(fixture)
-        if pot is None:
-            raise ValidationError("coupling experiment needs a [perturbation] section")
-        res = critical_coupling(op, pot, exhaustion, bracket=config.bracket,
+        tables.append(("series", ["t", "value"], est.rows()))
+    elif kind == "theorem_limit":
+        series = theorem_limit_series(op, exhaustion, x, y, t_grid=config.t_grid,
+                                      heat_tol=config.heat_tol)
+    elif kind == "resolvent":
+        series = resolvent_limit(op, exhaustion, x, y, lambda_deltas=config.lambda_deltas,
+                                 green_tol=config.green_tol)
+    elif kind == "time_shift":
+        series = time_shift_ratio_series(op, exhaustion, x, y, config.tau,
+                                         t_grid=config.t_grid, heat_tol=config.heat_tol)
+    elif kind == "davies":
+        report = classify(op, exhaustion, green_tol=config.green_tol) if op.symmetric else None
+        series = davies_ratio_series(op, exhaustion, x, y,
+                                     x if config.x0 is None else config.x0,
+                                     y if config.y0 is None else config.y0,
+                                     t_grid=config.t_grid, report=report,
+                                     heat_tol=config.heat_tol)
+    elif kind == "conjecture":
+        op_plus = add_potential(op, perturbation(), config.pert_coupling)
+        series = conjecture_ratio_series(op_plus, op, exhaustion, x, y, t_grid=config.t_grid,
+                                         y1=config.y1, heat_tol=config.heat_tol)
+    elif kind == "coupling":
+        res = critical_coupling(op, perturbation(), exhaustion, bracket=config.bracket,
                                 green_tol=config.green_tol)
         lines += [f"alpha0: {res.alpha0:.12g}",
                   f"bracket: {res.bracket[0]:.12g} {res.bracket[1]:.12g}",
@@ -646,51 +629,30 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                   f"oracle_agrees: {res.agree}"]
         if res.finding:
             lines.append(f"finding: {res.finding}")
-        emit("history", ["alpha", "critical_side"],
-             [{"alpha": a, "critical_side": int(s)} for a, s in res.history])
-    elif config.kind == "perturb_integrals":
-        pot = config.build_perturbation(fixture)
-        if pot is None:
-            raise ValidationError("perturbation integrals need a [perturbation] section")
-        res = perturbation_integrals(op, pot, exhaustion, x0=config.x0,
+        tables.append(("history", ["alpha", "critical_side"],
+                       [{"alpha": a, "critical_side": int(s)} for a, s in res.history]))
+    elif kind == "perturb_integrals":
+        res = perturbation_integrals(op, perturbation(), exhaustion, x0=config.x0,
                                      kind=config.pert_kind, seed=config.seed)
         lines += [f"kind: {res.kind}", f"verdict_decreasing_to_zero: {res.verdict}",
                   f"fitted_decay: {res.fitted_decay:.6g}"]
-        emit("series", ["level", "s_j"], res.rows())
-    else:  # pragma: no cover - guarded by config validation
-        raise ValidationError(f"unhandled experiment kind {config.kind!r}")
+        tables.append(("series", ["level", "s_j"], res.rows()))
+    else:
+        raise ValidationError(f"unknown experiment kind {kind!r}; one of {EXPERIMENT_KINDS}")
+    if series is not None:
+        lines.append(series.summary().rstrip())
+        param = "lambda_delta" if kind == "resolvent" else "t"
+        tables.append(("series", [param, "level", "value"], series.rows(param=param)))
+        inconclusive = series.status is SeriesStatus.INCONCLUSIVE
 
     summary = "\n".join(lines) + "\n"
-    with open(f"{base}_summary.txt", "w", newline="") as fh:
-        fh.write(summary)
-    return ScenarioResult(status, summary, csv_paths)
-
-
-def _run_series_experiment(config: ScenarioConfig, fixture, op) -> RatioSeries:
-    exhaustion = fixture.exhaustion
-    if config.kind == "theorem_limit":
-        return theorem_limit_series(op, exhaustion, config.x, config.y,
-                                    t_grid=config.t_grid, heat_tol=config.heat_tol)
-    if config.kind == "resolvent":
-        return resolvent_limit(op, exhaustion, config.x, config.y,
-                               lambda_deltas=config.lambda_deltas,
-                               green_tol=config.green_tol)
-    if config.kind == "time_shift":
-        return time_shift_ratio_series(op, exhaustion, config.x, config.y, config.tau,
-                                       t_grid=config.t_grid, heat_tol=config.heat_tol)
-    if config.kind == "davies":
-        x0 = config.x0 if config.x0 is not None else config.x
-        y0 = config.y0 if config.y0 is not None else config.y
-        report = classify(op, exhaustion, green_tol=config.green_tol) if op.symmetric else None
-        return davies_ratio_series(op, exhaustion, config.x, config.y, x0, y0,
-                                   t_grid=config.t_grid, report=report,
-                                   heat_tol=config.heat_tol)
-    if config.kind == "conjecture":
-        pot = config.build_perturbation(fixture)
-        if pot is None:
-            raise ValidationError("conjecture experiment needs a [perturbation] section")
-        op_plus = add_potential(op, pot, config.pert_coupling)
-        return conjecture_ratio_series(op_plus, op, exhaustion, config.x, config.y,
-                                       t_grid=config.t_grid, y1=config.y1,
-                                       heat_tol=config.heat_tol)
-    raise ValidationError(f"unhandled series kind {config.kind!r}")
+    csv_paths = []
+    if config.out_dir is not None:
+        os.makedirs(config.out_dir, exist_ok=True)
+        base = os.path.join(config.out_dir, (config.prefix + kind).replace("/", "_"))
+        for name, fieldnames, rows in tables:
+            csv_paths.append(f"{base}_{name}.csv")
+            write_csv(csv_paths[-1], fieldnames, rows)
+        with open(f"{base}_summary.txt", "w", newline="") as fh:
+            fh.write(summary)
+    return ScenarioResult(3 if inconclusive else 0, summary, csv_paths)

@@ -105,6 +105,14 @@ def _trend_diverging(values, sizes, tol):
     return bool(np.all(ninc[1:] >= ninc[:-1] * (1.0 - 1e-3)))
 
 
+def _sparse_lu(mat, **kwargs):
+    """SuperLU factors of ``mat``; a singular matrix is a NumericalError."""
+    try:
+        return spla.splu(mat, **kwargs)
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise NumericalError(f"sparse LU failed: {exc}") from None
+
+
 class _FactorBase:
     """State shared by the symmetric and nonsymmetric per-level factors."""
 
@@ -132,10 +140,10 @@ class _FactorBase:
                 kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                               options=dict(SymmetricMode=True))
             try:
-                self._lu = spla.splu(self._a_s, **kwargs)
-            except RuntimeError:
+                self._lu = _sparse_lu(self._a_s, **kwargs)
+            except NumericalError:
                 self._lu_shift = 1.0
-                self._lu = spla.splu((self._a_s + sp.diags(self.mu)).tocsc(), **kwargs)
+                self._lu = _sparse_lu((self._a_s + sp.diags(self.mu)).tocsc(), **kwargs)
         return self._lu, self._lu_shift
 
     def is_positive_definite(self):
@@ -149,7 +157,7 @@ class _FactorBase:
 
     def _shifted_lu(self, sigma):
         mat = self._a_s if sigma == 0.0 else (self._a_s - sigma * sp.diags(self.mu)).tocsc()
-        return spla.splu(mat)
+        return _sparse_lu(mat)
 
     def _rayleigh(self, v):
         return float(v @ (self._a_s @ v)) / float(v @ (self.mu * v))
@@ -167,7 +175,7 @@ class _FactorBase:
             sigma = float(np.min(self.op.potential[self.sub.positions]))
             try:
                 lu = self._shifted_lu(sigma)
-            except RuntimeError:
+            except NumericalError:
                 sigma -= 1.0
                 lu = self._shifted_lu(sigma)
             n = self.sub.size
@@ -187,7 +195,7 @@ class _FactorBase:
             for _ in range(4):  # Rayleigh-shift refinement, cubic near the fixed point
                 try:
                     lu_r = self._shifted_lu(theta)
-                except RuntimeError:
+                except NumericalError:
                     break  # theta hit the eigenvalue exactly
                 w = lu_r.solve(self.mu * v)
                 nrm = float(np.linalg.norm(w))

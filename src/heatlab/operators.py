@@ -58,15 +58,20 @@ class Potential:
     def from_file(cls, domain, path):
         """Load `x V(x)` lines; unlisted vertices get 0."""
         values = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected `x V(x)`, got {raw.strip()!r}")
-                values[int(parts[0])] = float(parts[1])
+        try:
+            with open(path) as fh:
+                for lineno, raw in enumerate(fh, 1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    try:
+                        x, v = line.split()
+                        values[int(x)] = float(v)
+                    except ValueError:
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected `x V(x)`, got {raw.strip()!r}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read potential file {path!r}: {exc}") from None
         return cls(domain, values)
 
     @property

@@ -12,7 +12,7 @@ def test_heat_ok(capsys):
                  "--x", "0", "--y", "0", "--t", "1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "k(0,0,1)" in out and "converged" in out
+    assert "value: " in out and "status: converged" in out
 
 
 def test_unknown_fixture_exits_2(capsys):
@@ -34,7 +34,7 @@ def test_green_and_lambda0(capsys):
     code = main(["lambda0", "--fixture", "lat1", "--ambient-size", "513",
                  "--constant", "0.5"])
     assert code == 0
-    assert "lambda0 = 0.49999999" in capsys.readouterr().out
+    assert "lambda0: 0.49999999" in capsys.readouterr().out
 
 
 def test_classify_command(capsys):
@@ -52,7 +52,7 @@ def test_ratio_time_shift(capsys, tmp_path):
                  "--x", "0", "--y", "0", "--tau", "-1",
                  "--t-grid", "geometric:5:50:8", "--out", out_dir])
     assert code == 0
-    assert os.path.exists(os.path.join(out_dir, "ratio_time-shift.csv"))
+    assert os.path.exists(os.path.join(out_dir, "time_shift_series.csv"))
 
 
 def test_coupling_command(capsys):
@@ -61,7 +61,7 @@ def test_coupling_command(capsys):
                  "--pert-value", "-1.0", "--bracket", "0", "4"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "alpha0 = 2.236" in out
+    assert "alpha0: 2.236" in out
 
 
 def test_perturb_command(capsys):
@@ -89,14 +89,31 @@ def test_run_command(tmp_path, capsys):
     assert "lambda0:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "[fixture]\nname = lat1\n\n[experiment]\nkind = heat\nt = 1%\n",
+    "name = lat1\n",
+    "[fixture]\nname = lat1\n[fixture]\nname = rad(3)\n",
+])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_run_missing_config(capsys):
     code = main(["run", "/nonexistent/path.cfg"])
     assert code == 2
 
 
-def test_numerical_failure_exits_4(capsys):
-    code = main(["classify", "--fixture", "lat1", "--ambient-size", "257",
-                 "--constant", "-0.5"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--fixture", "lat1", "--ambient-size", "257", "--constant", "-0.5"],
+    # A - min(D) D_mu cancels to an exactly singular matrix at this scale
+    ["lambda0", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1e17"],
+    ["classify", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1e17"],
+])
+def test_numerical_failure_exits_4(argv, capsys):
+    code = main(argv)
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
 
@@ -107,7 +124,7 @@ def test_edge_list_fixture_from_cli(tmp_path, capsys):
                     "0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n0 2 1.0\n2 0 1.0\n")
     code = main(["heat", "--fixture", str(path), "--x", "0", "--y", "1", "--t", "1"])
     assert code == 0
-    assert "k(0,1,1)" in capsys.readouterr().out
+    assert "value: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, bad_line", [
@@ -149,3 +166,30 @@ def test_bad_numeric_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert "validation error" in captured.err
     assert "converged" not in captured.out
+
+
+@pytest.mark.parametrize("fixture", ["lat1", "lat1_geo(0.5)", "rad(3)"])
+def test_zero_ambient_size_exits_2(fixture, capsys):
+    code = main(["heat", "--fixture", fixture, "--ambient-size", "0"])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["1 0.5\n0 abc\n", None], ids=["bad-line", "missing"])
+@pytest.mark.parametrize("source", ["--potential", "--pert-file", "potential_file"])
+def test_bad_potential_file_exits_2(tmp_path, capsys, source, content):
+    path = tmp_path / "v.txt"
+    if content is not None:
+        path.write_text(content)
+    if source == "potential_file":
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[fixture]\nname = lat1\nambient_size = 33\n\n"
+                       f"[operator]\npotential_file = {path}\n\n[experiment]\nkind = green\n")
+        argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["coupling", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1",
+                source, str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "v.txt" in err
+    assert not (tmp_path / "out").exists()
