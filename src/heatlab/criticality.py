@@ -111,11 +111,11 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
     return Lambda0Result(extrap, d_last, history)
 
 
-def ground_state(evaluator: HeatKernelEvaluator, x0=None, max_points=5):
+def ground_state(evaluator: HeatKernelEvaluator, x0=None):
     """Exhaustion limit of principal Dirichlet eigenfunctions, normalized at x0.
 
-    Per-vertex polynomial extrapolation in 1/|S_j| over the last levels that
-    contain the vertex.  Returns (x0, dict vertex -> phi(vertex)).
+    Per-vertex polynomial extrapolation in 1/|S_j| over the last (at most 5)
+    levels that contain the vertex.  Returns (x0, dict vertex -> phi(vertex)).
     """
     ex = evaluator.exhaustion
     if x0 is None:
@@ -130,7 +130,7 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None, max_points=5):
     out = {}
     for x in (int(v) for v in ex[levels[-1]].labels):
         seq = [(sizes[j], per_level[j][x]) for j in levels if x in per_level[j]]
-        seq = seq[-max_points:]
+        seq = seq[-5:]
         if len(seq) == 1:
             out[x] = seq[0][1]
             continue
@@ -196,17 +196,17 @@ class CriticalityReport:
         return rows
 
 
-def classify(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-6, x0=None, y0=None,
+def classify(op: EllipticOperator, exhaustion: Exhaustion, x0=None, y0=None,
              evaluator: HeatKernelEvaluator = None, green_tol=None) -> CriticalityReport:
     """Subcritical / positive-critical / null-critical classification.
 
-    Raises NegativeLambda0Error when lambda0 < -tol (standing assumption of
+    Raises NegativeLambda0Error when lambda0 < -1e-6 (standing assumption of
     the theory) and InconclusiveError when a deciding limit cannot be
     certified within the ambient truncation.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     lam = lambda0(op, exhaustion, evaluator=ev)
-    if lam.value < -float(tol):
+    if lam.value < -1e-6:
         raise NegativeLambda0Error(lam.value)
     if x0 is None or y0 is None:
         x0_d, y0_d = default_reference_pair(exhaustion)
@@ -224,8 +224,7 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-6, x0=None, y0
     if op.symmetric:
         phi_star = dict(phi)
     else:
-        ev_star = HeatKernelEvaluator(adjoint(op), exhaustion,
-                                      heat_tol=ev.heat_tol, green_tol=ev.green_tol)
+        ev_star = HeatKernelEvaluator(adjoint(op), exhaustion)
         _, phi_star = ground_state(ev_star, x0)
     domain = op.domain
     usable = ev.usable_levels()
@@ -239,7 +238,7 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, tol=1e-6, x0=None, y0
                    for x in exhaustion[j].labels)
 
     mass = exhaustion_limit(mass_at, levels, [exhaustion[j].size for j in levels],
-                            ev.green_tol, trend_divergence=True,
+                            GREEN_TOL, trend_divergence=True,
                             exact_final=ev.exhausts_domain)
     if mass.status is LimitStatus.INCONCLUSIVE:
         raise InconclusiveError(f"mass series inconclusive: {mass.evidence}")
@@ -321,14 +320,21 @@ def birman_schwinger_alpha0(op: EllipticOperator, potential: Potential,
     return float(1.0 / real_pos.max())
 
 
+def _require_subcritical(green: LimitResult):
+    """A diverging base Green limit is bad input; an uncertified one is inconclusive."""
+    if green.diverging:
+        raise ValidationError("operator is not subcritical: its Green limit diverges")
+    if not green.converged:
+        raise InconclusiveError(f"subcriticality of the operator is inconclusive: {green.evidence}")
+
+
 def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Exhaustion,
-                      bracket=(0.0, 8.0), tol=1e-4, green_tol=None,
-                      oracle_rel_tol=1e-3) -> CouplingResult:
+                      bracket=(0.0, 8.0), green_tol=None) -> CouplingResult:
     """Coupling alpha0 at which P + alpha V stops being subcritical.
 
-    Bisection on the Green-limit dichotomy, to bracket width < ``tol``; the
+    Bisection on the Green-limit dichotomy, to bracket width < 1e-4; the
     result is cross-checked against the Birman-Schwinger style oracle and a
-    disagreement beyond ``oracle_rel_tol`` is reported as a finding.
+    relative disagreement beyond 1e-3 is reported as a finding.
     """
     if not np.any(potential.negative_part > 0.0):
         raise ValidationError("potential must have a nonzero attractive part")
@@ -341,9 +347,7 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         raise ValidationError("potential support exceeds the exhaustion")
     x0, y0 = default_reference_pair(exhaustion)
     base_ev = HeatKernelEvaluator(op, exhaustion)
-    base_green = base_ev.green(x0, y0, tol=green_tol)
-    if not base_green.converged:
-        raise ValidationError("base operator is not subcritical (green limit did not converge)")
+    _require_subcritical(base_ev.green(x0, y0, tol=green_tol))
 
     history = []
 
@@ -365,7 +369,7 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         raise NoSignChangeError(
             f"bracket ({lo:g}, {hi:g}) does not straddle the subcritical/critical transition")
     resolution_note = None
-    while hi - lo >= float(tol):
+    while hi - lo >= 1e-4:
         mid = 0.5 * (lo + hi)
         try:
             side = critical_side(mid)
@@ -387,7 +391,7 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         finding = "spectral oracle produced no positive eigenvalue"
     else:
         rel = abs(alpha0 - oracle) / abs(oracle)
-        agree = rel <= oracle_rel_tol
+        agree = rel <= 1e-3
         if not agree:
             disagreement = (f"bisection alpha0={alpha0:.8g} and oracle alpha0={oracle:.8g} "
                             f"disagree by {rel:.2e} relative")
@@ -412,24 +416,20 @@ class PerturbationIntegralSeries:
 
 def perturbation_integrals(op: EllipticOperator, potential: Potential,
                            exhaustion: Exhaustion, x0=None, kind="semismall",
-                           x_sample_cap=48, seed=0,
-                           evaluator: HeatKernelEvaluator = None) -> PerturbationIntegralSeries:
+                           seed=0) -> PerturbationIntegralSeries:
     """Levelwise integrals sup_y int_{M_j*} G(x0,z)|V(z)|G(z,y)/G(x0,y) dmu(z).
 
     kind 'semismall' keeps x fixed at x0; kind 'small' takes the sup over a
-    (seeded) sample of exterior x as well.  Green values come from the final
-    usable exhaustion level, the desk-scale surrogate of the full domain.
+    (seeded) sample of at most 48 exterior x as well.  Green values come from
+    the final usable exhaustion level, the desk-scale surrogate of the full domain.
     """
     if kind not in ("small", "semismall"):
         raise ValidationError(f"unknown perturbation kind: {kind!r}")
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = HeatKernelEvaluator(op, exhaustion)
     if x0 is None:
         x0 = int(exhaustion[0].labels[0])
     xr, yr = default_reference_pair(exhaustion)
-    base_green = ev.green(xr, yr, tol=1e-6)  # qualitative subcriticality check
-    if not base_green.converged:
-        raise ValidationError(
-            "operator is not subcritical: its Green limit did not converge")
+    _require_subcritical(ev.green(xr, yr, tol=1e-6))  # qualitative check
     top = ev.usable_levels()[-1]
     sub = exhaustion[top]
     fac = ev.factor(top)
@@ -456,8 +456,7 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
             a[ext_idx] = g_row[ext_idx] * absv_local[ext_idx] * mu[ext_idx]
             if not np.any(a):
                 return 0.0
-            lu, shift = fac._splu()
-            numer = lu.solve(a, trans="T")  # sum_z a_z G(z, y)
+            numer = fac.green_solve(a, "T")  # sum_z a_z G(z, y)
             denom = g_row[ext_idx]
             good = denom > 0.0
             if not np.any(good):
@@ -467,10 +466,10 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
         if kind == "semismall":
             s_j = level_value(ix0, g_x0)
         else:
-            if ext_idx.size <= x_sample_cap:
+            if ext_idx.size <= 48:
                 xs = ext_idx
             else:
-                xs = np.sort(rng.choice(ext_idx, size=x_sample_cap, replace=False))
+                xs = np.sort(rng.choice(ext_idx, size=48, replace=False))
             # the reference point is always sampled, so the small-kind sup
             # dominates the semismall value at every level by construction
             s_j = level_value(ix0, g_x0)
@@ -494,7 +493,7 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
 
 
 def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
-                                  exhaustion: Exhaustion, green_tol=None,
+                                  exhaustion: Exhaustion,
                                   evaluator: HeatKernelEvaluator = None):
     """Comparability constants (c_low, c_high) of phi against G(., y0) on a region.
 
@@ -511,7 +510,7 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
     ev = evaluator or HeatKernelEvaluator(op_alpha, exhaustion)
     ratios = []
     for x in region:
-        g = ev.green(x, int(y0), tol=green_tol)
+        g = ev.green(x, int(y0))
         if g.diverging:
             raise NumericalError(
                 "green limit diverges: the operator is critical and admits no Green function")

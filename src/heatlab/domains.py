@@ -254,18 +254,12 @@ def _doubling_radii(max_radius, penultimate=None):
     return sorted(set(radii))
 
 
-def _linear_radii(max_radius, levels):
-    radii = sorted({max(1, int(np.ceil(max_radius * j / levels))) for j in range(1, levels + 1)})
-    return radii
-
-
-def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0,
-                     growth="geometric", levels=None) -> DomainFixture:
+def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> DomainFixture:
     """1-d lattice truncation on {-n_half, ..., n_half} with nearest-neighbor edges.
 
     ``measure_rule`` is 'unit' (mu = 1) or 'geometric' (mu(n) = q^|n|, 0 < q < 1).
     The exhaustion consists of centered intervals whose radius doubles per
-    level by default ('geometric' growth) and ends at the full truncation.
+    level and ends at the full truncation.
     """
     n_half = int(n_half)
     if n_half < 2:
@@ -294,20 +288,14 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0,
         edges[(n + 1, n)] = float(conductance)
     domain = WeightedDomain(vertices, measure, edges, truncated=True, name=name)
 
-    if growth == "geometric":
-        # deepest Dirichlet level at n_half - 1; the full truncation is the
-        # formal top level (closed, so kernel limits never certify on it)
-        radii = _doubling_radii(n_half, penultimate=max(n_half - 1, 1))
-    elif growth == "linear":
-        radii = _linear_radii(n_half, levels or n_half)
-    else:
-        raise ValidationError(f"unknown exhaustion growth: {growth!r}")
+    # deepest Dirichlet level at n_half - 1; the full truncation is the
+    # formal top level (closed, so kernel limits never certify on it)
+    radii = _doubling_radii(n_half, penultimate=max(n_half - 1, 1))
     exhaustion = Exhaustion(domain, [range(-r, r + 1) for r in radii])
     return DomainFixture(name, domain, exhaustion)
 
 
-def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0,
-                 growth="geometric", levels=None) -> DomainFixture:
+def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0) -> DomainFixture:
     """Discrete radial half-line analog of the Laplacian on R^d.
 
     Vertices sit at r_i = i*h for i = 1..n_points with cell measure
@@ -315,7 +303,8 @@ def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0,
     The outer end is absorbing through a ghost boundary vertex at
     r = (n_points+1)*h; the inner end is free (no edge below r = h), which is
     the faithful analog of the origin being polar: the chain is then
-    transient for d >= 3 and recurrent for d <= 2.
+    transient for d >= 3 and recurrent for d <= 2.  The exhaustion consists
+    of the initial segments {1..r} with doubling r.
     """
     d = int(dimension_d)
     n = int(n_points)
@@ -337,43 +326,35 @@ def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0,
     name = f"rad({d})"
     domain = WeightedDomain(vertices, measure, edges, truncated=True, name=name)
 
-    if growth == "geometric":
-        radii = _doubling_radii(n)
-        radii = [r for r in radii if r >= 2] or [n]
-    elif growth == "linear":
-        radii = _linear_radii(n, levels or 10)
-    else:
-        raise ValidationError(f"unknown exhaustion growth: {growth!r}")
+    radii = [r for r in _doubling_radii(n) if r >= 2] or [n]
     exhaustion = Exhaustion(domain, [range(1, r + 1) for r in radii])
     return DomainFixture(name, domain, exhaustion)
 
 
-def single_vertex_domain(d_value=0.0, mu=1.0, name="point"):
-    """One-vertex closed domain; handy for scalar closed forms."""
-    domain = WeightedDomain([0], {0: mu}, {}, truncated=False, name=name)
-    exhaustion = Exhaustion(domain, [[0]])
-    return DomainFixture(name, domain, exhaustion)
+def single_vertex_domain():
+    """One-vertex closed domain 'point' with mu = 1; handy for scalar closed forms."""
+    domain = WeightedDomain([0], {0: 1.0}, {}, name="point")
+    return DomainFixture("point", domain, Exhaustion(domain, [[0]]))
 
 
-def closed_path_domain(n_vertices, conductance=1.0, mu=1.0, name="closed_path"):
-    """Closed finite path (no absorbing exterior); conserves mass when D = 0."""
+def closed_path_domain(n_vertices):
+    """Closed finite path 'closed_path' on 0..n_vertices-1 with mu = 1 and unit
+    conductances (no absorbing exterior); conserves mass when D = 0."""
     vertices = list(range(n_vertices))
-    measure = {x: mu for x in vertices}
     edges = {}
     for x in range(n_vertices - 1):
-        edges[(x, x + 1)] = conductance
-        edges[(x + 1, x)] = conductance
-    domain = WeightedDomain(vertices, measure, edges, truncated=False, name=name)
-    exhaustion = Exhaustion(domain, [vertices])
-    return DomainFixture(name, domain, exhaustion)
+        edges[(x, x + 1)] = 1.0
+        edges[(x + 1, x)] = 1.0
+    domain = WeightedDomain(vertices, {x: 1.0 for x in vertices}, edges, name="closed_path")
+    return DomainFixture("closed_path", domain, Exhaustion(domain, [vertices]))
 
 
-def load_edge_list(path, truncated=False, name=None):
+def load_edge_list(path):
     """Read a domain from a text file: `x y w` per directed edge, `x mu` per vertex.
 
     Lines with three tokens are edges, lines with two tokens are vertex
     measures; blank lines and `#` comments are ignored.  Every vertex must
-    carry a measure line.
+    carry a measure line.  The domain is finite and named after ``path``.
     """
     measures = {}
     edges = {}
@@ -397,12 +378,10 @@ def load_edge_list(path, truncated=False, name=None):
     for (x, y) in edges:
         if x not in measures or y not in measures:
             raise ValidationError(f"{path}: edge ({x}, {y}) references vertex without a measure line")
-    domain = WeightedDomain(sorted(measures), measures, edges,
-                            truncated=truncated, name=name or str(path))
-    return domain
+    return WeightedDomain(sorted(measures), measures, edges, name=str(path))
 
 
-def ball_exhaustion(domain: WeightedDomain, center=None, growth="geometric"):
+def ball_exhaustion(domain: WeightedDomain, center=None):
     """Exhaustion by breadth-first balls around ``center`` with doubling radius."""
     if center is None:
         center = int(domain.labels[0])
@@ -411,12 +390,7 @@ def ball_exhaustion(domain: WeightedDomain, center=None, growth="geometric"):
                                     indices=domain.index[int(center)])
     dist = np.asarray(dist).ravel()
     max_r = int(dist[np.isfinite(dist)].max())
-    if max_r == 0:
-        radii = [0]
-    elif growth == "geometric":
-        radii = _doubling_radii(max_r)
-    else:
-        radii = _linear_radii(max_r, max_r)
+    radii = _doubling_radii(max_r) if max_r > 0 else [0]
     subsets = []
     seen = None
     for r in radii:

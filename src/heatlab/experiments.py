@@ -112,7 +112,7 @@ def _decide_series(t, values, levels, predicted=None, excluded=None):
     decreasing = bool(np.all(np.diff(vv) <= 1e-12 * scale))
     increasing = bool(np.all(np.diff(vv) >= -1e-12 * scale))
     if decreasing and vv[-1] < 0.5 * vv[0] and np.all(vv > 0.0):
-        slope, width, _ = fit_loglog_slope(t, v, decades=1.0)
+        slope, width, _ = fit_loglog_slope(t, v)
         rate, exp_resid = fit_exponential_rate(tv, vv)
         lv = np.log(vv)
         ll_fit = np.polyfit(np.log(tv), lv, 1)
@@ -175,12 +175,10 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
 
 
 def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
-                    evaluator=None, report: CriticalityReport = None,
                     green_tol=None) -> RatioSeries:
     """Series (lambda0 - lambda) G_{P-lambda}(x, y) for lambda approaching
     lambda0 from below; its limit matches the large-time kernel limit."""
-    if report is None:
-        report = classify(op, exhaustion, green_tol=green_tol)
+    report = classify(op, exhaustion, green_tol=green_tol)
     lam0 = report.lambda0.value
     if lambda_deltas is None:
         lambda_deltas = geometric_grid(0.5, 0.01, 10)
@@ -226,8 +224,7 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
 
 
 def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
-                            t_grid=None, evaluator=None, lam0=None,
-                            heat_tol=None) -> RatioSeries:
+                            t_grid=None, evaluator=None, heat_tol=None) -> RatioSeries:
     """Series k(x, y, t+tau)/k(x, y, t) for tau < 0; the limit is e^(-lambda0 tau)
     for symmetric operators (asserted only there; reported otherwise)."""
     tau = float(tau)
@@ -248,10 +245,8 @@ def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
         vals.append(r_num.value / r_den.value)
         levels.append(max(r_num.level, r_den.level))
     predicted = None
-    if lam0 is None and op.symmetric:
-        lam0 = lambda0(op, exhaustion, evaluator=ev).value
-    if lam0 is not None:
-        predicted = float(np.exp(-lam0 * tau))
+    if op.symmetric:
+        predicted = float(np.exp(-lambda0(op, exhaustion, evaluator=ev).value * tau))
     series = _decide_series(ts, vals, levels, predicted=predicted, excluded=excluded)
     series.extras["tau"] = f"{tau:g}"
     if not op.symmetric:
@@ -285,25 +280,22 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
 
 
 def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator,
-                            exhaustion, x, y, t_grid=None, y1=None, probe_xs=None,
-                            evaluators=None, reports=None, heat_tol=None) -> RatioSeries:
+                            exhaustion, x, y, t_grid=None, y1=None,
+                            heat_tol=None) -> RatioSeries:
     """Series k_{P+}(x, y, t)/k_{P0}(x, y, t) for subcritical P+ against critical P0.
 
-    Also estimates the empirical domination constant C and onset times T(x)
-    at the reference vertex y1: the sup over probe vertices of the ratio past
-    its observed peak.
+    Also estimates the empirical domination constant C and onset time T(x)
+    at the reference vertex y1: the sup of k_{P+}(x, y1, t)/k_{P0}(x, y1, t)
+    past its observed peak.
     """
-    if reports is None:
-        rep_zero = classify(op_zero, exhaustion)
-        rep_plus = classify(op_plus, exhaustion)
-    else:
-        rep_plus, rep_zero = reports
+    rep_zero = classify(op_zero, exhaustion)
+    rep_plus = classify(op_plus, exhaustion)
     if rep_zero.classification is Classification.SUBCRITICAL:
         raise ValidationError("the reference operator must be critical")
     if rep_plus.classification is not Classification.SUBCRITICAL:
         raise ValidationError("the perturbed operator must be subcritical")
-    ev_plus, ev_zero = evaluators or (HeatKernelEvaluator(op_plus, exhaustion),
-                                      HeatKernelEvaluator(op_zero, exhaustion))
+    ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
+    ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
     ts, vals, levels, excluded = [], [], [], []
     for t in t_grid:
@@ -319,23 +311,19 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     series.extras["lambda_plus"] = f"{rep_plus.lambda0.value:.10g}"
 
     y1 = int(y) if y1 is None else int(y1)
-    probe_xs = [int(x)] if probe_xs is None else [int(v) for v in probe_xs]
-    c_emp, onsets = 0.0, {}
-    for xv in probe_xs:
-        rx = []
-        for t in ts:
-            num = _converged_kernel(ev_plus, xv, y1, t, tol=heat_tol)
-            den = _converged_kernel(ev_zero, xv, y1, t, tol=heat_tol)
-            rx.append(num.value / den.value if num and den and den.value > 0.0 else np.nan)
-        rx = np.asarray(rx)
-        ok = ~np.isnan(rx)
-        if not np.any(ok):
-            continue
+    rx = []
+    for t in ts:
+        num = _converged_kernel(ev_plus, x, y1, t, tol=heat_tol)
+        den = _converged_kernel(ev_zero, x, y1, t, tol=heat_tol)
+        rx.append(num.value / den.value if num and den and den.value > 0.0 else np.nan)
+    rx = np.asarray(rx)
+    c_emp, onset = 0.0, ""
+    if not np.all(np.isnan(rx)):
         peak = int(np.nanargmax(rx))
-        onsets[xv] = float(ts[peak])
+        onset = f"{int(x)}:{ts[peak]:g}"
         c_emp = max(c_emp, float(np.nanmax(rx[peak:])))
     series.extras["domination_constant"] = f"{c_emp:.10g}"
-    series.extras["onset_times"] = ",".join(f"{xv}:{tv:g}" for xv, tv in sorted(onsets.items()))
+    series.extras["onset_times"] = onset
     return series
 
 

@@ -153,7 +153,7 @@ class _FactorBase:
             if shift != 0.0:
                 return False
             return bool(np.all(lu.U.diagonal() > 0.0))
-        return self.lambda_min_estimate() > 0.0
+        return self.principal_pair()[0] > 0.0
 
     def _shifted_lu(self, sigma):
         mat = self._a_s if sigma == 0.0 else (self._a_s - sigma * sp.diags(self.mu)).tocsc()
@@ -213,10 +213,6 @@ class _FactorBase:
             self._principal = (theta, v, positive)
         return self._principal
 
-    def lambda_min_estimate(self):
-        """Principal eigenvalue of the restriction (negative when supercritical)."""
-        return self.principal_pair()[0]
-
     def ground_vector(self):
         theta, v, positive = self.principal_pair()
         if not positive:
@@ -226,11 +222,9 @@ class _FactorBase:
     def green(self, ix, iy):
         return float(self.green_column(iy)[ix])
 
-    def green_column(self, iy):
-        """Column y of [K_S^-1]/mu(y), i.e. G(. , y) = A_S^-1 e_y."""
-        col = self._green_cols.get(iy)
-        if col is not None:
-            return col
+    def green_solve(self, rhs, trans):
+        """A_S^-1 rhs (``trans`` "N") or A_S^-T rhs ("T").  A singular restriction is
+        rejected even when its principal eigenvalue comes out as +round-off."""
         if not self.is_positive_definite():
             raise NumericalError(
                 "restricted principal eigenvalue is not positive; no finite Green function"
@@ -238,23 +232,22 @@ class _FactorBase:
         lu, shift = self._splu()
         if shift != 0.0:
             raise NumericalError("singular Dirichlet restriction; no finite Green function")
-        e = np.zeros(self.sub.size)
-        e[iy] = 1.0
-        col = self._green_cols[iy] = lu.solve(e)
+        return lu.solve(rhs, trans=trans)
+
+    def green_column(self, iy):
+        """Column y of [K_S^-1]/mu(y), i.e. G(. , y) = A_S^-1 e_y."""
+        col = self._green_cols.get(iy)
+        if col is None:
+            e = np.zeros(self.sub.size)
+            e[iy] = 1.0
+            col = self._green_cols[iy] = self.green_solve(e, "N")
         return col
 
     def green_row(self, ix):
         """Row x of the Green matrix: solves with the transposed measure form."""
-        if not self.is_positive_definite():
-            raise NumericalError(
-                "restricted principal eigenvalue is not positive; no finite Green function"
-            )
         e = np.zeros(self.sub.size)
         e[ix] = 1.0
-        lu, shift = self._splu()
-        if shift != 0.0:
-            raise NumericalError("singular Dirichlet restriction; no finite Green function")
-        return lu.solve(e, trans="T")
+        return self.green_solve(e, "T")
 
 
 class SymmetricFactor(_FactorBase):
@@ -302,11 +295,6 @@ class SymmetricFactor(_FactorBase):
     @property
     def lambda_min(self):
         return float(self.spectral()[0][0])
-
-    def lambda_min_estimate(self):
-        if self._spectral is not None:
-            return self.lambda_min
-        return super().lambda_min_estimate()
 
     def _decay(self, t):
         lam = self.spectral()[0]
@@ -390,21 +378,18 @@ def factorize(op: EllipticOperator, sub: IndexedSubdomain):
     return NonsymmetricFactor(op, sub)
 
 
-def heat_kernel_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, t,
-                       factor=None) -> float:
+def heat_kernel_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, t) -> float:
     """Dirichlet heat kernel k(x, y, t) on a fixed subdomain."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ValidationError("time must be finite and nonnegative")
-    fac = factor if factor is not None else factorize(op, sub)
-    return fac.kernel(sub.local_of(x), sub.local_of(y), float(t))
+    return factorize(op, sub).kernel(sub.local_of(x), sub.local_of(y), float(t))
 
 
-def heat_matrix_finite(op: EllipticOperator, sub: IndexedSubdomain, t, factor=None):
+def heat_matrix_finite(op: EllipticOperator, sub: IndexedSubdomain, t):
     """All-pairs kernel matrix on the subdomain, in its local indexing."""
     if not (np.isfinite(t) and t >= 0.0):
         raise ValidationError("time must be finite and nonnegative")
-    fac = factor if factor is not None else factorize(op, sub)
-    return fac.kernel_matrix(float(t))
+    return factorize(op, sub).kernel_matrix(float(t))
 
 
 def green_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, factor=None) -> float:
@@ -497,14 +482,11 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
 class HeatKernelEvaluator:
     """Exhaustion-driven kernel and Green evaluations with a per-level factor cache."""
 
-    def __init__(self, op: EllipticOperator, exhaustion: Exhaustion,
-                 heat_tol=HEAT_TOL, green_tol=GREEN_TOL):
+    def __init__(self, op: EllipticOperator, exhaustion: Exhaustion):
         if exhaustion.domain is not op.domain:
             raise ValidationError("exhaustion and operator refer to different domains")
         self.op = op
         self.exhaustion = exhaustion
-        self.heat_tol = float(heat_tol)
-        self.green_tol = float(green_tol)
         self._factors = {}
         self._usable = self._usable_levels()
         # a genuinely finite domain is exhausted exactly by its last usable level
@@ -569,7 +551,7 @@ class HeatKernelEvaluator:
         if t == 0.0:
             v = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0
             return LimitResult(v, LimitStatus.CONVERGED, start, [(start, v)], model="delta")
-        tol = self.heat_tol if tol is None else tol
+        tol = HEAT_TOL if tol is None else tol
         return exhaustion_limit(lambda j: self.heat_finite(j, x, y, t),
                                 *self._levels_from(start), tol,
                                 trend_divergence=False, exact_final=self.exhausts_domain)
@@ -580,7 +562,7 @@ class HeatKernelEvaluator:
         Convergence of this limit is subcriticality; divergence is criticality.
         """
         start = self.exhaustion.first_level_containing(x, y)
-        tol = self.green_tol if tol is None else tol
+        tol = GREEN_TOL if tol is None else tol
         return exhaustion_limit(lambda j: self.green_finite_level(j, x, y),
                                 *self._levels_from(start), tol,
                                 trend_divergence=True, exact_final=self.exhausts_domain)

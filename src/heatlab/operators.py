@@ -86,14 +86,6 @@ class Potential:
     def negative_part(self):
         return np.maximum(-self.values, 0.0)
 
-    def __neg__(self):
-        return Potential(self.domain, -self.values)
-
-    def __mul__(self, scalar):
-        return Potential(self.domain, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 class EllipticOperator:
     """Discrete divergence-form operator plus potential on a weighted domain."""
@@ -112,8 +104,7 @@ class EllipticOperator:
             if vec.shape != (domain.n_vertices,):
                 raise ValidationError("potential length does not match the domain")
             self.potential = vec.copy()
-        sym = self.weights - self.weights.T
-        self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
+        self.symmetric = domain.symmetric  # _weights are the domain's or their transpose
         self._measure_matrix = None
         self._adjoint_source = None
 
@@ -147,15 +138,6 @@ class EllipticOperator:
         """(P u) for a full-domain vector u."""
         u = np.asarray(u, dtype=float)
         return (self.measure_matrix() @ u) / self.mu
-
-    def __eq__(self, other):
-        if not isinstance(other, EllipticOperator):
-            return NotImplemented
-        return (
-            self.domain is other.domain
-            and np.array_equal(self.potential, other.potential)
-            and (self.weights != other.weights).nnz == 0
-        )
 
 
 def assemble(domain: WeightedDomain, potential=None) -> EllipticOperator:

@@ -32,15 +32,15 @@ def neville_in_size(sizes, values, m):
     return neville_extrapolate(h, values[-m:])
 
 
-def fit_power_tail(t, values, powers=(0.5, 1.0, 1.5)):
-    """Least-squares fit v(t) = a + b * t^(-p), p chosen by residual.
+def fit_power_tail(t, values):
+    """Least-squares fit v(t) = a + b * t^(-p), p in (0.5, 1, 1.5) chosen by residual.
 
     Returns (a, b, p, rms_residual).
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
     best = None
-    for p in powers:
+    for p in (0.5, 1.0, 1.5):
         basis = np.column_stack([np.ones_like(t), t**-p])
         coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
         resid = float(np.sqrt(np.mean((basis @ coef - v) ** 2)))
@@ -49,14 +49,14 @@ def fit_power_tail(t, values, powers=(0.5, 1.0, 1.5)):
     return best
 
 
-def fit_loglog_slope(t, values, decades=1.0):
-    """Slope of log|v| vs log t over the final ``decades`` of t.
+def fit_loglog_slope(t, values):
+    """Slope of log|v| vs log t over the final decade of t.
 
     Returns (slope, stderr, n_points_used); slope is the fitted power.
     """
     t = np.asarray(t, dtype=float)
     v = np.abs(np.asarray(values, dtype=float))
-    keep = (t >= t[-1] / 10.0**decades) & (v > 0.0)
+    keep = (t >= t[-1] / 10.0) & (v > 0.0)
     if keep.sum() < 3:
         return 0.0, float("inf"), int(keep.sum())
     lt, lv = np.log(t[keep]), np.log(v[keep])
@@ -100,10 +100,10 @@ def geometric_grid(start, stop, n):
     return np.geomspace(float(start), float(stop), int(n))
 
 
-def increments_decreasing(values, slack=1e-3):
-    """True if successive |increments| are (weakly) decreasing within slack."""
+def increments_decreasing(values):
+    """True if successive |increments| are (weakly) decreasing within a 1e-3 slack."""
     v = np.asarray(values, dtype=float)
     inc = np.abs(np.diff(v))
     if len(inc) < 2:
         return False
-    return bool(np.all(inc[1:] <= inc[:-1] * (1.0 + slack)))
+    return bool(np.all(inc[1:] <= inc[:-1] * (1.0 + 1e-3)))

@@ -26,6 +26,18 @@ def test_inconclusive_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["coupling", "--fixture", "lat1", "--ambient-size", "65", "--constant", "1",
+     "--pert-indicator", "0", "--pert-value", "-1"],
+    ["perturb", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1",
+     "--pert-indicator", "0"],
+])
+def test_inconclusive_base_green_exits_3(argv, capsys):
+    # the base Green limit neither converges nor diverges on this small ambient
+    assert main(argv) == 3
+    assert "inconclusive" in capsys.readouterr().err
+
+
 def test_green_and_lambda0(capsys):
     code = main(["green", "--fixture", "lat1", "--ambient-size", "257",
                  "--constant", "1.0", "--x", "0", "--y", "0"])

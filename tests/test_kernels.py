@@ -15,7 +15,7 @@ from scipy import integrate
 
 import heatlab as hl
 from heatlab.domains import closed_path_domain, single_vertex_domain
-from heatlab.kernels import LimitStatus, factorize
+from heatlab.kernels import LimitStatus, NonsymmetricFactor, SymmetricFactor, factorize
 
 from conftest import bessel_i0_scaled
 
@@ -165,6 +165,19 @@ def test_green_rejects_nonpositive_restriction():
     op = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, -1.0))
     with pytest.raises(hl.NumericalError):
         hl.green_finite(op, hl.restrict(fx.domain, [0]), 0, 0)
+
+
+@pytest.mark.parametrize("factor_type", [NonsymmetricFactor, SymmetricFactor])
+def test_green_rejects_singular_restriction(factor_type):
+    # D = 0 on a closed path: A_S is singular.  The nonsymmetric principal
+    # eigenvalue comes out as +round-off, so the singular-LU guard must catch it
+    fx = closed_path_domain(5)
+    op = hl.assemble(fx.domain)
+    fac = factor_type(op, hl.restrict(fx.domain, range(5)))
+    with pytest.raises(hl.NumericalError):
+        fac.green_column(0)
+    with pytest.raises(hl.NumericalError):
+        fac.green_row(0)
 
 
 def test_green_agrees_with_time_quadrature(lat1):

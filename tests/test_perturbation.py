@@ -234,6 +234,7 @@ def test_three_k_bounded_mode_skips_round_off(lat1_session):
     assert ref.per_t_max[0] == pytest.approx(0.05, rel=1e-2)
     got = pert.three_k_constant(op, v, sub, factor=NonsymmetricFactor(op, sub))
     assert got.c_estimate == pytest.approx(ref.c_estimate, rel=1e-5)
+    np.testing.assert_allclose(got.per_t_max, ref.per_t_max, rtol=1e-10)
 
 
 def test_stack_rejects_nonfinite_t_max(lat1_session):
