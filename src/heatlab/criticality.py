@@ -43,14 +43,16 @@ class Classification(enum.Enum):
 
 @dataclass
 class Lambda0Result:
-    """Generalized principal eigenvalue estimate with its level history."""
+    """Generalized principal eigenvalue estimate with its certified bracket."""
 
     value: float
     error: float
     history: list  # (level, lambda0(S_j))
+    bracket: tuple  # (lower, upper): lambda0 certainly lies in it
 
     def __repr__(self):
-        return f"Lambda0Result({self.value!r} +- {self.error:.2e}, levels={len(self.history)})"
+        return (f"Lambda0Result({self.value!r} +- {self.error:.2e} in "
+                f"[{self.bracket[0]:.6g}, {self.bracket[1]:.6g}], levels={len(self.history)})")
 
 
 def default_reference_pair(exhaustion: Exhaustion):
@@ -79,12 +81,24 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
     The level sequence is nonincreasing; the limit is Neville-extrapolated in
     1/(level size) to tolerance ``tol`` (None: 1e-10) and reported with the
     last raw increment as a (conservative) error estimate.
+
+    The estimate is clamped into a certified bracket.  Every lambda0(S_j) is
+    an upper bound.  The Barta bound with u = 1 (P1 = D) gives
+    lambda0 >= inf D, for nonsymmetric operators too.  The reported error is
+    at most the bracket's width.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     tol = check_tolerance(1e-10 if tol is None else tol)
     history = []
     values = []
     sizes = []
+
+    def result(value, error):
+        upper = min(values)
+        lower = min(float(np.min(op.potential)), upper)
+        return Lambda0Result(min(max(value, lower), upper), min(error, upper - lower),
+                             history, (lower, upper))
+
     for j in ev.usable_levels():
         lam = ev.principal_eigenvalue(j)
         if values and lam > values[-1] + 1e-9 * max(1.0, abs(values[-1])):
@@ -97,18 +111,18 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
         if len(values) >= 3:
             extrap, err = neville_in_size(sizes, values, min(5, len(values)))
             if err <= tol * max(1.0, abs(extrap)):
-                return Lambda0Result(extrap, abs(values[-2] - values[-1]), history)
+                return result(extrap, abs(values[-2] - values[-1]))
     if ev.exhausts_domain:
-        return Lambda0Result(values[-1], 0.0, history)
+        return result(values[-1], 0.0)
     if len(values) == 1:
-        return Lambda0Result(values[-1], float("inf"), history)
+        return result(values[-1], float("inf"))
     d_last = abs(values[-2] - values[-1])
     increments = np.diff(np.asarray(values))
     shrinking = len(values) < 3 or abs(increments[-1]) <= abs(increments[-2]) * (1.0 + 1e-3)
     if not shrinking and d_last > tol * max(1.0, abs(values[-1])):
         raise NumericalError("principal eigenvalue increments are not shrinking; no convergence")
     extrap, _ = neville_in_size(sizes, values, min(5, len(values)))
-    return Lambda0Result(extrap, d_last, history)
+    return result(extrap, d_last)
 
 
 def ground_state(evaluator: HeatKernelEvaluator, x0=None):
@@ -165,6 +179,7 @@ class CriticalityReport:
             f"classification: {self.classification.value}",
             f"lambda0: {self.lambda0.value:.12g}",
             f"lambda0_error: {self.lambda0.error:.3g}",
+            f"lambda0_bracket: {self.lambda0.bracket[0]:.12g} {self.lambda0.bracket[1]:.12g}",
             f"green_status: {self.green_limit.status.value}",
             f"green_value: {self.green_limit.value:.12g}",
             f"reference_x0: {self.x0}",
@@ -200,13 +215,14 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, x0=None, y0=None,
              evaluator: HeatKernelEvaluator = None, green_tol=None) -> CriticalityReport:
     """Subcritical / positive-critical / null-critical classification.
 
-    Raises NegativeLambda0Error when lambda0 < -1e-6 (standing assumption of
-    the theory) and InconclusiveError when a deciding limit cannot be
-    certified within the ambient truncation.
+    Raises NegativeLambda0Error when lambda0 is certainly below -1e-6, i.e.
+    the upper end of its bracket is (the theory assumes lambda0 >= 0), and
+    InconclusiveError when a deciding limit cannot be certified within the
+    ambient truncation.
     """
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     lam = lambda0(op, exhaustion, evaluator=ev)
-    if lam.value < -1e-6:
+    if lam.bracket[1] < -1e-6:
         raise NegativeLambda0Error(lam.value)
     if x0 is None or y0 is None:
         x0_d, y0_d = default_reference_pair(exhaustion)

@@ -83,6 +83,7 @@ class WeightedDomain:
         if not np.all(np.isfinite(self.weights.data)):
             raise ValidationError("edge weights must be finite")
 
+        self._weights_t = None
         sym = self.weights - self.weights.T
         self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
         self.truncated = bool(truncated)
@@ -100,6 +101,14 @@ class WeightedDomain:
 
     def weight(self, x, y):
         return float(self.weights[self.index[int(x)], self.index[int(y)]])
+
+    def oriented_weights(self, transposed):
+        """The weights w, or (``transposed``) w^T, the weights of an adjoint."""
+        if not transposed:
+            return self.weights
+        if self._weights_t is None:
+            self._weights_t = self.weights.T.tocsr()
+        return self._weights_t
 
     def total_measure(self, subset=None):
         if subset is None:
@@ -127,13 +136,45 @@ class WeightedDomain:
         return f"WeightedDomain({self.name or 'unnamed'}, n={self.n_vertices})"
 
 
+class LevelPattern:
+    """The potential-independent part of a Dirichlet restriction, per weight orientation.
+
+    Holds the restricted weights W_S and the full out-weights at the
+    subset's positions (edges leaving S count as absorption), so that the
+    measure form of any operator with these weights is
+
+        A_S = diag(out_weight + D mu) - W_S,
+
+    an O(n) diagonal update.  ``band`` is a reverse Cuthill-McKee ordering of
+    the subset and the strict upper band of -W_S in that order, in LAPACK's
+    upper banded storage; it needs symmetric weights and is built on first use.
+    """
+
+    def __init__(self, positions, weights):
+        self.out_weight = np.asarray(weights.sum(axis=1)).ravel()[positions]
+        self.w_s = weights[positions][:, positions]
+        self._band = None
+
+    def band(self):
+        """(perm, band): A_S[perm][:, perm] has upper band rows ``band`` over its diagonal."""
+        if self._band is None:
+            perm = sp.csgraph.reverse_cuthill_mckee(self.w_s, symmetric_mode=True)
+            upper = sp.triu(self.w_s[perm][:, perm], k=1).tocoo()
+            u = int(np.max(upper.col - upper.row)) if upper.nnz else 0
+            band = np.zeros((u, self.w_s.shape[0]))
+            band[u + upper.row - upper.col, upper.col] = -upper.data
+            self._band = (perm, band)
+        return self._band
+
+
 class IndexedSubdomain:
     """A connected vertex subset with a bijective local indexing.
 
     Operators restricted to the subset impose Dirichlet (absorbing)
     conditions outside of it: the restricted action matrix is the principal
     submatrix of the full one, so edges leaving the subset become pure
-    absorption.
+    absorption.  The restriction's ``pattern`` is built once per weight
+    orientation and shared by every operator on the subset.
     """
 
     def __init__(self, domain: WeightedDomain, subset):
@@ -151,6 +192,7 @@ class IndexedSubdomain:
         self.local = {int(x): i for i, x in enumerate(self.labels)}
         if not domain._connected(self.positions):
             raise ValidationError("subset is not connected in the support graph")
+        self._patterns = {}
 
     @property
     def size(self):
@@ -160,14 +202,19 @@ class IndexedSubdomain:
     def mu(self):
         return self.domain.mu[self.positions]
 
+    def pattern(self, transposed=False) -> LevelPattern:
+        """The level pattern of the domain's weights (``transposed``: of w^T)."""
+        pat = self._patterns.get(transposed)
+        if pat is None:
+            pat = self._patterns[transposed] = LevelPattern(
+                self.positions, self.domain.oriented_weights(transposed))
+        return pat
+
     def has_absorption(self):
         """True iff some edge of a subset vertex leaves the subset."""
-        w = self.domain.weights
-        full_out = np.asarray(w.sum(axis=1)).ravel()[self.positions]
-        inner_out = np.asarray(
-            w[self.positions][:, self.positions].sum(axis=1)
-        ).ravel()
-        return bool(np.any(full_out - inner_out > 0.0))
+        pat = self.pattern()
+        inner_out = np.asarray(pat.w_s.sum(axis=1)).ravel()
+        return bool(np.any(pat.out_weight - inner_out > 0.0))
 
     def local_of(self, x):
         try:

@@ -226,16 +226,20 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
 def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
                             t_grid=None, evaluator=None, heat_tol=None) -> RatioSeries:
     """Series k(x, y, t+tau)/k(x, y, t) for tau < 0; the limit is e^(-lambda0 tau)
-    for symmetric operators (asserted only there; reported otherwise)."""
+    for symmetric operators (asserted only there; reported otherwise).  Grid
+    points t <= |tau|, where t + tau is not a positive time, are excluded."""
     tau = float(tau)
     if tau >= 0.0:
         raise ValidationError("tau must be negative")
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
-    if t_grid.min() <= -tau:
-        raise ValidationError("t grid must start above |tau|")
+    if not np.any(t_grid > -tau):
+        raise ValidationError("t grid has no point above |tau|")
     ts, vals, levels, excluded = [], [], [], []
     for t in t_grid:
+        if t <= -tau:
+            excluded.append(float(t))
+            continue
         r_num = _converged_kernel(ev, x, y, t + tau, tol=heat_tol)
         r_den = _converged_kernel(ev, x, y, t, tol=heat_tol)
         if r_num is None or r_den is None or r_den.value <= 0.0:
@@ -578,7 +582,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         inconclusive = r.status is LimitStatus.INCONCLUSIVE
     elif kind == "lambda0":
         lam = lambda0(op, exhaustion, tol=config.green_tol)
-        lines += [f"lambda0: {lam.value:.17g}", f"error_estimate: {lam.error:.3g}"]
+        lines += [f"lambda0: {lam.value:.17g}", f"error_estimate: {lam.error:.3g}",
+                  f"lambda0_bracket: {lam.bracket[0]:.17g} {lam.bracket[1]:.17g}"]
         tables.append(("history", ["level", "lambda0_j"],
                        [{"level": j, "lambda0_j": v} for j, v in lam.history]))
     elif kind == "lambda0_log":

@@ -7,16 +7,31 @@ Kernels are densities with respect to the measure:
 where K_S is the Dirichlet restriction (principal submatrix) of the action
 matrix.  All linear algebra runs on the measure form A_S = diag(mu) K_S,
 whose entries stay bounded even when jump rates 1/mu span hundreds of orders
-of magnitude.  Symmetric operators are factorized once per exhaustion level;
-two spectral routes are used depending on scaling:
+of magnitude.
+
+A_S = diag(out_weight + D mu) - W_S splits into the level's pattern (the
+restricted weights and out-weights, see ``domains.LevelPattern``), built once
+per level and weight orientation and shared by every operator on the
+exhaustion, and the operator's O(n) diagonal.  A per-level factor adds only
+that diagonal; operator families (couplings, shifts, adjoints) never
+re-restrict.
+
+Symmetric restrictions certify positive definiteness by a banded Cholesky
+factorization in the pattern's reverse Cuthill-McKee order: it exists exactly
+when A_S is positive definite, and its triangular solves give the Green
+columns.  Their kernels come from one of two spectral routes, by scaling:
 
 * direct route: full eigendecomposition of H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2);
 * inverse route: eigendecomposition of B = diag(mu)^(1/2) A_S^(-1) diag(mu)^(1/2)
   when H is too badly scaled to represent.  B has the same eigenvectors and
   reciprocal eigenvalues, and resolves exactly the small eigenvalues that
-  matter for t > 0.
+  matter for t > 0.  A^(-1) comes from a sparse LU, which also serves the
+  measure-shifted matrix of a singular (closed) restriction.
 
-Nonsymmetric restrictions use dense scaling-and-squaring matrix exponentials.
+Sparse LUs remain where no Cholesky applies: Green solves of nonsymmetric
+restrictions, and the shifted matrices A - sigma D_mu of the principal-pair
+inverse iteration, which are indefinite.  Nonsymmetric kernels use dense
+scaling-and-squaring matrix exponentials.
 """
 
 from __future__ import annotations
@@ -105,62 +120,86 @@ def _trend_diverging(values, sizes, tol):
     return bool(np.all(ninc[1:] >= ninc[:-1] * (1.0 - 1e-3)))
 
 
-def _sparse_lu(mat, **kwargs):
+def _sparse_lu(mat):
     """SuperLU factors of ``mat``; a singular matrix is a NumericalError."""
     try:
-        return spla.splu(mat, **kwargs)
+        return spla.splu(mat)
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise NumericalError(f"sparse LU failed: {exc}") from None
 
 
 class _FactorBase:
-    """State shared by the symmetric and nonsymmetric per-level factors."""
+    """Per-level state shared by the symmetric and nonsymmetric factors.
+
+    A factor holds only what depends on the operator: the diagonal
+    out_weight + D mu of A_S over its level's shared pattern.  Everything else
+    is built on first use: the sparse A_S (principal pairs, the spectral and
+    nonsymmetric routes), the banded Cholesky factor (the symmetric PD
+    certificate and Green solves) and the sparse LU (nonsymmetric Green
+    solves, the inverse spectral route).  The symmetric Green route never
+    assembles A_S, and nonsymmetric factors never need the RCM band.
+    """
 
     def __init__(self, op: EllipticOperator, sub: IndexedSubdomain):
         self.op = op
         self.sub = sub
         self.mu = op.mu[sub.positions]
-        self._a_s = op.measure_matrix()[sub.positions][:, sub.positions].tocsc()
+        self.pattern = sub.pattern(op.transposed)
+        self.diag = self.pattern.out_weight + op.potential[sub.positions] * self.mu
+        self._a_s = None
+        self._chol = None
         self._lu = None
         self._lu_shift = 0.0
         self._principal = None
         self._green_cols = {}
 
-    _symmetric_lu = False
+    _symmetric = False  # A_S symmetric: Cholesky certificate and Green solves
+
+    @property
+    def a_s(self):
+        """Sparse measure form A_S = diag(mu) K_S."""
+        if self._a_s is None:
+            self._a_s = (sp.diags(self.diag) - self.pattern.w_s).tocsc()
+        return self._a_s
+
+    def _cholesky(self):
+        """Upper banded Cholesky factor of A_S in the level's RCM order, or False.
+
+        LAPACK stops at the first nonpositive pivot, so the factor exists
+        exactly when A_S is positive definite; a singular restriction has no
+        factor.  Symmetric factors only.
+        """
+        if self._chol is None:
+            perm, band = self.pattern.band()
+            try:
+                self._chol = sla.cholesky_banded(np.vstack((band, self.diag[perm])))
+            except (np.linalg.LinAlgError, ValueError):  # nonpositive or non-finite pivot
+                self._chol = False
+        return self._chol
 
     def _splu(self):
-        """LU of A_S, falling back to a measure-shifted matrix when singular.
-
-        Symmetric factors use diagonal pivoting in symmetric mode, so the signs
-        of the U diagonal carry the inertia of A_S (Sylvester).
-        """
+        """LU of A_S, falling back to a measure-shifted matrix when singular."""
         if self._lu is None:
-            kwargs = {}
-            if self._symmetric_lu:
-                kwargs = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                              options=dict(SymmetricMode=True))
             try:
-                self._lu = _sparse_lu(self._a_s, **kwargs)
+                self._lu = _sparse_lu(self.a_s)
             except NumericalError:
                 self._lu_shift = 1.0
-                self._lu = _sparse_lu((self._a_s + sp.diags(self.mu)).tocsc(), **kwargs)
+                self._lu = _sparse_lu((self.a_s + sp.diags(self.mu)).tocsc())
         return self._lu, self._lu_shift
 
     def is_positive_definite(self):
-        """Positivity of the restricted principal eigenvalue."""
-        if self._symmetric_lu:
-            lu, shift = self._splu()
-            if shift != 0.0:
-                return False
-            return bool(np.all(lu.U.diagonal() > 0.0))
+        """Positivity of the restricted principal eigenvalue: the banded Cholesky
+        certificate for symmetric restrictions, the sign of lambda0(S) otherwise."""
+        if self._symmetric:
+            return self._cholesky() is not False
         return self.principal_pair()[0] > 0.0
 
     def _shifted_lu(self, sigma):
-        mat = self._a_s if sigma == 0.0 else (self._a_s - sigma * sp.diags(self.mu)).tocsc()
+        mat = self.a_s if sigma == 0.0 else (self.a_s - sigma * sp.diags(self.mu)).tocsc()
         return _sparse_lu(mat)
 
     def _rayleigh(self, v):
-        return float(v @ (self._a_s @ v)) / float(v @ (self.mu * v))
+        return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))
 
     def principal_pair(self):
         """(lambda0(S), phi) of the restriction via shifted inverse power iteration.
@@ -223,12 +262,21 @@ class _FactorBase:
         return float(self.green_column(iy)[ix])
 
     def green_solve(self, rhs, trans):
-        """A_S^-1 rhs (``trans`` "N") or A_S^-T rhs ("T").  A singular restriction is
-        rejected even when its principal eigenvalue comes out as +round-off."""
+        """A_S^-1 rhs (``trans`` "N") or A_S^-T rhs ("T").
+
+        Symmetric restrictions solve with their banded Cholesky factor.
+        Nonsymmetric ones use a sparse LU, and a singular restriction is
+        rejected even when its principal eigenvalue comes out as +round-off.
+        """
         if not self.is_positive_definite():
             raise NumericalError(
                 "restricted principal eigenvalue is not positive; no finite Green function"
             )
+        if self._symmetric:
+            perm = self.pattern.band()[0]
+            out = np.empty(self.sub.size)
+            out[perm] = sla.cho_solve_banded((self._cholesky(), False), rhs[perm])
+            return out
         lu, shift = self._splu()
         if shift != 0.0:
             raise NumericalError("singular Dirichlet restriction; no finite Green function")
@@ -253,7 +301,7 @@ class _FactorBase:
 class SymmetricFactor(_FactorBase):
     """Per-level spectral factorization of a symmetric restricted operator."""
 
-    _symmetric_lu = True
+    _symmetric = True
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
@@ -262,10 +310,10 @@ class SymmetricFactor(_FactorBase):
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.abs(np.asarray(self._a_s.diagonal()).ravel()) / self.mu
+            rates = np.abs(self.diag) / self.mu
         max_rate = float(np.max(rates)) if rates.size else 0.0
         if np.isfinite(max_rate) and max_rate <= WELL_SCALED_RATE:
-            h = (self._a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
+            h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
             route = "direct"
         else:
@@ -343,7 +391,9 @@ class NonsymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
-        self.k_dense = op.action_matrix_dense(sub)
+        with np.errstate(over="raise"):
+            inv_mu = 1.0 / self.mu
+        self.k_dense = self.a_s.toarray() * inv_mu[:, None]
         self._expm_cache = {}
         self.route = "expm"
 

@@ -90,9 +90,11 @@ class Potential:
 class EllipticOperator:
     """Discrete divergence-form operator plus potential on a weighted domain."""
 
-    def __init__(self, domain: WeightedDomain, potential=None, _weights=None):
+    def __init__(self, domain: WeightedDomain, potential=None, _transposed=False):
         self.domain = domain
-        self.weights = domain.weights if _weights is None else _weights
+        # the adjoint of a nonsymmetric operator runs on the transposed weights
+        self.transposed = bool(_transposed)
+        self.weights = domain.oriented_weights(self.transposed)
         if potential is None:
             self.potential = np.zeros(domain.n_vertices)
         elif isinstance(potential, Potential):
@@ -104,7 +106,7 @@ class EllipticOperator:
             if vec.shape != (domain.n_vertices,):
                 raise ValidationError("potential length does not match the domain")
             self.potential = vec.copy()
-        self.symmetric = domain.symmetric  # _weights are the domain's or their transpose
+        self.symmetric = domain.symmetric
         self._measure_matrix = None
         self._adjoint_source = None
 
@@ -154,21 +156,21 @@ def adjoint(op: EllipticOperator) -> EllipticOperator:
     adjoint equals the operator entrywise.
     """
     if op.symmetric:
-        return EllipticOperator(op.domain, op.potential, _weights=op.weights)
+        return EllipticOperator(op.domain, op.potential)
     if op._adjoint_source is not None:
         return op._adjoint_source  # exact involution
-    w_t = op.weights.T.tocsr()
+    w_t = op.domain.oriented_weights(not op.transposed)
     out_flow = np.asarray(op.weights.sum(axis=1)).ravel()
     in_flow = np.asarray(w_t.sum(axis=1)).ravel()
     d_star = op.potential + (out_flow - in_flow) / op.mu
-    result = EllipticOperator(op.domain, d_star, _weights=w_t)
+    result = EllipticOperator(op.domain, d_star, _transposed=not op.transposed)
     result._adjoint_source = op
     return result
 
 
 def shift(op: EllipticOperator, lam) -> EllipticOperator:
     """P - lam: potential D - lam; heat kernels pick up the factor e^(lam t)."""
-    return EllipticOperator(op.domain, op.potential - float(lam), _weights=op.weights)
+    return EllipticOperator(op.domain, op.potential - float(lam), _transposed=op.transposed)
 
 
 def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOperator:
@@ -179,7 +181,8 @@ def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOper
         vec = potential.values
     else:
         vec = np.asarray(potential, dtype=float)
-    return EllipticOperator(op.domain, op.potential + float(coupling) * vec, _weights=op.weights)
+    return EllipticOperator(op.domain, op.potential + float(coupling) * vec,
+                            _transposed=op.transposed)
 
 
 def quadratic_form(op: EllipticOperator, u) -> float:

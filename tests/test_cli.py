@@ -46,7 +46,11 @@ def test_green_and_lambda0(capsys):
     code = main(["lambda0", "--fixture", "lat1", "--ambient-size", "513",
                  "--constant", "0.5"])
     assert code == 0
-    assert "lambda0: 0.49999999" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    lam = float(out.split("lambda0: ", 1)[1].split()[0])
+    assert abs(lam - 0.5) <= 1e-8
+    # inf D = 0.5 is the certified lower bound; the extrapolate is clamped onto it
+    assert "lambda0_bracket: 0.5 " in out
 
 
 def test_classify_command(capsys):
@@ -128,6 +132,27 @@ def test_numerical_failure_exits_4(argv, capsys):
     code = main(argv)
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+
+def test_overshooting_lambda0_extrapolate_is_not_negative(tmp_path, capsys):
+    # lat1 + 1_{0}: lambda0 = 0, but the 257-vertex extrapolate is -1.0e-5
+    pot = tmp_path / "pot.txt"
+    pot.write_text("0 1\n")
+    argv = ["classify", "--fixture", "lat1", "--ambient-size", "257", "--potential", str(pot)]
+    # at the default Green tolerance 257 vertices cannot certify the limit
+    assert main(argv) == 3
+    assert main(argv + ["--tol", "1e-4"]) == 0
+    out = capsys.readouterr().out
+    assert "classification: subcritical" in out and "lambda0: 0\n" in out
+
+
+def test_time_shift_with_default_tau_and_grid(capsys):
+    # tau = -1 and the default grid's first point t = 1 is excluded, not fatal
+    code = main(["ratio", "--kind", "time-shift", "--fixture", "lat1",
+                 "--ambient-size", "65", "--constant", "1"])
+    assert code == 0
+    assert "tau: -1" in capsys.readouterr().out
 
 
 def test_edge_list_fixture_from_cli(tmp_path, capsys):

@@ -55,6 +55,36 @@ def test_lambda0_shift_relation(lat1, lat1_plus1_op):
     assert lam.value == pytest.approx(base.value - 0.25, abs=1e-9)
 
 
+
+def test_lambda0_clamped_into_certified_bracket():
+    # lat1 + 1_{0} has lambda0 = 0 (V >= 0, lattice critical).  At 257
+    # vertices the Neville extrapolate overshoots to about -1e-5; the Barta
+    # bound inf D = 0 clamps it, and the error is the bracket's width
+    fx = hl.fixture("lat1", ambient_size=257)
+    op = hl.add_potential(hl.assemble(fx.domain), hl.Potential.indicator(fx.domain, [0], 1.0))
+    lam = hl.lambda0(op, fx.exhaustion)
+    last = lam.history[-1][1]
+    assert lam.bracket == (0.0, last)
+    assert lam.value == 0.0
+    assert lam.error == last
+    rep = crit.classify(op, fx.exhaustion, green_tol=1e-4)  # no NegativeLambda0Error
+    assert rep.classification is hl.Classification.SUBCRITICAL
+    assert f"lambda0_bracket: 0 {last:.12g}" in rep.to_text()
+
+
+def test_lambda0_inside_bracket_is_the_extrapolate(drift):
+    # drift lattice: lambda0 = (sqrt(1.2) - sqrt(0.8))^2 lies strictly inside
+    # [inf D, lambda0(S_last)] = [0, ...], so no clamp fires
+    from heatlab.series import neville_in_size
+
+    lam = hl.lambda0(hl.assemble(drift.domain), drift.exhaustion)
+    lower, upper = lam.bracket
+    assert lower == 0.0 and lower < lam.value < upper
+    values = [v for _, v in lam.history]
+    sizes = [drift.exhaustion[j].size for j, _ in lam.history]
+    assert lam.value == neville_in_size(sizes, values, min(5, len(values)))[0]
+
+
 # -- classification -------------------------------------------------------------
 
 def test_classify_lat1_null_critical(lat1, lat1_op):

@@ -108,10 +108,24 @@ def test_time_shift_lattice_fixtures(lat1, lat1_op, lat1_plus1_op, lat1_ev, lat1
 
 
 def test_time_shift_validates_grid(lat1, lat1_op):
+    # no grid point above |tau|: nothing is usable
     with pytest.raises(hl.ValidationError):
-        hl.time_shift_ratio_series(lat1_op, lat1.exhaustion, 0, 0, -2.0, t_grid=[1.0, 3.0])
+        hl.time_shift_ratio_series(lat1_op, lat1.exhaustion, 0, 0, -2.0, t_grid=[1.0, 2.0])
     with pytest.raises(hl.ValidationError):
         hl.time_shift_ratio_series(lat1_op, lat1.exhaustion, 0, 0, +1.0, t_grid=[2.0, 3.0])
+
+
+def test_time_shift_excludes_points_at_or_below_tau(lat1, lat1_plus1_op, lat1_plus1_ev):
+    # the default tau = -1 with a grid starting at t = 1: that point is
+    # excluded like any other unusable one, the rest of the series stands
+    grid = [1.0, 5.0, 10.0, 20.0, 40.0, 80.0]
+    s = hl.time_shift_ratio_series(lat1_plus1_op, lat1.exhaustion, 0, 0, -1.0,
+                                   t_grid=grid, evaluator=lat1_plus1_ev)
+    assert s.excluded[0] == 1.0
+    assert list(s.t) == grid[1:]
+    full = hl.time_shift_ratio_series(lat1_plus1_op, lat1.exhaustion, 0, 0, -1.0,
+                                      t_grid=grid[1:], evaluator=lat1_plus1_ev)
+    assert list(s.values) == list(full.values)
 
 
 # -- davies ----------------------------------------------------------------------

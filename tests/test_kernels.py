@@ -17,7 +17,7 @@ import heatlab as hl
 from heatlab.domains import closed_path_domain, single_vertex_domain
 from heatlab.kernels import LimitStatus, NonsymmetricFactor, SymmetricFactor, factorize
 
-from conftest import bessel_i0_scaled
+from conftest import bessel_i0_scaled, build_drift_lattice
 
 
 # -- fixed-subdomain closed forms --------------------------------------------
@@ -320,3 +320,119 @@ def test_concurrent_cache_population(lat1, lat1_op):
                                 [0.5, 1.0, 2.0, 0.5, 1.0, 2.0, 0.5, 1.0]))
     assert results[0] == results[3] == results[6]
     assert results[1] == results[4] == results[7]
+
+
+# -- level patterns and the banded Cholesky certificate -------------------------
+
+def test_cholesky_certificate_rejects_singular_closed_path():
+    # D = 0 on a closed path: A_S is the graph Laplacian, singular, and its
+    # last Cholesky pivot is exactly zero
+    fx = closed_path_domain(9)
+    sub = hl.restrict(fx.domain, range(9))
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    assert not fac.is_positive_definite()
+    with pytest.raises(hl.NumericalError):
+        fac.green_solve(np.ones(9), "N")
+    # a positive potential makes it positive definite
+    killed = SymmetricFactor(hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.1)), sub)
+    assert killed.is_positive_definite()
+    rhs = np.arange(9.0)
+    assert killed.green_solve(rhs, "N") == pytest.approx(
+        np.linalg.solve(killed.a_s.toarray(), rhs), rel=1e-12)
+
+
+def test_supercritical_well_diverges_where_restriction_stops_being_definite():
+    # rad(3) with the well -1_{1} at 1.02 alpha0: the Green limit diverges at
+    # level 5 (as it did with the earlier SuperLU inertia certificate), the
+    # first level whose principal eigenvalue, from shifted inverse iteration,
+    # is not positive
+    fx = hl.fixture("rad(3)")
+    alpha0 = 1.0 / (np.pi**2 / 2.0 - 4.0)
+    op = hl.add_potential(hl.assemble(fx.domain),
+                          hl.Potential.indicator(fx.domain, [1], -1.0), 1.02 * alpha0)
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    r = ev.green(1, 1)
+    assert r.diverging and r.level == 5
+    first_nonpositive = next(j for j in ev.usable_levels() if ev.principal_eigenvalue(j) <= 0.0)
+    assert first_nonpositive == r.level
+
+
+def _scrambled_grid(side, seed):
+    """side x side grid graph with randomly permuted labels (not banded as given)."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(side * side)
+    edges = {}
+    for i in range(side):
+        for j in range(side):
+            v = label[i * side + j]
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < side and j + dj < side:
+                    u = label[(i + di) * side + j + dj]
+                    w = 1.0 + 0.1 * ((i + j) % 3)
+                    edges[(v, u)] = edges[(u, v)] = w
+    measure = {v: 0.5 + (v % 4) * 0.25 for v in range(side * side)}
+    return hl.WeightedDomain(range(side * side), measure, edges)
+
+
+def test_rcm_banded_green_columns_match_dense_solve():
+    domain = _scrambled_grid(7, seed=11)
+    op = hl.assemble(domain, hl.Potential.constant(domain, 0.05))
+    sub = hl.restrict(domain, range(domain.n_vertices))
+    perm, band = sub.pattern().band()
+    w = domain.weights.toarray()
+    natural = max(abs(i - j) for i, j in zip(*np.nonzero(w)))
+    assert band.shape[0] < natural  # RCM narrows the band
+    assert not np.array_equal(perm, np.arange(sub.size))
+    dense = np.diag(w.sum(axis=1) + 0.05 * domain.mu) - w
+    fac = factorize(op, sub)
+    for iy in (0, 17, 48):
+        e = np.zeros(sub.size)
+        e[iy] = 1.0
+        exact = np.linalg.solve(dense, e)
+        assert np.max(np.abs(fac.green_column(iy) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert fac.green_row(iy) == pytest.approx(exact, rel=1e-12)
+
+
+def test_warm_pattern_keeps_orientations_apart(drift):
+    op = hl.assemble(drift.domain)
+    ev = hl.HeatKernelEvaluator(op, drift.exhaustion)
+    ev_star = hl.HeatKernelEvaluator(hl.adjoint(op), drift.exhaustion)
+    pairs = [(0, 3), (-4, 2), (5, -1)]
+    for x, y in pairs:  # warm both orientations' patterns on every level
+        ev.green(x, y)
+        ev_star.green(y, x)
+    assert set(drift.exhaustion[3]._patterns) == {False, True}
+    for x, y in pairs:
+        for j in (3, 5):
+            g = ev.green_finite_level(j, y, x)
+            assert ev_star.green_finite_level(j, x, y) == pytest.approx(g, rel=1e-12)
+        g_star = ev_star.green(x, y)
+        assert g_star.converged
+        assert g_star.value == pytest.approx(ev.green(y, x).value, rel=1e-12)
+
+
+def _family(fixture, well):
+    base = hl.assemble(fixture.domain)
+    v = hl.Potential.indicator(fixture.domain, well, -1.0)
+    return {"alpha=0.3": hl.add_potential(base, v, 0.3),
+            "alpha=0.7": hl.add_potential(base, v, 0.7),
+            "shift": hl.shift(hl.add_potential(base, v, 0.3), -0.2),
+            "adjoint": hl.adjoint(hl.add_potential(base, v, 0.7))}
+
+
+@pytest.mark.parametrize("build", [lambda: hl.fixture("rad(3)", ambient_size=300),
+                                   lambda: build_drift_lattice(48)])
+def test_shared_pattern_matches_fresh_fixture(build):
+    shared = build()
+    well = [int(shared.exhaustion[1].labels[0])]
+    x, y = int(shared.exhaustion[0].labels[0]), int(shared.exhaustion[1].labels[-1])
+
+    def values(op, fixture):
+        ev = hl.HeatKernelEvaluator(op, fixture.exhaustion)
+        return (ev.green(x, y).value, ev.principal_eigenvalue(2), ev.heat_finite(2, x, y, 0.7))
+
+    # the whole family on one exhaustion, so every operator reuses its patterns
+    got = {name: values(op, shared) for name, op in _family(shared, well).items()}
+    for name in got:
+        fresh = build()
+        assert got[name] == values(_family(fresh, well)[name], fresh), name
