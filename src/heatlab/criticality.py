@@ -562,9 +562,7 @@ def edge_weight_domination(op1: EllipticOperator, op0: EllipticOperator, u1, u0)
     w1 = op1.weights.tocoo()
     w0 = op0.weights.tocsr()
     c_best = 0.0
-    seen = set()
     for i, j, w in zip(w1.row, w1.col, w1.data):
-        seen.add((int(i), int(j)))
         num = v1[i] ** 2 * w
         den = v0[i] ** 2 * w0[i, j]
         if den == 0.0:

@@ -145,7 +145,8 @@ class LevelPattern:
 
         A_S = diag(out_weight + D mu) - W_S,
 
-    an O(n) diagonal update.  ``band`` is a reverse Cuthill-McKee ordering of
+    an O(n) diagonal update.  ``absorbing`` tells whether some edge leaves S;
+    without one, A_S 1 = D mu.  ``band`` is a reverse Cuthill-McKee ordering of
     the subset and the strict upper band of -W_S in that order, in LAPACK's
     upper banded storage; it needs symmetric weights and is built on first use.
     """
@@ -153,7 +154,12 @@ class LevelPattern:
     def __init__(self, positions, weights):
         self.out_weight = np.asarray(weights.sum(axis=1)).ravel()[positions]
         self.w_s = weights[positions][:, positions]
+        self.absorbing = bool(np.any(self.out_weight > np.asarray(self.w_s.sum(axis=1)).ravel()))
         self._band = None
+
+    def measure_form(self, diag):
+        """Sparse A_S = diag(diag) - W_S, diag being out_weight + D mu."""
+        return (sp.diags(diag) - self.w_s).tocsc()
 
     def band(self):
         """(perm, band): A_S[perm][:, perm] has upper band rows ``band`` over its diagonal."""
@@ -212,9 +218,7 @@ class IndexedSubdomain:
 
     def has_absorption(self):
         """True iff some edge of a subset vertex leaves the subset."""
-        pat = self.pattern()
-        inner_out = np.asarray(pat.w_s.sum(axis=1)).ravel()
-        return bool(np.any(pat.out_weight - inner_out > 0.0))
+        return self.pattern().absorbing
 
     def local_of(self, x):
         try:

@@ -63,7 +63,6 @@ class RatioSeries:
     extrapolated_limit: float
     limit_model: str
     trend_power: float = float("nan")
-    trend_width: float = float("nan")
     predicted_limit: float | None = None
     exponential_like: bool = False
     excluded: list = field(default_factory=list)
@@ -112,7 +111,7 @@ def _decide_series(t, values, levels, predicted=None, excluded=None):
     decreasing = bool(np.all(np.diff(vv) <= 1e-12 * scale))
     increasing = bool(np.all(np.diff(vv) >= -1e-12 * scale))
     if decreasing and vv[-1] < 0.5 * vv[0] and np.all(vv > 0.0):
-        slope, width, _ = fit_loglog_slope(t, v)
+        slope = fit_loglog_slope(t, v)[0]
         rate, exp_resid = fit_exponential_rate(tv, vv)
         lv = np.log(vv)
         ll_fit = np.polyfit(np.log(tv), lv, 1)
@@ -120,7 +119,7 @@ def _decide_series(t, values, levels, predicted=None, excluded=None):
         exponential = exp_resid < 0.3 * max(ll_resid, 1e-15) and rate > 0.0
         model = f"exp(-{rate:.6g} t)" if exponential else f"t^{slope:.4g} (log-log fit)"
         return RatioSeries(t, v, levels, SeriesStatus.VANISHING_LIKE, 0.0, model,
-                           trend_power=slope, trend_width=width,
+                           trend_power=slope,
                            predicted_limit=predicted, exponential_like=exponential,
                            excluded=excluded)
     rel_range = (vv.max() - vv.min()) / scale
@@ -137,11 +136,38 @@ def _decide_series(t, values, levels, predicted=None, excluded=None):
                        "tail not settled", predicted_limit=predicted, excluded=excluded)
 
 
-def _converged_kernel(ev, x, y, t, tol=None):
-    r = ev.heat_kernel(x, y, t, tol=tol)
-    if not r.converged:
+def _t_grid(t_grid):
+    return DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
+
+
+def _sample(grid, point):
+    """Run ``point(t) -> (value, level) | None`` over the grid: the kept t,
+    values and levels, and the t excluded by a None."""
+    ts, vals, levels, excluded = [], [], [], []
+    for t in grid:
+        p = point(float(t))
+        if p is None:
+            excluded.append(float(t))
+        else:
+            ts.append(float(t))
+            vals.append(p[0])
+            levels.append(p[1])
+    return ts, vals, levels, excluded
+
+
+def _ratio(num, den):
+    """(num/den, level) of two kernel limits; None unless both converged and den > 0."""
+    if not (num.converged and den.converged) or den.value <= 0.0:
         return None
-    return r
+    return num.value / den.value, max(num.level, den.level)
+
+
+def _ground_state_limit(report, x, y):
+    """phi(x) phi*(y)/mass when the report is positive-critical, else 0."""
+    if report.classification is not Classification.POSITIVE_CRITICAL:
+        return 0.0
+    return (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
+            / report.mass.value)
 
 
 def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
@@ -153,22 +179,17 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
     if report is None:
         report = classify(op, exhaustion, evaluator=ev, green_tol=heat_tol)
     lam0 = report.lambda0.value
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
-    ts, vals, levels, excluded = [], [], [], []
-    for t in t_grid:
-        r = _converged_kernel(ev, x, y, t, tol=heat_tol)
-        if r is None or r.value <= 0.0:
-            excluded.append(float(t))
-            continue
+
+    def point(t):
+        r = ev.heat_kernel(x, y, t, tol=heat_tol)
+        if not r.converged or r.value <= 0.0:
+            return None
         # exp(lam0 t) k can overflow pointwise even though the product is finite
-        vals.append(float(np.exp(lam0 * t + np.log(r.value))))
-        ts.append(float(t))
-        levels.append(r.level)
-    predicted = 0.0
-    if report.classification is Classification.POSITIVE_CRITICAL:
-        predicted = (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
-                     / report.mass.value)
-    series = _decide_series(ts, vals, levels, predicted=predicted, excluded=excluded)
+        return float(np.exp(lam0 * t + np.log(r.value))), r.level
+
+    ts, vals, levels, excluded = _sample(_t_grid(t_grid), point)
+    series = _decide_series(ts, vals, levels, predicted=_ground_state_limit(report, x, y),
+                            excluded=excluded)
     series.extras["lambda0"] = f"{lam0:.12g}"
     series.extras["classification"] = report.label
     return series
@@ -185,23 +206,17 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
     deltas = np.asarray(sorted(lambda_deltas, reverse=True), dtype=float)
     if np.any(deltas <= 0.0):
         raise ValidationError("lambda grid must approach lambda0 strictly from below")
-    ds, vals, levels = [], [], []
-    excluded = []
-    for delta in deltas:
+
+    def point(delta):
         lam = lam0 - delta
-        shifted = shift(op, lam)
-        ev = HeatKernelEvaluator(shifted, exhaustion)
-        g = ev.green(x, y, tol=green_tol)
+        g = HeatKernelEvaluator(shift(op, lam), exhaustion).green(x, y, tol=green_tol)
         if g.diverging:
             raise NumericalError(
                 f"green limit diverged at lambda={lam:g} below lambda0: "
                 "the lambda0 estimate is off")
-        if not g.converged:
-            excluded.append(float(delta))
-            continue
-        ds.append(float(delta))
-        vals.append(float(delta * g.value))
-        levels.append(g.level)
+        return (float(delta * g.value), g.level) if g.converged else None
+
+    ds, vals, levels, excluded = _sample(deltas, point)
     if len(vals) < 3:
         return RatioSeries(np.asarray(ds), np.asarray(vals), levels,
                            SeriesStatus.INCONCLUSIVE,
@@ -210,14 +225,10 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
     # extrapolate delta -> 0: fit a + b delta^p via the power-tail fit in 1/delta
     inv = 1.0 / np.asarray(ds)
     a, bcoef, p, resid = fit_power_tail(inv, np.asarray(vals))
-    predicted = 0.0
-    if report.classification is Classification.POSITIVE_CRITICAL:
-        predicted = (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
-                     / report.mass.value)
     series = RatioSeries(np.asarray(ds), np.asarray(vals), levels,
                          SeriesStatus.CONVERGED_TO, float(a),
                          f"a+b*delta^{p:g} fit (rms {resid:.2g})",
-                         predicted_limit=predicted, excluded=excluded)
+                         predicted_limit=_ground_state_limit(report, x, y), excluded=excluded)
     series.extras["lambda0"] = f"{lam0:.12g}"
     series.extras["error_estimate"] = f"{max(resid, abs(bcoef) * ds[-1] ** p * 0.1):.3g}"
     return series
@@ -232,22 +243,17 @@ def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
     if tau >= 0.0:
         raise ValidationError("tau must be negative")
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
+    t_grid = _t_grid(t_grid)
     if not np.any(t_grid > -tau):
         raise ValidationError("t grid has no point above |tau|")
-    ts, vals, levels, excluded = [], [], [], []
-    for t in t_grid:
+
+    def point(t):
         if t <= -tau:
-            excluded.append(float(t))
-            continue
-        r_num = _converged_kernel(ev, x, y, t + tau, tol=heat_tol)
-        r_den = _converged_kernel(ev, x, y, t, tol=heat_tol)
-        if r_num is None or r_den is None or r_den.value <= 0.0:
-            excluded.append(float(t))
-            continue
-        ts.append(float(t))
-        vals.append(r_num.value / r_den.value)
-        levels.append(max(r_num.level, r_den.level))
+            return None
+        return _ratio(ev.heat_kernel(x, y, t + tau, tol=heat_tol),
+                      ev.heat_kernel(x, y, t, tol=heat_tol))
+
+    ts, vals, levels, excluded = _sample(t_grid, point)
     predicted = None
     if op.symmetric:
         predicted = float(np.exp(-lambda0(op, exhaustion, evaluator=ev).value * tau))
@@ -265,17 +271,8 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
     """Series k(x, y, t)/k(x0, y0, t); for symmetric critical operators the
     limit is the ground-state ratio phi(x) phi*(y)/(phi(x0) phi*(y0))."""
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
-    ts, vals, levels, excluded = [], [], [], []
-    for t in t_grid:
-        r_num = _converged_kernel(ev, x, y, t, tol=heat_tol)
-        r_den = _converged_kernel(ev, x0, y0, t, tol=heat_tol)
-        if r_num is None or r_den is None or r_den.value <= 0.0:
-            excluded.append(float(t))
-            continue
-        ts.append(float(t))
-        vals.append(r_num.value / r_den.value)
-        levels.append(max(r_num.level, r_den.level))
+    ts, vals, levels, excluded = _sample(_t_grid(t_grid), lambda t: _ratio(
+        ev.heat_kernel(x, y, t, tol=heat_tol), ev.heat_kernel(x0, y0, t, tol=heat_tol)))
     predicted = None
     if report is not None and report.ground_state is not None and op.symmetric:
         predicted = (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
@@ -300,32 +297,21 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
         raise ValidationError("the perturbed operator must be subcritical")
     ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
     ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
-    t_grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
-    ts, vals, levels, excluded = [], [], [], []
-    for t in t_grid:
-        r_num = _converged_kernel(ev_plus, x, y, t, tol=heat_tol)
-        r_den = _converged_kernel(ev_zero, x, y, t, tol=heat_tol)
-        if r_num is None or r_den is None or r_den.value <= 0.0:
-            excluded.append(float(t))
-            continue
-        ts.append(float(t))
-        vals.append(r_num.value / r_den.value)
-        levels.append(max(r_num.level, r_den.level))
+
+    def ratio_at(yy):
+        return lambda t: _ratio(ev_plus.heat_kernel(x, yy, t, tol=heat_tol),
+                                ev_zero.heat_kernel(x, yy, t, tol=heat_tol))
+
+    ts, vals, levels, excluded = _sample(_t_grid(t_grid), ratio_at(y))
     series = _decide_series(ts, vals, levels, predicted=0.0, excluded=excluded)
     series.extras["lambda_plus"] = f"{rep_plus.lambda0.value:.10g}"
 
-    y1 = int(y) if y1 is None else int(y1)
-    rx = []
-    for t in ts:
-        num = _converged_kernel(ev_plus, x, y1, t, tol=heat_tol)
-        den = _converged_kernel(ev_zero, x, y1, t, tol=heat_tol)
-        rx.append(num.value / den.value if num and den and den.value > 0.0 else np.nan)
-    rx = np.asarray(rx)
+    t_dom, rx = _sample(ts, ratio_at(int(y) if y1 is None else int(y1)))[:2]
     c_emp, onset = 0.0, ""
-    if not np.all(np.isnan(rx)):
-        peak = int(np.nanargmax(rx))
-        onset = f"{int(x)}:{ts[peak]:g}"
-        c_emp = max(c_emp, float(np.nanmax(rx[peak:])))
+    if rx:
+        peak = int(np.argmax(rx))
+        onset = f"{int(x)}:{t_dom[peak]:g}"
+        c_emp = max(c_emp, float(np.max(rx[peak:])))
     series.extras["domination_constant"] = f"{c_emp:.10g}"
     series.extras["onset_times"] = onset
     return series

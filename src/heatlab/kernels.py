@@ -19,16 +19,22 @@ re-restrict.
 Symmetric restrictions certify positive definiteness by a banded Cholesky
 factorization in the pattern's reverse Cuthill-McKee order: it exists exactly
 when A_S is positive definite, and its triangular solves give the Green
-columns.  Their kernels come from one of two spectral routes, by scaling:
+columns.  A closed level (no absorption) with D = 0 is singular, A_S 1 = 0,
+and is never certified, whatever the sign of the last pivot's round-off.
+Their kernels come from one of two spectral routes, by scaling:
 
 * direct route: full eigendecomposition of H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2);
-* inverse route: eigendecomposition of B = diag(mu)^(1/2) A_S^(-1) diag(mu)^(1/2)
-  when H is too badly scaled to represent.  B has the same eigenvectors and
-  reciprocal eigenvalues, and resolves exactly the small eigenvalues that
-  matter for t > 0.  A^(-1) comes from a sparse LU, which also serves the
-  measure-shifted matrix of a singular (closed) restriction.
+* inverse route: eigendecomposition of
+  B = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1) diag(mu)^(1/2) when H is too badly
+  scaled to represent.  B has the same eigenvectors and eigenvalues
+  1/(lambda - sigma), and resolves exactly the small eigenvalues that matter
+  for t > 0.  Its solves use the level's banded Cholesky factor: of A_S
+  (sigma = 0) on certified levels, else of A_S - sigma D_mu with
+  sigma = min D - 1, whose diagonal out_weight + (D - sigma) mu exceeds the
+  W_S row sums, so it is positive definite on singular and indefinite levels
+  alike.
 
-Sparse LUs remain where no Cholesky applies: Green solves of nonsymmetric
+Sparse LUs serve only where no Cholesky applies: Green solves of nonsymmetric
 restrictions, and the shifted matrices A - sigma D_mu of the principal-pair
 inverse iteration, which are indefinite.  Nonsymmetric kernels use dense
 scaling-and-squaring matrix exponentials.
@@ -133,23 +139,22 @@ class _FactorBase:
 
     A factor holds only what depends on the operator: the diagonal
     out_weight + D mu of A_S over its level's shared pattern.  Everything else
-    is built on first use: the sparse A_S (principal pairs, the spectral and
-    nonsymmetric routes), the banded Cholesky factor (the symmetric PD
-    certificate and Green solves) and the sparse LU (nonsymmetric Green
-    solves, the inverse spectral route).  The symmetric Green route never
-    assembles A_S, and nonsymmetric factors never need the RCM band.
+    is built on first use: the sparse A_S (principal pairs, the direct
+    spectral and nonsymmetric routes), the banded Cholesky factor (the
+    symmetric PD certificate, Green solves and inverse spectral route) and
+    the sparse LU (nonsymmetric Green solves).  The symmetric Green and
+    inverse routes never assemble A_S, and nonsymmetric factors never need
+    the RCM band.
     """
 
     def __init__(self, op: EllipticOperator, sub: IndexedSubdomain):
         self.op = op
         self.sub = sub
         self.mu = op.mu[sub.positions]
-        self.pattern = sub.pattern(op.transposed)
-        self.diag = self.pattern.out_weight + op.potential[sub.positions] * self.mu
+        self.pattern, self.diag = op.restriction(sub)
         self._a_s = None
         self._chol = None
         self._lu = None
-        self._lu_shift = 0.0
         self._principal = None
         self._green_cols = {}
 
@@ -159,37 +164,32 @@ class _FactorBase:
     def a_s(self):
         """Sparse measure form A_S = diag(mu) K_S."""
         if self._a_s is None:
-            self._a_s = (sp.diags(self.diag) - self.pattern.w_s).tocsc()
+            self._a_s = self.pattern.measure_form(self.diag)
         return self._a_s
 
+    def _banded_cholesky(self, diag):
+        """Upper banded Cholesky factor of diag(diag) - W_S in the level's RCM
+        order, or False.  LAPACK stops at the first nonpositive pivot, so the
+        factor exists exactly when the matrix is positive definite.  Symmetric
+        factors only."""
+        perm, band = self.pattern.band()
+        try:
+            return sla.cholesky_banded(np.vstack((band, diag[perm])))
+        except (np.linalg.LinAlgError, ValueError):  # nonpositive or non-finite pivot
+            return False
+
     def _cholesky(self):
-        """Upper banded Cholesky factor of A_S in the level's RCM order, or False.
-
-        LAPACK stops at the first nonpositive pivot, so the factor exists
-        exactly when A_S is positive definite; a singular restriction has no
-        factor.  Symmetric factors only.
-        """
+        """The banded Cholesky factor of A_S, or False."""
         if self._chol is None:
-            perm, band = self.pattern.band()
-            try:
-                self._chol = sla.cholesky_banded(np.vstack((band, self.diag[perm])))
-            except (np.linalg.LinAlgError, ValueError):  # nonpositive or non-finite pivot
-                self._chol = False
+            self._chol = self._banded_cholesky(self.diag)
         return self._chol
-
-    def _splu(self):
-        """LU of A_S, falling back to a measure-shifted matrix when singular."""
-        if self._lu is None:
-            try:
-                self._lu = _sparse_lu(self.a_s)
-            except NumericalError:
-                self._lu_shift = 1.0
-                self._lu = _sparse_lu((self.a_s + sp.diags(self.mu)).tocsc())
-        return self._lu, self._lu_shift
 
     def is_positive_definite(self):
         """Positivity of the restricted principal eigenvalue: the banded Cholesky
-        certificate for symmetric restrictions, the sign of lambda0(S) otherwise."""
+        certificate for symmetric restrictions, the sign of lambda0(S) otherwise.
+        A closed level with D = 0 is singular (A_S 1 = 0) for either kind."""
+        if not self.pattern.absorbing and not np.any(self.op.potential[self.sub.positions]):
+            return False
         if self._symmetric:
             return self._cholesky() is not False
         return self.principal_pair()[0] > 0.0
@@ -264,9 +264,8 @@ class _FactorBase:
     def green_solve(self, rhs, trans):
         """A_S^-1 rhs (``trans`` "N") or A_S^-T rhs ("T").
 
-        Symmetric restrictions solve with their banded Cholesky factor.
-        Nonsymmetric ones use a sparse LU, and a singular restriction is
-        rejected even when its principal eigenvalue comes out as +round-off.
+        Symmetric restrictions solve with their banded Cholesky factor,
+        nonsymmetric ones with a sparse LU.
         """
         if not self.is_positive_definite():
             raise NumericalError(
@@ -277,10 +276,9 @@ class _FactorBase:
             out = np.empty(self.sub.size)
             out[perm] = sla.cho_solve_banded((self._cholesky(), False), rhs[perm])
             return out
-        lu, shift = self._splu()
-        if shift != 0.0:
-            raise NumericalError("singular Dirichlet restriction; no finite Green function")
-        return lu.solve(rhs, trans=trans)
+        if self._lu is None:
+            self._lu = _sparse_lu(self.a_s)
+        return self._lu.solve(rhs, trans=trans)
 
     def green_column(self, iy):
         """Column y of [K_S^-1]/mu(y), i.e. G(. , y) = A_S^-1 e_y."""
@@ -315,21 +313,27 @@ class SymmetricFactor(_FactorBase):
         if np.isfinite(max_rate) and max_rate <= WELL_SCALED_RATE:
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
-            route = "direct"
+            return lam, vecs, "direct"
+        if self.is_positive_definite():
+            chol, sigma = self._cholesky(), 0.0
         else:
-            lu, shift = self._splu()
-            rhs = np.diag(self.sqrt_mu)
-            binv = lu.solve(rhs)
-            b = binv * self.sqrt_mu[:, None]
-            b = (b + b.T) / 2.0
-            nu, vecs = sla.eigh(b)
-            with np.errstate(divide="ignore"):
-                lam = np.where(nu > 0.0, 1.0 / np.maximum(nu, 1e-300), np.inf)
-            lam = lam - shift
-            order = np.argsort(lam)
-            lam, vecs = lam[order], vecs[:, order]
-            route = "inverse"
-        return lam, vecs, route
+            sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
+            chol = self._banded_cholesky(self.diag - sigma * self.mu)
+            if chol is False:
+                raise NumericalError("shifted restriction is not positive definite")
+        # 2B in RCM order, built in place in one Fortran-ordered array
+        perm = self.pattern.band()[0]
+        root = self.sqrt_mu[perm]
+        b = sla.cho_solve_banded((chol, False), np.diag(root).T, overwrite_b=True)
+        b *= root[:, None]
+        b += b.T
+        nu2, vecs = sla.eigh(b, overwrite_a=True)
+        del b  # one n x n array fewer during the reordering copy below
+        # 2 nu > 0 in exact arithmetic; round-off below 0 marks lambda = inf
+        with np.errstate(divide="ignore"):
+            lam = np.where(nu2 > 0.0, 2.0 / np.maximum(nu2, 1e-300), np.inf) + sigma
+        order = np.argsort(lam)
+        return lam[order], vecs[np.ix_(np.argsort(perm), order)], "inverse"
 
     def spectral(self):
         if self._spectral is None:
@@ -391,9 +395,7 @@ class NonsymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
-        with np.errstate(over="raise"):
-            inv_mu = 1.0 / self.mu
-        self.k_dense = self.a_s.toarray() * inv_mu[:, None]
+        self.k_dense = op.action_matrix_dense(sub)
         self._expm_cache = {}
         self.route = "expm"
 

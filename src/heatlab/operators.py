@@ -16,7 +16,6 @@ the raw K matrix is only materialized where it is well scaled.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domains import WeightedDomain, IndexedSubdomain
 from .errors import ValidationError
@@ -107,39 +106,31 @@ class EllipticOperator:
                 raise ValidationError("potential length does not match the domain")
             self.potential = vec.copy()
         self.symmetric = domain.symmetric
-        self._measure_matrix = None
         self._adjoint_source = None
 
     @property
     def mu(self):
         return self.domain.mu
 
-    def measure_matrix(self):
-        """A = diag(mu) K: off-diagonal -w(x, y), diagonal sum_y w(x, y) + D(x) mu(x)."""
-        if self._measure_matrix is None:
-            w = self.weights
-            row_sums = np.asarray(w.sum(axis=1)).ravel()
-            diag = row_sums + self.potential * self.mu
-            self._measure_matrix = (sp.diags(diag) - w).tocsc()
-        return self._measure_matrix
+    def restriction(self, subdomain: IndexedSubdomain):
+        """Level pattern and diagonal out_weight + D mu of the Dirichlet
+        restriction's measure form A_S = diag(out_weight + D mu) - W_S."""
+        pattern = subdomain.pattern(self.transposed)
+        pos = subdomain.positions
+        return pattern, pattern.out_weight + self.potential[pos] * self.mu[pos]
 
-    def action_matrix_dense(self, subdomain: IndexedSubdomain = None):
-        """Dense K (or its Dirichlet principal submatrix on ``subdomain``)."""
-        a = self.measure_matrix()
-        if subdomain is not None:
-            pos = subdomain.positions
-            a = a[pos][:, pos]
-            mu = self.mu[pos]
-        else:
-            mu = self.mu
+    def action_matrix_dense(self, subdomain: IndexedSubdomain):
+        """Dense Dirichlet principal submatrix K_S = diag(mu)^-1 A_S on ``subdomain``."""
+        pattern, diag = self.restriction(subdomain)
         with np.errstate(over="raise"):
-            inv_mu = 1.0 / mu
-        return np.asarray((sp.diags(inv_mu) @ a).todense())
+            inv_mu = 1.0 / self.mu[subdomain.positions]
+        return pattern.measure_form(diag).toarray() * inv_mu[:, None]
 
     def apply(self, u):
         """(P u) for a full-domain vector u."""
         u = np.asarray(u, dtype=float)
-        return (self.measure_matrix() @ u) / self.mu
+        w = self.weights
+        return (np.asarray(w.sum(axis=1)).ravel() * u - w @ u) / self.mu + self.potential * u
 
 
 def assemble(domain: WeightedDomain, potential=None) -> EllipticOperator:

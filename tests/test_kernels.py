@@ -436,3 +436,99 @@ def test_shared_pattern_matches_fresh_fixture(build):
     for name in got:
         fresh = build()
         assert got[name] == values(_family(fresh, well)[name], fresh), name
+
+
+# -- the inverse spectral route on one banded Cholesky factor --------------------
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_inverse_route_keeps_negative_eigenvalues(level):
+    # P - 0.3 on lat1_geo(0.5) is indefinite on these levels: its kernel obeys
+    # the shift identity k_{P-0.3} = e^(0.3 t) k_P only if the negative
+    # principal eigenvalue is kept
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=129)
+    sub = fx.exhaustion[level]
+    op = hl.assemble(fx.domain)
+    base, shifted = SymmetricFactor(op, sub), SymmetricFactor(hl.shift(op, 0.3), sub)
+    assert shifted.route == "inverse" and not shifted.is_positive_definite()
+    i0 = sub.local_of(0)
+    for t in (1.0, 5.0):
+        expected = np.exp(0.3 * t) * base.kernel(i0, i0, t)
+        assert shifted.kernel(i0, i0, t) == pytest.approx(expected, rel=1e-12)
+    assert shifted.lambda_min < 0.0
+    assert shifted.lambda_min == pytest.approx(shifted.principal_pair()[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("factor_type", [NonsymmetricFactor, SymmetricFactor])
+def test_certificate_rejects_random_singular_closed_paths(factor_type):
+    # random conductances leave the last pivot of the singular Laplacian at
+    # +-round-off, not exactly 0; D = 0 with no absorption is singular anyway
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        w = rng.uniform(0.05, 3.0, n - 1)
+        edges = {}
+        for x in range(n - 1):
+            edges[(x, x + 1)] = edges[(x + 1, x)] = float(w[x])
+        domain = hl.WeightedDomain(range(n), np.ones(n), edges)
+        fac = factor_type(hl.assemble(domain), hl.restrict(domain, range(n)))
+        with pytest.raises(hl.NumericalError):
+            fac.green_column(0)
+
+
+def test_shifted_inverse_route_conserves_mass():
+    # a closed path with a geometric measure: singular, so the inverse route
+    # factors A_S - sigma D_mu, sigma = -1
+    labels = range(-30, 31)
+    edges = {}
+    for x in range(-30, 30):
+        edges[(x, x + 1)] = edges[(x + 1, x)] = 1.0
+    domain = hl.WeightedDomain(labels, {x: 2.0 ** -abs(x) for x in labels}, edges)
+    sub = hl.restrict(domain, labels)
+    fac = SymmetricFactor(hl.assemble(domain), sub)
+    assert fac.route == "inverse" and not fac.is_positive_definite()
+    i0 = sub.local_of(0)
+    for t in (0.5, 5.0, 50.0):
+        mass = sum(fac.kernel(ix, i0, t) * sub.mu[ix] for ix in range(sub.size))
+        assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_inverse_route_needs_no_sparse_lu(monkeypatch):
+    import heatlab.kernels as hk
+
+    def no_lu(mat):
+        raise AssertionError("sparse LU called")
+
+    monkeypatch.setattr(hk, "_sparse_lu", no_lu)
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=129)
+    sub = fx.exhaustion[5]
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    assert fac.is_positive_definite()
+    assert fac.route == "inverse"
+    i0 = sub.local_of(0)
+    assert fac.kernel(i0, i0, 1.0) > 0.0
+    assert np.all(np.isfinite(fac.kernel_matrix(1.0)))
+    assert fac.green_column(i0)[i0] > 0.0
+
+
+@pytest.mark.parametrize("constant", [0.05, -0.5])
+def test_inverse_route_matches_direct_route_in_scrambled_order(monkeypatch, constant):
+    # a grid with scrambled labels has an RCM order that is no involution, so
+    # the inverse route must map its eigenvectors back by the inverse order;
+    # D = -0.5 makes the closed grid indefinite and takes the shifted factor
+    import heatlab.kernels as hk
+
+    domain = _scrambled_grid(7, seed=11)
+    sub = hl.restrict(domain, range(domain.n_vertices))
+    perm = sub.pattern().band()[0]
+    assert not np.array_equal(perm[perm], np.arange(sub.size))
+    op = hl.assemble(domain, hl.Potential.constant(domain, constant))
+    direct = SymmetricFactor(op, sub)
+    assert direct.route == "direct"
+    monkeypatch.setattr(hk, "WELL_SCALED_RATE", 0.0)
+    inverse = SymmetricFactor(op, sub)
+    assert inverse.route == "inverse"
+    assert inverse.is_positive_definite() is (constant > 0.0)
+    assert inverse.lambda_min == pytest.approx(constant, abs=1e-12)
+    for t in (0.3, 2.0):
+        a, b = direct.kernel_matrix(t), inverse.kernel_matrix(t)
+        assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
