@@ -84,6 +84,8 @@ class WeightedDomain:
             raise ValidationError("edge weights must be finite")
 
         self._weights_t = None
+        self._label_order = None  # (argsort, sorted labels), for positions_of
+        self._adjacency = None
         sym = self.weights - self.weights.T
         self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
         self.truncated = bool(truncated)
@@ -95,6 +97,15 @@ class WeightedDomain:
     @property
     def n_vertices(self):
         return int(self.labels.size)
+
+    def positions_of(self, labels):
+        """Internal positions of an int64 label array; -1 where a label is absent."""
+        if self._label_order is None:
+            order = np.argsort(self.labels)
+            self._label_order = (order, self.labels[order])
+        order, ordered = self._label_order
+        positions = order[np.minimum(np.searchsorted(ordered, labels), order.size - 1)]
+        return np.where(self.labels[positions] == labels, positions, -1)
 
     def measure_of(self, x):
         return float(self.mu[self.index[int(x)]])
@@ -117,9 +128,11 @@ class WeightedDomain:
         return float(self.mu[pos].sum())
 
     def _undirected_adjacency(self):
-        u = self.weights + self.weights.T
-        u.data[:] = 1.0
-        return u.tocsr()
+        if self._adjacency is None:
+            u = self.weights + self.weights.T
+            u.data[:] = 1.0
+            self._adjacency = u.tocsr()
+        return self._adjacency
 
     def _connected(self, positions):
         """True iff the undirected support graph restricted to ``positions`` is connected."""
@@ -184,18 +197,18 @@ class IndexedSubdomain:
     """
 
     def __init__(self, domain: WeightedDomain, subset):
-        labels = sorted({int(x) for x in subset}, key=lambda x: domain.index.get(x, -1))
-        if not labels:
+        labels = np.sort(np.asarray(
+            subset if isinstance(subset, np.ndarray) else list(subset)).astype(np.int64))
+        if not labels.size:
             raise ValidationError("empty subset")
-        missing = [x for x in labels if x not in domain.index]
-        if missing:
-            raise ValidationError(f"subset vertices not in domain: {missing[:5]}")
+        labels = labels[np.r_[True, labels[1:] != labels[:-1]]]  # drop duplicates
+        positions = domain.positions_of(labels)
+        missing = labels[positions < 0]
+        if missing.size:
+            raise ValidationError(f"subset vertices not in domain: {missing[:5].tolist()}")
         self.domain = domain
-        self.positions = np.array([domain.index[x] for x in labels], dtype=np.intp)
-        order = np.argsort(self.positions)
-        self.positions = self.positions[order]
+        self.positions = np.sort(positions)
         self.labels = domain.labels[self.positions]
-        self.local = {int(x): i for i, x in enumerate(self.labels)}
         if not domain._connected(self.positions):
             raise ValidationError("subset is not connected in the support graph")
         self._patterns = {}
@@ -220,14 +233,20 @@ class IndexedSubdomain:
         """True iff some edge of a subset vertex leaves the subset."""
         return self.pattern().absorbing
 
+    def _local(self, x):
+        """Local index of label x, or -1 when x is not in the subset."""
+        pos = self.domain.index.get(int(x), -1)
+        i = int(np.searchsorted(self.positions, pos))
+        return i if i < self.positions.size and self.positions[i] == pos else -1
+
     def local_of(self, x):
-        try:
-            return self.local[int(x)]
-        except KeyError as exc:
-            raise ValidationError(f"vertex {x} is outside the subdomain") from exc
+        i = self._local(x)
+        if i < 0:
+            raise ValidationError(f"vertex {x} is outside the subdomain")
+        return i
 
     def __contains__(self, x):
-        return int(x) in self.local
+        return self._local(x) >= 0
 
     def __repr__(self):
         return f"IndexedSubdomain(n={self.size})"
@@ -247,11 +266,10 @@ class Exhaustion:
         previous = None
         for j, subset in enumerate(subsets):
             sub = IndexedSubdomain(domain, subset)
-            if previous is not None:
-                prev_set = set(previous.labels.tolist())
-                cur_set = set(sub.labels.tolist())
-                if not prev_set < cur_set:
-                    raise ValidationError(f"exhaustion level {j + 1} does not strictly contain level {j}")
+            if previous is not None and not (
+                    sub.size > previous.size
+                    and np.all(np.isin(previous.positions, sub.positions, assume_unique=True))):
+                raise ValidationError(f"exhaustion level {j + 1} does not strictly contain level {j}")
             self.levels.append(sub)
             previous = sub
         if not self.levels:

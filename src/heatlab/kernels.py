@@ -20,19 +20,24 @@ Symmetric restrictions certify positive definiteness by a banded Cholesky
 factorization in the pattern's reverse Cuthill-McKee order: it exists exactly
 when A_S is positive definite, and its triangular solves give the Green
 columns.  A closed level (no absorption) with D = 0 is singular, A_S 1 = 0,
-and is never certified, whatever the sign of the last pivot's round-off.
-Their kernels come from one of two spectral routes, by scaling:
+and is never certified, whatever the sign of the last pivot's round-off.  The
+same holds for the adjoint of such an operator, whose A*_S = A_S^T.
 
-* direct route: full eigendecomposition of H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2);
-* inverse route: eigendecomposition of
-  B = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1) diag(mu)^(1/2) when H is too badly
-  scaled to represent.  B has the same eigenvectors and eigenvalues
-  1/(lambda - sigma), and resolves exactly the small eigenvalues that matter
-  for t > 0.  Its solves use the level's banded Cholesky factor: of A_S
-  (sigma = 0) on certified levels, else of A_S - sigma D_mu with
-  sigma = min D - 1, whose diagonal out_weight + (D - sigma) mu exceeds the
-  W_S row sums, so it is positive definite on singular and indefinite levels
-  alike.
+Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
+shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
+diag(mu)^(1/2), sigma = min D - 1.  The diagonal out_weight + (D - sigma) mu of
+A_S - sigma D_mu exceeds the W_S row sums, so its banded Cholesky factor
+exists on certified, singular and indefinite levels alike, and B has the
+eigenvectors of H and eigenvalues 1/(lambda - sigma) in (0, 1].  B stays
+representable however widely the jump rates 1/mu spread.
+
+* Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
+  Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
+  f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves every
+  t, and costs O(n) per step on the banded factor.
+* All-pairs queries (kernel and semigroup matrices, lambda_min, the
+  perturbation module's first layer) eigendecompose the whole level: H
+  directly when its rates are at most ``WELL_SCALED_RATE``, else B.
 
 Sparse LUs serve only where no Cholesky applies: Green solves of nonsymmetric
 restrictions, and the shifted matrices A - sigma D_mu of the principal-pair
@@ -43,19 +48,22 @@ scaling-and-squaring matrix exponentials.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrs
 
 from .domains import Exhaustion, IndexedSubdomain
 from .errors import NumericalError, ValidationError
 from .operators import EllipticOperator
 from .series import increments_decreasing, neville_in_size
 
-#: restrictions whose jump rates exceed this use the inverse spectral route
+#: all-pairs queries on restrictions whose jump rates exceed this
+#: eigendecompose B instead of H
 WELL_SCALED_RATE = 1e8
 
 HEAT_TOL = 1e-9
@@ -141,8 +149,9 @@ class _FactorBase:
     out_weight + D mu of A_S over its level's shared pattern.  Everything else
     is built on first use: the sparse A_S (principal pairs, the direct
     spectral and nonsymmetric routes), the banded Cholesky factor (the
-    symmetric PD certificate, Green solves and inverse spectral route) and
-    the sparse LU (nonsymmetric Green solves).  The symmetric Green and
+    symmetric PD certificate and Green solves) and the sparse LU
+    (nonsymmetric Green solves).  Symmetric kernels factor A_S - sigma D_mu
+    instead (see ``SymmetricFactor``).  The symmetric Green, point kernel and
     inverse routes never assemble A_S, and nonsymmetric factors never need
     the RCM band.
     """
@@ -187,8 +196,12 @@ class _FactorBase:
     def is_positive_definite(self):
         """Positivity of the restricted principal eigenvalue: the banded Cholesky
         certificate for symmetric restrictions, the sign of lambda0(S) otherwise.
-        A closed level with D = 0 is singular (A_S 1 = 0) for either kind."""
-        if not self.pattern.absorbing and not np.any(self.op.potential[self.sub.positions]):
+        A closed level with D = 0 is singular (A_S 1 = 0) for either kind, and
+        so is its adjoint (A_S^T), whose D* = D + (out - in)/mu is not 0: the
+        rule reads the pattern and D of the adjoint's source operator."""
+        src = self.op._adjoint_source or self.op
+        if (not self.sub.pattern(src.transposed).absorbing
+                and not np.any(src.potential[self.sub.positions])):
             return False
         if self._symmetric:
             return self._cholesky() is not False
@@ -296,8 +309,107 @@ class _FactorBase:
         return self.green_solve(e, "T")
 
 
+def _decay(lam, t):
+    """exp(-lam t), with overflow and lam = inf read as 0."""
+    with np.errstate(over="ignore"):
+        d = np.exp(-lam * t)
+    return np.where(np.isfinite(d), d, 0.0)
+
+
+class _ShiftInvertLanczos:
+    """Lanczos process for B = (H - sigma)^(-1) started from e_y.
+
+    ``solve(v)`` applies B.  Full reorthogonalization (classical Gram-Schmidt,
+    twice) keeps the basis V orthonormal to round-off.  exp(-tH) e_y is
+    approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 = Q diag(exp(-t lam)) Q^T e_1
+    with the Ritz pairs (theta, Q) of the tridiagonal T_m and
+    lam = 1/theta + sigma.
+
+    The step count m of c(t) is the first of 10, 20, 30, ... at which c_m
+    differs from c_(m-10) by at most 1e-13 of its norm, or the dimension of
+    the Krylov space once it is exhausted (then c is exact).  It depends only
+    on t and on the first m Lanczos steps, never on which times were asked
+    before, so values do not depend on query order.  A basis that has not
+    settled in 500 steps is a NumericalError.
+    """
+
+    def __init__(self, solve, n, iy, sigma):
+        self.solve = solve
+        self.sigma = sigma
+        # rows are committed only as the basis grows into them
+        self.basis = np.empty((min(n, 500), n))
+        self.basis[0] = 0.0
+        self.basis[0, iy] = 1.0
+        self.alpha, self.beta = [], []
+        self.invariant = False  # the Krylov space is exhausted
+        self._ritz = {}  # m -> Ritz values lam and vectors Q of T_m
+        self._coeffs = {}  # t -> c(t)
+
+    def _extend(self, m):
+        """Run Lanczos to m steps, or to exhaustion; the steps available."""
+        size, n = self.basis.shape
+        m = min(m, size)
+        while len(self.alpha) < m and not self.invariant:
+            j = len(self.alpha)
+            w = self.solve(self.basis[j])
+            norm_w = float(np.linalg.norm(w))
+            v = self.basis[:j + 1]
+            h = v @ w
+            w -= v.T @ h
+            h2 = v @ w
+            w -= v.T @ h2
+            self.alpha.append(float(h[j] + h2[j]))
+            b = float(np.linalg.norm(w))
+            if b <= 1e-14 * norm_w or j + 1 == n:
+                self.invariant = True
+            elif j + 1 < size:
+                self.beta.append(b)
+                self.basis[j + 1] = w / b
+        return min(m, len(self.alpha))
+
+    def _f_of_t(self, m, t):
+        pairs = self._ritz.get(m)
+        if pairs is None:
+            theta, q = sla.eigh_tridiagonal(np.array(self.alpha[:m]), np.array(self.beta[:m - 1]))
+            # theta > 0 in exact arithmetic; round-off at or below 0 marks lambda = inf
+            with np.errstate(divide="ignore"):
+                lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf)
+            pairs = self._ritz[m] = (lam + self.sigma, q)
+        lam, q = pairs
+        return q @ (_decay(lam, t) * q[0])
+
+    def coefficients(self, t):
+        """c(t), with exp(-tH) e_y = basis[:len(c)].T @ c."""
+        c = self._coeffs.get(t)
+        if c is not None:
+            return c
+        previous = np.zeros(0)
+        m = 0
+        while True:
+            m = self._extend(m + 10)
+            c = self._f_of_t(m, t)
+            if self.invariant and m == len(self.alpha):
+                break
+            change = c.copy()
+            change[:previous.size] -= previous
+            if previous.size and np.linalg.norm(change) <= 1e-13 * np.linalg.norm(c):
+                break
+            if m == self.basis.shape[0]:
+                raise NumericalError(f"Lanczos did not converge in {m} steps")
+            previous = c
+        self._coeffs[t] = c
+        return c
+
+
 class SymmetricFactor(_FactorBase):
-    """Per-level spectral factorization of a symmetric restricted operator."""
+    """Heat kernels of a symmetric restriction, by its shifted inverse B.
+
+    Point queries ``kernel(ix, iy, t)`` read column iy of exp(-tH) from a
+    shift-and-invert Lanczos basis started at e_y, built on first use and
+    extended as later times ask for more steps.  All-pairs queries
+    (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``,
+    ``lambda_min``, ``route``) use the dense eigendecomposition of the level.
+    """
 
     _symmetric = True
 
@@ -305,6 +417,29 @@ class SymmetricFactor(_FactorBase):
         super().__init__(op, sub)
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
+        self._shifted = None
+        self._columns = {}
+        self._lock = threading.Lock()
+
+    def _shifted_factor(self):
+        """(banded Cholesky factor of A_S - sigma D_mu, sigma), sigma = min D - 1."""
+        if self._shifted is None:
+            sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
+            chol = self._banded_cholesky(self.diag - sigma * self.mu)
+            if chol is False:
+                raise NumericalError("shifted restriction is not positive definite")
+            self._shifted = (chol, sigma)
+        return self._shifted
+
+    def _apply_b(self, v):
+        """B v = D_mu^(1/2) (A_S - sigma D_mu)^(-1) D_mu^(1/2) v."""
+        chol = self._shifted_factor()[0]
+        perm = self.pattern.band()[0]
+        out = np.empty(self.sub.size)
+        # LAPACK's banded solve directly: scipy's wrapper costs more than the
+        # O(n) solve on small levels, and Lanczos calls it once per step
+        out[perm] = dpbtrs(chol, (self.sqrt_mu * v)[perm])[0]
+        return self.sqrt_mu * out
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,13 +449,7 @@ class SymmetricFactor(_FactorBase):
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
             return lam, vecs, "direct"
-        if self.is_positive_definite():
-            chol, sigma = self._cholesky(), 0.0
-        else:
-            sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
-            chol = self._banded_cholesky(self.diag - sigma * self.mu)
-            if chol is False:
-                raise NumericalError("shifted restriction is not positive definite")
+        chol, sigma = self._shifted_factor()
         # 2B in RCM order, built in place in one Fortran-ordered array
         perm = self.pattern.band()[0]
         root = self.sqrt_mu[perm]
@@ -335,10 +464,24 @@ class SymmetricFactor(_FactorBase):
         order = np.argsort(lam)
         return lam[order], vecs[np.ix_(np.argsort(perm), order)], "inverse"
 
-    def spectral(self):
-        if self._spectral is None:
-            self._spectral = self._build_spectral()
-        return self._spectral
+    def spectral(self, column=None, t=None):
+        """The level's spectral data.
+
+        Without arguments: the dense eigendecomposition (lam, vecs, route) of
+        H, for all-pairs queries.  With a local ``column`` iy and a time t > 0:
+        (basis, c), the column's Lanczos basis and coefficients with
+        exp(-tH) e_y = basis[:len(c)].T @ c.
+        """
+        if column is None:
+            if self._spectral is None:
+                self._spectral = self._build_spectral()
+            return self._spectral
+        with self._lock:
+            lanczos = self._columns.get(column)
+            if lanczos is None:
+                lanczos = self._columns[column] = _ShiftInvertLanczos(
+                    self._apply_b, self.sub.size, column, self._shifted_factor()[1])
+            return lanczos.basis, lanczos.coefficients(t)
 
     @property
     def route(self):
@@ -348,45 +491,39 @@ class SymmetricFactor(_FactorBase):
     def lambda_min(self):
         return float(self.spectral()[0][0])
 
-    def _decay(self, t):
-        lam = self.spectral()[0]
-        with np.errstate(over="ignore"):
-            d = np.exp(-lam * t)
-        return np.where(np.isfinite(d), d, 0.0)
-
     def kernel(self, ix, iy, t):
+        """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) from column y's basis.
+
+        Negative values within 1e-13 of the column's norm are round-off and
+        read as 0.
+        """
         if t == 0.0:
             return (1.0 / self.mu[iy]) if ix == iy else 0.0
-        vecs = self.spectral()[1]
-        decay = self._decay(t)
-        val = float(np.dot(vecs[ix] * decay, vecs[iy]))
-        val /= self.sqrt_mu[ix] * self.sqrt_mu[iy]
-        diag_x = float(np.dot(vecs[ix] ** 2, decay)) / self.mu[ix]
-        diag_y = float(np.dot(vecs[iy] ** 2, decay)) / self.mu[iy]
-        scale = np.sqrt(max(diag_x, 0.0) * max(diag_y, 0.0)) + 1e-300
-        return float(_clamped(val, scale))
+        basis, c = self.spectral(iy, t)
+        scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
+        val = float(basis[:c.size, ix] @ c) / scale
+        return float(_clamped(val, float(np.linalg.norm(c)) / scale + 1e-300))
 
     def kernel_matrix(self, t):
         if t == 0.0:
             return np.diag(1.0 / self.mu)
-        vecs = self.spectral()[1]
-        decay = self._decay(t)
-        m = (vecs * decay) @ vecs.T
+        lam, vecs, _ = self.spectral()
+        m = (vecs * _decay(lam, t)) @ vecs.T
         m = m / self.sqrt_mu[:, None] / self.sqrt_mu[None, :]
         diag = np.maximum(np.diag(m), 0.0)
         scale = np.sqrt(np.outer(diag, diag)) + 1e-300
         return _clamped(m, scale)
 
     def apply_semigroup(self, t, vec):
-        """exp(-t K_S) @ vec via the spectral factorization."""
-        vecs = self.spectral()[1]
+        """exp(-t K_S) @ vec via the dense spectral factorization."""
+        lam, vecs, _ = self.spectral()
         w = vecs.T @ (vec * self.sqrt_mu)
-        return (vecs @ (self._decay(t) * w)) / self.sqrt_mu
+        return (vecs @ (_decay(lam, t) * w)) / self.sqrt_mu
 
     def semigroup_matrix(self, t):
         """Dense exp(-t K_S): the symmetrized spectral form scaled back to K_S."""
-        vecs = self.spectral()[1]
-        m = (vecs * self._decay(t)) @ vecs.T
+        lam, vecs, _ = self.spectral()
+        m = (vecs * _decay(lam, t)) @ vecs.T
         return m / self.sqrt_mu[:, None] * self.sqrt_mu[None, :]
 
 

@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from scipy import special
 
 from heatlab.cli import main
 
@@ -13,6 +14,18 @@ def test_heat_ok(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "value: " in out and "status: converged" in out
+
+
+def test_heat_at_paper_scale_matches_bessel_oracle(capsys):
+    # k(0, 0, t) on Z is e^(-2t) I_0(2t), on an ambient truncation of 10^5
+    # vertices at the large times the ratio limits are read at
+    code = main(["heat", "--fixture", "lat1", "--ambient-size", "100001",
+                 "--x", "0", "--y", "0", "--t", "400"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status: converged" in out
+    value = float(out.split("value: ", 1)[1].split()[0])
+    assert value == pytest.approx(special.ive(0, 800.0), rel=1e-9)
 
 
 def test_unknown_fixture_exits_2(capsys):

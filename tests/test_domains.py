@@ -108,6 +108,29 @@ def test_restrict_rejects_disconnected_and_empty():
         hl.restrict(fx.domain, [99])
 
 
+def test_restrict_matches_label_lookup_on_unordered_labels():
+    # labels stored out of order: positions come from the domain's index,
+    # local indices follow the domain's order, duplicates collapse
+    rng = np.random.default_rng(8)
+    labels = rng.permutation(np.arange(-20, 20) * 3)
+    edges = {}
+    for a, b in zip(labels[:-1], labels[1:]):
+        edges[(int(a), int(b))] = edges[(int(b), int(a))] = 1.0
+    domain = hl.WeightedDomain(labels, np.ones(labels.size), edges)
+    subset = [int(x) for x in labels[5:17]] + [int(labels[9])]
+    sub = hl.restrict(domain, set(subset))
+    expected = sorted(domain.index[x] for x in set(subset))
+    assert sub.positions.tolist() == expected
+    assert sub.labels.tolist() == [int(labels[i]) for i in expected]
+    for x in subset:
+        assert x in sub and sub.labels[sub.local_of(x)] == x
+    assert int(labels[4]) not in sub and 1 not in sub
+    with pytest.raises(hl.ValidationError, match=r"not in domain: \[1, 4\]"):
+        hl.restrict(domain, subset + [4, 1])
+    with pytest.raises(hl.ValidationError, match="level 2 does not strictly contain level 1"):
+        hl.Exhaustion(domain, [labels[5:17], labels[6:19]])
+
+
 def test_exhaustion_strict_nesting_and_connectivity():
     fx = hl.build_lattice_1d(16, "unit")
     levels = fx.exhaustion.levels

@@ -16,6 +16,7 @@ from scipy import integrate
 import heatlab as hl
 from heatlab.domains import closed_path_domain, single_vertex_domain
 from heatlab.kernels import LimitStatus, NonsymmetricFactor, SymmetricFactor, factorize
+from heatlab.series import geometric_grid
 
 from conftest import bessel_i0_scaled, build_drift_lattice
 
@@ -532,3 +533,132 @@ def test_inverse_route_matches_direct_route_in_scrambled_order(monkeypatch, cons
     for t in (0.3, 2.0):
         a, b = direct.kernel_matrix(t), inverse.kernel_matrix(t)
         assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+def test_certificate_rejects_adjoints_of_random_singular_closed_drift_paths():
+    # the adjoint's D* = (out - in)/mu is not 0, but A*_S = A_S^T is as
+    # singular as A_S; its principal eigenvalue comes out as +-round-off
+    rng = np.random.default_rng(2025)
+    for _ in range(100):
+        n = int(rng.integers(3, 40))
+        right, left = rng.uniform(0.05, 3.0, (2, n - 1))
+        edges = {}
+        for x in range(n - 1):
+            edges[(x, x + 1)], edges[(x + 1, x)] = float(right[x]), float(left[x])
+        domain = hl.WeightedDomain(range(n), np.ones(n), edges)
+        star = hl.adjoint(hl.assemble(domain))
+        fac = NonsymmetricFactor(star, hl.restrict(domain, range(n)))
+        assert not fac.is_positive_definite()
+        with pytest.raises(hl.NumericalError):
+            fac.green_column(0)
+
+
+# -- the Krylov point route against the dense all-pairs route --------------------
+
+KRYLOV_TIMES = (0.05, 0.5, 5.0, 50.0, 400.0)
+
+
+def _assert_point_route_matches_dense(fac, columns):
+    """Every point value of the given columns against the dense kernel matrix,
+    to 1e-11 relative or within 1e-13 of the larger noise scale of the two
+    routes: sqrt(k(x,x,t) k(y,y,t)) of the dense route, and the column norm
+    |exp(-tH) e_y| / sqrt(mu(x) mu(y)) = sqrt(k(y,y,2t)/mu(x)) of the point
+    route.  On a geometric measure the second is the larger one far from y,
+    where both routes resolve k only to round-off of the column's norm."""
+    for t in KRYLOV_TIMES:
+        dense = fac.kernel_matrix(t)
+        diag, diag_2t = np.diag(dense), np.diag(fac.kernel_matrix(2.0 * t))
+        for iy in columns:
+            point = np.array([fac.kernel(ix, iy, t) for ix in range(fac.sub.size)])
+            floor = 1e-13 * np.maximum(np.sqrt(diag * diag[iy]), np.sqrt(diag_2t[iy] / fac.mu))
+            err = np.abs(point - dense[:, iy])
+            assert np.all(err <= 1e-11 * np.abs(dense[:, iy]) + floor), (t, iy, err.max())
+
+
+def test_point_route_matches_dense_inverse_route_on_geometric_measure():
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=257)
+    sub = fx.exhaustion[7]  # 255 vertices, jump rates up to 2^127
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    assert fac.route == "inverse" and fac.is_positive_definite()
+    _assert_point_route_matches_dense(fac, [sub.local_of(y) for y in (0, 1, -3, 20)])
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_point_route_matches_dense_route_on_indefinite_levels(level):
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=129)
+    sub = fx.exhaustion[level]
+    fac = SymmetricFactor(hl.shift(hl.assemble(fx.domain), 0.3), sub)
+    assert not fac.is_positive_definite() and fac.lambda_min < 0.0
+    _assert_point_route_matches_dense(fac, [sub.local_of(y) for y in (0, 2, -5)])
+
+
+def test_point_route_matches_dense_route_in_scrambled_order():
+    domain = _scrambled_grid(7, seed=11)
+    sub = hl.restrict(domain, range(domain.n_vertices))
+    perm = sub.pattern().band()[0]
+    assert not np.array_equal(perm[perm], np.arange(sub.size))
+    fac = SymmetricFactor(hl.assemble(domain, hl.Potential.constant(domain, 0.05)), sub)
+    _assert_point_route_matches_dense(fac, [0, 17, 48])
+
+
+def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
+    sub = lat1.exhaustion[2]  # 9 vertices: fewer than the first 10 Lanczos steps
+    assert sub.size == 9
+    fac = SymmetricFactor(lat1_op, sub)
+    _assert_point_route_matches_dense(fac, range(sub.size))
+    for iy in range(sub.size):
+        assert len(fac._columns[iy].alpha) <= sub.size
+
+
+def test_point_values_do_not_depend_on_query_order():
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=513)
+    sub, op = fx.exhaustion[8], hl.assemble(fx.domain)
+    i0, i1 = sub.local_of(0), sub.local_of(3)
+    ascending = SymmetricFactor(op, sub)
+    forward = [ascending.kernel(i1, i0, t) for t in KRYLOV_TIMES]
+    backward = SymmetricFactor(op, sub)
+    assert [backward.kernel(i1, i0, t) for t in KRYLOV_TIMES[::-1]][::-1] == forward
+
+
+def test_point_queries_build_no_dense_eigendecomposition(monkeypatch):
+    import scipy.linalg
+
+    dense_eigh = scipy.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if np.shape(a)[0] > 64:
+            raise AssertionError(f"dense eigh of a {np.shape(a)[0]}-vertex level")
+        return dense_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", small_eigh)
+    # at ambient 257 the mass series, and with it the classification that the
+    # theorem needs, is inconclusive; 2049 is the benchmark's series_geo
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=2049)
+    series = hl.theorem_limit_series(hl.assemble(fx.domain), fx.exhaustion, 0, 1,
+                                     t_grid=geometric_grid(0.5, 16.0, 16), heat_tol=1e-4)
+    assert max(series.levels) >= 5  # the kernel limits reached levels above 64 vertices
+    assert series.values[-1] == pytest.approx(1.0 / 3.0, rel=0.01)
+
+
+def test_concurrent_point_queries_share_one_basis():
+    # threads extend one column's basis at once; values must equal those of a
+    # factor queried serially, bit for bit
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    fx = hl.fixture("lat1", ambient_size=1025)
+    sub, op = fx.exhaustion[8], hl.assemble(fx.domain)
+    i0 = sub.local_of(0)
+    times = [0.05, 400.0, 0.5, 50.0, 5.0, 16.0, 2.0, 120.0] * 2
+    serial = SymmetricFactor(op, sub)
+    expected = [serial.kernel(i0 + 3, i0, t) for t in times]
+    shared = SymmetricFactor(op, sub)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(shared.kernel, i0 + 3, i0, t) for t in times]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
