@@ -60,9 +60,7 @@ def default_reference_pair(exhaustion: Exhaustion):
     first = exhaustion[0]
     x0 = int(first.labels[0])
     domain = exhaustion.domain
-    i0 = domain.index[x0]
-    adj = domain.weights + domain.weights.T
-    neighbors = adj[i0].nonzero()[1]
+    neighbors = domain._undirected_adjacency()[domain.index[x0]].nonzero()[1]
     if neighbors.size == 0:
         return x0, x0  # single-vertex domain
     for j in range(len(exhaustion)):
@@ -461,11 +459,9 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
     for j in ev.usable_levels():
         if j == top:
             break
-        inside = set(int(v) for v in exhaustion[j].labels)
-        ext_mask = np.array([int(v) not in inside for v in sub.labels])
-        if not np.any(ext_mask):
+        ext_idx = np.flatnonzero(~np.isin(sub.positions, exhaustion[j].positions))
+        if not ext_idx.size:
             continue
-        ext_idx = np.flatnonzero(ext_mask)
 
         def level_value(ix, g_row):
             a = np.zeros(n)
@@ -520,8 +516,7 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
     region = [int(x) for x in region]
     if not region:
         raise ValidationError("empty comparison region")
-    first = set(int(v) for v in exhaustion[0].labels)
-    if any(x in first for x in region):
+    if any(x in exhaustion[0] for x in region):
         raise ValidationError("comparison region must exclude the first exhaustion level")
     ev = evaluator or HeatKernelEvaluator(op_alpha, exhaustion)
     ratios = []
@@ -549,27 +544,16 @@ def edge_weight_domination(op1: EllipticOperator, op0: EllipticOperator, u1, u0)
     if d1.n_vertices != d0.n_vertices or not np.array_equal(d1.labels, d0.labels):
         raise ValidationError("operators must share the vertex set")
 
-    def as_vec(domain, u):
-        if isinstance(u, dict):
-            vec = np.zeros(domain.n_vertices)
-            for x, v in u.items():
-                vec[domain.index[int(x)]] = float(v)
-            return vec
-        return np.asarray(u, dtype=float)
+    def as_vec(u):
+        return d1.vertex_vector(u, "u") if isinstance(u, dict) else np.asarray(u, dtype=float)
 
-    v1 = np.maximum(as_vec(d1, u1), 0.0)
-    v0 = as_vec(d0, u0)
     w1 = op1.weights.tocoo()
-    w0 = op0.weights.tocsr()
-    c_best = 0.0
-    for i, j, w in zip(w1.row, w1.col, w1.data):
-        num = v1[i] ** 2 * w
-        den = v0[i] ** 2 * w0[i, j]
-        if den == 0.0:
-            if num > 0.0:
-                raise NumericalError(
-                    f"denominator vanishes on edge ({int(d1.labels[i])}, {int(d1.labels[j])}) "
-                    "where the numerator does not")
-            continue
-        c_best = max(c_best, num / den)
-    return float(c_best)
+    num = np.maximum(as_vec(u1), 0.0)[w1.row] ** 2 * w1.data
+    den = as_vec(u0)[w1.row] ** 2 * np.asarray(op0.weights[w1.row, w1.col]).ravel()
+    vanishing = (den == 0.0) & (num > 0.0)
+    if np.any(vanishing):
+        k = int(np.argmax(vanishing))
+        raise NumericalError(
+            f"denominator vanishes on edge ({d1.labels[w1.row[k]]}, {d1.labels[w1.col[k]]}) "
+            "where the numerator does not")
+    return float(np.max(num[den != 0.0] / den[den != 0.0], initial=0.0))

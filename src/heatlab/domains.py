@@ -10,6 +10,7 @@ along an exhaustion of finite subsets lying inside the truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,57 +35,70 @@ class WeightedDomain:
         Vertex labels; order fixes the internal indexing.
     measure : mapping or array
         Positive measure per vertex.
-    edge_weights : mapping (x, y) -> float
+    edge_weights : mapping (x, y) -> float, or label arrays (x, y, w)
         Nonnegative weight per directed edge; absent pairs are 0.
     truncated : bool
         True when the domain is an ambient truncation of an infinite model
         domain, in which case exhausting it without convergence is reported
         as inconclusive rather than exact.
+
+    A path on 0, 1, 2 with unit measure and conductances, in the array form::
+
+        hl.WeightedDomain(labels, mu, (x, y, w))
+        # labels = [0, 1, 2], mu = [1, 1, 1],
+        # x = [0, 1, 1, 2], y = [1, 0, 2, 1], w = [1, 1, 1, 1]
     """
 
     def __init__(self, vertices, measure, edge_weights, truncated=False, name=""):
-        self.labels = np.asarray(list(vertices), dtype=np.int64)
-        if self.labels.size == 0:
-            raise ValidationError("domain needs at least one vertex")
-        if len(set(self.labels.tolist())) != self.labels.size:
-            raise ValidationError("duplicate vertex labels")
-        self.index = {int(x): i for i, x in enumerate(self.labels)}
+        self.labels = np.asarray(
+            vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=np.int64)
         n = self.labels.size
+        if n == 0:
+            raise ValidationError("domain needs at least one vertex")
+        order = np.argsort(self.labels)
+        self._label_order = (order, self.labels[order])  # for positions_of
+        if np.any(np.diff(self._label_order[1]) == 0):
+            raise ValidationError("duplicate vertex labels")
+        self.index = dict(zip(self.labels.tolist(), range(n)))
 
-        if isinstance(measure, dict):
-            mu = np.array([measure[int(x)] for x in self.labels], dtype=float)
-        else:
-            mu = np.asarray(measure, dtype=float)
-            if mu.shape != (n,):
-                raise ValidationError("measure length does not match vertex count")
+        mu = (self.vertex_vector(measure, "measure") if isinstance(measure, dict)
+              else np.asarray(measure, dtype=float))
+        if mu.shape != (n,):
+            raise ValidationError("measure length does not match vertex count")
         if not np.all((mu > 0.0) & np.isfinite(mu)):
             raise ValidationError("measure must be positive and finite on every vertex")
         self.mu = mu
 
-        rows, cols, vals = [], [], []
-        for (x, y), w in edge_weights.items():
-            if w < 0.0:
-                raise ValidationError(f"negative edge weight at ({x}, {y})")
-            if x == y:
-                if w != 0.0:
-                    raise ValidationError(f"nonzero loop weight at vertex {x}")
-                continue
-            if w == 0.0:
-                continue
-            try:
-                i, j = self.index[int(x)], self.index[int(y)]
-            except KeyError as exc:
-                raise ValidationError(f"edge ({x}, {y}) references unknown vertex") from exc
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(w))
-        self.weights = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        try:
+            if isinstance(edge_weights, tuple):
+                x, y, w = edge_weights
+                x, y, w = np.asarray(x, np.int64), np.asarray(y, np.int64), np.asarray(w, float)
+            else:
+                m = len(edge_weights)
+                x, y = np.fromiter(chain.from_iterable(edge_weights), np.int64).reshape(m, 2).T
+                w = np.fromiter(edge_weights.values(), float, m)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("edges need integer label pairs and numeric weights") from exc
+        if x.ndim != 1 or not x.shape == y.shape == w.shape:
+            raise ValidationError("edge arrays x, y, w must be 1-d of one length")
+        # every check reports the first offending edge, in the given order
+        negative, loop = w < 0.0, x == y
+        kept = ~loop & (w != 0.0)
+        px, py = self.positions_of(x), self.positions_of(y)
+        bad = negative | (loop & (w != 0.0)) | (kept & ((px < 0) | (py < 0)))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            if negative[k]:
+                raise ValidationError(f"negative edge weight at ({x[k]}, {y[k]})")
+            if loop[k]:
+                raise ValidationError(f"nonzero loop weight at vertex {x[k]}")
+            raise ValidationError(f"edge ({x[k]}, {y[k]}) references unknown vertex")
+        self.weights = sp.csr_matrix((w[kept], (px[kept], py[kept])), shape=(n, n))
         self.weights.sum_duplicates()
         if not np.all(np.isfinite(self.weights.data)):
             raise ValidationError("edge weights must be finite")
 
         self._weights_t = None
-        self._label_order = None  # (argsort, sorted labels), for positions_of
         self._adjacency = None
         sym = self.weights - self.weights.T
         self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
@@ -100,12 +114,25 @@ class WeightedDomain:
 
     def positions_of(self, labels):
         """Internal positions of an int64 label array; -1 where a label is absent."""
-        if self._label_order is None:
-            order = np.argsort(self.labels)
-            self._label_order = (order, self.labels[order])
         order, ordered = self._label_order
         positions = order[np.minimum(np.searchsorted(ordered, labels), order.size - 1)]
         return np.where(self.labels[positions] == labels, positions, -1)
+
+    def vertex_vector(self, values, what):
+        """The vertex vector of a {label: value} mapping; unlisted vertices get 0.
+        ``what`` names the mapping in the error for a label outside the domain."""
+        try:
+            labels = np.fromiter(values, np.int64, len(values))
+            vals = np.fromiter(values.values(), float, len(values))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} needs integer labels and numeric values") from exc
+        positions = self.positions_of(labels)
+        if np.any(positions < 0):
+            raise ValidationError(
+                f"{what} references unknown vertex {labels[np.argmax(positions < 0)]}")
+        vec = np.zeros(self.labels.size)
+        vec[positions] = vals
+        return vec
 
     def measure_of(self, x):
         return float(self.mu[self.index[int(x)]])
@@ -290,11 +317,6 @@ class Exhaustion:
                 return j
         raise ValidationError(f"vertices {vertices} are not all contained in any exhaustion level")
 
-    def exterior(self, j):
-        """Vertices of the ambient truncation outside level ``j``."""
-        inside = set(self.levels[j].labels.tolist())
-        return [int(x) for x in self.domain.labels if int(x) not in inside]
-
 
 @dataclass
 class DomainFixture:
@@ -323,6 +345,21 @@ def _doubling_radii(max_radius, penultimate=None):
     return sorted(set(radii))
 
 
+def _pow(base, exponent):
+    """Elementwise base ** exponent by Python's scalar power, the fixtures' documented
+    arithmetic; NumPy's vectorised power can differ from it in the last bit."""
+    base, exponent = np.broadcast_arrays(base, exponent)
+    return np.fromiter(map(pow, base.tolist(), exponent.tolist()), float, base.size)
+
+
+def _path_edges(vertices, w):
+    """(x, y, w) arrays of the path through ``vertices``: both directions of the
+    edge between vertices k and k+1 carry w[k] (or the scalar w)."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), vertices[1:].shape)
+    return (np.concatenate((vertices[:-1], vertices[1:])),
+            np.concatenate((vertices[1:], vertices[:-1])), np.concatenate((w, w)))
+
+
 def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> DomainFixture:
     """1-d lattice truncation on {-n_half, ..., n_half} with nearest-neighbor edges.
 
@@ -346,21 +383,18 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> Do
     else:
         raise ValidationError(f"unknown measure rule: {measure_rule!r}")
 
-    vertices = list(range(-n_half, n_half + 1))
+    vertices = np.arange(-n_half, n_half + 1)
     if measure_rule == "unit":
-        measure = {n: 1.0 for n in vertices}
+        measure = np.ones(vertices.size)
     else:
-        measure = {n: max(q ** abs(n), MEASURE_FLOOR) for n in vertices}
-    edges = {}
-    for n in range(-n_half, n_half):
-        edges[(n, n + 1)] = float(conductance)
-        edges[(n + 1, n)] = float(conductance)
-    domain = WeightedDomain(vertices, measure, edges, truncated=True, name=name)
+        measure = np.maximum(_pow(q, np.abs(vertices)), MEASURE_FLOOR)
+    domain = WeightedDomain(vertices, measure, _path_edges(vertices, conductance),
+                            truncated=True, name=name)
 
     # deepest Dirichlet level at n_half - 1; the full truncation is the
     # formal top level (closed, so kernel limits never certify on it)
     radii = _doubling_radii(n_half, penultimate=max(n_half - 1, 1))
-    exhaustion = Exhaustion(domain, [range(-r, r + 1) for r in radii])
+    exhaustion = Exhaustion(domain, [np.arange(-r, r + 1) for r in radii])
     return DomainFixture(name, domain, exhaustion)
 
 
@@ -385,18 +419,15 @@ def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0) -> Dom
     if n < 10:
         raise ValidationError("n_points must be >= 10")
 
-    vertices = list(range(1, n + 2))  # n+1 is the absorbing ghost ring
-    measure = {i: (i * h) ** (d - 1) * h for i in vertices}
-    edges = {}
-    for i in range(1, n + 1):
-        w = ((i * h + (i + 1) * h) / 2.0) ** (d - 1) / h
-        edges[(i, i + 1)] = w
-        edges[(i + 1, i)] = w
+    vertices = np.arange(1, n + 2)  # n+1 is the absorbing ghost ring
+    radius = vertices * h
+    measure = _pow(radius, d - 1) * h
+    w = _pow((radius[:-1] + radius[1:]) / 2.0, d - 1) / h
     name = f"rad({d})"
-    domain = WeightedDomain(vertices, measure, edges, truncated=True, name=name)
+    domain = WeightedDomain(vertices, measure, _path_edges(vertices, w), truncated=True, name=name)
 
     radii = [r for r in _doubling_radii(n) if r >= 2] or [n]
-    exhaustion = Exhaustion(domain, [range(1, r + 1) for r in radii])
+    exhaustion = Exhaustion(domain, [np.arange(1, r + 1) for r in radii])
     return DomainFixture(name, domain, exhaustion)
 
 
@@ -409,12 +440,9 @@ def single_vertex_domain():
 def closed_path_domain(n_vertices):
     """Closed finite path 'closed_path' on 0..n_vertices-1 with mu = 1 and unit
     conductances (no absorbing exterior); conserves mass when D = 0."""
-    vertices = list(range(n_vertices))
-    edges = {}
-    for x in range(n_vertices - 1):
-        edges[(x, x + 1)] = 1.0
-        edges[(x + 1, x)] = 1.0
-    domain = WeightedDomain(vertices, {x: 1.0 for x in vertices}, edges, name="closed_path")
+    vertices = np.arange(n_vertices)
+    domain = WeightedDomain(vertices, np.ones(vertices.size), _path_edges(vertices, 1.0),
+                            name="closed_path")
     return DomainFixture("closed_path", domain, Exhaustion(domain, [vertices]))
 
 

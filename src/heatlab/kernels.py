@@ -55,7 +55,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrs
+# banded LAPACK directly: scipy's cholesky_banded and cho_solve_banded copy the
+# band and the right-hand side through asarray_chkfinite on every call
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .domains import Exhaustion, IndexedSubdomain
 from .errors import NumericalError, ValidationError
@@ -182,10 +184,10 @@ class _FactorBase:
         factor exists exactly when the matrix is positive definite.  Symmetric
         factors only."""
         perm, band = self.pattern.band()
-        try:
-            return sla.cholesky_banded(np.vstack((band, diag[perm])))
-        except (np.linalg.LinAlgError, ValueError):  # nonpositive or non-finite pivot
-            return False
+        if not np.all(np.isfinite(diag)):
+            return False  # LAPACK's unblocked banded Cholesky lets a NaN pivot pass
+        chol, info = dpbtrf(np.vstack((band, diag[perm])))
+        return chol if info == 0 else False
 
     def _cholesky(self):
         """The banded Cholesky factor of A_S, or False."""
@@ -287,7 +289,7 @@ class _FactorBase:
         if self._symmetric:
             perm = self.pattern.band()[0]
             out = np.empty(self.sub.size)
-            out[perm] = sla.cho_solve_banded((self._cholesky(), False), rhs[perm])
+            out[perm] = dpbtrs(self._cholesky(), rhs[perm], overwrite_b=1)[0]
             return out
         if self._lu is None:
             self._lu = _sparse_lu(self.a_s)
@@ -436,8 +438,6 @@ class SymmetricFactor(_FactorBase):
         chol = self._shifted_factor()[0]
         perm = self.pattern.band()[0]
         out = np.empty(self.sub.size)
-        # LAPACK's banded solve directly: scipy's wrapper costs more than the
-        # O(n) solve on small levels, and Lanczos calls it once per step
         out[perm] = dpbtrs(chol, (self.sqrt_mu * v)[perm])[0]
         return self.sqrt_mu * out
 
@@ -453,7 +453,7 @@ class SymmetricFactor(_FactorBase):
         # 2B in RCM order, built in place in one Fortran-ordered array
         perm = self.pattern.band()[0]
         root = self.sqrt_mu[perm]
-        b = sla.cho_solve_banded((chol, False), np.diag(root).T, overwrite_b=True)
+        b = dpbtrs(chol, np.diag(root).T, overwrite_b=1)[0]
         b *= root[:, None]
         b += b.T
         nu2, vecs = sla.eigh(b, overwrite_a=True)

@@ -16,6 +16,7 @@ the raw K matrix is only materialized where it is well scaled.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domains import WeightedDomain, IndexedSubdomain
 from .errors import ValidationError
@@ -26,17 +27,10 @@ class Potential:
 
     def __init__(self, domain: WeightedDomain, values):
         self.domain = domain
-        if isinstance(values, dict):
-            vec = np.zeros(domain.n_vertices)
-            for x, v in values.items():
-                try:
-                    vec[domain.index[int(x)]] = float(v)
-                except KeyError as exc:
-                    raise ValidationError(f"potential references unknown vertex {x}") from exc
-        else:
-            vec = np.asarray(values, dtype=float)
-            if vec.shape != (domain.n_vertices,):
-                raise ValidationError("potential length does not match the domain")
+        vec = (domain.vertex_vector(values, "potential") if isinstance(values, dict)
+               else np.asarray(values, dtype=float))
+        if vec.shape != (domain.n_vertices,):
+            raise ValidationError("potential length does not match the domain")
         if not np.all(np.isfinite(vec)):
             raise ValidationError("potential values must be finite")
         self.values = vec
@@ -184,18 +178,10 @@ def quadratic_form(op: EllipticOperator, u) -> float:
     """
     if not op.symmetric:
         raise ValidationError("quadratic form is only defined for symmetric operators")
-    if isinstance(u, dict):
-        vec = np.zeros(op.domain.n_vertices)
-        for x, v in u.items():
-            vec[op.domain.index[int(x)]] = float(v)
-    else:
-        vec = np.asarray(u, dtype=float)
-    w = op.weights.tocoo()
-    diffs = 0.0
-    for i, j, wij in zip(w.row, w.col, w.data):
-        if i < j:  # each unordered edge once; w symmetric here
-            diffs += wij * (vec[i] - vec[j]) ** 2
-    return float(diffs + np.sum(op.potential * vec**2 * op.mu))
+    vec = op.domain.vertex_vector(u, "u") if isinstance(u, dict) else np.asarray(u, dtype=float)
+    w = sp.triu(op.weights, k=1).tocoo()  # each unordered edge once; w symmetric here
+    return float(np.sum(w.data * (vec[w.row] - vec[w.col]) ** 2)
+                 + np.sum(op.potential * vec**2 * op.mu))
 
 
 def inner_product(op_or_domain, u, v) -> float:

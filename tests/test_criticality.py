@@ -304,3 +304,10 @@ def test_edge_domination_vanishing_denominator():
     ones = np.ones(2)
     with pytest.raises(hl.NumericalError):
         crit.edge_weight_domination(op1, op0, ones, ones)
+
+
+def test_edge_domination_rejects_unknown_vertex():
+    d = hl.WeightedDomain([0, 1], {0: 1.0, 1: 1.0}, {(0, 1): 1.0, (1, 0): 1.0})
+    op = hl.assemble(d)
+    with pytest.raises(hl.ValidationError, match="unknown vertex 5"):
+        crit.edge_weight_domination(op, op, {5: 1.0}, np.ones(2))

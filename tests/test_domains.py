@@ -4,7 +4,9 @@ Claims:
     - lattice and radial builders realize the documented weights and measures
     - geometric-measure partial sums match the closed form per level
     - restriction validates connectivity and supports the identity case
-    - invariant violations are rejected at construction
+    - invariant violations are rejected at construction, with the same
+      message for mapping and array edges
+    - the path fixtures are bit-identical to their formulas built edge by edge
     - edge-list files round-trip
 """
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import heatlab as hl
-from heatlab.domains import MEASURE_FLOOR, ball_exhaustion, load_edge_list
+from heatlab.domains import MEASURE_FLOOR, ball_exhaustion, closed_path_domain, load_edge_list
 
 
 def test_lat1_small_counts():
@@ -187,7 +189,64 @@ def test_fixture_resolver():
         hl.fixture("nonsense")
 
 
-def test_exterior_of_level():
-    fx = hl.build_lattice_1d(8, "unit")
-    ext = fx.exhaustion.exterior(0)
-    assert set(ext) == set(range(-8, 9)) - {-1, 0, 1}
+def _lattice_case(spec, n_half, q=None):
+    labels = range(-n_half, n_half + 1)
+    mu = [1.0 if q is None else max(q ** abs(n), MEASURE_FLOOR) for n in labels]
+    return hl.fixture(spec, ambient_size=2 * n_half + 1), labels, mu, [1.0] * (2 * n_half)
+
+
+def _radial_case(d, n, h):
+    labels = range(1, n + 2)
+    mu = [(i * h) ** (d - 1) * h for i in labels]
+    w = [((i * h + (i + 1) * h) / 2.0) ** (d - 1) / h for i in range(1, n + 1)]
+    return hl.build_radial(d, n, step_h=h), labels, mu, w
+
+
+PATH_FIXTURES = {
+    "lat1": lambda: _lattice_case("lat1", 20),
+    "lat1_geo(0.5)": lambda: _lattice_case("lat1_geo(0.5)", 800, 0.5),
+    "lat1_geo(0.3)": lambda: _lattice_case("lat1_geo(0.3)", 800, 0.3),
+    "rad(2)": lambda: _radial_case(2, 300, 1.0),
+    "rad(3)": lambda: _radial_case(3, 300, 1.0),
+    "rad(3),h=0.37": lambda: _radial_case(3, 300, 0.37),
+    "closed_path": lambda: (closed_path_domain(17), range(17), [1.0] * 17, [1.0] * 16),
+}
+
+
+@pytest.mark.parametrize("case", list(PATH_FIXTURES))
+def test_path_fixture_is_bit_identical_to_its_formulas(case):
+    # reference: mu[k] on labels[k] and w[k] on both directions of the edge
+    # between labels k and k+1, in Python scalar arithmetic, mapping form
+    fx, labels, mu, w = PATH_FIXTURES[case]()
+    labels = list(labels)
+    edges = {}
+    for a, b, wk in zip(labels[:-1], labels[1:], w):
+        edges[(a, b)] = edges[(b, a)] = wk
+    ref = hl.WeightedDomain(labels, dict(zip(labels, mu)), edges)
+    assert np.array_equal(fx.domain.labels, ref.labels)
+    assert np.array_equal(fx.domain.mu, ref.mu)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fx.domain.weights, part), getattr(ref.weights, part))
+
+
+@pytest.mark.parametrize("edges, message", [
+    # zero-weight edges are skipped, loops and unknown vertices included
+    ({(7, 8): 0.0, (1, 1): 0.0, (0, 1): 1.0, (1, 0): -1.0, (2, 2): 1.0},
+     r"negative edge weight at \(1, 0\)"),
+    ({(0, 1): 1.0, (2, 2): 1.0, (1, 0): -1.0}, "nonzero loop weight at vertex 2"),
+    ({(0, 1): 1.0, (0, 9): 1.0, (1, 0): -1.0}, r"edge \(0, 9\) references unknown vertex"),
+])
+def test_edge_errors_agree_between_mapping_and_array_forms(edges, message):
+    x, y = np.array(list(edges)).T
+    w = np.array(list(edges.values()))
+    for form in (edges, (x, y, w)):
+        with pytest.raises(hl.ValidationError, match=message):
+            hl.WeightedDomain([0, 1, 2], np.ones(3), form)
+
+
+def test_bad_mappings_raise_validation_errors():
+    edges = {(0, 1): 1.0, (1, 0): 1.0}
+    with pytest.raises(hl.ValidationError, match="positive"):
+        hl.WeightedDomain([0, 1], {0: 1.0}, edges)  # no measure for vertex 1
+    with pytest.raises(hl.ValidationError, match="numeric"):
+        hl.WeightedDomain([0, 1], np.ones(2), {(0, 1): "heavy", (1, 0): 1.0})

@@ -137,6 +137,12 @@ def test_quadratic_form_matches_inner_product(lat1, lat1_op):
         assert q == pytest.approx(ip, rel=1e-11, abs=1e-11)
 
 
+def test_quadratic_form_rejects_unknown_vertex():
+    op = hl.assemble(two_vertex_domain())
+    with pytest.raises(hl.ValidationError, match="unknown vertex 7"):
+        hl.quadratic_form(op, {1: 1.0, 7: 1.0})
+
+
 def test_quadratic_form_rejects_nonsymmetric(drift):
     op = hl.assemble(drift.domain)
     with pytest.raises(hl.ValidationError):
