@@ -348,7 +348,10 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
 
     Bisection on the Green-limit dichotomy, to bracket width < 1e-4; the
     result is cross-checked against the Birman-Schwinger style oracle and a
-    relative disagreement beyond 1e-3 is reported as a finding.
+    relative disagreement beyond 1e-3 is reported as a finding.  Each
+    bisection step and the oracle factor their operator independently (one
+    nested Cholesky factor each, grown only as deep as its limit asks); they
+    share only the exhaustion's level-major order.
     """
     if not np.any(potential.negative_part > 0.0):
         raise ValidationError("potential must have a nonzero attractive part")
@@ -446,7 +449,7 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
     _require_subcritical(ev.green(xr, yr, tol=1e-6))  # qualitative check
     top = ev.usable_levels()[-1]
     sub = exhaustion[top]
-    fac = ev.factor(top)
+    fac = ev.factor(top)  # symmetric: the top level's block of the evaluator's nested factor
     n = sub.size
     mu = sub.mu
     absv_local = np.abs(potential.values[sub.positions])

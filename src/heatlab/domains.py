@@ -9,6 +9,7 @@ along an exhaustion of finite subsets lying inside the truncation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -118,6 +119,16 @@ class WeightedDomain:
         positions = order[np.minimum(np.searchsorted(ordered, labels), order.size - 1)]
         return np.where(self.labels[positions] == labels, positions, -1)
 
+    def _positions(self, labels, what):
+        """Positions of a label or label array; ``what`` names the labels in the
+        ValidationError for one outside the domain."""
+        labels = np.asarray(labels, dtype=np.int64)
+        positions = self.positions_of(labels)
+        if np.any(positions < 0):
+            raise ValidationError(f"{what} references unknown vertex "
+                                  f"{np.ravel(labels)[np.argmax(np.ravel(positions) < 0)]}")
+        return positions
+
     def vertex_vector(self, values, what):
         """The vertex vector of a {label: value} mapping; unlisted vertices get 0.
         ``what`` names the mapping in the error for a label outside the domain."""
@@ -126,19 +137,16 @@ class WeightedDomain:
             vals = np.fromiter(values.values(), float, len(values))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{what} needs integer labels and numeric values") from exc
-        positions = self.positions_of(labels)
-        if np.any(positions < 0):
-            raise ValidationError(
-                f"{what} references unknown vertex {labels[np.argmax(positions < 0)]}")
         vec = np.zeros(self.labels.size)
-        vec[positions] = vals
+        vec[self._positions(labels, what)] = vals
         return vec
 
     def measure_of(self, x):
-        return float(self.mu[self.index[int(x)]])
+        return float(self.mu[self._positions(int(x), "measure query")])
 
     def weight(self, x, y):
-        return float(self.weights[self.index[int(x)], self.index[int(y)]])
+        px, py = self._positions([int(x), int(y)], "weight query")
+        return float(self.weights[px, py])
 
     def oriented_weights(self, transposed):
         """The weights w, or (``transposed``) w^T, the weights of an adjoint."""
@@ -151,8 +159,7 @@ class WeightedDomain:
     def total_measure(self, subset=None):
         if subset is None:
             return float(self.mu.sum())
-        pos = [self.index[int(x)] for x in subset]
-        return float(self.mu[pos].sum())
+        return float(self.mu[self._positions([int(x) for x in subset], "subset")].sum())
 
     def _undirected_adjacency(self):
         if self._adjacency is None:
@@ -189,6 +196,9 @@ class LevelPattern:
     without one, A_S 1 = D mu.  ``band`` is a reverse Cuthill-McKee ordering of
     the subset and the strict upper band of -W_S in that order, in LAPACK's
     upper banded storage; it needs symmetric weights and is built on first use.
+    It serves the level's own factors: the shifted factor of the Lanczos
+    kernels and standalone factors.  Along an exhaustion, the Green values and
+    positive-definiteness certificates run on the ``NestedOrder`` instead.
     """
 
     def __init__(self, positions, weights):
@@ -211,6 +221,108 @@ class LevelPattern:
             band[u + upper.row - upper.col, upper.col] = -upper.data
             self._band = (perm, band)
         return self._band
+
+
+class NestedOrder:
+    """Level-major vertex order of a nested sequence of levels, grown shell by shell.
+
+    A vertex's primary key is the first level that contains it, so every level
+    S_j is a prefix of the order, and the measure form A_{S_j} of an operator
+    is the leading n_j x n_j block of the deepest level's.  The first level
+    comes in position order; each shell S_j minus S_(j-1) in breadth-first
+    order from S_(j-1), i.e. by hop distance from it (on intervals and balls:
+    from S_0).  That interleaves the two sides of a ball's shell and keeps the
+    band narrow: at most 3 on lat1, 1 on rad(d).
+
+    ``grow_to(n)`` appends whole shells until the order holds n vertices, so
+    it covers only the levels asked for.  ``positions`` (domain positions in
+    the order), ``out_weight`` (the full out-weights there: edges leaving a
+    level are absorption) and ``band`` (the strict upper band of -W in the
+    order, ``kd`` rows of LAPACK upper banded storage) cover ``size`` vertices.
+    The weights must be symmetric.
+    """
+
+    def __init__(self, domain, levels):
+        self.domain = domain
+        self.levels = levels
+        self.depth = 0  # levels covered
+        self.positions = np.zeros(0, dtype=np.intp)
+        self.out_weight = np.zeros(0)
+        self.band = np.zeros((0, 0))
+        self._rank = None  # domain position -> index in the order; -1 if not in it yet
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of_level(cls, sub):
+        """The one-level order of ``sub``: its pattern's reverse Cuthill-McKee
+        band (``index_of`` is not kept for it)."""
+        nest = cls(sub.domain, [sub])
+        pattern = sub.pattern()
+        perm, nest.band = pattern.band()
+        nest.positions, nest.out_weight = sub.positions[perm], pattern.out_weight[perm]
+        nest.depth = 1
+        return nest
+
+    @property
+    def size(self):
+        return int(self.positions.size)
+
+    @property
+    def kd(self):
+        return self.band.shape[0]
+
+    def index_of(self, x):
+        """Index of label x in a grown exhaustion order (x must be covered)."""
+        return int(self._rank[self.domain.index[int(x)]])
+
+    def grow_to(self, n):
+        """Append shells until the order holds at least n vertices."""
+        with self._lock:
+            while self.size < n and self.depth < len(self.levels):
+                self._append(self.levels[self.depth].positions)
+                self.depth += 1
+
+    def _append(self, level_positions):
+        if self._rank is None:
+            self._rank = np.full(self.domain.n_vertices, -1, dtype=np.intp)
+        rank, start = self._rank, self.size
+        shell = level_positions[rank[level_positions] < 0]
+        count, col, value = _csr_rows(self.domain.weights, shell)
+        row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
+        order = np.arange(shell.size)
+        if start:
+            # breadth-first order of the shell from node 0, the previous level
+            rank[shell] = -2 - order  # -1 stays outside the level
+            near = rank[col]
+            within = near <= -2
+            first = np.flatnonzero(np.bincount(row[near >= 0], minlength=shell.size)) + 1
+            indptr = np.cumsum(np.concatenate((
+                [0, first.size], np.bincount(row[within], minlength=shell.size))))
+            graph = sp.csr_matrix(
+                (np.ones(indptr[-1]), np.concatenate((first, -1 - near[within])), indptr),
+                shape=(shell.size + 1, shell.size + 1))
+            order = sp.csgraph.breadth_first_order(graph, 0, return_predecessors=False)[1:] - 1
+        rank[shell[order]] = start + np.arange(shell.size)
+        column, partner = rank[shell][row], rank[col]
+        upper = (partner >= 0) & (partner < column)
+        offset = column[upper] - partner[upper]
+        kd = max(self.kd, int(offset.max(initial=0)))
+        band = np.zeros((kd, start + shell.size))
+        band[kd - self.kd:, :start] = self.band
+        band[kd - offset, column[upper]] = -value[upper]
+        self.band = band
+        self.positions = np.concatenate((self.positions, shell[order]))
+        self.out_weight = np.concatenate((self.out_weight, np.bincount(
+            column - start, weights=value, minlength=shell.size)))
+
+
+def _csr_rows(matrix, rows):
+    """(entries per row, columns, values) of the given rows of a CSR matrix,
+    concatenated in the order of ``rows``."""
+    first = matrix.indptr[rows]
+    count = matrix.indptr[rows + 1] - first
+    take = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return count, matrix.indices[take], matrix.data[take]
 
 
 class IndexedSubdomain:
@@ -301,6 +413,14 @@ class Exhaustion:
             previous = sub
         if not self.levels:
             raise ValidationError("exhaustion needs at least one level")
+        self._nested = None
+
+    def nested_order(self) -> NestedOrder:
+        """The exhaustion's level-major vertex order, shared by every operator on
+        it and grown only as deep as some factor needs (symmetric weights)."""
+        if self._nested is None:
+            self._nested = NestedOrder(self.domain, self.levels)
+        return self._nested
 
     def __len__(self):
         return len(self.levels)
@@ -484,7 +604,7 @@ def ball_exhaustion(domain: WeightedDomain, center=None):
         center = int(domain.labels[0])
     adj = domain._undirected_adjacency()
     dist = sp.csgraph.shortest_path(adj, method="D", unweighted=True,
-                                    indices=domain.index[int(center)])
+                                    indices=domain._positions(int(center), "ball center"))
     dist = np.asarray(dist).ravel()
     max_r = int(dist[np.isfinite(dist)].max())
     radii = _doubling_radii(max_r) if max_r > 0 else [0]

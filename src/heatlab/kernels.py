@@ -17,11 +17,19 @@ that diagonal; operator families (couplings, shifts, adjoints) never
 re-restrict.
 
 Symmetric restrictions certify positive definiteness by a banded Cholesky
-factorization in the pattern's reverse Cuthill-McKee order: it exists exactly
-when A_S is positive definite, and its triangular solves give the Green
-columns.  A closed level (no absorption) with D = 0 is singular, A_S 1 = 0,
-and is never certified, whatever the sign of the last pivot's round-off.  The
-same holds for the adjoint of such an operator, whose A*_S = A_S^T.
+factorization A_S = U^T U: it exists exactly when A_S is positive definite.
+Along an exhaustion one factor serves every level.  In the exhaustion's
+level-major order (``domains.NestedOrder``) each A_{S_j} is a leading block
+of the deepest level's A_S, so its factor is the leading block of U: one
+factor per (operator, exhaustion), grown shell by shell as deep as some
+level is asked for, certifies each level by whether its whole prefix
+factors (LAPACK's ``info`` is the first failing leading minor), and gives
+its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y, grown
+by banded forward solves.  A standalone factor is a one-level nest in the
+level pattern's reverse Cuthill-McKee order.  A closed level (no absorption)
+with D = 0 is singular, A_S 1 = 0, and is never certified, whatever the sign
+of the last pivot's round-off.  The same holds for the adjoint of such an
+operator, whose A*_S = A_S^T.
 
 Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
 shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
@@ -34,7 +42,8 @@ representable however widely the jump rates 1/mu spread.
 * Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
   f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves every
-  t, and costs O(n) per step on the banded factor.
+  t, and costs O(n) per step on the level's own banded factor of
+  A_S - sigma D_mu, in the pattern's reverse Cuthill-McKee order.
 * All-pairs queries (kernel and semigroup matrices, lambda_min, the
   perturbation module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -57,9 +66,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 # banded LAPACK directly: scipy's cholesky_banded and cho_solve_banded copy the
 # band and the right-hand side through asarray_chkfinite on every call
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
-from .domains import Exhaustion, IndexedSubdomain
+from .domains import Exhaustion, IndexedSubdomain, NestedOrder
 from .errors import NumericalError, ValidationError
 from .operators import EllipticOperator
 from .series import increments_decreasing, neville_in_size
@@ -144,32 +153,141 @@ def _sparse_lu(mat):
         raise NumericalError(f"sparse LU failed: {exc}") from None
 
 
+class _NestedCholesky:
+    """The upper banded Cholesky factor U (A = U^T U) of one symmetric operator's
+    measure form A over a ``NestedOrder``, grown on demand.
+
+    Every level is a prefix of the order, so A_S of a level with n vertices is
+    the leading n x n block of A, and its factor is the leading block of U.
+    ``size`` columns are factored.  ``failed`` means that column ``size`` had a
+    nonpositive pivot: no longer prefix is positive definite, and U grows no
+    further.  Green values G(x, y) = z_x . z_y of a level come from the
+    columns z = U^-T e_y, cut to its prefix and grown by banded forward
+    solves.
+    """
+
+    def __init__(self, op, nest: NestedOrder):
+        self.op = op
+        self.nest = nest
+        self.ab = np.zeros((1, 0), order="F")  # U in LAPACK upper banded storage
+        self.failed = False
+        self._columns = {}  # index k in the order -> U^-T e_k over a prefix
+        self._lock = threading.Lock()
+
+    @property
+    def size(self):
+        return self.ab.shape[1]
+
+    def definite(self, n):
+        """Whether the leading n x n block of A is positive definite: its
+        Cholesky factor exists, and it is not the closed level (the whole
+        connected domain, no edge leaving it) with D = 0, where A 1 = D mu = 0,
+        whatever the round-off of the last pivot."""
+        if n == self.op.domain.n_vertices and not np.any(self.op.potential):
+            return False
+        with self._lock:
+            if n > self.size and not self.failed:
+                self._extend(n)
+        return n <= self.size
+
+    def _extend(self, q):
+        """Factor columns [size, q) by ``dpbtrf`` on the window [size - kd, q),
+        whose leading block T^T T (T: the stored trailing block of U) carries
+        the coupling to the columns already factored."""
+        nest, p = self.nest, self.size
+        nest.grow_to(q)
+        band = nest.band  # read once: another operator's factor may grow the nest
+        kd = band.shape[0]
+        if self.ab.shape[0] <= kd:  # the band widened: pad with zero rows on top
+            self.ab = np.concatenate((np.zeros((kd + 1 - self.ab.shape[0], p), order="F"),
+                                      self.ab))
+        s = max(p - kd, 0)
+        m = p - s
+        pos = nest.positions[s:q]
+        diag = nest.out_weight[s:q] + self.op.potential[pos] * self.op.mu[pos]
+        # LAPACK's unblocked banded Cholesky lets a NaN pivot pass: stop before one
+        bad = np.flatnonzero(~np.isfinite(diag))
+        window = np.vstack((band[:, s:q], diag))[:, :bad[0] if bad.size else None]
+        if m:
+            t = sum(np.diag(self.ab[kd - d, s + d:p], d) for d in range(m))
+            tt = t.T @ t
+            for d in range(m):
+                window[kd - d, d:m] = np.diagonal(tt, d)
+        done = m
+        if window.shape[1] > m:
+            chol, info = dpbtrf(window)
+            # info is the first leading minor of the window that is not positive definite
+            done = window.shape[1] if info == 0 else max(info - 1, m)
+            self.ab = np.concatenate((self.ab, chol[:, m:done]), axis=1)
+        self.failed = done < diag.size
+
+    def solve(self, n, rhs):
+        """A_n^-1 rhs, the leading block's solve, in the nest's order."""
+        return dpbtrs(self.ab[:, :n], rhs, overwrite_b=1)[0]
+
+    def _column(self, k, n):
+        """U^-T e_k over the prefix n (at least)."""
+        z = self._columns.get(k, np.zeros(0))
+        p = z.size
+        if p < n:
+            ab = self.ab
+            kd = ab.shape[0] - 1
+            rhs = np.zeros((n - p, 1))
+            if p <= k < n:
+                rhs[k - p] = 1.0
+            for d in range(1, kd + 1):  # only the first kd new rows couple to z
+                lo, hi = max(0, d - p), min(d, n - p)
+                rhs[lo:hi, 0] -= ab[kd - d, p + lo:p + hi] * z[p + lo - d:p + hi - d]
+            new = dtbtrs(ab[:, p:n], rhs, trans="T", overwrite_b=1)[0]
+            z = self._columns[k] = np.concatenate((z, new[:, 0]))
+        return z
+
+    def green(self, n, x, y):
+        """G(x, y) = [A_n^-1](x, y) on the level that is the prefix n."""
+        if not self.definite(n):
+            raise NumericalError(
+                "restricted principal eigenvalue is not positive; no finite Green function")
+        k, m = self.nest.index_of(x), self.nest.index_of(y)
+        with self._lock:
+            zx, zy = self._column(k, n), self._column(m, n)
+        return float(zx[:n] @ zy[:n])
+
+
 class _FactorBase:
     """Per-level state shared by the symmetric and nonsymmetric factors.
 
     A factor holds only what depends on the operator: the diagonal
     out_weight + D mu of A_S over its level's shared pattern.  Everything else
     is built on first use: the sparse A_S (principal pairs, the direct
-    spectral and nonsymmetric routes), the banded Cholesky factor (the
-    symmetric PD certificate and Green solves) and the sparse LU
-    (nonsymmetric Green solves).  Symmetric kernels factor A_S - sigma D_mu
-    instead (see ``SymmetricFactor``).  The symmetric Green, point kernel and
-    inverse routes never assemble A_S, and nonsymmetric factors never need
-    the RCM band.
+    spectral and nonsymmetric routes) and the sparse LU (nonsymmetric Green
+    solves).  A symmetric factor certifies and solves by the leading block of
+    a ``_NestedCholesky``: its evaluator's, grown over the exhaustion, or for
+    a standalone factor a one-level nest in the pattern's reverse
+    Cuthill-McKee order.  Symmetric kernels factor A_S - sigma D_mu instead
+    (see ``SymmetricFactor``).  The symmetric Green, point kernel and inverse
+    routes never assemble A_S.
     """
 
-    def __init__(self, op: EllipticOperator, sub: IndexedSubdomain):
+    def __init__(self, op: EllipticOperator, sub: IndexedSubdomain, nested=None):
         self.op = op
         self.sub = sub
         self.mu = op.mu[sub.positions]
         self.pattern, self.diag = op.restriction(sub)
         self._a_s = None
-        self._chol = None
         self._lu = None
         self._principal = None
         self._green_cols = {}
+        self._nested = nested
+        self._nest_local = None  # local index of each vertex of the nest's prefix
 
     _symmetric = False  # A_S symmetric: Cholesky certificate and Green solves
+
+    def _cholesky(self):
+        """The nested Cholesky factor whose leading block is this level's (symmetric
+        factors only); a standalone factor builds its one-level nest on first use."""
+        if self._nested is None:
+            self._nested = _NestedCholesky(self.op, NestedOrder.of_level(self.sub))
+        return self._nested
 
     @property
     def a_s(self):
@@ -178,35 +296,18 @@ class _FactorBase:
             self._a_s = self.pattern.measure_form(self.diag)
         return self._a_s
 
-    def _banded_cholesky(self, diag):
-        """Upper banded Cholesky factor of diag(diag) - W_S in the level's RCM
-        order, or False.  LAPACK stops at the first nonpositive pivot, so the
-        factor exists exactly when the matrix is positive definite.  Symmetric
-        factors only."""
-        perm, band = self.pattern.band()
-        if not np.all(np.isfinite(diag)):
-            return False  # LAPACK's unblocked banded Cholesky lets a NaN pivot pass
-        chol, info = dpbtrf(np.vstack((band, diag[perm])))
-        return chol if info == 0 else False
-
-    def _cholesky(self):
-        """The banded Cholesky factor of A_S, or False."""
-        if self._chol is None:
-            self._chol = self._banded_cholesky(self.diag)
-        return self._chol
-
     def is_positive_definite(self):
         """Positivity of the restricted principal eigenvalue: the banded Cholesky
         certificate for symmetric restrictions, the sign of lambda0(S) otherwise.
         A closed level with D = 0 is singular (A_S 1 = 0) for either kind, and
         so is its adjoint (A_S^T), whose D* = D + (out - in)/mu is not 0: the
         rule reads the pattern and D of the adjoint's source operator."""
+        if self._symmetric:
+            return self._cholesky().definite(self.sub.size)
         src = self.op._adjoint_source or self.op
         if (not self.sub.pattern(src.transposed).absorbing
                 and not np.any(src.potential[self.sub.positions])):
             return False
-        if self._symmetric:
-            return self._cholesky() is not False
         return self.principal_pair()[0] > 0.0
 
     def _shifted_lu(self, sigma):
@@ -279,17 +380,20 @@ class _FactorBase:
     def green_solve(self, rhs, trans):
         """A_S^-1 rhs (``trans`` "N") or A_S^-T rhs ("T").
 
-        Symmetric restrictions solve with their banded Cholesky factor,
-        nonsymmetric ones with a sparse LU.
+        Symmetric restrictions solve with the leading block of their nested
+        banded Cholesky factor, nonsymmetric ones with a sparse LU.
         """
         if not self.is_positive_definite():
             raise NumericalError(
                 "restricted principal eigenvalue is not positive; no finite Green function"
             )
         if self._symmetric:
-            perm = self.pattern.band()[0]
-            out = np.empty(self.sub.size)
-            out[perm] = dpbtrs(self._cholesky(), rhs[perm], overwrite_b=1)[0]
+            n = self.sub.size
+            if self._nest_local is None:
+                self._nest_local = np.searchsorted(self.sub.positions,
+                                                   self._cholesky().nest.positions[:n])
+            out = np.empty(n)
+            out[self._nest_local] = self._cholesky().solve(n, rhs[self._nest_local])
             return out
         if self._lu is None:
             self._lu = _sparse_lu(self.a_s)
@@ -415,8 +519,8 @@ class SymmetricFactor(_FactorBase):
 
     _symmetric = True
 
-    def __init__(self, op, sub):
-        super().__init__(op, sub)
+    def __init__(self, op, sub, nested=None):
+        super().__init__(op, sub, nested)
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
         self._shifted = None
@@ -424,11 +528,16 @@ class SymmetricFactor(_FactorBase):
         self._lock = threading.Lock()
 
     def _shifted_factor(self):
-        """(banded Cholesky factor of A_S - sigma D_mu, sigma), sigma = min D - 1."""
+        """(banded Cholesky factor of A_S - sigma D_mu in the pattern's reverse
+        Cuthill-McKee order, sigma), sigma = min D - 1."""
         if self._shifted is None:
             sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
-            chol = self._banded_cholesky(self.diag - sigma * self.mu)
-            if chol is False:
+            perm, band = self.pattern.band()
+            diag = self.diag - sigma * self.mu
+            info = 1
+            if np.all(np.isfinite(diag)):  # LAPACK's banded Cholesky lets a NaN pivot pass
+                chol, info = dpbtrf(np.vstack((band, diag[perm])))
+            if info != 0:
                 raise NumericalError("shifted restriction is not positive definite")
             self._shifted = (chol, sigma)
         return self._shifted
@@ -561,9 +670,12 @@ class NonsymmetricFactor(_FactorBase):
         return self.principal_pair()[0]
 
 
-def factorize(op: EllipticOperator, sub: IndexedSubdomain):
+def factorize(op: EllipticOperator, sub: IndexedSubdomain, nested=None):
+    """The factor of ``op`` on ``sub``.  A symmetric one certifies and solves by
+    the leading block of ``nested`` (a ``_NestedCholesky`` whose order has
+    ``sub`` as a prefix), or, without it, of a one-level nest of its own."""
     if op.symmetric:
-        return SymmetricFactor(op, sub)
+        return SymmetricFactor(op, sub, nested)
     return NonsymmetricFactor(op, sub)
 
 
@@ -669,7 +781,12 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
 
 
 class HeatKernelEvaluator:
-    """Exhaustion-driven kernel and Green evaluations with a per-level factor cache."""
+    """Exhaustion-driven kernel and Green evaluations with a per-level factor cache.
+
+    For a symmetric operator one ``_NestedCholesky`` over the exhaustion's
+    ``nested_order`` gives every level's Green values and positive-definiteness
+    certificate, and the level factors read its leading blocks.
+    """
 
     def __init__(self, op: EllipticOperator, exhaustion: Exhaustion):
         if exhaustion.domain is not op.domain:
@@ -677,6 +794,8 @@ class HeatKernelEvaluator:
         self.op = op
         self.exhaustion = exhaustion
         self._factors = {}
+        # a symmetric operator's levels share one Cholesky factor, grown with them
+        self._nested = _NestedCholesky(op, exhaustion.nested_order()) if op.symmetric else None
         self._usable = self._usable_levels()
         # a genuinely finite domain is exhausted exactly by its last usable level
         self.exhausts_domain = (not op.domain.truncated) and (
@@ -698,7 +817,7 @@ class HeatKernelEvaluator:
     def factor(self, j):
         fac = self._factors.get(j)
         if fac is None:
-            fac = self._factors[j] = factorize(self.op, self.exhaustion[j])
+            fac = self._factors[j] = factorize(self.op, self.exhaustion[j], self._nested)
         return fac
 
     def usable_levels(self):
@@ -710,7 +829,10 @@ class HeatKernelEvaluator:
 
     def green_finite_level(self, j, x, y):
         sub = self.exhaustion[j]
-        return self.factor(j).green(sub.local_of(x), sub.local_of(y))
+        ix, iy = sub.local_of(x), sub.local_of(y)
+        if self._nested is None:
+            return self.factor(j).green(ix, iy)
+        return self._nested.green(sub.size, x, y)
 
     def principal_eigenvalue(self, j):
         return self.factor(j).principal_pair()[0]

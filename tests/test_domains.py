@@ -250,3 +250,16 @@ def test_bad_mappings_raise_validation_errors():
         hl.WeightedDomain([0, 1], {0: 1.0}, edges)  # no measure for vertex 1
     with pytest.raises(hl.ValidationError, match="numeric"):
         hl.WeightedDomain([0, 1], np.ones(2), {(0, 1): "heavy", (1, 0): 1.0})
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda d: d.measure_of(99),
+    lambda d: d.weight(0, 99),
+    lambda d: d.weight(99, 0),
+    lambda d: d.total_measure([0, 99]),
+    lambda d: ball_exhaustion(d, center=99),
+])
+def test_label_lookups_outside_the_domain_raise_validation_errors(lookup):
+    domain = hl.fixture("lat1", ambient_size=33).domain
+    with pytest.raises(hl.ValidationError, match="unknown vertex 99"):
+        lookup(domain)

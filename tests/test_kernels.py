@@ -660,3 +660,166 @@ def test_concurrent_point_queries_share_one_basis():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+# -- one growing Cholesky factor per (operator, exhaustion) ----------------------
+
+def _edge_list_grid(tmp_path, side=9):
+    """The file fixture of a side x side grid with scrambled labels: its
+    exhaustion is by balls, whose shells need a band wider than 1."""
+    label = np.random.default_rng(5).permutation(side * side)
+    lines = [f"{v} {0.5 + (v % 4) * 0.25}" for v in range(side * side)]
+    for i in range(side):
+        for j in range(side):
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < side and j + dj < side:
+                    v, u = label[i * side + j], label[(i + di) * side + j + dj]
+                    w = 1.0 + 0.1 * ((i + j) % 3)
+                    lines += [f"{v} {u} {w}", f"{u} {v} {w}"]
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return hl.fixture(str(path))
+
+
+NESTED_CASES = {  # name: (fixture, potential on its domain)
+    "lat1": (lambda tmp: hl.fixture("lat1", ambient_size=129), None),
+    "lat1_geo": (lambda tmp: hl.fixture("lat1_geo(0.5)", ambient_size=129), None),
+    "rad3": (lambda tmp: hl.fixture("rad(3)", ambient_size=300),
+             lambda d: hl.Potential.indicator(d, [1], -0.5)),
+    "closed_path": (lambda tmp: closed_path_domain(40), lambda d: hl.Potential.constant(d, 0.1)),
+    "grid": (_edge_list_grid, None),
+}
+
+
+@pytest.mark.parametrize("name", list(NESTED_CASES))
+def test_nested_green_values_match_standalone_factors(name, tmp_path):
+    build, potential = NESTED_CASES[name]
+    fx = build(tmp_path)
+    op = hl.assemble(fx.domain, potential and potential(fx.domain))
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    nest = fx.exhaustion.nested_order()
+    compared = 0
+    for j in ev.usable_levels():
+        level = fx.exhaustion[j]
+        labels = [int(v) for v in level.labels[[0, level.size // 2, -1]]]
+        for y in labels:
+            for x in labels:
+                try:
+                    expected = hl.green_finite(op, level, x, y)
+                except hl.NumericalError:
+                    # D = 0 on the grid's top level, the whole finite domain
+                    assert name == "grid" and level.size == fx.domain.n_vertices
+                    with pytest.raises(hl.NumericalError):
+                        ev.green_finite_level(j, x, y)
+                    continue
+                assert ev.green_finite_level(j, x, y) == pytest.approx(expected, rel=1e-12)
+                compared += 1
+        # the level's factor reads the same leading block
+        fac = ev.factor(j)
+        if fac.is_positive_definite():
+            e = np.zeros(level.size)
+            e[-1] = 1.0
+            exact = np.linalg.solve(fac.a_s.toarray(), e)
+            assert fac.green_column(level.size - 1) == pytest.approx(exact, rel=1e-11)
+    assert compared
+    if name == "grid":
+        assert nest.kd > 1
+
+
+@pytest.mark.parametrize("build, constant, well, alpha0", [
+    (lambda: hl.fixture("rad(3)", ambient_size=1000), 0.0, [1], 1.0 / (np.pi**2 / 2.0 - 4.0)),
+    (lambda: hl.fixture("lat1", ambient_size=1025), 1.0, [0], np.sqrt(5.0)),
+])
+@pytest.mark.parametrize("ratio", [0.98, 1.02])
+def test_nested_certificate_fails_where_the_standalone_one_does(build, constant, well, alpha0,
+                                                                ratio):
+    fx = build()
+    base = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, constant))
+    op = hl.add_potential(base, hl.Potential.indicator(fx.domain, well, -1.0), ratio * alpha0)
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    levels = ev.usable_levels()
+    nested = [ev.factor(j).is_positive_definite() for j in levels]
+    standalone = [SymmetricFactor(op, fx.exhaustion[j]).is_positive_definite() for j in levels]
+    assert nested == standalone
+    assert all(nested) is (ratio < 1.0)
+
+
+def test_nested_certificate_rejects_closed_levels_with_zero_potential():
+    # random conductances leave the last pivot of the singular Laplacian at
+    # +-round-off; the closed top level of the nest is never certified
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(4, 40))
+        w = rng.uniform(0.05, 3.0, n - 1)
+        labels = np.arange(n)
+        domain = hl.WeightedDomain(labels, np.ones(n), (np.r_[labels[:-1], labels[1:]],
+                                                         np.r_[labels[1:], labels[:-1]],
+                                                         np.r_[w, w]))
+        ex = hl.Exhaustion(domain, [labels[:n // 2], labels])
+        ev = hl.HeatKernelEvaluator(hl.assemble(domain), ex)
+        assert ev.factor(0).is_positive_definite()
+        assert not ev.factor(1).is_positive_definite()
+        with pytest.raises(hl.NumericalError):
+            ev.green_finite_level(1, 0, 0)
+
+
+def test_nested_order_and_factor_grow_only_as_deep_as_the_limit():
+    fx = hl.fixture("lat1", ambient_size=20001)
+    op = hl.add_potential(hl.assemble(fx.domain), hl.Potential.constant(fx.domain, 1.0))
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    r = ev.green(0, 1)
+    assert r.converged
+    last = fx.exhaustion[r.level].size
+    assert fx.exhaustion.nested_order().size <= last < fx.domain.n_vertices // 10
+    assert ev._nested.size <= last
+
+
+# the parent commit's bisections (banded Cholesky factor per level)
+RAD3_BISECTIONS = {
+    1: (1.069671630859375, [False, True, True, False, True, True, True, False, True, True, True,
+                            False, True, True]),
+    2: (0.509735107421875, [False, True, True, True, False, True, True, True, True, True, True,
+                            True]),
+    3: (0.336273193359375, [False, True, True, True, True, False, True, False, True, False, True,
+                            True, True, True, True]),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rad3_bisection_is_unchanged_by_the_nested_factor(r):
+    fx = hl.fixture("rad(3)", ambient_size=20000)
+    well = hl.Potential.indicator(fx.domain, [r], -1.0)
+    res = hl.critical_coupling(hl.assemble(fx.domain), well, fx.exhaustion, bracket=(0.0, 4.0),
+                               green_tol=1e-5)
+    alpha0, sides = RAD3_BISECTIONS[r]
+    assert res.alpha0 == pytest.approx(alpha0, rel=1e-12)
+    assert [side for _, side in res.history] == sides
+    assert res.agree
+
+
+def test_concurrent_green_limits_share_one_nest():
+    # threads grow one exhaustion's order and two operators' nested factors at
+    # once; every value must equal a serial run's, bit for bit
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def operators(fx):
+        base = hl.assemble(fx.domain)
+        well = hl.Potential.indicator(fx.domain, [1], -1.0)
+        return [hl.add_potential(base, well, 0.5), hl.add_potential(base, well, 0.9)]
+
+    queries = [(k, x, y) for k in (0, 1) for x, y in ((1, 1), (1, 2), (3, 1), (7, 2))] * 2
+    fx = hl.fixture("rad(3)", ambient_size=3000)
+    serial = [hl.HeatKernelEvaluator(op, fx.exhaustion) for op in operators(fx)]
+    expected = [serial[k].green(x, y).history for k, x, y in queries]
+    fx = hl.fixture("rad(3)", ambient_size=3000)
+    shared = [hl.HeatKernelEvaluator(op, fx.exhaustion) for op in operators(fx)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(shared[k].green, x, y) for k, x, y in queries]
+            got = [f.result(timeout=60).history for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
