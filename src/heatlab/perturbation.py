@@ -9,14 +9,19 @@ alternating resummation k_{P+eps V} = sum_j (-eps)^j k^(j).  Layers live on
 a uniform time grid (step t/1024 by default, validated by step halving).
 Every time convolution, the layers and the Duhamel right-hand side alike, is
 composite Simpson marched with semigroup steps: since S(t_i - s) =
-S(2h) S(t_{i-2} - s), each grid value is the one two steps back propagated by
-S(2h) plus one Simpson block, so a layer costs O(N) products with the dense
-S(h), S(2h), S(3h) of either factor type.  The j = 1 convolution also has
-exact forms, spectral (symmetric) and block-exponential (any operator).
+S(2h) S(t_{i-2} - s), each even grid value is the one two steps back
+propagated by S(2h) plus one Simpson block, and each odd one follows from
+the value three steps back by S(3h) and a 3/8 block.  The even chain and
+the marched layer k^(0) are linear recurrences with a constant matrix, run
+as a blocked prefix scan: a layer is still O(N) products of n x n work with
+the dense S(h), S(2h), S(3h) of either factor type, but in O(sqrt N)
+batched matrix-matrix steps.  The j = 1 convolution also has exact forms,
+spectral (symmetric) and block-exponential (any operator).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,13 +42,43 @@ DEFAULT_STEPS = 1024
 MAX_SERIES_TERMS = 64
 
 
+def _scan(a, x0, g):
+    """Rows x_0 = x0, x_k = a x_{k-1} + g_k for k = 1..K, ``g`` holding g_1..g_K.
+
+    A blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) in blocks of
+    b ~ sqrt(K/2) steps, the last block padded with zero forcing: (1) every
+    block's sum from a zero start, all blocks at once in b batched products;
+    (2) the block starts, one after another, through a^b; (3) the block
+    interiors from their starts, all blocks at once in b batched products.
+    That is O(K) products of n x n work in about 2 sqrt(2K) batched steps,
+    the same recurrence as K matrix-vector steps in another summation order.
+    A zero ``g`` skips pass (1).
+    """
+    n_rows, n = g.shape
+    b = max(1, round((n_rows / 2.0) ** 0.5))
+    n_blocks = -(-n_rows // b)
+    blocks = np.zeros((n_blocks, b, n))
+    blocks.reshape(-1, n)[:n_rows] = g
+    at = a.T
+    ends = np.zeros((n_blocks, n))
+    if g.any():
+        for j in range(b):
+            ends = ends @ at + blocks[:, j]
+    power = np.linalg.matrix_power(a, b).T
+    starts = np.empty((n_blocks, n))
+    state = x0
+    for r in range(n_blocks):
+        starts[r] = state
+        state = state @ power + ends[r]
+    state = starts
+    for j in range(b):
+        state = blocks[:, j] = state @ at + blocks[:, j]
+    return np.vstack((x0, blocks.reshape(-1, n)[:n_rows]))
+
+
 def _march(step, start, n_steps):
     """Rows start, S start, S^2 start, ..., S^n_steps start for a step matrix S."""
-    out = np.empty((n_steps + 1, start.size))
-    out[0] = start
-    for i in range(1, n_steps + 1):
-        out[i] = step @ out[i - 1]
-    return out
+    return _scan(step, start, np.zeros((n_steps, start.size)))
 
 
 def _convolve(f, steps, h):
@@ -51,10 +86,12 @@ def _convolve(f, steps, h):
 
     ``f`` holds f(t_i) as rows and ``steps`` the matrices S(h), S(2h), S(3h).
     Composite Simpson is additive over blocks and S(t_i - s) = S(2h) S(t_{i-2} - s),
-    so an even i propagates c(t_{i-2}) by S(2h) and adds one Simpson block; an
-    odd i >= 3 propagates c(t_{i-3}) by S(3h) and adds a 3/8 block; i = 1 is
-    the trapezoid rule.  These are the weights of Simpson with a closing 3/8
-    block on [0, t_i], applied without ever forming S(t_i - t_l).
+    so the even grid values are one recurrence c(t_{2k}) = S(2h) c(t_{2k-2})
+    plus one Simpson block, run as a blocked scan (``_scan``); every odd
+    i >= 3 then propagates c(t_{i-3}) by S(3h) and adds a 3/8 block, all in
+    one batched product; i = 1 is the trapezoid rule.  These are the weights
+    of Simpson with a closing 3/8 block on [0, t_i], applied without ever
+    forming S(t_i - t_l).
     """
     s1, s2, s3 = steps
     f1 = f @ s1.T  # S(h) f(t_l) for every l
@@ -62,13 +99,10 @@ def _convolve(f, steps, h):
     c = np.zeros_like(f)
     if len(f) > 1:
         c[1] = h / 2.0 * (f1[0] + f[1])
-    for i in range(2, len(f)):
-        if i % 2 == 0:
-            c[i] = (s2 @ (c[i - 2] + h / 3.0 * f[i - 2])
-                    + 4.0 * h / 3.0 * f1[i - 1] + h / 3.0 * f[i])
-        else:
-            c[i] = (s3 @ (c[i - 3] + 3.0 * h / 8.0 * f[i - 3])
-                    + 9.0 * h / 8.0 * (f2[i - 2] + f1[i - 1]) + 3.0 * h / 8.0 * f[i])
+    g = h / 3.0 * (f2[:-2:2] + 4.0 * f1[1:-1:2] + f[2::2])
+    c[::2] = _scan(s2, c[0], g)
+    c[3::2] = ((c[:-3:2] + 3.0 * h / 8.0 * f[:-3:2]) @ s3.T
+               + 9.0 * h / 8.0 * (f2[1:-2:2] + f1[2:-1:2]) + 3.0 * h / 8.0 * f[3::2])
     return c
 
 
@@ -88,6 +122,9 @@ class IteratedKernelStack:
                  subset: IndexedSubdomain, t_max, n_steps=DEFAULT_STEPS, factor=None):
         if not (np.isfinite(t_max) and t_max > 0.0):
             raise ValidationError("t_max must be finite and positive")
+        if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) \
+                or n_steps < 1:
+            raise ValidationError(f"n_steps must be a positive integer, got {n_steps!r}")
         self.op = op
         self.potential = potential
         self.sub = subset
@@ -146,6 +183,8 @@ def iterated_kernel(stack: IteratedKernelStack, j, x, y, t, self_check=False,
         raise ValidationError("layer index must be nonnegative")
     val = stack.value(j, x, y, t)
     if self_check and j >= 1:
+        if stack.n_steps < 2:
+            raise ValidationError("the step-halving self-check needs a stack of at least 2 steps")
         coarse = IteratedKernelStack(stack.op, stack.potential, stack.sub,
                                      stack.t_max, n_steps=stack.n_steps // 2,
                                      factor=stack.factor)
@@ -275,6 +314,8 @@ def neumann_heat_kernel(stack: IteratedKernelStack, eps, x, y, t,
                         series_tol=1e-10, max_terms=MAX_SERIES_TERMS):
     """Resummed kernel sum_j (-eps)^j k^(j)(x, y, t); returns (value, terms_used)."""
     eps = float(eps)
+    if not np.isfinite(eps):
+        raise ValidationError("coupling must be finite")
     total = stack.value(0, x, y, t)
     if eps == 0.0:
         return total, 1

@@ -326,3 +326,127 @@ def test_report_rows_schema(lat1, lat1_op):
     rows = reports[0].rows()
     assert rows and set(rows[0]) == {"x", "y", "t", "alpha_or_eps", "lhs", "rhs", "margin"}
     assert all(r["margin"] >= -1e-9 for r in rows)
+
+
+# --- the blocked time scan against sequential and O(N^2) references ---------
+
+SCAN_STEPS = [*range(1, 10), 33, 1024]
+
+
+@pytest.fixture(scope="module", params=["symmetric", "drift"])
+def seven_vertex_factor(request):
+    """A factor on the 7-vertex restriction {-3..3} of lat1 + 1 (symmetric)
+    or of a biased walk (nonsymmetric)."""
+    if request.param == "symmetric":
+        fx = hl.fixture("lat1", ambient_size=33)
+        op = hl.add_potential(hl.assemble(fx.domain), hl.Potential.constant(fx.domain, 1.0))
+    else:
+        fx = build_drift_lattice(8)
+        op = hl.assemble(fx.domain)
+    return factorize(op, hl.restrict(fx.domain, range(-3, 4)))
+
+
+def _powers(s, n):
+    """S^0, S^1, ..., S^n by repeated products."""
+    out = [np.eye(len(s))]
+    for _ in range(n):
+        out.append(s @ out[-1])
+    return np.array(out)
+
+
+def _simpson_reference(f, powers, h):
+    """c(t_i) from Simpson weights with a closing 3/8 block on every [0, t_i]
+    (the trapezoid rule at i = 1), applied through explicit powers
+    S(t_i - t_l) = powers[i - l]: O(N^2) products."""
+    c = np.zeros_like(f)
+    for i in range(1, len(f)):
+        if i == 1:
+            w = np.array([h / 2.0, h / 2.0])
+        else:
+            even = i - 3 if i % 2 else i
+            w = np.zeros(i + 1)
+            if even:
+                w[:even + 1] = 1.0
+                w[1:even:2] = 4.0
+                w[2:even:2] = 2.0
+                w[:even + 1] *= h / 3.0
+            if i % 2:
+                w[even:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+        c[i] = np.einsum("lab,lb->a", powers[i::-1], w[:, None] * f[:i + 1])
+    return c
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n_steps", SCAN_STEPS)
+def test_scan_matches_sequential_recurrence(seven_vertex_factor, n_steps):
+    # K = 5, 7, 9, 33 and 1024 pad the last block (b = 2, 2, 2, 4, 23)
+    a = seven_vertex_factor.semigroup_matrix(2.0 / n_steps)
+    rng = np.random.default_rng(n_steps)
+    x0 = rng.standard_normal(len(a))
+    g = rng.standard_normal((n_steps, len(a)))
+    ref = np.empty((n_steps + 1, len(a)))
+    ref[0] = x0
+    for k in range(n_steps):
+        ref[k + 1] = a @ ref[k] + g[k]
+    got = pert._scan(a, x0, g)
+    assert got.shape == ref.shape
+    assert _rel_err(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n_steps", SCAN_STEPS)
+def test_march_matches_repeated_products(seven_vertex_factor, n_steps):
+    a = seven_vertex_factor.semigroup_matrix(2.0 / n_steps)
+    start = np.zeros(len(a))
+    start[3] = 1.0
+    ref = _powers(a, n_steps) @ start
+    assert _rel_err(pert._march(a, start, n_steps), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n_steps", SCAN_STEPS)
+def test_convolve_matches_simpson_reference(seven_vertex_factor, n_steps):
+    h = 2.0 / n_steps
+    powers = _powers(seven_vertex_factor.semigroup_matrix(h), max(n_steps, 3))
+    rng = np.random.default_rng(n_steps)
+    f = rng.uniform(0.5, 1.5, (n_steps + 1, powers.shape[1]))
+    got = pert._convolve(f, powers[1:4], h)
+    assert _rel_err(got, _simpson_reference(f, powers, h)) <= 1e-13
+
+
+# --- input validation of the stack and the resummation ---------------------
+
+@pytest.fixture(scope="module")
+def lat1_nine():
+    fx = hl.fixture("lat1", ambient_size=33)
+    op = hl.assemble(fx.domain)
+    return op, hl.Potential.indicator(fx.domain, [0], 1.0), hl.restrict(fx.domain, range(-4, 5))
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.7, float("nan"), 4.0, True])
+def test_stack_rejects_non_positive_integer_steps(lat1_nine, bad):
+    op, v, sub = lat1_nine
+    with pytest.raises(hl.HeatLabError) as info:
+        pert.IteratedKernelStack(op, v, sub, t_max=1.0, n_steps=bad)
+    assert type(info.value) is hl.ValidationError
+
+
+def test_stack_accepts_numpy_integer_steps(lat1_nine):
+    op, v, sub = lat1_nine
+    assert pert.IteratedKernelStack(op, v, sub, t_max=1.0, n_steps=np.int64(8)).n_steps == 8
+
+
+def test_self_check_rejects_one_step_stack(lat1_nine):
+    op, v, sub = lat1_nine
+    stack = pert.IteratedKernelStack(op, v, sub, t_max=1.0, n_steps=1)
+    with pytest.raises(hl.HeatLabError) as info:
+        pert.iterated_kernel(stack, 1, 0, 0, 1.0, self_check=True)
+    assert type(info.value) is hl.ValidationError
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_neumann_rejects_nonfinite_coupling(scalar_stack, eps):
+    with pytest.raises(hl.HeatLabError, match="coupling must be finite") as info:
+        pert.neumann_heat_kernel(scalar_stack, eps, 0, 0, 1.0)
+    assert type(info.value) is hl.ValidationError
