@@ -126,45 +126,51 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
 def ground_state(evaluator: HeatKernelEvaluator, x0=None):
     """Exhaustion limit of principal Dirichlet eigenfunctions, normalized at x0.
 
-    Per-vertex polynomial extrapolation in 1/|S_j| over the last (at most 5)
-    levels that contain the vertex.  Returns (x0, dict vertex -> phi(vertex)).
+    Returns (x0, phi), phi an array over the domain's positions that is NaN
+    outside the last usable level.  A vertex is extrapolated in 1/|S_j| over
+    the last m <= 5 levels that contain it: the levels are nested, so these
+    are the last m usable levels, and one Neville tableau serves each m.
     """
     ex = evaluator.exhaustion
-    if x0 is None:
-        x0 = int(ex[0].labels[0])
+    x0 = int(ex[0].labels[0]) if x0 is None else int(x0)
     levels = evaluator.usable_levels()
-    per_level = {}
-    sizes = {}
-    for j in levels:
-        _, phi = evaluator.ground_state_level(j, x0)
-        per_level[j] = dict(zip((int(v) for v in ex[j].labels), phi))
-        sizes[j] = ex[j].size
-    out = {}
-    for x in (int(v) for v in ex[levels[-1]].labels):
-        seq = [(sizes[j], per_level[j][x]) for j in levels if x in per_level[j]]
-        seq = seq[-5:]
-        if len(seq) == 1:
-            out[x] = seq[0][1]
-            continue
-        h = [1.0 / s for s, _ in seq]
-        vals = [v for _, v in seq]
-        value, _ = neville_extrapolate(h, vals)
-        out[x] = value
-    out[int(x0)] = 1.0
-    return int(x0), out
+    top = ex[levels[-1]].positions
+    values = np.empty((len(levels), top.size))  # phi_j on the top level's positions
+    depth = np.zeros(top.size, dtype=int)  # number of levels containing each vertex
+    for row, j in zip(values, levels):
+        _, v, positive = evaluator.factor(j).principal_pair()
+        if not positive:
+            raise NumericalError(
+                "principal eigenfunction is not one-signed; restriction is supercritical")
+        ref = v[ex[j].local_of(x0)]
+        if ref <= 0.0:
+            raise NumericalError(f"ground state vanishes at reference vertex {x0}")
+        cols = np.searchsorted(top, ex[j].positions)
+        row[cols] = v / ref
+        depth[cols] += 1
+    phi = np.full(ex.domain.n_vertices, np.nan)
+    phi[top] = values[-1]  # a vertex of the top level only keeps its value there
+    for m in range(2, min(5, len(levels)) + 1):
+        cols = np.flatnonzero(np.minimum(depth, 5) == m)
+        h = 1.0 / np.asarray([ex[j].size for j in levels[-m:]], dtype=float)
+        phi[top[cols]] = neville_extrapolate(h, values[-m:, cols])[0]
+    phi[ex.domain.index[x0]] = 1.0
+    return x0, phi
 
 
 @dataclass
 class CriticalityReport:
-    """Classification of an operator with the limits that justify it."""
+    """Classification of an operator with the limits that justify it; a critical
+    one carries the ground states phi, phi* of the operator and its adjoint as
+    arrays over the domain's positions, NaN outside the last usable level."""
 
     classification: Classification
     lambda0: Lambda0Result
     green_limit: LimitResult
     x0: int
     y0: int
-    ground_state: dict | None = None
-    adjoint_ground_state: dict | None = None
+    ground_state: np.ndarray | None = None
+    adjoint_ground_state: np.ndarray | None = None
     mass: LimitResult | None = None
     notes: list = field(default_factory=list)
 
@@ -188,7 +194,7 @@ class CriticalityReport:
             if self.mass.converged:
                 lines.append(f"mass: {self.mass.value:.12g}")
         if self.ground_state is not None:
-            lines.append(f"ground_state_vertices: {len(self.ground_state)}")
+            lines.append(f"ground_state_vertices: {np.count_nonzero(~np.isnan(self.ground_state))}")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
@@ -236,24 +242,19 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, x0=None, y0=None,
     # critical: ground states and the mass series decide the subdivision
     _, phi = ground_state(ev, x0)
     if op.symmetric:
-        phi_star = dict(phi)
+        phi_star = phi.copy()
     else:
-        ev_star = HeatKernelEvaluator(adjoint(op), exhaustion)
-        _, phi_star = ground_state(ev_star, x0)
-    domain = op.domain
+        _, phi_star = ground_state(HeatKernelEvaluator(adjoint(op), exhaustion), x0)
     usable = ev.usable_levels()
     # on ambient truncations, the outermost level's new vertices appear in too
     # few levels for their phi extrapolation to be trusted; the mass series
     # stops one level short there (a finite domain is summed exactly instead)
     levels = usable if ev.exhausts_domain or len(usable) == 1 else usable[:-1]
-
-    def mass_at(j):
-        return sum(phi[int(x)] * phi_star[int(x)] * domain.mu[domain.index[int(x)]]
-                   for x in exhaustion[j].labels)
-
-    mass = exhaustion_limit(mass_at, levels, [exhaustion[j].size for j in levels],
-                            GREEN_TOL, trend_divergence=True,
-                            exact_final=ev.exhausts_domain)
+    # mass_j sums phi phi* mu left to right in position order (np.sum pairs terms)
+    density = phi * phi_star * op.domain.mu
+    mass = exhaustion_limit(lambda j: float(np.cumsum(density[exhaustion[j].positions])[-1]),
+                            levels, [exhaustion[j].size for j in levels], GREEN_TOL,
+                            trend_divergence=True, exact_final=ev.exhausts_domain)
     if mass.status is LimitStatus.INCONCLUSIVE:
         raise InconclusiveError(f"mass series inconclusive: {mass.evidence}")
     kind = Classification.POSITIVE_CRITICAL if mass.converged else Classification.NULL_CRITICAL
@@ -512,7 +513,9 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
                                   evaluator: HeatKernelEvaluator = None):
     """Comparability constants (c_low, c_high) of phi against G(., y0) on a region.
 
-    The region must avoid the first exhaustion level (the comparison is a
+    ``phi`` is a vector over the domain's positions, such as a report's
+    ground state; a NaN of it on the region makes both constants NaN.  The
+    region must avoid the first exhaustion level (the comparison is a
     near-infinity statement).  Rejects operators without a converging Green
     limit, e.g. the critical member of a family.
     """
@@ -521,6 +524,9 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
         raise ValidationError("empty comparison region")
     if any(x in exhaustion[0] for x in region):
         raise ValidationError("comparison region must exclude the first exhaustion level")
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (op_alpha.domain.n_vertices,):
+        raise ValidationError("phi must be a vertex vector over the domain's positions")
     ev = evaluator or HeatKernelEvaluator(op_alpha, exhaustion)
     ratios = []
     for x in region:
@@ -532,9 +538,8 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
             raise InconclusiveError(f"green limit inconclusive at x={x}")
         if g.value <= 0.0:
             raise NumericalError(f"nonpositive green value at x={x}")
-        phi_x = phi[x] if not callable(phi) else phi(x)
-        ratios.append(phi_x / g.value)
-    return float(min(ratios)), float(max(ratios))
+        ratios.append(phi[op_alpha.domain.index[x]] / g.value)
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def edge_weight_domination(op1: EllipticOperator, op0: EllipticOperator, u1, u0):

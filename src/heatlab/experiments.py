@@ -162,12 +162,16 @@ def _ratio(num, den):
     return num.value / den.value, max(num.level, den.level)
 
 
-def _ground_state_limit(report, x, y):
-    """phi(x) phi*(y)/mass when the report is positive-critical, else 0."""
-    if report.classification is not Classification.POSITIVE_CRITICAL:
+def _ground_state_limit(domain, report, x, y, ref=None):
+    """phi(x) phi*(y)/mass when the report is positive-critical, else 0; with
+    ref = (x0, y0), the ratio phi(x) phi*(y)/(phi(x0) phi*(y0)).  Ground states
+    are read by position; None where one is NaN (outside the last usable level)."""
+    if ref is None and report.classification is not Classification.POSITIVE_CRITICAL:
         return 0.0
-    return (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
-            / report.mass.value)
+    phi, phi_star, pos = report.ground_state, report.adjoint_ground_state, domain.index
+    den = report.mass.value if ref is None else phi[pos[int(ref[0])]] * phi_star[pos[int(ref[1])]]
+    value = float(phi[pos[int(x)]] * phi_star[pos[int(y)]] / den)
+    return None if np.isnan(value) else value
 
 
 def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
@@ -188,8 +192,8 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
         return float(np.exp(lam0 * t + np.log(r.value))), r.level
 
     ts, vals, levels, excluded = _sample(_t_grid(t_grid), point)
-    series = _decide_series(ts, vals, levels, predicted=_ground_state_limit(report, x, y),
-                            excluded=excluded)
+    series = _decide_series(ts, vals, levels, excluded=excluded,
+                            predicted=_ground_state_limit(op.domain, report, x, y))
     series.extras["lambda0"] = f"{lam0:.12g}"
     series.extras["classification"] = report.label
     return series
@@ -228,7 +232,8 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
     series = RatioSeries(np.asarray(ds), np.asarray(vals), levels,
                          SeriesStatus.CONVERGED_TO, float(a),
                          f"a+b*delta^{p:g} fit (rms {resid:.2g})",
-                         predicted_limit=_ground_state_limit(report, x, y), excluded=excluded)
+                         predicted_limit=_ground_state_limit(op.domain, report, x, y),
+                         excluded=excluded)
     series.extras["lambda0"] = f"{lam0:.12g}"
     series.extras["error_estimate"] = f"{max(resid, abs(bcoef) * ds[-1] ** p * 0.1):.3g}"
     return series
@@ -275,8 +280,7 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
         ev.heat_kernel(x, y, t, tol=heat_tol), ev.heat_kernel(x0, y0, t, tol=heat_tol)))
     predicted = None
     if report is not None and report.ground_state is not None and op.symmetric:
-        predicted = (report.ground_state[int(x)] * report.adjoint_ground_state[int(y)]
-                     / (report.ground_state[int(x0)] * report.adjoint_ground_state[int(y0)]))
+        predicted = _ground_state_limit(op.domain, report, x, y, ref=(x0, y0))
     return _decide_series(ts, vals, levels, predicted=predicted, excluded=excluded)
 
 

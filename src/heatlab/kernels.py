@@ -368,12 +368,6 @@ class _FactorBase:
             self._principal = (theta, v, positive)
         return self._principal
 
-    def ground_vector(self):
-        theta, v, positive = self.principal_pair()
-        if not positive:
-            raise NumericalError("principal eigenfunction is not one-signed; restriction is supercritical")
-        return theta, v
-
     def green(self, ix, iy):
         return float(self.green_column(iy)[ix])
 
@@ -836,17 +830,6 @@ class HeatKernelEvaluator:
 
     def principal_eigenvalue(self, j):
         return self.factor(j).principal_pair()[0]
-
-    def ground_state_level(self, j, x0=None):
-        """Principal Dirichlet eigenpair at level j, eigenfunction normalized at x0."""
-        sub = self.exhaustion[j]
-        lam, phi = self.factor(j).ground_vector()
-        if x0 is None:
-            x0 = int(sub.labels[0])
-        ref = phi[sub.local_of(x0)]
-        if ref <= 0.0:
-            raise NumericalError(f"ground state vanishes at reference vertex {x0}")
-        return lam, phi / ref
 
     def _levels_from(self, start):
         """Usable levels from ``start`` on, with their sizes."""

@@ -42,6 +42,21 @@ DEFAULT_STEPS = 1024
 MAX_SERIES_TERMS = 64
 
 
+def _check_integer(value, minimum, message):
+    """``value`` as an int: a numbers.Integral, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{message}, got {value!r}")
+    return int(value)
+
+
+def _check_times(times):
+    """A nonempty time grid as a float array; every time finite and positive."""
+    times = np.asarray(list(times), dtype=float)
+    if times.size == 0 or not np.all(np.isfinite(times) & (times > 0.0)):
+        raise ValidationError("times must be finite and positive, and the grid nonempty")
+    return times
+
+
 def _scan(a, x0, g):
     """Rows x_0 = x0, x_k = a x_{k-1} + g_k for k = 1..K, ``g`` holding g_1..g_K.
 
@@ -122,14 +137,12 @@ class IteratedKernelStack:
                  subset: IndexedSubdomain, t_max, n_steps=DEFAULT_STEPS, factor=None):
         if not (np.isfinite(t_max) and t_max > 0.0):
             raise ValidationError("t_max must be finite and positive")
-        if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) \
-                or n_steps < 1:
-            raise ValidationError(f"n_steps must be a positive integer, got {n_steps!r}")
+        n_steps = _check_integer(n_steps, 1, "n_steps must be a positive integer")
         self.op = op
         self.potential = potential
         self.sub = subset
         self.factor = factor if factor is not None else factorize(op, subset)
-        self.n_steps = int(n_steps)
+        self.n_steps = n_steps
         self.t_max = float(t_max)
         self.grid = np.linspace(0.0, self.t_max, self.n_steps + 1)
         self.h = self.t_max / self.n_steps
@@ -139,6 +152,7 @@ class IteratedKernelStack:
         self._columns = {}  # iy -> [layer_0, layer_1, ...], each (n_steps+1, n)
 
     def layer_column(self, y, j):
+        j = _check_integer(j, 0, "layer index must be a nonnegative integer")
         iy = self.sub.local_of(y)
         layers = self._columns.setdefault(iy, [])
         if not layers:
@@ -179,8 +193,6 @@ class IteratedKernelStack:
 def iterated_kernel(stack: IteratedKernelStack, j, x, y, t, self_check=False,
                     check_tol=1e-8) -> float:
     """j-th iterated kernel value from the stack's Simpson recursion."""
-    if j < 0:
-        raise ValidationError("layer index must be nonnegative")
     val = stack.value(j, x, y, t)
     if self_check and j >= 1:
         if stack.n_steps < 2:
@@ -282,9 +294,7 @@ def three_k_constant(op: EllipticOperator, potential: Potential, subset: Indexed
         raise ValidationError(f"unknown 3-k mode: {mode!r}")
     if mode == "semibounded" and y is None:
         raise ValidationError("semibounded mode fixes y; pass y=...")
-    if t_grid is None:
-        t_grid = geometric_grid(0.05, 100.0, 40)
-    t_grid = np.asarray(list(t_grid), dtype=float)
+    t_grid = _check_times(geometric_grid(0.05, 100.0, 40) if t_grid is None else t_grid)
     fac = factor if factor is not None else factorize(op, subset)
     per_t = np.empty(t_grid.size)
     symmetric = isinstance(fac, SymmetricFactor)
@@ -406,9 +416,7 @@ def equivalence_check(op: EllipticOperator, potential: Potential,
     every eps > 0 (no radius restriction), both up to 1e-6.  Violations are
     findings recorded in the report, never exceptions.
     """
-    if t_grid is None:
-        t_grid = geometric_grid(0.1, 20.0, 12)
-    t_grid = np.asarray(list(t_grid), dtype=float)
+    t_grid = _check_times(geometric_grid(0.1, 20.0, 12) if t_grid is None else t_grid)
     fac = factorize(op, subset)
     c = three_k_constant(op, potential, subset, t_grid=t_grid, factor=fac).c_estimate
     v_nonneg = bool(np.all(potential.values >= 0.0))
@@ -477,6 +485,7 @@ def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
     """
     from .criticality import lambda0 as lambda0_limit  # local import; no cycle at module load
 
+    t_values = _check_times(t_values).tolist()
     dv = op1.potential - op0.potential
     if (op0.weights != op1.weights).nnz != 0:
         raise ValidationError("convexity segment needs operators sharing edge weights")
@@ -503,9 +512,9 @@ def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
             fac_alpha[alpha] = factorize(op_a, subset)
         fac_a = fac_alpha[alpha]
         for t in t_values:
-            m0 = fac0.kernel_matrix(float(t))
-            m1 = fac1.kernel_matrix(float(t))
-            ma = fac_a.kernel_matrix(float(t))
+            m0 = fac0.kernel_matrix(t)
+            m1 = fac1.kernel_matrix(t)
+            ma = fac_a.kernel_matrix(t)
             for (x, y) in pairs:
                 ix, iy = subset.local_of(x), subset.local_of(y)
                 # skip entries too close to the spectral noise floor of any
@@ -523,9 +532,9 @@ def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
                 worst = min(worst, margin)
                 count += 1
                 if keep_samples:
-                    kept.append({"x": int(x), "y": int(y), "t": float(t),
+                    kept.append({"x": int(x), "y": int(y), "t": t,
                                  "alpha_or_eps": alpha, "lhs": float(lhs),
                                  "rhs": float(rhs), "margin": float(margin)})
                 if lhs > rhs + 1e-10 * max(abs(rhs), 1e-300):
-                    violations.append((int(x), int(y), float(t), alpha, float(lhs), float(rhs)))
+                    violations.append((int(x), int(y), t, alpha, float(lhs), float(rhs)))
     return ConvexityReport(not violations, float(worst), count, violations, kept)

@@ -9,21 +9,18 @@ def neville_extrapolate(h, values):
     """Polynomial extrapolation of values(h) to h = 0 (Neville tableau).
 
     Returns (limit, error_estimate) where the estimate is the magnitude of
-    the last tableau correction.
+    the last tableau correction.  Values of shape (m, ...) give arrays of
+    shape (...), one tableau per trailing column; a sequence gives floats.
     """
-    h = np.asarray(h, dtype=float)
-    v = np.array(values, dtype=float)
-    m = len(v)
-    if m == 1:
-        return float(v[0]), float("inf")
-    tableau = v.copy()
-    last = tableau[-1]
-    for k in range(1, m):
-        for i in range(m - k):
-            denom = h[i] - h[i + k]
-            tableau[i] = ((0.0 - h[i + k]) * tableau[i] - (0.0 - h[i]) * tableau[i + 1]) / denom
-        prev, last = last, tableau[0]
-    return float(last), float(abs(last - prev))
+    tableau = np.array(values, dtype=float)
+    h = np.asarray(h, dtype=float).reshape((-1,) + (1,) * (tableau.ndim - 1))
+    last, err = tableau[-1], np.full(tableau.shape[1:], np.inf)
+    for k in range(1, len(tableau)):
+        tableau = ((0.0 - h[k:]) * tableau[:-1] - (0.0 - h[:-k]) * tableau[1:]) / (h[:-k] - h[k:])
+        last, err = tableau[0], np.abs(tableau[0] - last)
+    if tableau.ndim == 1:
+        return float(last), float(err)
+    return last, err
 
 
 def neville_in_size(sizes, values, m):

@@ -51,6 +51,19 @@ def test_inconclusive_base_green_exits_3(argv, capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--kind", "theorem"],
+                                   ["--kind", "davies", "--x0", "0", "--y0", "0"]])
+def test_ratio_past_the_ground_states_has_no_prediction(extra, capsys):
+    # vertex 1024 lies only in the closed top level of the 2049 truncation,
+    # which is not a usable level: no ground-state value, no kernel limit
+    code = main(["ratio", "--fixture", "lat1_geo(0.5)", "--ambient-size", "2049",
+                 "--x", "1024", "--y", "0", "--t-grid", "1,2,3,4,5,6"] + extra)
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "points: 0 (excluded 6)" in out
+    assert "predicted_limit:" not in out
+
+
 def test_green_and_lambda0(capsys):
     code = main(["green", "--fixture", "lat1", "--ambient-size", "257",
                  "--constant", "1.0", "--x", "0", "--y", "0"])

@@ -5,6 +5,8 @@ Claims:
     - lambda0 limits: lattice 0, killing shifts exactly, single vertex exact
     - the classification suite reproduces the documented fixture facts
     - ground states are one, and symmetric fixtures have phi* = phi
+    - the batched Neville ground states and mass series equal the per-vertex
+      algorithm bit for bit
     - critical couplings match the rank-one spectral oracle
     - perturbation integrals vanish/decrease as documented
 """
@@ -16,6 +18,7 @@ import heatlab as hl
 from heatlab import criticality as crit
 from heatlab.domains import single_vertex_domain
 from heatlab.kernels import principal_dirichlet_eigenvalue
+from heatlab.series import neville_extrapolate
 
 
 # -- lambda0 -------------------------------------------------------------------
@@ -94,7 +97,7 @@ def test_classify_lat1_null_critical(lat1, lat1_op):
     assert rep.mass.diverging
     # constants are harmonic: the extrapolated ground state is flat
     for x in (0, 1, -5, 17):
-        assert rep.ground_state[x] == pytest.approx(1.0, abs=1e-6)
+        assert rep.ground_state[lat1.domain.index[x]] == pytest.approx(1.0, abs=1e-6)
     assert rep.green_limit.diverging
 
 
@@ -104,8 +107,9 @@ def test_classify_geo_positive_critical(geo, geo_op):
     assert rep.mass.converged
     assert rep.mass.value == pytest.approx(3.0, abs=1e-6)
     for x in (0, 1, -3):
-        assert rep.ground_state[x] == pytest.approx(1.0, abs=1e-7)
-        assert rep.adjoint_ground_state[x] == pytest.approx(rep.ground_state[x], abs=1e-9)
+        px = geo.domain.index[x]
+        assert rep.ground_state[px] == pytest.approx(1.0, abs=1e-7)
+        assert rep.adjoint_ground_state[px] == pytest.approx(rep.ground_state[px], abs=1e-9)
 
 
 def test_classify_subcritical_killing(lat1, lat1_plus1_op):
@@ -133,6 +137,87 @@ def test_classify_agrees_with_adjoint(drift):
     expected = (np.sqrt(1.2) - np.sqrt(0.8)) ** 2
     assert rep.classification is hl.Classification.SUBCRITICAL
     assert rep.lambda0.value == pytest.approx(expected, abs=1e-4)
+
+
+# -- ground states as vertex arrays ------------------------------------------------
+
+def _neville_reference(h, values):
+    """The scalar Neville tableau (Stoer & Bulirsch, section 2.1), one entry at a time."""
+    t = list(values)
+    prev = last = t[-1]
+    for k in range(1, len(t)):
+        for i in range(len(t) - k):
+            t[i] = ((0.0 - h[i + k]) * t[i] - (0.0 - h[i]) * t[i + 1]) / (h[i] - h[i + k])
+        prev, last = last, t[0]
+    return last, abs(last - prev) if len(t) > 1 else float("inf")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_neville_broadcasts_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    h = 1.0 / np.sort(rng.integers(3, 5000, size=m))[::-1]
+    values = 1.0 + rng.standard_normal((m, 7)) * h[:, None]
+    limits, errors = neville_extrapolate(h, values)
+    assert limits.shape == errors.shape == (7,)
+    for k in range(7):
+        scalar = neville_extrapolate(h, values[:, k])
+        assert type(scalar[0]) is float and type(scalar[1]) is float
+        assert scalar == (limits[k], errors[k])
+        assert scalar == _neville_reference(np.asarray(h), values[:, k])
+
+
+def _per_vertex_ground_state(op, exhaustion, x0):
+    """The per-vertex algorithm: one dict per level, one tableau per vertex."""
+    ev = hl.HeatKernelEvaluator(op, exhaustion)
+    levels = ev.usable_levels()
+    per_level = {}
+    for j in levels:
+        _, v, _ = ev.factor(j).principal_pair()
+        per_level[j] = dict(zip(exhaustion[j].labels.tolist(), v / v[exhaustion[j].local_of(x0)]))
+    phi = np.full(exhaustion.domain.n_vertices, np.nan)
+    for x in exhaustion[levels[-1]].labels.tolist():
+        seq = [(exhaustion[j].size, per_level[j][x]) for j in levels if x in per_level[j]][-5:]
+        phi[exhaustion.domain.index[x]] = seq[0][1] if len(seq) == 1 else _neville_reference(
+            [1.0 / s for s, _ in seq], [v for _, v in seq])[0]
+    phi[exhaustion.domain.index[x0]] = 1.0
+    return phi
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("lat1", hl.Classification.NULL_CRITICAL),
+    ("geo", hl.Classification.POSITIVE_CRITICAL),
+    ("drift", hl.Classification.NULL_CRITICAL),  # nonsymmetric: the adjoint path
+])
+def test_ground_states_match_per_vertex_algorithm(case, kind, request):
+    fx = request.getfixturevalue(case)
+    op = hl.assemble(fx.domain)
+    if case == "drift":
+        op = hl.shift(op, (np.sqrt(1.2) - np.sqrt(0.8)) ** 2)  # its closed-form lambda0
+    rep = crit.classify(op, fx.exhaustion)
+    assert rep.classification is kind
+    phi = _per_vertex_ground_state(op, fx.exhaustion, rep.x0)
+    phi_star = phi if op.symmetric else _per_vertex_ground_state(
+        hl.adjoint(op), fx.exhaustion, rep.x0)
+    assert rep.ground_state.tobytes() == phi.tobytes()
+    assert rep.adjoint_ground_state.tobytes() == phi_star.tobytes()
+    mu = fx.domain.mu
+    assert rep.mass.history
+    for j, mass_j in rep.mass.history:
+        assert mass_j == sum(phi[i] * phi_star[i] * mu[i] for i in fx.exhaustion[j].positions)
+    assert f"ground_state_vertices: {np.count_nonzero(~np.isnan(phi))}" in rep.to_text()
+
+
+def test_ground_state_takes_one_tableau_per_depth(geo_ev, monkeypatch):
+    calls = []
+
+    def counting(h, values):
+        calls.append(h)
+        return neville_extrapolate(h, values)
+
+    monkeypatch.setattr(crit, "neville_extrapolate", counting)
+    x0, phi = crit.ground_state(geo_ev)
+    assert 1 <= len(calls) <= 4
+    assert phi[geo_ev.op.domain.index[x0]] == 1.0
 
 
 def test_classify_rejects_negative_lambda0(lat1, lat1_op):
@@ -246,7 +331,7 @@ def test_perturbation_integrals_validation(lat1, lat1_op):
 
 def test_comparison_degenerate_identity(lat1, lat1_plus1_op, lat1_plus1_ev):
     region = list(range(3, 12))
-    phi = {x: lat1_plus1_ev.green(x, 0).value for x in region}
+    phi = lat1.domain.vertex_vector({x: lat1_plus1_ev.green(x, 0).value for x in region}, "phi")
     lo, hi = crit.ground_state_green_comparison(
         lat1_plus1_op, phi, 0, region, lat1.exhaustion, evaluator=lat1_plus1_ev)
     assert lo == pytest.approx(1.0, rel=1e-12)
@@ -267,7 +352,7 @@ def test_comparison_bound_state_family(lat1, lat1_plus1_op):
 
 
 def test_comparison_rejects_critical_operator(lat1, lat1_op):
-    phi = {x: 1.0 for x in range(2, 8)}
+    phi = np.ones(lat1.domain.n_vertices)
     with pytest.raises(hl.NumericalError):
         crit.ground_state_green_comparison(lat1_op, phi, 0, list(range(2, 8)),
                                            lat1.exhaustion)
@@ -275,8 +360,10 @@ def test_comparison_rejects_critical_operator(lat1, lat1_op):
 
 def test_comparison_region_validation(lat1, lat1_plus1_op):
     with pytest.raises(hl.ValidationError):
-        crit.ground_state_green_comparison(lat1_plus1_op, {0: 1.0}, 0, [0],
-                                           lat1.exhaustion)
+        crit.ground_state_green_comparison(lat1_plus1_op, np.ones(lat1.domain.n_vertices), 0,
+                                           [0], lat1.exhaustion)
+    with pytest.raises(hl.ValidationError, match="vertex vector"):
+        crit.ground_state_green_comparison(lat1_plus1_op, np.ones(3), 0, [5], lat1.exhaustion)
 
 
 # -- edge weight domination -------------------------------------------------------

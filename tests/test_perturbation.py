@@ -450,3 +450,53 @@ def test_neumann_rejects_nonfinite_coupling(scalar_stack, eps):
     with pytest.raises(hl.HeatLabError, match="coupling must be finite") as info:
         pert.neumann_heat_kernel(scalar_stack, eps, 0, 0, 1.0)
     assert type(info.value) is hl.ValidationError
+
+
+@pytest.mark.parametrize("call", ["iterated_kernel", "layer_column", "value"])
+@pytest.mark.parametrize("bad", [1.5, float("nan"), 2.0, True, -1])
+def test_stack_rejects_non_integer_layer_index(lat1_nine, call, bad):
+    op, v, sub = lat1_nine
+    stack = pert.IteratedKernelStack(op, v, sub, t_max=1.0, n_steps=8)
+    with pytest.raises(hl.HeatLabError, match="layer index") as info:
+        if call == "iterated_kernel":
+            pert.iterated_kernel(stack, bad, 0, 0, 1.0)
+        elif call == "layer_column":
+            stack.layer_column(0, bad)
+        else:
+            stack.value(bad, 0, 0, 1.0)
+    assert type(info.value) is hl.ValidationError
+    assert stack._columns == {}  # rejected before any layer is built
+
+
+BAD_GRIDS = [[-1.0, 0.5, 1.0], [0.0, 1.0], [float("nan"), 1.0], [0.5, float("inf")], []]
+
+
+@pytest.fixture(scope="module")
+def lat1_nine_plus1(lat1_nine):
+    op, v, sub = lat1_nine
+    return hl.add_potential(op, hl.Potential.constant(op.domain, 1.0)), v, sub
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_three_k_rejects_bad_times(lat1_nine_plus1, grid):
+    op, v, sub = lat1_nine_plus1
+    with pytest.raises(hl.HeatLabError, match="times must be finite and positive") as info:
+        pert.three_k_constant(op, v, sub, t_grid=grid)
+    assert type(info.value) is hl.ValidationError
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_equivalence_check_rejects_bad_times(lat1_nine_plus1, grid):
+    op, v, sub = lat1_nine_plus1
+    with pytest.raises(hl.HeatLabError, match="times must be finite and positive") as info:
+        pert.equivalence_check(op, v, [0.1], sub, t_grid=grid)
+    assert type(info.value) is hl.ValidationError
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS)
+def test_convexity_check_rejects_bad_times(lat1_nine_plus1, grid):
+    op, v, sub = lat1_nine_plus1
+    op1 = hl.add_potential(op, v)
+    with pytest.raises(hl.HeatLabError, match="times must be finite and positive") as info:
+        pert.convexity_check(op, op1, [0.5], sub, [(0, 0)], grid)
+    assert type(info.value) is hl.ValidationError
