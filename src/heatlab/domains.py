@@ -69,6 +69,7 @@ class WeightedDomain:
         if not np.all((mu > 0.0) & np.isfinite(mu)):
             raise ValidationError("measure must be positive and finite on every vertex")
         self.mu = mu
+        self.max_mu = float(mu.max())
 
         try:
             if isinstance(edge_weights, tuple):
@@ -100,6 +101,7 @@ class WeightedDomain:
             raise ValidationError("edge weights must be finite")
 
         self._weights_t = None
+        self._out_weights = {}
         self._adjacency = None
         sym = self.weights - self.weights.T
         self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
@@ -156,6 +158,16 @@ class WeightedDomain:
             self._weights_t = self.weights.T.tocsr()
         return self._weights_t
 
+    def out_weights(self, transposed=False):
+        """Each vertex's total out-weight under ``oriented_weights(transposed)``:
+        the part of every restriction's diagonal that is not D mu."""
+        out = self._out_weights.get(transposed)
+        if out is None:
+            # row by row in storage order (``sum(axis=1)`` takes 8x longer)
+            w = self.oriented_weights(transposed)
+            out = self._out_weights[transposed] = w @ np.ones(w.shape[1])
+        return out
+
     def total_measure(self, subset=None):
         if subset is None:
             return float(self.mu.sum())
@@ -201,8 +213,8 @@ class LevelPattern:
     positive-definiteness certificates run on the ``NestedOrder`` instead.
     """
 
-    def __init__(self, positions, weights):
-        self.out_weight = np.asarray(weights.sum(axis=1)).ravel()[positions]
+    def __init__(self, positions, weights, out_weight):
+        self.out_weight = out_weight[positions]
         self.w_s = weights[positions][:, positions]
         self.absorbing = bool(np.any(self.out_weight > np.asarray(self.w_s.sum(axis=1)).ravel()))
         self._band = None
@@ -239,7 +251,11 @@ class NestedOrder:
     the order), ``out_weight`` (the full out-weights there: edges leaving a
     level are absorption) and ``band`` (the strict upper band of -W in the
     order, ``kd`` rows of LAPACK upper banded storage) cover ``size`` vertices.
-    The weights must be symmetric.
+    ``tridiagonal`` is the length of the leading run of columns whose only
+    band entry is at distance 1, so that the leading block of that size is
+    tridiagonal: the whole order on rad(d), about 3 columns on lat1, a few on
+    balls of a grid.  It is final once it falls short of ``size``.  The
+    weights must be symmetric.
     """
 
     def __init__(self, domain, levels):
@@ -249,6 +265,7 @@ class NestedOrder:
         self.positions = np.zeros(0, dtype=np.intp)
         self.out_weight = np.zeros(0)
         self.band = np.zeros((0, 0))
+        self.tridiagonal = 0
         self._rank = None  # domain position -> index in the order; -1 if not in it yet
         self._lock = threading.Lock()
 
@@ -260,6 +277,7 @@ class NestedOrder:
         pattern = sub.pattern()
         perm, nest.band = pattern.band()
         nest.positions, nest.out_weight = sub.positions[perm], pattern.out_weight[perm]
+        nest.tridiagonal = _tridiagonal_end(nest.band, 0)
         nest.depth = 1
         return nest
 
@@ -311,9 +329,18 @@ class NestedOrder:
         band[kd - self.kd:, :start] = self.band
         band[kd - offset, column[upper]] = -value[upper]
         self.band = band
+        if self.tridiagonal == start:
+            self.tridiagonal = _tridiagonal_end(band, start)
         self.positions = np.concatenate((self.positions, shell[order]))
-        self.out_weight = np.concatenate((self.out_weight, np.bincount(
-            column - start, weights=value, minlength=shell.size)))
+        self.out_weight = np.concatenate((self.out_weight,
+                                          self.domain.out_weights()[shell[order]]))
+
+
+def _tridiagonal_end(band, start):
+    """The first column from ``start`` on with a band entry above distance 1
+    (the band's width if there is none)."""
+    wide = np.flatnonzero(band[:-1, start:].any(axis=0))
+    return start + int(wide[0]) if wide.size else band.shape[1]
 
 
 def _csr_rows(matrix, rows):
@@ -365,7 +392,8 @@ class IndexedSubdomain:
         pat = self._patterns.get(transposed)
         if pat is None:
             pat = self._patterns[transposed] = LevelPattern(
-                self.positions, self.domain.oriented_weights(transposed))
+                self.positions, self.domain.oriented_weights(transposed),
+                self.domain.out_weights(transposed))
         return pat
 
     def has_absorption(self):

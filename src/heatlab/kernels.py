@@ -24,12 +24,14 @@ of the deepest level's A_S, so its factor is the leading block of U: one
 factor per (operator, exhaustion), grown shell by shell as deep as some
 level is asked for, certifies each level by whether its whole prefix
 factors (LAPACK's ``info`` is the first failing leading minor), and gives
-its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y, grown
-by banded forward solves.  A standalone factor is a one-level nest in the
-level pattern's reverse Cuthill-McKee order.  A closed level (no absorption)
-with D = 0 is singular, A_S 1 = 0, and is never certified, whatever the sign
-of the last pivot's round-off.  The same holds for the adjoint of such an
-operator, whose A*_S = A_S^T.
+its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y.  In the
+order's tridiagonal prefix (all of rad(d), a few columns elsewhere) U comes
+from LAPACK's LDL^T ``dpttrf`` and z from a cumulative product; past it from
+banded Cholesky ``dpbtrf`` and banded forward solves.  A standalone factor is
+a one-level nest in the level pattern's reverse Cuthill-McKee order.  A
+closed level (no absorption) with D = 0 is singular, A_S 1 = 0, and is never
+certified, whatever the sign of the last pivot's round-off.  The same holds
+for the adjoint of such an operator, whose A*_S = A_S^T.
 
 Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
 shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
@@ -64,9 +66,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-# banded LAPACK directly: scipy's cholesky_banded and cho_solve_banded copy the
-# band and the right-hand side through asarray_chkfinite on every call
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+# banded and tridiagonal LAPACK directly: scipy's cholesky_banded and
+# cho_solve_banded copy the band and the right-hand side through
+# asarray_chkfinite on every call
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dtbtrs
 
 from .domains import Exhaustion, IndexedSubdomain, NestedOrder
 from .errors import NumericalError, ValidationError
@@ -162,8 +165,19 @@ class _NestedCholesky:
     ``size`` columns are factored.  ``failed`` means that column ``size`` had a
     nonpositive pivot: no longer prefix is positive definite, and U grows no
     further.  Green values G(x, y) = z_x . z_y of a level come from the
-    columns z = U^-T e_y, cut to its prefix and grown by banded forward
-    solves.
+    columns z = U^-T e_y, cut to its prefix and grown on demand.
+
+    Columns inside the nest's tridiagonal prefix (the whole nest on rad(d))
+    are factored by LAPACK's LDL^T ``dpttrf``, A = L diag(d) L^T, whose window
+    starts at the last stored pivot, and stored as U = diag(d)^(1/2) L^T:
+    U_ii = sqrt(d_i), U_(i-1,i) = l_(i-1) sqrt(d_(i-1)).  There U^T is lower
+    bidiagonal, so a column z = U^-T e_k is a cumulative product of the
+    ratios r_i = -U_(i-1,i) / U_ii from z_k = 1/U_kk, each extension seeded
+    with the last stored entry.  Columns past the prefix are factored by
+    ``dpbtrf`` and solved by ``dtbtrs``.  The route of a column depends only
+    on the nest, and both tridiagonal routes are seeded with stored values, so
+    no tridiagonal column depends on how the growth was split or on which
+    operator grew the shared nest first.
     """
 
     def __init__(self, op, nest: NestedOrder):
@@ -171,6 +185,8 @@ class _NestedCholesky:
         self.nest = nest
         self.ab = np.zeros((1, 0), order="F")  # U in LAPACK upper banded storage
         self.failed = False
+        self._pivot = 0.0  # d of the last column, while every column is tridiagonal
+        self._ratio = np.zeros(0)  # r_i over the tridiagonal columns (r_0 = 0)
         self._columns = {}  # index k in the order -> U^-T e_k over a prefix
         self._lock = threading.Lock()
 
@@ -191,9 +207,12 @@ class _NestedCholesky:
         return n <= self.size
 
     def _extend(self, q):
-        """Factor columns [size, q) by ``dpbtrf`` on the window [size - kd, q),
-        whose leading block T^T T (T: the stored trailing block of U) carries
-        the coupling to the columns already factored."""
+        """Factor columns [size, q): those in the nest's tridiagonal prefix by
+        ``dpttrf``, the rest by ``dpbtrf`` on the window [size - kd, q), whose
+        leading block T^T T (T: the stored trailing block of U) carries the
+        coupling to the columns already factored.  The operator's diagonal is
+        finite (``EllipticOperator`` checks it), so every failure is a
+        nonpositive pivot."""
         nest, p = self.nest, self.size
         nest.grow_to(q)
         band = nest.band  # read once: another operator's factor may grow the nest
@@ -201,25 +220,59 @@ class _NestedCholesky:
         if self.ab.shape[0] <= kd:  # the band widened: pad with zero rows on top
             self.ab = np.concatenate((np.zeros((kd + 1 - self.ab.shape[0], p), order="F"),
                                       self.ab))
+        tri = min(nest.tridiagonal, q)  # final below q once the nest holds q columns
+        if p < tri:
+            self._extend_tridiagonal(band, p, tri)
+            p = self.size
+            if self.failed or p == q:
+                return
         s = max(p - kd, 0)
         m = p - s
-        pos = nest.positions[s:q]
-        diag = nest.out_weight[s:q] + self.op.potential[pos] * self.op.mu[pos]
-        # LAPACK's unblocked banded Cholesky lets a NaN pivot pass: stop before one
-        bad = np.flatnonzero(~np.isfinite(diag))
-        window = np.vstack((band[:, s:q], diag))[:, :bad[0] if bad.size else None]
+        window = np.vstack((band[:, s:q], self._diagonal(s, q)))
         if m:
             t = sum(np.diag(self.ab[kd - d, s + d:p], d) for d in range(m))
             tt = t.T @ t
             for d in range(m):
                 window[kd - d, d:m] = np.diagonal(tt, d)
-        done = m
-        if window.shape[1] > m:
-            chol, info = dpbtrf(window)
-            # info is the first leading minor of the window that is not positive definite
-            done = window.shape[1] if info == 0 else max(info - 1, m)
-            self.ab = np.concatenate((self.ab, chol[:, m:done]), axis=1)
-        self.failed = done < diag.size
+        chol, info = dpbtrf(window)
+        # info is the first leading minor of the window that is not positive definite
+        done = window.shape[1] if info == 0 else max(info - 1, m)
+        self.ab = np.concatenate((self.ab, chol[:, m:done]), axis=1)
+        self.failed = done < window.shape[1]
+
+    def _diagonal(self, s, q):
+        """The diagonal out_weight + D mu of A over the columns [s, q)."""
+        pos = self.nest.positions[s:q]
+        return self.nest.out_weight[s:q] + self.op.potential[pos] * self.op.mu[pos]
+
+    def _extend_tridiagonal(self, band, p, tri):
+        """Factor the tridiagonal columns [p, tri) by ``dpttrf`` on the window
+        [p - 1, tri) led by the stored pivot d_(p-1) (on [0, tri) when p = 0)."""
+        seeded = int(p > 0)
+        d = self._diagonal(p, tri)
+        if seeded:
+            d = np.concatenate(([self._pivot], d))
+        if d.size == 1:  # dpttrf's wrapper rejects an empty off-diagonal
+            info = 0 if d[0] > 0.0 else 1
+            l = np.zeros(0)
+        else:
+            d, l, info = dpttrf(d, band[-1, p + 1 - seeded:tri])
+        # info is the first nonpositive pivot of the window
+        done = d.size if info == 0 else info - 1
+        if done > seeded:
+            root = np.sqrt(d[:done])
+            # U_(i-1,i) of the window's columns from 1 on; column 0 of the order has none
+            upper = l[:done - 1] * root[:-1]
+            if not seeded:
+                upper = np.concatenate(([0.0], upper))
+            block = np.zeros((self.ab.shape[0], done - seeded), order="F")
+            block[-1] = root[seeded:]
+            if block.shape[0] > 1:
+                block[-2] = upper
+            self.ab = np.concatenate((self.ab, block), axis=1)
+            self._ratio = np.concatenate((self._ratio, -upper / root[seeded:]))
+            self._pivot = float(d[done - 1])
+        self.failed = done < d.size
 
     def solve(self, n, rhs):
         """A_n^-1 rhs, the leading block's solve, in the nest's order."""
@@ -229,8 +282,21 @@ class _NestedCholesky:
         """U^-T e_k over the prefix n (at least)."""
         z = self._columns.get(k, np.zeros(0))
         p = z.size
+        if p >= n:
+            return z
+        ab = self.ab
+        tri = min(self._ratio.size, n)
+        if p < tri:
+            # z_i = r_i z_(i-1) from z_k = 1/U_kk, seeded with the stored z_(p-1)
+            grown = np.zeros(tri - p)
+            if k < tri:
+                first = max(k, p)
+                seed = z[-1] * self._ratio[p] if k < p else 1.0 / ab[-1, k]
+                np.multiply.accumulate(np.concatenate(([seed], self._ratio[first + 1:tri])),
+                                       out=grown[first - p:])
+            z = np.concatenate((z, grown))
+            p = tri
         if p < n:
-            ab = self.ab
             kd = ab.shape[0] - 1
             rhs = np.zeros((n - p, 1))
             if p <= k < n:
@@ -239,7 +305,8 @@ class _NestedCholesky:
                 lo, hi = max(0, d - p), min(d, n - p)
                 rhs[lo:hi, 0] -= ab[kd - d, p + lo:p + hi] * z[p + lo - d:p + hi - d]
             new = dtbtrs(ab[:, p:n], rhs, trans="T", overwrite_b=1)[0]
-            z = self._columns[k] = np.concatenate((z, new[:, 0]))
+            z = np.concatenate((z, new[:, 0]))
+        self._columns[k] = z
         return z
 
     def green(self, n, x, y):

@@ -101,6 +101,21 @@ class EllipticOperator:
             self.potential = vec.copy()
         self.symmetric = domain.symmetric
         self._adjoint_source = None
+        self._check_diagonal()
+
+    def _check_diagonal(self):
+        """Reject a potential D, or a diagonal out_weight + D mu of the measure
+        form, that is not finite, naming the first such vertex.  The bound
+        max|D| max mu + max out_weight clears most operators in O(1) passes."""
+        d, out = self.potential, self.domain.out_weights(self.transposed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.maximum(d.max(), -d.min()) * self.domain.max_mu + out.max()):
+                return
+            bad, what = ~np.isfinite(d), "potential is not finite"
+            if not bad.any():
+                bad, what = ~np.isfinite(out + d * self.mu), "diagonal out_weight + D mu overflows"
+        x = self.domain.labels[np.argmax(bad)]
+        raise ValidationError(f"{what} at vertex {x}")
 
     @property
     def mu(self):
@@ -123,8 +138,8 @@ class EllipticOperator:
     def apply(self, u):
         """(P u) for a full-domain vector u."""
         u = np.asarray(u, dtype=float)
-        w = self.weights
-        return (np.asarray(w.sum(axis=1)).ravel() * u - w @ u) / self.mu + self.potential * u
+        out = self.domain.out_weights(self.transposed)
+        return (out * u - self.weights @ u) / self.mu + self.potential * u
 
 
 def assemble(domain: WeightedDomain, potential=None) -> EllipticOperator:
@@ -144,9 +159,8 @@ def adjoint(op: EllipticOperator) -> EllipticOperator:
         return EllipticOperator(op.domain, op.potential)
     if op._adjoint_source is not None:
         return op._adjoint_source  # exact involution
-    w_t = op.domain.oriented_weights(not op.transposed)
-    out_flow = np.asarray(op.weights.sum(axis=1)).ravel()
-    in_flow = np.asarray(w_t.sum(axis=1)).ravel()
+    out_flow = op.domain.out_weights(op.transposed)
+    in_flow = op.domain.out_weights(not op.transposed)
     d_star = op.potential + (out_flow - in_flow) / op.mu
     result = EllipticOperator(op.domain, d_star, _transposed=not op.transposed)
     result._adjoint_source = op
@@ -166,8 +180,9 @@ def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOper
         vec = potential.values
     else:
         vec = np.asarray(potential, dtype=float)
-    return EllipticOperator(op.domain, op.potential + float(coupling) * vec,
-                            _transposed=op.transposed)
+    with np.errstate(over="ignore"):  # the operator rejects a potential that overflows
+        total = op.potential + float(coupling) * vec
+    return EllipticOperator(op.domain, total, _transposed=op.transposed)
 
 
 def quadratic_form(op: EllipticOperator, u) -> float:

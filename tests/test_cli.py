@@ -256,3 +256,21 @@ def test_bad_potential_file_exits_2(tmp_path, capsys, source, content):
     err = capsys.readouterr().err
     assert "validation error" in err and "v.txt" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--x", "0", "--y", "1"],
+    ["heat", "--x", "0", "--y", "1", "--t", "1"],
+    ["classify"],
+])
+def test_overflowing_operator_diagonal_exits_2(tmp_path, capsys, argv):
+    # P + 1e300 is strongly subcritical, but D mu = 1e310 at vertex 3 is not finite
+    path = tmp_path / "path.txt"
+    lines = [f"{v} {1e10 if v == 3 else 1.0}" for v in range(64)]
+    lines += [f"{v} {v + 1} 1.0\n{v + 1} {v} 1.0" for v in range(63)]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(argv + ["--fixture", str(path), "--constant", "1e300"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "overflows at vertex 3" in captured.err
+    assert "value:" not in captured.out

@@ -823,3 +823,132 @@ def test_concurrent_green_limits_share_one_nest():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+# -- the tridiagonal route of the nested factor (LDL^T pivots, cumulative products) -
+
+def _rad3_wells(fx, couplings):
+    base = hl.assemble(fx.domain)
+    well = hl.Potential.indicator(fx.domain, [1], -1.0)
+    return [hl.add_potential(base, well, a) for a in couplings]
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+def test_nested_factor_does_not_depend_on_how_it_grew(ahead):
+    # level by level, or to the deepest level in one call; on a fresh nest or
+    # on one another operator grew ahead: the same U and Green values, bit for bit
+    queries = [(1, 1), (1, 2), (3, 1), (7, 40)]
+
+    def grow(stepwise, ahead):
+        fx = hl.fixture("rad(3)", ambient_size=3000)
+        op, other = _rad3_wells(fx, (0.9, 0.5))
+        ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+        levels = ev.usable_levels()
+        last = fx.exhaustion[levels[-1]].size
+        if ahead:
+            hl.HeatKernelEvaluator(other, fx.exhaustion).green(1, 2)
+            assert fx.exhaustion.nested_order().size == last
+        if not stepwise:
+            for x, y in queries:
+                ev._nested.green(last, x, y)
+        values = [ev.green_finite_level(j, x, y) for j in levels for x, y in queries
+                  if x in fx.exhaustion[j] and y in fx.exhaustion[j]]
+        assert fx.exhaustion.nested_order().tridiagonal == last
+        return ev._nested.ab.tobytes(), values
+
+    assert grow(True, False) == grow(False, ahead) == grow(True, ahead)
+
+
+@pytest.mark.parametrize("ratio", [0.99, 0.999])
+def test_tridiagonal_green_values_match_a_long_double_recurrence(ratio):
+    # the LDL^T pivot recurrence and the columns U^-T e_k, evaluated in long
+    # double on the same matrix, near the critical coupling (G(1, 1) ~ 50-500)
+    fx = hl.fixture("rad(3)", ambient_size=20000)
+    (op,) = _rad3_wells(fx, (ratio / (np.pi**2 / 2.0 - 4.0),))
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    levels = ev.usable_levels()
+    got = {(j, x, y): ev.green_finite_level(j, x, y)
+           for j in levels for x, y in ((1, 2), (2, 40)) if y in fx.exhaustion[j]}
+    nest = fx.exhaustion.nested_order()
+    n = fx.exhaustion[levels[-1]].size
+    assert nest.tridiagonal == n
+    pos = nest.positions[:n]
+    diag = (nest.out_weight[:n] + op.potential[pos] * op.mu[pos]).astype(np.longdouble)
+    off = nest.band[-1, 1:n].astype(np.longdouble)
+    pivot, mult = diag.copy(), np.zeros(n - 1, np.longdouble)
+    for i in range(n - 1):
+        mult[i] = off[i] / pivot[i]
+        pivot[i + 1] = diag[i + 1] - mult[i] * off[i]
+
+    def forward(k, m):  # L^-1 e_k over the prefix m
+        v = np.zeros(m, np.longdouble)
+        v[k] = 1.0
+        v[k + 1:] = np.cumprod(-mult[k:m - 1])
+        return v
+
+    for (j, x, y), value in got.items():
+        m = fx.exhaustion[j].size
+        kx, ky = nest.index_of(x), nest.index_of(y)
+        exact = float(np.sum(forward(kx, m) * forward(ky, m) / pivot[:m]))
+        assert value == pytest.approx(exact, rel=1e-10)
+
+
+def _comet(well_column=None, path=6, rungs=5):
+    """A path 0..path-1 leading into a ladder of ``rungs`` rungs, exhausted one
+    path vertex, then one rung, at a time.  The nest is tridiagonal for the
+    path and the first rung's first vertex, then has band 2.  With
+    ``well_column`` the vertex in that column of the nest carries D = -50, so
+    its leading minor is the first that is not positive definite."""
+    rng = np.random.default_rng(11)
+    a, b = path + np.arange(rungs), path + rungs + np.arange(rungs)
+    x = np.r_[np.arange(path - 1), path - 1, path - 1, a[:-1], b[:-1], a]
+    y = np.r_[np.arange(1, path), a[0], b[0], a[1:], b[1:], b]
+    w = rng.uniform(0.5, 2.0, x.size)
+    labels = np.arange(path + 2 * rungs)
+    domain = hl.WeightedDomain(labels, rng.uniform(0.5, 2.0, labels.size),
+                               (np.r_[x, y], np.r_[y, x], np.r_[w, w]))
+    levels = [labels[:k] for k in range(1, path + 1)]
+    levels += [np.r_[labels[:path], a[:k], b[:k]] for k in range(1, rungs + 1)]
+    potential = np.full(labels.size, 0.05)
+    ex = hl.Exhaustion(domain, levels)
+    if well_column is not None:
+        nest = ex.nested_order()
+        nest.grow_to(labels.size)
+        potential[nest.positions[well_column]] = -50.0
+    return domain, ex, hl.assemble(domain, potential)
+
+
+@pytest.mark.parametrize("stepwise", [True, False])
+@pytest.mark.parametrize("well_column", [None, 0, 3, 6, 7, 10])
+def test_mixed_band_nest_matches_dense_solves(stepwise, well_column):
+    # the well sits in the one-column first window (0), inside the
+    # tridiagonal prefix (3), on its last column (6), on the first banded
+    # column (7) or deeper in the band (10)
+    domain, ex, op = _comet(well_column)
+    ev = hl.HeatKernelEvaluator(op, ex)
+    nest = ex.nested_order()
+    levels = ev.usable_levels()
+    if not stepwise:
+        ev._nested.definite(ex[levels[-1]].size)
+    certified = []
+    for j in levels:
+        level = ex[j]
+        a_s = ev.factor(j).a_s.toarray()
+        definite = bool(np.linalg.eigvalsh(a_s).min() > 0.0)
+        certified.append(ev.factor(j).is_positive_definite())
+        assert certified[-1] is definite
+        inverse = np.linalg.inv(a_s) if definite else None
+        for x in level.labels:
+            for y in level.labels[::3]:
+                if definite:
+                    assert ev.green_finite_level(j, x, y) == pytest.approx(
+                        inverse[level.local_of(x), level.local_of(y)], rel=1e-12)
+                else:
+                    with pytest.raises(hl.NumericalError):
+                        ev.green_finite_level(j, x, y)
+    assert nest.kd == 2 and nest.tridiagonal == 7
+    if well_column is None:
+        assert all(certified) and ev._nested.size == domain.n_vertices
+    else:
+        assert ev._nested.failed and ev._nested.size == well_column
+        assert certified == [ex[j].size <= well_column for j in levels]

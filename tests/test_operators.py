@@ -166,3 +166,38 @@ def test_offdiagonal_sign_condition(drift, rad3):
         k = op.action_matrix_dense(sub)
         off = k - np.diag(np.diag(k))
         assert np.all(off <= 0.0)
+
+
+def _path_with_heavy_vertex(n=64, heavy=3, mu_heavy=1e10):
+    labels = np.arange(n)
+    mu = np.where(labels == heavy, mu_heavy, 1.0)
+    x, y = np.r_[labels[:-1], labels[1:]], np.r_[labels[1:], labels[:-1]]
+    return hl.WeightedDomain(labels, mu, (x, y, np.ones(x.size)))
+
+
+@pytest.mark.parametrize("build, vertex", [
+    (lambda op: hl.shift(op, np.inf), 0),
+    (lambda op: hl.shift(op, np.nan), 0),
+    (lambda op: hl.EllipticOperator(op.domain, np.full(op.domain.n_vertices, np.nan)), 0),
+    (lambda op: hl.EllipticOperator(op.domain, np.where(op.domain.labels == 5, -np.inf, 1.0)), 5),
+    (lambda op: hl.add_potential(op, hl.Potential.constant(op.domain, 1e300), 1e10), 0),
+])
+def test_operators_reject_nonfinite_potentials(build, vertex):
+    op = hl.assemble(_path_with_heavy_vertex(mu_heavy=1.0))
+    with pytest.raises(hl.ValidationError, match=f"potential is not finite at vertex {vertex}$"):
+        build(op)
+
+
+def test_operators_reject_an_overflowing_diagonal():
+    # D = 1e300 is finite, but D mu = 1e310 at the heavy vertex is not
+    domain = _path_with_heavy_vertex()
+    with pytest.raises(hl.ValidationError, match="out_weight \\+ D mu overflows at vertex 3$"):
+        hl.assemble(domain, hl.Potential.constant(domain, 1e300))
+    # so is an out-weight that overflows, with no potential at all
+    w = np.array([1e308, 1e308, 1e308, 1e308])
+    wide = hl.WeightedDomain([0, 1, 2], np.ones(3), ([0, 1, 1, 2], [1, 0, 2, 1], w))
+    with pytest.raises(hl.ValidationError, match="overflows at vertex 1$"):
+        hl.assemble(wide)
+    # below the overflow the bound passes, and so does a large but finite diagonal
+    hl.assemble(domain, hl.Potential.constant(domain, 1e290))
+    hl.assemble(domain, hl.Potential.constant(domain, -1e298))
