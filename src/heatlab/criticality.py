@@ -281,8 +281,7 @@ def lambda0_log_estimate(evaluator: HeatKernelEvaluator, x, y, t_grid,
     if t_grid.size < 3 or np.any(np.diff(t_grid) <= 0.0):
         raise ValidationError("t_grid must be increasing with at least 3 points")
     vals = []
-    for t in t_grid:
-        r = evaluator.heat_kernel(x, y, t, tol=tol)
+    for t, r in zip(t_grid, evaluator.heat_kernels(x, y, t_grid, tol=tol)):
         if not r.converged:
             raise InconclusiveError(f"kernel limit inconclusive at t={t:g}")
         if r.value <= 0.0:

@@ -140,12 +140,11 @@ def _t_grid(t_grid):
     return DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
 
 
-def _sample(grid, point):
-    """Run ``point(t) -> (value, level) | None`` over the grid: the kept t,
-    values and levels, and the t excluded by a None."""
+def _sample(grid, points):
+    """Pair the grid with its ``points``, each (value, level) or None: the kept
+    t, values and levels, and the t excluded by a None."""
     ts, vals, levels, excluded = [], [], [], []
-    for t in grid:
-        p = point(float(t))
+    for t, p in zip(grid, points, strict=True):
         if p is None:
             excluded.append(float(t))
         else:
@@ -184,14 +183,15 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
         report = classify(op, exhaustion, evaluator=ev, green_tol=heat_tol)
     lam0 = report.lambda0.value
 
-    def point(t):
-        r = ev.heat_kernel(x, y, t, tol=heat_tol)
+    def point(t, r):
         if not r.converged or r.value <= 0.0:
             return None
         # exp(lam0 t) k can overflow pointwise even though the product is finite
         return float(np.exp(lam0 * t + np.log(r.value))), r.level
 
-    ts, vals, levels, excluded = _sample(_t_grid(t_grid), point)
+    grid = _t_grid(t_grid)
+    ts, vals, levels, excluded = _sample(
+        grid, map(point, grid, ev.heat_kernels(x, y, grid, tol=heat_tol)))
     series = _decide_series(ts, vals, levels, excluded=excluded,
                             predicted=_ground_state_limit(op.domain, report, x, y))
     series.extras["lambda0"] = f"{lam0:.12g}"
@@ -220,7 +220,7 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
                 "the lambda0 estimate is off")
         return (float(delta * g.value), g.level) if g.converged else None
 
-    ds, vals, levels, excluded = _sample(deltas, point)
+    ds, vals, levels, excluded = _sample(deltas, map(point, deltas))
     if len(vals) < 3:
         return RatioSeries(np.asarray(ds), np.asarray(vals), levels,
                            SeriesStatus.INCONCLUSIVE,
@@ -252,13 +252,11 @@ def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
     if not np.any(t_grid > -tau):
         raise ValidationError("t grid has no point above |tau|")
 
-    def point(t):
-        if t <= -tau:
-            return None
-        return _ratio(ev.heat_kernel(x, y, t + tau, tol=heat_tol),
-                      ev.heat_kernel(x, y, t, tol=heat_tol))
-
-    ts, vals, levels, excluded = _sample(t_grid, point)
+    later = t_grid[~(t_grid <= -tau)]  # t + tau is a positive time (or t is invalid)
+    limits = ev.heat_kernels(x, y, np.concatenate((later + tau, later)), tol=heat_tol)
+    ratios = map(_ratio, limits[:later.size], limits[later.size:])
+    ts, vals, levels, excluded = _sample(
+        t_grid, (None if t <= -tau else next(ratios) for t in t_grid))
     predicted = None
     if op.symmetric:
         predicted = float(np.exp(-lambda0(op, exhaustion, evaluator=ev).value * tau))
@@ -276,8 +274,10 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
     """Series k(x, y, t)/k(x0, y0, t); for symmetric critical operators the
     limit is the ground-state ratio phi(x) phi*(y)/(phi(x0) phi*(y0))."""
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
-    ts, vals, levels, excluded = _sample(_t_grid(t_grid), lambda t: _ratio(
-        ev.heat_kernel(x, y, t, tol=heat_tol), ev.heat_kernel(x0, y0, t, tol=heat_tol)))
+    grid = _t_grid(t_grid)
+    ts, vals, levels, excluded = _sample(grid, map(
+        _ratio, ev.heat_kernels(x, y, grid, tol=heat_tol),
+        ev.heat_kernels(x0, y0, grid, tol=heat_tol)))
     predicted = None
     if report is not None and report.ground_state is not None and op.symmetric:
         predicted = _ground_state_limit(op.domain, report, x, y, ref=(x0, y0))
@@ -302,15 +302,15 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
     ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
 
-    def ratio_at(yy):
-        return lambda t: _ratio(ev_plus.heat_kernel(x, yy, t, tol=heat_tol),
-                                ev_zero.heat_kernel(x, yy, t, tol=heat_tol))
+    def ratios(grid, yy):
+        return _sample(grid, map(_ratio, ev_plus.heat_kernels(x, yy, grid, tol=heat_tol),
+                                 ev_zero.heat_kernels(x, yy, grid, tol=heat_tol)))
 
-    ts, vals, levels, excluded = _sample(_t_grid(t_grid), ratio_at(y))
+    ts, vals, levels, excluded = ratios(_t_grid(t_grid), y)
     series = _decide_series(ts, vals, levels, predicted=0.0, excluded=excluded)
     series.extras["lambda_plus"] = f"{rep_plus.lambda0.value:.10g}"
 
-    t_dom, rx = _sample(ts, ratio_at(int(y) if y1 is None else int(y1)))[:2]
+    t_dom, rx = ratios(ts, int(y) if y1 is None else int(y1))[:2]
     c_emp, onset = 0.0, ""
     if rx:
         peak = int(np.argmax(rx))

@@ -43,9 +43,13 @@ representable however widely the jump rates 1/mu spread.
 
 * Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
-  f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves every
-  t, and costs O(n) per step on the level's own banded factor of
-  A_S - sigma D_mu, in the pattern's reverse Cuthill-McKee order.
+  f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves a
+  whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
+  decomposition of T_m per step count m serves every t, and the stopping
+  rule is applied per t, so a grid's values equal those of one-t calls bit
+  for bit.  The basis lives in the reverse Cuthill-McKee coordinates of the
+  level's own banded factor of A_S - sigma D_mu, where a step costs one
+  O(n) banded solve.
 * All-pairs queries (kernel and semigroup matrices, lambda_min, the
   perturbation module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -59,6 +63,8 @@ scaling-and-squaring matrix exponentials.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -483,58 +489,77 @@ def _decay(lam, t):
     return np.where(np.isfinite(d), d, 0.0)
 
 
+def _row_norms(a):
+    """The 2-norm of each row of ``a``: one dot product per row, as
+    ``np.linalg.norm`` of that row alone."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+
+
 class _ShiftInvertLanczos:
-    """Lanczos process for B = (H - sigma)^(-1) started from e_y.
+    """Lanczos process for B = (H - sigma)^(-1) started from e_y, in the
+    reverse Cuthill-McKee coordinates of the level's shifted factor.
 
-    ``solve(v)`` applies B.  Full reorthogonalization (classical Gram-Schmidt,
-    twice) keeps the basis V orthonormal to round-off.  exp(-tH) e_y is
-    approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 = Q diag(exp(-t lam)) Q^T e_1
-    with the Ritz pairs (theta, Q) of the tridiagonal T_m and
-    lam = 1/theta + sigma.
+    B = R (A_S - sigma D_mu)^(-1) R with R = D_mu^(1/2).  The permutation to
+    the shifted factor's order is orthogonal, so the process runs there: a
+    step is one LAPACK ``dpbtrs`` on that factor between two scalings by R in
+    that order (``SymmetricFactor._krylov``), with no reordering.
+    Full reorthogonalization (classical Gram-Schmidt, twice) keeps the basis V
+    orthonormal to round-off.  exp(-tH) e_y is approximated by V_m c_m(t),
+    c_m(t) = f(T_m) e_1 = Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs
+    (theta, Q) of the tridiagonal T_m and lam = 1/theta + sigma.
 
-    The step count m of c(t) is the first of 10, 20, 30, ... at which c_m
-    differs from c_(m-10) by at most 1e-13 of its norm, or the dimension of
-    the Krylov space once it is exhausted (then c is exact).  It depends only
-    on t and on the first m Lanczos steps, never on which times were asked
-    before, so values do not depend on query order.  A basis that has not
-    settled in 500 steps is a NumericalError.
+    ``coefficients(ts)`` serves a whole time grid: one Ritz decomposition of
+    T_m serves every t, and c_m(t) is one matrix-vector product per t.  The
+    stopping rule is applied per t: its step count m is the first of 10, 20,
+    30, ... at which c_m(t) differs from c_(m-10)(t) by at most 1e-13 of its
+    norm, or the dimension of the Krylov space once it is exhausted (then c
+    is exact).  It depends only on t and on the first m Lanczos steps, never
+    on which times were asked with it or before, so values do not depend on
+    the grid or on query order.  A t whose basis has not settled in 500
+    steps gets a NumericalError in place of its c; the other times are
+    unaffected.
     """
 
-    def __init__(self, solve, n, iy, sigma):
-        self.solve = solve
-        self.sigma = sigma
+    def __init__(self, factor, iy):
+        self.factor = factor
+        _, self.sigma, where, root = factor._krylov()
+        n = root.size
         # rows are committed only as the basis grows into them
         self.basis = np.empty((min(n, 500), n))
         self.basis[0] = 0.0
-        self.basis[0, iy] = 1.0
+        self.basis[0, where[iy]] = 1.0
         self.alpha, self.beta = [], []
         self.invariant = False  # the Krylov space is exhausted
         self._ritz = {}  # m -> Ritz values lam and vectors Q of T_m
-        self._coeffs = {}  # t -> c(t)
+        self._coeffs = {}  # t -> c(t), or the NumericalError of an unsettled t
 
     def _extend(self, m):
         """Run Lanczos to m steps, or to exhaustion; the steps available."""
-        size, n = self.basis.shape
+        basis, alpha, beta = self.basis, self.alpha, self.beta
+        chol, _, _, root = self.factor._krylov()
+        size, n = basis.shape
         m = min(m, size)
-        while len(self.alpha) < m and not self.invariant:
-            j = len(self.alpha)
-            w = self.solve(self.basis[j])
-            norm_w = float(np.linalg.norm(w))
-            v = self.basis[:j + 1]
+        while len(alpha) < m and not self.invariant:
+            j = len(alpha)
+            w = dpbtrs(chol, root * basis[j], overwrite_b=1)[0]
+            w *= root
+            norm_w = math.sqrt(w @ w)
+            v = basis[:j + 1]
             h = v @ w
             w -= v.T @ h
             h2 = v @ w
             w -= v.T @ h2
-            self.alpha.append(float(h[j] + h2[j]))
-            b = float(np.linalg.norm(w))
+            alpha.append(float(h[j] + h2[j]))
+            b = math.sqrt(w @ w)
             if b <= 1e-14 * norm_w or j + 1 == n:
                 self.invariant = True
             elif j + 1 < size:
-                self.beta.append(b)
-                self.basis[j + 1] = w / b
-        return min(m, len(self.alpha))
+                beta.append(b)
+                basis[j + 1] = w / b
+        return min(m, len(alpha))
 
-    def _f_of_t(self, m, t):
+    def _f_of_t(self, m, ts):
+        """c_m(t) for each t of the array ``ts``, one row each."""
         pairs = self._ritz.get(m)
         if pairs is None:
             theta, q = sla.eigh_tridiagonal(np.array(self.alpha[:m]), np.array(self.beta[:m - 1]))
@@ -543,37 +568,43 @@ class _ShiftInvertLanczos:
                 lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf)
             pairs = self._ritz[m] = (lam + self.sigma, q)
         lam, q = pairs
-        return q @ (_decay(lam, t) * q[0])
+        # a stack of matrix-vector products: each row is q @ w_t, whatever the grid
+        return np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
 
-    def coefficients(self, t):
-        """c(t), with exp(-tH) e_y = basis[:len(c)].T @ c."""
-        c = self._coeffs.get(t)
-        if c is not None:
-            return c
-        previous = np.zeros(0)
+    def coefficients(self, ts):
+        """c(t) for each t > 0 of ``ts``, with exp(-tH) e_y = basis[:len(c)].T @ c,
+        or the NumericalError of a t whose basis has not settled."""
+        todo = np.array([t for t in dict.fromkeys(ts) if t not in self._coeffs], dtype=float)
+        previous = np.zeros((todo.size, 0))
         m = 0
-        while True:
+        while todo.size:
             m = self._extend(m + 10)
-            c = self._f_of_t(m, t)
+            c = self._f_of_t(m, todo)
             if self.invariant and m == len(self.alpha):
+                settled = np.ones(todo.size, dtype=bool)
+            else:
+                change = c.copy()
+                change[:, :previous.shape[1]] -= previous
+                settled = (previous.shape[1] > 0) & (
+                    _row_norms(change) <= 1e-13 * _row_norms(c))
+            for t, row in zip(todo[settled], c[settled]):
+                self._coeffs[float(t)] = row
+            todo, previous = todo[~settled], c[~settled]
+            if todo.size and m == self.basis.shape[0]:
+                error = NumericalError(f"Lanczos did not converge in {m} steps")
+                for t in todo:
+                    self._coeffs[float(t)] = error
                 break
-            change = c.copy()
-            change[:previous.size] -= previous
-            if previous.size and np.linalg.norm(change) <= 1e-13 * np.linalg.norm(c):
-                break
-            if m == self.basis.shape[0]:
-                raise NumericalError(f"Lanczos did not converge in {m} steps")
-            previous = c
-        self._coeffs[t] = c
-        return c
+        return [self._coeffs[t] for t in ts]
 
 
 class SymmetricFactor(_FactorBase):
     """Heat kernels of a symmetric restriction, by its shifted inverse B.
 
-    Point queries ``kernel(ix, iy, t)`` read column iy of exp(-tH) from a
-    shift-and-invert Lanczos basis started at e_y, built on first use and
-    extended as later times ask for more steps.  All-pairs queries
+    Point queries ``kernels(ix, iy, ts)`` read column iy of exp(-tH) at every
+    t of a grid from one shift-and-invert Lanczos basis started at e_y, built
+    on first use and extended as later times ask for more steps; ``kernel``
+    is the one-t call.  All-pairs queries
     (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``,
     ``lambda_min``, ``route``) use the dense eigendecomposition of the level.
     """
@@ -585,7 +616,8 @@ class SymmetricFactor(_FactorBase):
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
         self._shifted = None
-        self._columns = {}
+        self._rcm = None
+        self._columns = {}  # local column iy -> its _ShiftInvertLanczos
         self._lock = threading.Lock()
 
     def _shifted_factor(self):
@@ -603,13 +635,14 @@ class SymmetricFactor(_FactorBase):
             self._shifted = (chol, sigma)
         return self._shifted
 
-    def _apply_b(self, v):
-        """B v = D_mu^(1/2) (A_S - sigma D_mu)^(-1) D_mu^(1/2) v."""
-        chol = self._shifted_factor()[0]
-        perm = self.pattern.band()[0]
-        out = np.empty(self.sub.size)
-        out[perm] = dpbtrs(chol, (self.sqrt_mu * v)[perm])[0]
-        return self.sqrt_mu * out
+    def _krylov(self):
+        """(shifted factor, sigma, the RCM position of each local index,
+        sqrt(mu) in RCM order): what a Lanczos step and a point read need."""
+        if self._rcm is None:
+            chol, sigma = self._shifted_factor()
+            perm = self.pattern.band()[0]
+            self._rcm = (chol, sigma, np.argsort(perm), self.sqrt_mu[perm])
+        return self._rcm
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -634,24 +667,12 @@ class SymmetricFactor(_FactorBase):
         order = np.argsort(lam)
         return lam[order], vecs[np.ix_(np.argsort(perm), order)], "inverse"
 
-    def spectral(self, column=None, t=None):
-        """The level's spectral data.
-
-        Without arguments: the dense eigendecomposition (lam, vecs, route) of
-        H, for all-pairs queries.  With a local ``column`` iy and a time t > 0:
-        (basis, c), the column's Lanczos basis and coefficients with
-        exp(-tH) e_y = basis[:len(c)].T @ c.
-        """
-        if column is None:
-            if self._spectral is None:
-                self._spectral = self._build_spectral()
-            return self._spectral
-        with self._lock:
-            lanczos = self._columns.get(column)
-            if lanczos is None:
-                lanczos = self._columns[column] = _ShiftInvertLanczos(
-                    self._apply_b, self.sub.size, column, self._shifted_factor()[1])
-            return lanczos.basis, lanczos.coefficients(t)
+    def spectral(self):
+        """The dense eigendecomposition (lam, vecs, route) of H, for all-pairs
+        queries."""
+        if self._spectral is None:
+            self._spectral = self._build_spectral()
+        return self._spectral
 
     @property
     def route(self):
@@ -661,18 +682,37 @@ class SymmetricFactor(_FactorBase):
     def lambda_min(self):
         return float(self.spectral()[0][0])
 
-    def kernel(self, ix, iy, t):
-        """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) from column y's basis.
+    def kernels(self, ix, iy, ts):
+        """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
+        from column y's basis; a t whose basis has not settled has its
+        NumericalError in place of a value.
 
         Negative values within 1e-13 of the column's norm are round-off and
         read as 0.
         """
-        if t == 0.0:
-            return (1.0 / self.mu[iy]) if ix == iy else 0.0
-        basis, c = self.spectral(iy, t)
-        scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
-        val = float(basis[:c.size, ix] @ c) / scale
-        return float(_clamped(val, float(np.linalg.norm(c)) / scale + 1e-300))
+        positive = [t for t in ts if t != 0.0]
+        values = {}  # t -> value, or its NumericalError
+        if positive:
+            with self._lock:
+                lanczos = self._columns.get(iy)
+                if lanczos is None:
+                    lanczos = self._columns[iy] = _ShiftInvertLanczos(self, iy)
+                values.update(zip(positive, lanczos.coefficients(positive)))
+            row = self._krylov()[2][ix]
+            settled = {t: c for t, c in values.items() if not isinstance(c, NumericalError)}
+            scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
+            raw = np.array([lanczos.basis[:c.size, row] @ c for c in settled.values()]) / scale
+            floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
+            values.update(zip(settled, _clamped(raw, floor).tolist()))
+        delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
+        return [delta if t == 0.0 else values[t] for t in ts]
+
+    def kernel(self, ix, iy, t):
+        """``kernels`` at the one time t; an unsettled basis raises."""
+        value = self.kernels(ix, iy, [t])[0]
+        if isinstance(value, NumericalError):
+            raise value
+        return value
 
     def kernel_matrix(self, t):
         if t == 0.0:
@@ -713,10 +753,14 @@ class NonsymmetricFactor(_FactorBase):
             m = self._expm_cache[t] = sla.expm(-t * self.k_dense)
         return m
 
+    def kernels(self, ix, iy, ts):
+        """k(x, y, t) for each t of ``ts``, from the exponentials cached per t."""
+        delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
+        return [delta if t == 0.0 else float(self.semigroup_matrix(t)[ix, iy] / self.mu[iy])
+                for t in ts]
+
     def kernel(self, ix, iy, t):
-        if t == 0.0:
-            return (1.0 / self.mu[iy]) if ix == iy else 0.0
-        return float(self.semigroup_matrix(t)[ix, iy] / self.mu[iy])
+        return self.kernels(ix, iy, [t])[0]
 
     def kernel_matrix(self, t):
         if t == 0.0:
@@ -903,19 +947,49 @@ class HeatKernelEvaluator:
         levels = [j for j in self._usable if j >= start]
         return levels, [self.exhaustion[j].size for j in levels]
 
+    def heat_kernels(self, x, y, ts, tol=None) -> list:
+        """Exhaustion limits of the Dirichlet heat kernels at (x, y), one
+        LimitResult per t of ``ts``.
+
+        The first request for a level computes its values on the whole grid
+        (one Lanczos basis per level serves every t); each t's limit then
+        reads them unchanged, so it sees exactly the values, levels and
+        verdict it would see alone.  A t whose Lanczos basis does not settle
+        has a NumericalError at that level, which makes only its own limit
+        diverging there.
+        """
+        ts = [float(t) for t in ts]
+        for t in ts:
+            if not (np.isfinite(t) and t >= 0.0):
+                raise ValidationError(f"time must be finite and nonnegative, got {t!r}")
+        if not ts:
+            return []
+        start = self.exhaustion.first_level_containing(x, y)
+        levels, sizes = self._levels_from(start)
+        tol = HEAT_TOL if tol is None else tol
+        grid = list(dict.fromkeys(t for t in ts if t > 0.0))
+        values = {}  # level -> {t: kernel value or NumericalError} over ``grid``
+
+        def value_at(j, t):
+            row = values.get(j)
+            if row is None:
+                sub = self.exhaustion[j]
+                row = values[j] = dict(zip(grid, self.factor(j).kernels(
+                    sub.local_of(x), sub.local_of(y), grid)))
+            if isinstance(row[t], NumericalError):
+                raise row[t]
+            return row[t]
+
+        delta = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0
+        return [LimitResult(delta, LimitStatus.CONVERGED, start, [(start, delta)], model="delta")
+                if t == 0.0 else
+                exhaustion_limit(functools.partial(value_at, t=t), levels, sizes, tol,
+                                 trend_divergence=False, exact_final=self.exhausts_domain)
+                for t in ts]
+
     def heat_kernel(self, x, y, t, tol=None) -> LimitResult:
         """Exhaustion limit of the Dirichlet heat kernels at (x, y, t)."""
-        t = float(t)
-        if not (np.isfinite(t) and t >= 0.0):
-            raise ValidationError("time must be finite and nonnegative")
-        start = self.exhaustion.first_level_containing(x, y)
-        if t == 0.0:
-            v = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0
-            return LimitResult(v, LimitStatus.CONVERGED, start, [(start, v)], model="delta")
-        tol = HEAT_TOL if tol is None else tol
-        return exhaustion_limit(lambda j: self.heat_finite(j, x, y, t),
-                                *self._levels_from(start), tol,
-                                trend_divergence=False, exact_final=self.exhausts_domain)
+        return self.heat_kernels(x, y, [t], tol)[0]
 
     def green(self, x, y, tol=None) -> LimitResult:
         """Exhaustion limit of the Dirichlet Green values at (x, y).

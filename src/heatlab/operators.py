@@ -83,7 +83,8 @@ class Potential:
 class EllipticOperator:
     """Discrete divergence-form operator plus potential on a weighted domain."""
 
-    def __init__(self, domain: WeightedDomain, potential=None, _transposed=False):
+    def __init__(self, domain: WeightedDomain, potential=None, _transposed=False, _fresh=False):
+        # _fresh: ``potential`` is an array made for this operator, kept uncopied
         self.domain = domain
         # the adjoint of a nonsymmetric operator runs on the transposed weights
         self.transposed = bool(_transposed)
@@ -98,7 +99,7 @@ class EllipticOperator:
             vec = np.asarray(potential, dtype=float)
             if vec.shape != (domain.n_vertices,):
                 raise ValidationError("potential length does not match the domain")
-            self.potential = vec.copy()
+            self.potential = vec if _fresh else vec.copy()
         self.symmetric = domain.symmetric
         self._adjoint_source = None
         self._check_diagonal()
@@ -162,14 +163,15 @@ def adjoint(op: EllipticOperator) -> EllipticOperator:
     out_flow = op.domain.out_weights(op.transposed)
     in_flow = op.domain.out_weights(not op.transposed)
     d_star = op.potential + (out_flow - in_flow) / op.mu
-    result = EllipticOperator(op.domain, d_star, _transposed=not op.transposed)
+    result = EllipticOperator(op.domain, d_star, _transposed=not op.transposed, _fresh=True)
     result._adjoint_source = op
     return result
 
 
 def shift(op: EllipticOperator, lam) -> EllipticOperator:
     """P - lam: potential D - lam; heat kernels pick up the factor e^(lam t)."""
-    return EllipticOperator(op.domain, op.potential - float(lam), _transposed=op.transposed)
+    return EllipticOperator(op.domain, op.potential - float(lam), _transposed=op.transposed,
+                            _fresh=True)
 
 
 def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOperator:
@@ -181,8 +183,9 @@ def add_potential(op: EllipticOperator, potential, coupling=1.0) -> EllipticOper
     else:
         vec = np.asarray(potential, dtype=float)
     with np.errstate(over="ignore"):  # the operator rejects a potential that overflows
-        total = op.potential + float(coupling) * vec
-    return EllipticOperator(op.domain, total, _transposed=op.transposed)
+        total = np.multiply(vec, float(coupling), out=np.empty_like(op.potential))
+        total += op.potential  # in place: one array, the same sums
+    return EllipticOperator(op.domain, total, _transposed=op.transposed, _fresh=True)
 
 
 def quadratic_form(op: EllipticOperator, u) -> float:

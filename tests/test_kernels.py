@@ -662,6 +662,85 @@ def test_concurrent_point_queries_share_one_basis():
     assert got == expected
 
 
+# -- one Lanczos basis per (level, column) serves a whole time grid -------------
+
+GRID = (0.05, 0.5, 2.0, 5.0, 16.0, 50.0, 400.0)
+GRIDS = {
+    "ascending": list(GRID),
+    "descending": list(GRID[::-1]),
+    "shuffled": [5.0, 0.05, 400.0, 2.0, 50.0, 0.5, 16.0],
+    "repeated": [2.0, 0.5, 2.0, 400.0, 0.5, 2.0],
+    "with zero": [0.0, 16.0, 0.0, 0.05, 5.0],
+}
+
+
+@pytest.mark.parametrize("name, ambient, level, columns", [
+    ("lat1", 1025, 8, ((3, 0), (0, 0))),
+    ("lat1_geo(0.5)", 513, 8, ((3, 0), (-2, 1))),
+    ("rad(3)", 4000, 8, ((2, 1), (5, 5))),
+])
+def test_grid_values_equal_one_time_values_bit_for_bit(name, ambient, level, columns):
+    fx = hl.fixture(name, ambient_size=ambient)
+    op, sub = hl.assemble(fx.domain), fx.exhaustion[level]
+    one_t = SymmetricFactor(op, sub)
+    for x, y in columns:
+        ix, iy = sub.local_of(x), sub.local_of(y)
+        for grid in GRIDS.values():
+            expected = [one_t.kernel(ix, iy, t) for t in grid]
+            assert SymmetricFactor(op, sub).kernels(ix, iy, grid) == expected, grid
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_evaluator_grid_limits_equal_one_time_limits(geo_op, geo, grid):
+    batched = hl.HeatKernelEvaluator(geo_op, geo.exhaustion).heat_kernels(1, 2, grid, tol=1e-6)
+    single = hl.HeatKernelEvaluator(geo_op, geo.exhaustion)
+    assert batched == [single.heat_kernel(1, 2, t, tol=1e-6) for t in grid]
+
+
+def test_unsettled_time_fails_alone(lat1, lat1_op, monkeypatch):
+    # c_m(t) of one time is perturbed at every m, so its basis never settles
+    # and runs into the 500-step cap on the first level above 500 vertices
+    import heatlab.kernels as hk
+
+    grid, restless = [0.5, 80.0, 5.0], 80.0
+    clean = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion).heat_kernels(1, 2, grid)
+    f_of_t = hk._ShiftInvertLanczos._f_of_t
+
+    def never_settles(self, m, ts):
+        c = f_of_t(self, m, ts)
+        c[ts == restless] *= 1.0 + 1e-3 * m
+        return c
+
+    monkeypatch.setattr(hk._ShiftInvertLanczos, "_f_of_t", never_settles)
+    batched = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion).heat_kernels(1, 2, grid)
+    alone = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion).heat_kernel(1, 2, restless)
+    failed = batched[1]
+    assert failed.diverging and failed.value == float("inf")
+    assert lat1.exhaustion[failed.level].size > 500
+    assert "Lanczos did not converge in 500 steps" in failed.evidence
+    assert failed == alone
+    assert [batched[0], batched[2]] == [clean[0], clean[2]]
+    fac = SymmetricFactor(lat1_op, lat1.exhaustion[failed.level])
+    ix, iy = fac.sub.local_of(1), fac.sub.local_of(2)
+    values = fac.kernels(ix, iy, grid)
+    assert isinstance(values[1], hl.NumericalError)
+    with pytest.raises(hl.NumericalError, match="did not converge"):
+        fac.kernel(ix, iy, restless)
+    assert fac.kernel(ix, iy, 5.0) == values[2]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_grid_rejects_a_bad_time_before_any_level(lat1, lat1_op, bad):
+    ev = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion)
+    with pytest.raises(hl.ValidationError, match=repr(bad)):
+        ev.heat_kernels(0, 0, [1.0, bad, 2.0])
+    assert not ev._factors
+
+
+def test_empty_grid_gives_no_limits(lat1_ev):
+    assert lat1_ev.heat_kernels(0, 0, []) == []
+
+
 # -- one growing Cholesky factor per (operator, exhaustion) ----------------------
 
 def _edge_list_grid(tmp_path, side=9):
