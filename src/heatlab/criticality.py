@@ -280,6 +280,8 @@ def lambda0_log_estimate(evaluator: HeatKernelEvaluator, x, y, t_grid,
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size < 3 or np.any(np.diff(t_grid) <= 0.0):
         raise ValidationError("t_grid must be increasing with at least 3 points")
+    if not np.all(np.isfinite(t_grid) & (t_grid > 0.0)):
+        raise ValidationError("t_grid times must be finite and positive")
     vals = []
     for t, r in zip(t_grid, evaluator.heat_kernels(x, y, t_grid, tol=tol)):
         if not r.converged:

@@ -9,6 +9,7 @@ along an exhaustion of finite subsets lying inside the truncation.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from itertools import chain
@@ -205,34 +206,17 @@ class LevelPattern:
         A_S = diag(out_weight + D mu) - W_S,
 
     an O(n) diagonal update.  ``absorbing`` tells whether some edge leaves S;
-    without one, A_S 1 = D mu.  ``band`` is a reverse Cuthill-McKee ordering of
-    the subset and the strict upper band of -W_S in that order, in LAPACK's
-    upper banded storage; it needs symmetric weights and is built on first use.
-    It serves the level's own factors: the shifted factor of the Lanczos
-    kernels and standalone factors.  Along an exhaustion, the Green values and
-    positive-definiteness certificates run on the ``NestedOrder`` instead.
+    without one, A_S 1 = D mu.
     """
 
     def __init__(self, positions, weights, out_weight):
         self.out_weight = out_weight[positions]
         self.w_s = weights[positions][:, positions]
         self.absorbing = bool(np.any(self.out_weight > np.asarray(self.w_s.sum(axis=1)).ravel()))
-        self._band = None
 
     def measure_form(self, diag):
         """Sparse A_S = diag(diag) - W_S, diag being out_weight + D mu."""
         return (sp.diags(diag) - self.w_s).tocsc()
-
-    def band(self):
-        """(perm, band): A_S[perm][:, perm] has upper band rows ``band`` over its diagonal."""
-        if self._band is None:
-            perm = sp.csgraph.reverse_cuthill_mckee(self.w_s, symmetric_mode=True)
-            upper = sp.triu(self.w_s[perm][:, perm], k=1).tocoo()
-            u = int(np.max(upper.col - upper.row)) if upper.nnz else 0
-            band = np.zeros((u, self.w_s.shape[0]))
-            band[u + upper.row - upper.col, upper.col] = -upper.data
-            self._band = (perm, band)
-        return self._band
 
 
 class NestedOrder:
@@ -241,9 +225,10 @@ class NestedOrder:
     A vertex's primary key is the first level that contains it, so every level
     S_j is a prefix of the order, and the measure form A_{S_j} of an operator
     is the leading n_j x n_j block of the deepest level's.  The first level
-    comes in position order; each shell S_j minus S_(j-1) in breadth-first
-    order from S_(j-1), i.e. by hop distance from it (on intervals and balls:
-    from S_0).  That interleaves the two sides of a ball's shell and keeps the
+    comes in Cuthill-McKee order (George & Liu 1981, ch. 4; the position
+    order on a path), each shell S_j minus S_(j-1) in breadth-first order
+    from S_(j-1), i.e. by hop distance from it (on intervals and balls: from
+    S_0).  That interleaves the two sides of a ball's shell and keeps the
     band narrow: at most 3 on lat1, 1 on rad(d).
 
     ``grow_to(n)`` appends whole shells until the order holds n vertices, so
@@ -261,6 +246,7 @@ class NestedOrder:
     def __init__(self, domain, levels):
         self.domain = domain
         self.levels = levels
+        self.sizes = [level.size for level in levels]
         self.depth = 0  # levels covered
         self.positions = np.zeros(0, dtype=np.intp)
         self.out_weight = np.zeros(0)
@@ -268,18 +254,6 @@ class NestedOrder:
         self.tridiagonal = 0
         self._rank = None  # domain position -> index in the order; -1 if not in it yet
         self._lock = threading.Lock()
-
-    @classmethod
-    def of_level(cls, sub):
-        """The one-level order of ``sub``: its pattern's reverse Cuthill-McKee
-        band (``index_of`` is not kept for it)."""
-        nest = cls(sub.domain, [sub])
-        pattern = sub.pattern()
-        perm, nest.band = pattern.band()
-        nest.positions, nest.out_weight = sub.positions[perm], pattern.out_weight[perm]
-        nest.tridiagonal = _tridiagonal_end(nest.band, 0)
-        nest.depth = 1
-        return nest
 
     @property
     def size(self):
@@ -297,20 +271,22 @@ class NestedOrder:
         """Append shells until the order holds at least n vertices."""
         with self._lock:
             while self.size < n and self.depth < len(self.levels):
-                self._append(self.levels[self.depth].positions)
+                self._append(self.levels[self.depth])
                 self.depth += 1
 
-    def _append(self, level_positions):
+    def _append(self, level):
         if self._rank is None:
             self._rank = np.full(self.domain.n_vertices, -1, dtype=np.intp)
         rank, start = self._rank, self.size
-        shell = level_positions[rank[level_positions] < 0]
+        shell = level.positions[rank[level.positions] < 0]
         count, col, value = _csr_rows(self.domain.weights, shell)
         row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
-        order = np.arange(shell.size)
-        if start:
+        if not start:  # the whole first level: shell indices are its local indices
+            order = sp.csgraph.reverse_cuthill_mckee(level.pattern().w_s,
+                                                     symmetric_mode=True)[::-1]
+        else:
             # breadth-first order of the shell from node 0, the previous level
-            rank[shell] = -2 - order  # -1 stays outside the level
+            rank[shell] = -2 - np.arange(shell.size)  # -1 stays outside the level
             near = rank[col]
             within = near <= -2
             first = np.flatnonzero(np.bincount(row[near >= 0], minlength=shell.size)) + 1
@@ -329,18 +305,12 @@ class NestedOrder:
         band[kd - self.kd:, :start] = self.band
         band[kd - offset, column[upper]] = -value[upper]
         self.band = band
-        if self.tridiagonal == start:
-            self.tridiagonal = _tridiagonal_end(band, start)
+        if self.tridiagonal == start:  # up to the first column with an entry above distance 1
+            wide = np.flatnonzero(band[:-1, start:].any(axis=0))
+            self.tridiagonal = start + int(wide[0]) if wide.size else band.shape[1]
         self.positions = np.concatenate((self.positions, shell[order]))
         self.out_weight = np.concatenate((self.out_weight,
                                           self.domain.out_weights()[shell[order]]))
-
-
-def _tridiagonal_end(band, start):
-    """The first column from ``start`` on with a band entry above distance 1
-    (the band's width if there is none)."""
-    wide = np.flatnonzero(band[:-1, start:].any(axis=0))
-    return start + int(wide[0]) if wide.size else band.shape[1]
 
 
 def _csr_rows(matrix, rows):
@@ -395,6 +365,12 @@ class IndexedSubdomain:
                 self.positions, self.domain.oriented_weights(transposed),
                 self.domain.out_weights(transposed))
         return pat
+
+    @functools.cached_property
+    def order(self) -> NestedOrder:
+        """The subset's own one-level ``NestedOrder`` (symmetric weights): the
+        order of its standalone and shifted Cholesky factors."""
+        return NestedOrder(self.domain, [self])
 
     def has_absorption(self):
         """True iff some edge of a subset vertex leaves the subset."""

@@ -24,19 +24,18 @@ of the deepest level's A_S, so its factor is the leading block of U: one
 factor per (operator, exhaustion), grown shell by shell as deep as some
 level is asked for, certifies each level by whether its whole prefix
 factors (LAPACK's ``info`` is the first failing leading minor), and gives
-its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y.  In the
-order's tridiagonal prefix (all of rad(d), a few columns elsewhere) U comes
-from LAPACK's LDL^T ``dpttrf`` and z from a cumulative product; past it from
-banded Cholesky ``dpbtrf`` and banded forward solves.  A standalone factor is
-a one-level nest in the level pattern's reverse Cuthill-McKee order.  A
-closed level (no absorption) with D = 0 is singular, A_S 1 = 0, and is never
-certified, whatever the sign of the last pivot's round-off.  The same holds
-for the adjoint of such an operator, whose A*_S = A_S^T.
+its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y (see
+``_NestedCholesky``).  A standalone factor is a one-level nest in the
+level's own order (``IndexedSubdomain.order``).  A closed level (no
+absorption) with D = 0 is singular, A_S 1 = 0, and is never certified,
+whatever the sign of the last pivot's round-off.  The same holds for the
+adjoint of such an operator, whose A*_S = A_S^T.
 
 Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
 shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
 diag(mu)^(1/2), sigma = min D - 1.  The diagonal out_weight + (D - sigma) mu of
-A_S - sigma D_mu exceeds the W_S row sums, so its banded Cholesky factor
+A_S - sigma D_mu exceeds the W_S row sums, so its Cholesky factor (a
+one-level ``_NestedCholesky`` with shift sigma, in the level's own order)
 exists on certified, singular and indefinite levels alike, and B has the
 eigenvectors of H and eigenvalues 1/(lambda - sigma) in (0, 1].  B stays
 representable however widely the jump rates 1/mu spread.
@@ -47,9 +46,9 @@ representable however widely the jump rates 1/mu spread.
   whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
   decomposition of T_m per step count m serves every t, and the stopping
   rule is applied per t, so a grid's values equal those of one-t calls bit
-  for bit.  The basis lives in the reverse Cuthill-McKee coordinates of the
-  level's own banded factor of A_S - sigma D_mu, where a step costs one
-  O(n) banded solve.
+  for bit.  The basis lives in the coordinates of the level's own order,
+  those of its factor of A_S - sigma D_mu, where a step costs one O(n)
+  banded solve.
 * All-pairs queries (kernel and semigroup matrices, lambda_min, the
   perturbation module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -62,6 +61,7 @@ scaling-and-squaring matrix exponentials.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -164,7 +164,9 @@ def _sparse_lu(mat):
 
 class _NestedCholesky:
     """The upper banded Cholesky factor U (A = U^T U) of one symmetric operator's
-    measure form A over a ``NestedOrder``, grown on demand.
+    shifted measure form A = A_op - sigma D_mu over a ``NestedOrder``, grown on
+    demand.  Its diagonal is out_weight + (D - sigma) mu; sigma = 0 (the
+    operator itself) costs nothing extra per column.
 
     Every level is a prefix of the order, so A_S of a level with n vertices is
     the leading n x n block of A, and its factor is the leading block of U.
@@ -181,14 +183,16 @@ class _NestedCholesky:
     ratios r_i = -U_(i-1,i) / U_ii from z_k = 1/U_kk, each extension seeded
     with the last stored entry.  Columns past the prefix are factored by
     ``dpbtrf`` and solved by ``dtbtrs``.  The route of a column depends only
-    on the nest, and both tridiagonal routes are seeded with stored values, so
-    no tridiagonal column depends on how the growth was split or on which
-    operator grew the shared nest first.
+    on the nest, both tridiagonal routes are seeded with stored values, and
+    both banded routes run in windows that end at level sizes, so neither U
+    nor a column z depends on how the growth was split or on which operator
+    grew the shared nest first.
     """
 
-    def __init__(self, op, nest: NestedOrder):
+    def __init__(self, op, nest: NestedOrder, sigma=0.0):
         self.op = op
         self.nest = nest
+        self.sigma = sigma
         self.ab = np.zeros((1, 0), order="F")  # U in LAPACK upper banded storage
         self.failed = False
         self._pivot = 0.0  # d of the last column, while every column is tridiagonal
@@ -203,14 +207,24 @@ class _NestedCholesky:
     def definite(self, n):
         """Whether the leading n x n block of A is positive definite: its
         Cholesky factor exists, and it is not the closed level (the whole
-        connected domain, no edge leaving it) with D = 0, where A 1 = D mu = 0,
-        whatever the round-off of the last pivot."""
-        if n == self.op.domain.n_vertices and not np.any(self.op.potential):
+        connected domain, no edge leaving it) with D = sigma, where
+        A 1 = (D - sigma) mu = 0, whatever the round-off of the last pivot."""
+        if n == self.op.domain.n_vertices and not np.any(self.op.potential != self.sigma):
             return False
         with self._lock:
             if n > self.size and not self.failed:
-                self._extend(n)
+                for end in self._ends(self.size, n):
+                    if not self.failed:
+                        self._extend(end)
         return n <= self.size
+
+    def _ends(self, p, n):
+        """The ends of the windows that grow U or a column from p to n: every
+        level size in between, then n (none when p >= n)."""
+        if n <= p:
+            return []
+        sizes = self.nest.sizes
+        return sizes[bisect.bisect_right(sizes, p):bisect.bisect_left(sizes, n)] + [n]
 
     def _extend(self, q):
         """Factor columns [size, q): those in the nest's tridiagonal prefix by
@@ -247,9 +261,10 @@ class _NestedCholesky:
         self.failed = done < window.shape[1]
 
     def _diagonal(self, s, q):
-        """The diagonal out_weight + D mu of A over the columns [s, q)."""
+        """The diagonal out_weight + (D - sigma) mu of A over the columns [s, q)."""
         pos = self.nest.positions[s:q]
-        return self.nest.out_weight[s:q] + self.op.potential[pos] * self.op.mu[pos]
+        d = self.op.potential[pos] - self.sigma if self.sigma else self.op.potential[pos]
+        return self.nest.out_weight[s:q] + d * self.op.mu[pos]
 
     def _extend_tridiagonal(self, band, p, tri):
         """Factor the tridiagonal columns [p, tri) by ``dpttrf`` on the window
@@ -285,7 +300,8 @@ class _NestedCholesky:
         return dpbtrs(self.ab[:, :n], rhs, overwrite_b=1)[0]
 
     def _column(self, k, n):
-        """U^-T e_k over the prefix n (at least)."""
+        """U^-T e_k over the prefix n (at least), past the tridiagonal prefix in
+        level-wise windows."""
         z = self._columns.get(k, np.zeros(0))
         p = z.size
         if p >= n:
@@ -302,16 +318,17 @@ class _NestedCholesky:
                                        out=grown[first - p:])
             z = np.concatenate((z, grown))
             p = tri
-        if p < n:
-            kd = ab.shape[0] - 1
-            rhs = np.zeros((n - p, 1))
-            if p <= k < n:
+        kd = ab.shape[0] - 1
+        for end in self._ends(p, n):
+            rhs = np.zeros((end - p, 1))
+            if p <= k < end:
                 rhs[k - p] = 1.0
-            for d in range(1, kd + 1):  # only the first kd new rows couple to z
-                lo, hi = max(0, d - p), min(d, n - p)
+            for d in range(1, min(kd, end) + 1):  # only the first kd new rows couple to z
+                lo, hi = max(0, d - p), min(d, end - p)
                 rhs[lo:hi, 0] -= ab[kd - d, p + lo:p + hi] * z[p + lo - d:p + hi - d]
-            new = dtbtrs(ab[:, p:n], rhs, trans="T", overwrite_b=1)[0]
+            new = dtbtrs(ab[:, p:end], rhs, trans="T", overwrite_b=1)[0]
             z = np.concatenate((z, new[:, 0]))
+            p = end
         self._columns[k] = z
         return z
 
@@ -334,9 +351,8 @@ class _FactorBase:
     is built on first use: the sparse A_S (principal pairs, the direct
     spectral and nonsymmetric routes) and the sparse LU (nonsymmetric Green
     solves).  A symmetric factor certifies and solves by the leading block of
-    a ``_NestedCholesky``: its evaluator's, grown over the exhaustion, or for
-    a standalone factor a one-level nest in the pattern's reverse
-    Cuthill-McKee order.  Symmetric kernels factor A_S - sigma D_mu instead
+    a ``_NestedCholesky``: its evaluator's, grown over the exhaustion, or a
+    standalone one-level nest.  Its kernels factor A_S - sigma D_mu instead
     (see ``SymmetricFactor``).  The symmetric Green, point kernel and inverse
     routes never assemble A_S.
     """
@@ -359,8 +375,12 @@ class _FactorBase:
         """The nested Cholesky factor whose leading block is this level's (symmetric
         factors only); a standalone factor builds its one-level nest on first use."""
         if self._nested is None:
-            self._nested = _NestedCholesky(self.op, NestedOrder.of_level(self.sub))
+            self._nested = _NestedCholesky(self.op, self.sub.order)
         return self._nested
+
+    def _locals(self, nest):
+        """The local index of each vertex of this level's prefix of ``nest``."""
+        return np.searchsorted(self.sub.positions, nest.positions[:self.sub.size])
 
     @property
     def a_s(self):
@@ -457,8 +477,7 @@ class _FactorBase:
         if self._symmetric:
             n = self.sub.size
             if self._nest_local is None:
-                self._nest_local = np.searchsorted(self.sub.positions,
-                                                   self._cholesky().nest.positions[:n])
+                self._nest_local = self._locals(self._cholesky().nest)
             out = np.empty(n)
             out[self._nest_local] = self._cholesky().solve(n, rhs[self._nest_local])
             return out
@@ -497,7 +516,7 @@ def _row_norms(a):
 
 class _ShiftInvertLanczos:
     """Lanczos process for B = (H - sigma)^(-1) started from e_y, in the
-    reverse Cuthill-McKee coordinates of the level's shifted factor.
+    coordinates of the level's own order, that of its shifted factor.
 
     B = R (A_S - sigma D_mu)^(-1) R with R = D_mu^(1/2).  The permutation to
     the shifted factor's order is orthogonal, so the process runs there: a
@@ -511,13 +530,15 @@ class _ShiftInvertLanczos:
     ``coefficients(ts)`` serves a whole time grid: one Ritz decomposition of
     T_m serves every t, and c_m(t) is one matrix-vector product per t.  The
     stopping rule is applied per t: its step count m is the first of 10, 20,
-    30, ... at which c_m(t) differs from c_(m-10)(t) by at most 1e-13 of its
-    norm, or the dimension of the Krylov space once it is exhausted (then c
-    is exact).  It depends only on t and on the first m Lanczos steps, never
-    on which times were asked with it or before, so values do not depend on
-    the grid or on query order.  A t whose basis has not settled in 500
-    steps gets a NumericalError in place of its c; the other times are
-    unaffected.
+    30, ... at which c_m(t) differs from c_(m-10)(t) by at most
+    max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm, or the dimension of
+    the Krylov space once it is exhausted (then c is exact).  The second term
+    is the round-off floor of c(t): an error eps/theta in the lowest Ritz
+    value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by t eps/theta.
+    The rule depends only on t and on the first m Lanczos steps, so values do
+    not depend on the grid or on query order.  A t whose basis has not
+    settled in 500 steps gets a NumericalError in place of its c; the other
+    times are unaffected.
     """
 
     def __init__(self, factor, iy):
@@ -585,8 +606,10 @@ class _ShiftInvertLanczos:
             else:
                 change = c.copy()
                 change[:, :previous.shape[1]] -= previous
+                gap = float(self._ritz[m][0].min()) - self.sigma  # lambda_0 - sigma
+                floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * todo)
                 settled = (previous.shape[1] > 0) & (
-                    _row_norms(change) <= 1e-13 * _row_norms(c))
+                    _row_norms(change) <= floor * _row_norms(c))
             for t, row in zip(todo[settled], c[settled]):
                 self._coeffs[float(t)] = row
             todo, previous = todo[~settled], c[~settled]
@@ -616,33 +639,25 @@ class SymmetricFactor(_FactorBase):
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
         self._shifted = None
-        self._rcm = None
         self._columns = {}  # local column iy -> its _ShiftInvertLanczos
         self._lock = threading.Lock()
 
-    def _shifted_factor(self):
-        """(banded Cholesky factor of A_S - sigma D_mu in the pattern's reverse
-        Cuthill-McKee order, sigma), sigma = min D - 1."""
+    def _krylov(self):
+        """(banded Cholesky factor of A_S - sigma D_mu in the level's own order,
+        Fortran-ordered for ``dpbtrs``; sigma = min D - 1; the position in that
+        order of each local index; sqrt(mu) in that order): what a Lanczos
+        step, a point read and the inverse route need."""
         if self._shifted is None:
             sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
-            perm, band = self.pattern.band()
-            diag = self.diag - sigma * self.mu
-            info = 1
-            if np.all(np.isfinite(diag)):  # LAPACK's banded Cholesky lets a NaN pivot pass
-                chol, info = dpbtrf(np.vstack((band, diag[perm])))
-            if info != 0:
-                raise NumericalError("shifted restriction is not positive definite")
-            self._shifted = (chol, sigma)
+            shifted = _NestedCholesky(self.op, self.sub.order, sigma)
+            with np.errstate(over="ignore", invalid="ignore"):  # D - sigma may overflow
+                finite = shifted.definite(self.sub.size) and np.all(np.isfinite(shifted.ab))
+            if not finite:
+                raise NumericalError("shifted restriction overflows or is not positive definite")
+            local = self._locals(shifted.nest)
+            self._shifted = (np.asfortranarray(shifted.ab), sigma, np.argsort(local),
+                             self.sqrt_mu[local])
         return self._shifted
-
-    def _krylov(self):
-        """(shifted factor, sigma, the RCM position of each local index,
-        sqrt(mu) in RCM order): what a Lanczos step and a point read need."""
-        if self._rcm is None:
-            chol, sigma = self._shifted_factor()
-            perm = self.pattern.band()[0]
-            self._rcm = (chol, sigma, np.argsort(perm), self.sqrt_mu[perm])
-        return self._rcm
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -652,10 +667,8 @@ class SymmetricFactor(_FactorBase):
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
             return lam, vecs, "direct"
-        chol, sigma = self._shifted_factor()
-        # 2B in RCM order, built in place in one Fortran-ordered array
-        perm = self.pattern.band()[0]
-        root = self.sqrt_mu[perm]
+        chol, sigma, where, root = self._krylov()
+        # 2B in the level's order, built in place in one Fortran-ordered array
         b = dpbtrs(chol, np.diag(root).T, overwrite_b=1)[0]
         b *= root[:, None]
         b += b.T
@@ -665,7 +678,7 @@ class SymmetricFactor(_FactorBase):
         with np.errstate(divide="ignore"):
             lam = np.where(nu2 > 0.0, 2.0 / np.maximum(nu2, 1e-300), np.inf) + sigma
         order = np.argsort(lam)
-        return lam[order], vecs[np.ix_(np.argsort(perm), order)], "inverse"
+        return lam[order], vecs[np.ix_(where, order)], "inverse"
 
     def spectral(self):
         """The dense eigendecomposition (lam, vecs, route) of H, for all-pairs
@@ -742,9 +755,13 @@ class NonsymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
-        self.k_dense = op.action_matrix_dense(sub)
         self._expm_cache = {}
         self.route = "expm"
+
+    @functools.cached_property
+    def k_dense(self):
+        """Dense K_S, built on first use: only kernels and semigroups read it."""
+        return self.op.action_matrix_dense(self.sub)
 
     def semigroup_matrix(self, t):
         """Dense exp(-t K_S) by scaling and squaring, cached per t."""

@@ -234,6 +234,9 @@ def first_layer_spectral(op: EllipticOperator, potential: Potential,
     Independent of the Simpson recursion: the time integral of each spectral
     pair is evaluated in closed form.
     """
+    t = float(t)
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValidationError("t must be finite and nonnegative")
     fac = factor if factor is not None else factorize(op, subset)
     if not isinstance(fac, SymmetricFactor):
         raise ValidationError("the spectral first layer needs a symmetric operator")
@@ -242,7 +245,7 @@ def first_layer_spectral(op: EllipticOperator, potential: Potential,
         raise NumericalError("spectral route unavailable: non-finite eigenvalues")
     v = np.abs(potential.values[subset.positions])
     s = vecs.T @ (v[:, None] * vecs)
-    m = vecs @ (s * _pair_time_integral(lam, float(t))) @ vecs.T
+    m = vecs @ (s * _pair_time_integral(lam, t)) @ vecs.T
     return m / fac.sqrt_mu[:, None] / fac.sqrt_mu[None, :]
 
 

@@ -131,6 +131,28 @@ def test_run_command(tmp_path, capsys):
     assert "lambda0:" in capsys.readouterr().out
 
 
+def test_overflowing_lanczos_shift_is_a_restriction_failure(tmp_path, capsys):
+    # D = +-1e308 is finite, but D - sigma, sigma = min D - 1, overflows
+    pot = tmp_path / "pot.txt"
+    pot.write_text("0 1e308\n5 -1e308\n")
+    assert main(["heat", "--fixture", "lat1", "--ambient-size", "129", "--potential", str(pot),
+                 "--x", "1", "--y", "1", "--t", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "status: diverging" in out and "shifted restriction overflows" in out
+
+
+@pytest.mark.parametrize("y", [0, 1])
+def test_lambda0_log_rejects_a_nonpositive_time(tmp_path, capsys, y):
+    # t = 0 once ended in a LinAlgError traceback (y = 0) or exit 4 (y = 1)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "[fixture]\nname = lat1\nambient_size = 513\n\n[operator]\nconstant = 0.5\n\n"
+        f"[experiment]\nkind = lambda0_log\nx = 0\ny = {y}\nt_grid = 0 1 2 3\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "[fixture]\nname = lat1\n\n[experiment]\nkind = heat\nt = 1%\n",
     "name = lat1\n",

@@ -258,6 +258,13 @@ def test_log_estimate_validates_grid(lat1_ev):
         hl.lambda0_log_estimate(lat1_ev, 0, 0, [1.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, 3.0], [-1.0, 1.0, 2.0],
+                                  [1.0, 2.0, float("inf")], [1.0, 2.0, float("nan")]])
+def test_log_estimate_rejects_nonpositive_and_nonfinite_times(lat1_ev, grid):
+    with pytest.raises(hl.ValidationError):
+        hl.lambda0_log_estimate(lat1_ev, 0, 0, grid)
+
+
 # -- critical coupling -----------------------------------------------------------
 
 def test_coupling_rank_one_lattice(lat1, lat1_plus1_op):

@@ -373,14 +373,22 @@ def _scrambled_grid(side, seed):
     return hl.WeightedDomain(range(side * side), measure, edges)
 
 
+def _own_order(sub):
+    """(perm, band) of the level's own order: the local index at each place of
+    the order, and the order's upper band."""
+    nest = sub.order
+    nest.grow_to(sub.size)
+    return np.searchsorted(sub.positions, nest.positions), nest.band
+
+
 def test_rcm_banded_green_columns_match_dense_solve():
     domain = _scrambled_grid(7, seed=11)
     op = hl.assemble(domain, hl.Potential.constant(domain, 0.05))
     sub = hl.restrict(domain, range(domain.n_vertices))
-    perm, band = sub.pattern().band()
+    perm, band = _own_order(sub)
     w = domain.weights.toarray()
     natural = max(abs(i - j) for i, j in zip(*np.nonzero(w)))
-    assert band.shape[0] < natural  # RCM narrows the band
+    assert band.shape[0] < natural  # Cuthill-McKee narrows the band
     assert not np.array_equal(perm, np.arange(sub.size))
     dense = np.diag(w.sum(axis=1) + 0.05 * domain.mu) - w
     fac = factorize(op, sub)
@@ -408,6 +416,18 @@ def test_warm_pattern_keeps_orientations_apart(drift):
         g_star = ev_star.green(x, y)
         assert g_star.converged
         assert g_star.value == pytest.approx(ev.green(y, x).value, rel=1e-12)
+
+
+def test_drift_green_limits_and_lambda0_build_no_dense_matrix(monkeypatch, drift):
+    # the dense K_S serves only kernels and semigroups of a nonsymmetric level
+    def no_dense(self, sub):
+        raise AssertionError("dense K_S built")
+
+    op = hl.add_potential(hl.assemble(drift.domain), hl.Potential.constant(drift.domain, 0.05))
+    monkeypatch.setattr(hl.EllipticOperator, "action_matrix_dense", no_dense)
+    ev = hl.HeatKernelEvaluator(op, drift.exhaustion)
+    assert ev.green(0, 3).converged and ev.green(3, 0).converged
+    assert hl.lambda0(op, drift.exhaustion, evaluator=ev).value > 0.05
 
 
 def _family(fixture, well):
@@ -511,14 +531,15 @@ def test_inverse_route_needs_no_sparse_lu(monkeypatch):
 
 @pytest.mark.parametrize("constant", [0.05, -0.5])
 def test_inverse_route_matches_direct_route_in_scrambled_order(monkeypatch, constant):
-    # a grid with scrambled labels has an RCM order that is no involution, so
-    # the inverse route must map its eigenvectors back by the inverse order;
-    # D = -0.5 makes the closed grid indefinite and takes the shifted factor
+    # a grid with scrambled labels has a Cuthill-McKee order that is no
+    # involution, so the inverse route must map its eigenvectors back by the
+    # inverse order; D = -0.5 makes the closed grid indefinite and takes the
+    # shifted factor
     import heatlab.kernels as hk
 
     domain = _scrambled_grid(7, seed=11)
     sub = hl.restrict(domain, range(domain.n_vertices))
-    perm = sub.pattern().band()[0]
+    perm = _own_order(sub)[0]
     assert not np.array_equal(perm[perm], np.arange(sub.size))
     op = hl.assemble(domain, hl.Potential.constant(domain, constant))
     direct = SymmetricFactor(op, sub)
@@ -593,10 +614,25 @@ def test_point_route_matches_dense_route_on_indefinite_levels(level):
 def test_point_route_matches_dense_route_in_scrambled_order():
     domain = _scrambled_grid(7, seed=11)
     sub = hl.restrict(domain, range(domain.n_vertices))
-    perm = sub.pattern().band()[0]
+    perm = _own_order(sub)[0]
     assert not np.array_equal(perm[perm], np.arange(sub.size))
     fac = SymmetricFactor(hl.assemble(domain, hl.Potential.constant(domain, 0.05)), sub)
     _assert_point_route_matches_dense(fac, [0, 17, 48])
+
+
+def test_point_route_settles_at_large_times():
+    # at t = 4000 an error eps in a Ritz value near 1 moves c(t) by ~4e-13 of
+    # its norm, so a fixed 1e-13 stopping rule runs into the 500-step cap
+    fx = hl.fixture("rad(3)", ambient_size=3000)
+    sub = fx.exhaustion[9]
+    assert sub.size == 1024
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    dense = fac.kernel_matrix(4000.0)
+    for y in (1, 2):
+        iy = sub.local_of(y)
+        assert fac.kernel(sub.local_of(1), iy, 4000.0) == pytest.approx(
+            dense[sub.local_of(1), iy], rel=1e-11)
+        assert len(fac._columns[iy].alpha) < 400
 
 
 def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
@@ -876,22 +912,22 @@ def test_rad3_bisection_is_unchanged_by_the_nested_factor(r):
     assert res.agree
 
 
-def test_concurrent_green_limits_share_one_nest():
-    # threads grow one exhaustion's order and two operators' nested factors at
-    # once; every value must equal a serial run's, bit for bit
+def _assert_concurrent_limits_match_serial(build, constant, couplings):
+    """Threads grow one exhaustion's order and two operators' nested factors at
+    once; every Green history must equal a serial run's, bit for bit."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     def operators(fx):
-        base = hl.assemble(fx.domain)
+        base = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, constant))
         well = hl.Potential.indicator(fx.domain, [1], -1.0)
-        return [hl.add_potential(base, well, 0.5), hl.add_potential(base, well, 0.9)]
+        return [hl.add_potential(base, well, a) for a in couplings]
 
     queries = [(k, x, y) for k in (0, 1) for x, y in ((1, 1), (1, 2), (3, 1), (7, 2))] * 2
-    fx = hl.fixture("rad(3)", ambient_size=3000)
+    fx = build()
     serial = [hl.HeatKernelEvaluator(op, fx.exhaustion) for op in operators(fx)]
     expected = [serial[k].green(x, y).history for k, x, y in queries]
-    fx = hl.fixture("rad(3)", ambient_size=3000)
+    fx = build()
     shared = [hl.HeatKernelEvaluator(op, fx.exhaustion) for op in operators(fx)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -902,6 +938,40 @@ def test_concurrent_green_limits_share_one_nest():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+    return fx
+
+
+def test_concurrent_green_limits_share_one_nest():
+    _assert_concurrent_limits_match_serial(lambda: hl.fixture("rad(3)", ambient_size=3000),
+                                           0.0, (0.5, 0.9))
+
+
+def test_concurrent_banded_green_limits_share_one_nest():
+    # lat1's nest has band 3, so its columns past the first few are banded
+    fx = _assert_concurrent_limits_match_serial(lambda: hl.fixture("lat1", ambient_size=4001),
+                                                0.01, (0.05, 0.09))
+    nest = fx.exhaustion.nested_order()
+    assert nest.kd == 3 and nest.size > 100
+
+
+def test_banded_nest_does_not_depend_on_how_it_grew():
+    # lat1 + 0.01 (band 3), grown level by level, or to the deepest level in
+    # one call (the factor alone, or a Green value): the same U and G_j(0, 1)
+    def grow(how):
+        fx = hl.fixture("lat1", ambient_size=4001)
+        op = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.01))
+        ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+        levels = ev.usable_levels()
+        last = fx.exhaustion[levels[-1]].size
+        if how == "factor":
+            ev._nested.definite(last)
+        elif how == "green":
+            ev._nested.green(last, 0, 1)
+        values = [ev.green_finite_level(j, 0, 1) for j in levels]
+        assert fx.exhaustion.nested_order().kd == 3
+        return ev._nested.ab.tobytes(), values
+
+    assert grow("stepwise") == grow("factor") == grow("green")
 
 
 # -- the tridiagonal route of the nested factor (LDL^T pivots, cumulative products) -

@@ -83,6 +83,16 @@ def test_simpson_matches_spectral_first_layer(lat1_session):
             m[sub.local_of(x), sub.local_of(y)], rel=1e-9, abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+def test_spectral_first_layer_rejects_bad_times(t):
+    fx = hl.fixture("lat1", ambient_size=65)
+    op, v = hl.assemble(fx.domain), hl.Potential.indicator(fx.domain, [0], 1.0)
+    sub = hl.restrict(fx.domain, range(-4, 5))
+    with pytest.raises(hl.ValidationError):
+        pert.first_layer_spectral(op, v, sub, t)
+    assert np.array_equal(pert.first_layer_spectral(op, v, sub, 0.0), np.zeros((9, 9)))
+
+
 def test_quadrature_self_check_flags_coarse_steps(scalar_stack):
     # a stiff two-vertex graph: e^(-80 s) under-resolved by 8 Simpson steps
     d = hl.WeightedDomain([0, 1], {0: 1.0, 1: 1.0}, {(0, 1): 40.0, (1, 0): 40.0})
