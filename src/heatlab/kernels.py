@@ -48,15 +48,16 @@ representable however widely the jump rates 1/mu spread.
   rule is applied per t, so a grid's values equal those of one-t calls bit
   for bit.  The basis lives in the coordinates of the level's own order,
   those of its factor of A_S - sigma D_mu, where a step costs one O(n)
-  banded solve.
+  solve (``_NestedCholesky.solve``).
 * All-pairs queries (kernel and semigroup matrices, lambda_min, the
   perturbation module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
 
-Sparse LUs serve only where no Cholesky applies: Green solves of nonsymmetric
-restrictions, and the shifted matrices A - sigma D_mu of the principal-pair
-inverse iteration, which are indefinite.  Nonsymmetric kernels use dense
-scaling-and-squaring matrix exponentials.
+Principal pairs (lambda0(S), phi) come from inverse iteration on the leading
+block of a nest of A - sigma D_mu, sigma = min_S D, which is positive
+definite on every level but the closed one with D = sigma.  Sparse LUs serve
+only nonsymmetric restrictions: their Green solves and principal pairs.
+Nonsymmetric kernels use dense scaling-and-squaring matrix exponentials.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ import scipy.sparse.linalg as spla
 # banded and tridiagonal LAPACK directly: scipy's cholesky_banded and
 # cho_solve_banded copy the band and the right-hand side through
 # asarray_chkfinite on every call
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs, dstevd, dtbtrs
 
 from .domains import Exhaustion, IndexedSubdomain, NestedOrder
-from .errors import NumericalError, ValidationError
+from .errors import InconclusiveError, NumericalError, ValidationError
 from .operators import EllipticOperator
 from .series import increments_decreasing, neville_in_size
 
@@ -89,6 +90,8 @@ WELL_SCALED_RATE = 1e8
 HEAT_TOL = 1e-9
 GREEN_TOL = 1e-8
 DIVERGENCE_CAP = 1e12
+#: Lanczos steps per basis; a time whose basis has not settled by then has no value
+LANCZOS_CAP = 500
 
 
 class LimitStatus(enum.Enum):
@@ -162,6 +165,34 @@ def _sparse_lu(mat):
         raise NumericalError(f"sparse LU failed: {exc}") from None
 
 
+def _inverse_iteration(solve, mu):
+    """Inverse iteration v <- solve(mu v) = A^-1 D_mu v from the constant vector
+    (Parlett 1998, ch. 4), v of unit 2-norm, until a max-norm change is at
+    most 4e-15 of max|v|, or below 1e-12 and no longer shrinking (round-off;
+    a larger change can grow while v turns towards a localized mode)."""
+    v = np.full(mu.size, 1.0 / math.sqrt(mu.size))
+    change = math.inf
+    for _ in range(500):
+        w = solve(mu * v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise NumericalError("inverse power iteration broke down")
+        w /= norm
+        step = float(np.max(np.abs(w - v))) / float(np.max(np.abs(w)))
+        v = w
+        if step <= 4e-15 or (step >= change and step <= 1e-12):
+            break
+        change = step
+    return v
+
+
+def _fortran_concatenate(arrays, axis):
+    """``np.concatenate`` into a new Fortran-ordered array, in one copy."""
+    shape = list(arrays[0].shape)
+    shape[axis] = sum(a.shape[axis] for a in arrays)
+    return np.concatenate(arrays, axis=axis, out=np.empty(shape, order="F"))
+
+
 class _NestedCholesky:
     """The upper banded Cholesky factor U (A = U^T U) of one symmetric operator's
     shifted measure form A = A_op - sigma D_mu over a ``NestedOrder``, grown on
@@ -197,6 +228,7 @@ class _NestedCholesky:
         self.failed = False
         self._pivot = 0.0  # d of the last column, while every column is tridiagonal
         self._ratio = np.zeros(0)  # r_i over the tridiagonal columns (r_0 = 0)
+        self._ldl = (np.zeros(0), np.zeros(1))  # LDL^T pivots and multipliers for dpttrs
         self._columns = {}  # index k in the order -> U^-T e_k over a prefix
         self._lock = threading.Lock()
 
@@ -238,8 +270,8 @@ class _NestedCholesky:
         band = nest.band  # read once: another operator's factor may grow the nest
         kd = band.shape[0]
         if self.ab.shape[0] <= kd:  # the band widened: pad with zero rows on top
-            self.ab = np.concatenate((np.zeros((kd + 1 - self.ab.shape[0], p), order="F"),
-                                      self.ab))
+            self.ab = _fortran_concatenate((np.zeros((kd + 1 - self.ab.shape[0], p)), self.ab),
+                                           axis=0)
         tri = min(nest.tridiagonal, q)  # final below q once the nest holds q columns
         if p < tri:
             self._extend_tridiagonal(band, p, tri)
@@ -257,7 +289,7 @@ class _NestedCholesky:
         chol, info = dpbtrf(window)
         # info is the first leading minor of the window that is not positive definite
         done = window.shape[1] if info == 0 else max(info - 1, m)
-        self.ab = np.concatenate((self.ab, chol[:, m:done]), axis=1)
+        self.ab = _fortran_concatenate((self.ab, chol[:, m:done]), axis=1)
         self.failed = done < window.shape[1]
 
     def _diagonal(self, s, q):
@@ -290,14 +322,28 @@ class _NestedCholesky:
             block[-1] = root[seeded:]
             if block.shape[0] > 1:
                 block[-2] = upper
-            self.ab = np.concatenate((self.ab, block), axis=1)
+            self.ab = _fortran_concatenate((self.ab, block), axis=1)
             self._ratio = np.concatenate((self._ratio, -upper / root[seeded:]))
             self._pivot = float(d[done - 1])
         self.failed = done < d.size
 
     def solve(self, n, rhs):
-        """A_n^-1 rhs, the leading block's solve, in the nest's order."""
-        return dpbtrs(self.ab[:, :n], rhs, overwrite_b=1)[0]
+        """A_n^-1 rhs on a certified prefix n, in the nest's order, in place when
+        ``rhs`` is a Fortran-ordered float array: by ``dpbtrs`` on U, or, inside
+        the tridiagonal prefix, by ``dpttrs`` on its LDL^T factor.  That factor
+        is the one ``_extend_tridiagonal`` computes, bit for bit, refactored
+        on the first solve that needs it (most nests only serve Green columns)."""
+        if n > self._ratio.size:
+            return dpbtrs(self.ab[:, :n], rhs, overwrite_b=1)[0]
+        d, l = self._ldl
+        if d.size < n:
+            if n == 1:  # dpttrf's wrapper rejects an empty off-diagonal
+                d, l = self._diagonal(0, 1), np.zeros(1)
+            else:
+                d, l, _ = dpttrf(self._diagonal(0, n), self.nest.band[-1, 1:n])
+            self._ldl = d, l
+        # dpttrs's wrapper wants one off-diagonal entry even when n = 1
+        return dpttrs(d[:n], l[:max(n - 1, 1)], rhs, overwrite_b=1)[0]
 
     def _column(self, k, n):
         """U^-T e_k over the prefix n (at least), past the tridiagonal prefix in
@@ -348,13 +394,13 @@ class _FactorBase:
 
     A factor holds only what depends on the operator: the diagonal
     out_weight + D mu of A_S over its level's shared pattern.  Everything else
-    is built on first use: the sparse A_S (principal pairs, the direct
-    spectral and nonsymmetric routes) and the sparse LU (nonsymmetric Green
-    solves).  A symmetric factor certifies and solves by the leading block of
-    a ``_NestedCholesky``: its evaluator's, grown over the exhaustion, or a
-    standalone one-level nest.  Its kernels factor A_S - sigma D_mu instead
-    (see ``SymmetricFactor``).  The symmetric Green, point kernel and inverse
-    routes never assemble A_S.
+    is built on first use: the sparse A_S (the direct spectral and
+    nonsymmetric routes) and the sparse LU (nonsymmetric Green solves and
+    principal pairs).  A symmetric factor certifies, solves and iterates by
+    the leading block of a ``_NestedCholesky``: its evaluator's, grown over
+    the exhaustion, or a standalone one-level nest.  Its kernels factor
+    A_S - sigma D_mu instead (see ``SymmetricFactor``).  The symmetric
+    routes other than the direct spectral one never assemble A_S.
     """
 
     def __init__(self, op: EllipticOperator, sub: IndexedSubdomain, nested=None):
@@ -403,58 +449,12 @@ class _FactorBase:
             return False
         return self.principal_pair()[0] > 0.0
 
-    def _shifted_lu(self, sigma):
-        mat = self.a_s if sigma == 0.0 else (self.a_s - sigma * sp.diags(self.mu)).tocsc()
-        return _sparse_lu(mat)
-
-    def _rayleigh(self, v):
-        return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))
-
     def principal_pair(self):
-        """(lambda0(S), phi) of the restriction via shifted inverse power iteration.
-
-        The shift sigma = min D deflates the constant part of the potential:
-        A - sigma D_mu is an M-matrix (lambda0(S) > min D strictly), so the
-        iteration always targets the principal (Perron) mode, for symmetric
-        and nonsymmetric restrictions alike.  A few Rayleigh-shift refinements
-        polish the eigenvalue to machine accuracy.
-        """
+        """(lambda0(S), phi, positive): ``_pair``, with phi made positive where
+        it is one-signed; shifted below lambda0(S), A_S - sigma D_mu is an
+        M-matrix, so the iteration targets the principal (Perron) mode."""
         if self._principal is None:
-            sigma = float(np.min(self.op.potential[self.sub.positions]))
-            try:
-                lu = self._shifted_lu(sigma)
-            except NumericalError:
-                sigma -= 1.0
-                lu = self._shifted_lu(sigma)
-            n = self.sub.size
-            v = np.ones(n) / np.sqrt(n)
-            theta_old = None
-            theta = self._rayleigh(v)
-            for _ in range(500):
-                w = lu.solve(self.mu * v)
-                nrm = float(np.linalg.norm(w))
-                if nrm == 0.0 or not np.isfinite(nrm):
-                    raise NumericalError("inverse power iteration broke down")
-                v = w / nrm
-                theta = self._rayleigh(v)
-                if theta_old is not None and abs(theta - theta_old) <= 1e-14 * max(1.0, abs(theta)):
-                    break
-                theta_old = theta
-            for _ in range(4):  # Rayleigh-shift refinement, cubic near the fixed point
-                try:
-                    lu_r = self._shifted_lu(theta)
-                except NumericalError:
-                    break  # theta hit the eigenvalue exactly
-                w = lu_r.solve(self.mu * v)
-                nrm = float(np.linalg.norm(w))
-                if nrm == 0.0 or not np.isfinite(nrm):
-                    break
-                v = w / nrm
-                theta_new = self._rayleigh(v)
-                done = abs(theta_new - theta) <= 1e-15 * max(1.0, abs(theta_new))
-                theta = theta_new
-                if done:
-                    break
+            theta, v = self._pair()
             if v.sum() < 0.0:
                 v = -v
             positive = bool(v.min() >= -1e-10 * max(v.max(), 1e-300))
@@ -520,8 +520,8 @@ class _ShiftInvertLanczos:
 
     B = R (A_S - sigma D_mu)^(-1) R with R = D_mu^(1/2).  The permutation to
     the shifted factor's order is orthogonal, so the process runs there: a
-    step is one LAPACK ``dpbtrs`` on that factor between two scalings by R in
-    that order (``SymmetricFactor._krylov``), with no reordering.
+    step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
+    between two scalings by R in that order (``SymmetricFactor._krylov``).
     Full reorthogonalization (classical Gram-Schmidt, twice) keeps the basis V
     orthonormal to round-off.  exp(-tH) e_y is approximated by V_m c_m(t),
     c_m(t) = f(T_m) e_1 = Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs
@@ -537,8 +537,8 @@ class _ShiftInvertLanczos:
     value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by t eps/theta.
     The rule depends only on t and on the first m Lanczos steps, so values do
     not depend on the grid or on query order.  A t whose basis has not
-    settled in 500 steps gets a NumericalError in place of its c; the other
-    times are unaffected.
+    settled in ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its
+    c; the other times are unaffected.
     """
 
     def __init__(self, factor, iy):
@@ -546,23 +546,23 @@ class _ShiftInvertLanczos:
         _, self.sigma, where, root = factor._krylov()
         n = root.size
         # rows are committed only as the basis grows into them
-        self.basis = np.empty((min(n, 500), n))
+        self.basis = np.empty((min(n, LANCZOS_CAP), n))
         self.basis[0] = 0.0
         self.basis[0, where[iy]] = 1.0
         self.alpha, self.beta = [], []
         self.invariant = False  # the Krylov space is exhausted
         self._ritz = {}  # m -> Ritz values lam and vectors Q of T_m
-        self._coeffs = {}  # t -> c(t), or the NumericalError of an unsettled t
+        self._coeffs = {}  # t -> c(t), or the InconclusiveError of an unsettled t
 
     def _extend(self, m):
         """Run Lanczos to m steps, or to exhaustion; the steps available."""
         basis, alpha, beta = self.basis, self.alpha, self.beta
-        chol, _, _, root = self.factor._krylov()
+        shifted, _, _, root = self.factor._krylov()
         size, n = basis.shape
         m = min(m, size)
         while len(alpha) < m and not self.invariant:
             j = len(alpha)
-            w = dpbtrs(chol, root * basis[j], overwrite_b=1)[0]
+            w = shifted.solve(n, root * basis[j])
             w *= root
             norm_w = math.sqrt(w @ w)
             v = basis[:j + 1]
@@ -583,7 +583,10 @@ class _ShiftInvertLanczos:
         """c_m(t) for each t of the array ``ts``, one row each."""
         pairs = self._ritz.get(m)
         if pairs is None:
-            theta, q = sla.eigh_tridiagonal(np.array(self.alpha[:m]), np.array(self.beta[:m - 1]))
+            # LAPACK's dstevd directly; its wrapper wants one off-diagonal entry when m = 1
+            theta, q, info = dstevd(np.array(self.alpha[:m]), np.array(self.beta[:m - 1] or [0.0]))
+            if info:
+                raise NumericalError(f"tridiagonal eigensolver failed (info {info})")
             # theta > 0 in exact arithmetic; round-off at or below 0 marks lambda = inf
             with np.errstate(divide="ignore"):
                 lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf)
@@ -594,7 +597,7 @@ class _ShiftInvertLanczos:
 
     def coefficients(self, ts):
         """c(t) for each t > 0 of ``ts``, with exp(-tH) e_y = basis[:len(c)].T @ c,
-        or the NumericalError of a t whose basis has not settled."""
+        or the InconclusiveError of a t whose basis has not settled."""
         todo = np.array([t for t in dict.fromkeys(ts) if t not in self._coeffs], dtype=float)
         previous = np.zeros((todo.size, 0))
         m = 0
@@ -614,7 +617,7 @@ class _ShiftInvertLanczos:
                 self._coeffs[float(t)] = row
             todo, previous = todo[~settled], c[~settled]
             if todo.size and m == self.basis.shape[0]:
-                error = NumericalError(f"Lanczos did not converge in {m} steps")
+                error = InconclusiveError(f"Lanczos did not converge in {m} steps")
                 for t in todo:
                     self._coeffs[float(t)] = error
                 break
@@ -643,10 +646,10 @@ class SymmetricFactor(_FactorBase):
         self._lock = threading.Lock()
 
     def _krylov(self):
-        """(banded Cholesky factor of A_S - sigma D_mu in the level's own order,
-        Fortran-ordered for ``dpbtrs``; sigma = min D - 1; the position in that
-        order of each local index; sqrt(mu) in that order): what a Lanczos
-        step, a point read and the inverse route need."""
+        """(the one-level nest of A_S - sigma D_mu in the level's own order,
+        sigma = min D - 1; the position in that order of each local index;
+        sqrt(mu) in that order): what a Lanczos step, a point read and the
+        inverse route need."""
         if self._shifted is None:
             sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
             shifted = _NestedCholesky(self.op, self.sub.order, sigma)
@@ -655,9 +658,33 @@ class SymmetricFactor(_FactorBase):
             if not finite:
                 raise NumericalError("shifted restriction overflows or is not positive definite")
             local = self._locals(shifted.nest)
-            self._shifted = (np.asfortranarray(shifted.ab), sigma, np.argsort(local),
-                             self.sqrt_mu[local])
+            self._shifted = (shifted, sigma, np.argsort(local), self.sqrt_mu[local])
         return self._shifted
+
+    def _pair(self):
+        """``_inverse_iteration`` on the leading block of a nest of A - sigma D_mu,
+        sigma = min_S D (at 0 the Green nest, else a one-level nest), and
+        sigma plus the Rayleigh quotient, A v summed by rows from the nest's
+        band; the closed level with D = sigma has the pair (sigma, constant)."""
+        n = self.sub.size
+        sigma = float(np.min(self.op.potential[self.sub.positions]))
+        nest = self._cholesky() if sigma == 0.0 else _NestedCholesky(self.op, self.sub.order, sigma)
+        if not nest.definite(n):
+            if n == self.op.domain.n_vertices and not np.any(self.op.potential != sigma):
+                return sigma, np.full(n, 1.0 / math.sqrt(n))
+            raise NumericalError("shifted restriction is not positive definite")
+        local = self._locals(nest.nest)
+        mu = self.mu[local]
+        v = _inverse_iteration(functools.partial(nest.solve, n), mu)
+        band = nest.nest.band
+        av = nest._diagonal(0, n) * v
+        for d in range(1, min(band.shape[0], n - 1) + 1):  # A[i, i + d] = band[kd - d, i + d]
+            upper = band[-d, d:n]
+            av[:n - d] += upper * v[d:]
+            av[d:] += upper * v[:n - d]
+        out = np.empty(n)
+        out[local] = v
+        return sigma + float(v @ av) / float(v @ (mu * v)), out
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -667,9 +694,9 @@ class SymmetricFactor(_FactorBase):
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
             return lam, vecs, "direct"
-        chol, sigma, where, root = self._krylov()
+        shifted, sigma, where, root = self._krylov()
         # 2B in the level's order, built in place in one Fortran-ordered array
-        b = dpbtrs(chol, np.diag(root).T, overwrite_b=1)[0]
+        b = shifted.solve(root.size, np.diag(root).T)
         b *= root[:, None]
         b += b.T
         nu2, vecs = sla.eigh(b, overwrite_a=True)
@@ -698,13 +725,13 @@ class SymmetricFactor(_FactorBase):
     def kernels(self, ix, iy, ts):
         """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
         from column y's basis; a t whose basis has not settled has its
-        NumericalError in place of a value.
+        InconclusiveError in place of a value.
 
         Negative values within 1e-13 of the column's norm are round-off and
         read as 0.
         """
         positive = [t for t in ts if t != 0.0]
-        values = {}  # t -> value, or its NumericalError
+        values = {}  # t -> value, or its InconclusiveError
         if positive:
             with self._lock:
                 lanczos = self._columns.get(iy)
@@ -712,7 +739,7 @@ class SymmetricFactor(_FactorBase):
                     lanczos = self._columns[iy] = _ShiftInvertLanczos(self, iy)
                 values.update(zip(positive, lanczos.coefficients(positive)))
             row = self._krylov()[2][ix]
-            settled = {t: c for t, c in values.items() if not isinstance(c, NumericalError)}
+            settled = {t: c for t, c in values.items() if not isinstance(c, InconclusiveError)}
             scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
             raw = np.array([lanczos.basis[:c.size, row] @ c for c in settled.values()]) / scale
             floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
@@ -723,7 +750,7 @@ class SymmetricFactor(_FactorBase):
     def kernel(self, ix, iy, t):
         """``kernels`` at the one time t; an unsettled basis raises."""
         value = self.kernels(ix, iy, [t])[0]
-        if isinstance(value, NumericalError):
+        if isinstance(value, InconclusiveError):
             raise value
         return value
 
@@ -757,6 +784,40 @@ class NonsymmetricFactor(_FactorBase):
         super().__init__(op, sub)
         self._expm_cache = {}
         self.route = "expm"
+
+    def _shifted_lu(self, sigma):
+        mat = self.a_s if sigma == 0.0 else (self.a_s - sigma * sp.diags(self.mu)).tocsc()
+        return _sparse_lu(mat)
+
+    def _rayleigh(self, v):
+        return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))
+
+    def _pair(self):
+        """``_inverse_iteration`` by a sparse LU of A_S - sigma D_mu, sigma = min_S D
+        (less 1 where that is singular), polished by Rayleigh-shift steps."""
+        sigma = float(np.min(self.op.potential[self.sub.positions]))
+        try:
+            lu = self._shifted_lu(sigma)
+        except NumericalError:
+            lu = self._shifted_lu(sigma - 1.0)
+        v = _inverse_iteration(lu.solve, self.mu)
+        theta = self._rayleigh(v)
+        for _ in range(4):  # Rayleigh-shift refinement, cubic near the fixed point
+            try:
+                lu_r = self._shifted_lu(theta)
+            except NumericalError:
+                break  # theta hit the eigenvalue exactly
+            w = lu_r.solve(self.mu * v)
+            nrm = float(np.linalg.norm(w))
+            if nrm == 0.0 or not np.isfinite(nrm):
+                break
+            v = w / nrm
+            theta_new = self._rayleigh(v)
+            done = abs(theta_new - theta) <= 1e-15 * max(1.0, abs(theta_new))
+            theta = theta_new
+            if done:
+                break
+        return theta, v
 
     @functools.cached_property
     def k_dense(self):
@@ -843,8 +904,12 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
 
     * a NumericalError at level j (a nonpositive restriction inside the
       exhaustion): diverging, value inf, at that level;
+    * an InconclusiveError at level j (a Lanczos basis at its step cap):
+      inconclusive there;
     * a value beyond ``DIVERGENCE_CAP``: diverging;
-    * two consecutive relative increments below ``tol``: converged.
+    * two consecutive relative increments below ``tol``: converged.  Zeros
+      before the first nonzero value (underflow) count in no rule; if every
+      level is 0, the limit is 0.
 
     When the levels run out, the tail decides, in this order:
 
@@ -869,7 +934,12 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
                 float("inf"), LimitStatus.DIVERGING, j, history,
                 evidence=f"restriction failure at level {j}: {exc}",
             )
+        except InconclusiveError as exc:
+            return LimitResult(float("nan"), LimitStatus.INCONCLUSIVE, j, history,
+                               evidence=f"at level {j}: {exc}")
         history.append((j, v))
+        if v == 0.0 and not values:
+            continue
         values.append(v)
         if abs(v) > DIVERGENCE_CAP:
             return LimitResult(v, LimitStatus.DIVERGING, j, history,
@@ -881,8 +951,11 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
             if i1 < tol and i2 < tol:
                 return LimitResult(v, LimitStatus.CONVERGED, j, history,
                                    error_estimate=abs(values[-1] - values[-2]))
-    v = values[-1] if values else float("nan")
     last = history[-1][0] if history else None
+    if not values and len(history) >= 3:  # every level is 0
+        return LimitResult(0.0, LimitStatus.CONVERGED, last, history, error_estimate=0.0)
+    values = values or [v for _, v in history]
+    v = values[-1] if values else float("nan")
     if trend_divergence and _trend_diverging(values, sizes, tol):
         return LimitResult(v, LimitStatus.DIVERGING, last, history,
                            evidence="increments nondecreasing over 3 consecutive levels")
@@ -972,8 +1045,8 @@ class HeatKernelEvaluator:
         (one Lanczos basis per level serves every t); each t's limit then
         reads them unchanged, so it sees exactly the values, levels and
         verdict it would see alone.  A t whose Lanczos basis does not settle
-        has a NumericalError at that level, which makes only its own limit
-        diverging there.
+        has an InconclusiveError at that level, which makes only its own
+        limit inconclusive there.
         """
         ts = [float(t) for t in ts]
         for t in ts:
@@ -985,7 +1058,7 @@ class HeatKernelEvaluator:
         levels, sizes = self._levels_from(start)
         tol = HEAT_TOL if tol is None else tol
         grid = list(dict.fromkeys(t for t in ts if t > 0.0))
-        values = {}  # level -> {t: kernel value or NumericalError} over ``grid``
+        values = {}  # level -> {t: kernel value or InconclusiveError} over ``grid``
 
         def value_at(j, t):
             row = values.get(j)
@@ -993,7 +1066,7 @@ class HeatKernelEvaluator:
                 sub = self.exhaustion[j]
                 row = values[j] = dict(zip(grid, self.factor(j).kernels(
                     sub.local_of(x), sub.local_of(y), grid)))
-            if isinstance(row[t], NumericalError):
+            if isinstance(row[t], InconclusiveError):
                 raise row[t]
             return row[t]
 

@@ -172,14 +172,34 @@ def test_run_missing_config(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--fixture", "lat1", "--ambient-size", "257", "--constant", "-0.5"],
-    # A - min(D) D_mu cancels to an exactly singular matrix at this scale
-    ["lambda0", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1e17"],
-    ["classify", "--fixture", "lat1", "--ambient-size", "33", "--constant", "1e17"],
 ])
 def test_numerical_failure_exits_4(argv, capsys):
     code = main(argv)
     assert code == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [("lambda0", "lambda0: 1e+17"),
+                                           ("classify", "classification: subcritical")],
+                         ids=["lambda0", "classify"])
+def test_huge_constant_potential_is_solved(command, line, capsys):
+    # A - min(D) D_mu once cancelled to an exactly singular sparse LU here; the
+    # nest's diagonal takes D - min(D) = 0 before adding it to the weights
+    assert main([command, "--fixture", "lat1", "--ambient-size", "33", "--constant", "1e17"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_heat_limit_at_the_lanczos_cap_exits_3(monkeypatch, capsys):
+    import heatlab.kernels as hk
+
+    argv = ["heat", "--fixture", "lat1", "--ambient-size", "257", "--x", "0", "--y", "0",
+            "--t", "5"]
+    assert main(argv) == 0  # converged at level 6
+    capsys.readouterr()
+    monkeypatch.setattr(hk, "LANCZOS_CAP", 20)
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert "status: inconclusive" in out and "Lanczos did not converge in 20 steps" in out
 
 
 

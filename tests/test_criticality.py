@@ -1,7 +1,9 @@
 """Principal eigenvalues, classification, couplings, perturbation integrals.
 
 Claims:
-    - path Dirichlet eigenvalues match 2(1 - cos(pi/(n+1))) to 1e-10
+    - path Dirichlet eigenvalues match 2(1 - cos(pi/(n+1))) to 1e-10; lattice
+      principal pairs match their closed forms (lambda to 1e-12), deep radial
+      ground states LAPACK's tridiagonal eigensolver, with no sparse LU
     - lambda0 limits: lattice 0, killing shifts exactly, single vertex exact
     - the classification suite reproduces the documented fixture facts
     - ground states are one, and symmetric fixtures have phi* = phi
@@ -29,6 +31,61 @@ def test_path_dirichlet_eigenvalue_formula(lat1, lat1_op, n):
     sub = hl.restrict(lat1.domain, range(-half, half + 1))
     lam = principal_dirichlet_eigenvalue(lat1_op, sub)
     assert lam == pytest.approx(2.0 * (1.0 - np.cos(np.pi / (n + 1))), abs=1e-10)
+
+
+def _unit_max_error(v, ref):
+    """Max-norm distance of v from ref, both scaled to unit 2-norm and
+    positive sum, relative to the max of ref."""
+    v, ref = (u * np.sign(u.sum()) / np.linalg.norm(u) for u in (v, ref))
+    return float(np.abs(v - ref).max() / np.abs(ref).max())
+
+
+def test_lattice_principal_pairs_match_closed_forms():
+    # levels of 3, 5, 9, ..., 4097 vertices: the Dirichlet path
+    fx = hl.fixture("lat1", ambient_size=4099)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    sizes = []
+    for j in ev.usable_levels():
+        n = fx.exhaustion[j].size
+        lam, v, positive = ev.factor(j).principal_pair()
+        assert positive
+        assert lam == pytest.approx(4.0 * np.sin(np.pi / (2.0 * (n + 1))) ** 2, rel=1e-12)
+        if n <= 1025:
+            assert _unit_max_error(v, np.sin(np.pi * np.arange(1, n + 1) / (n + 1))) < 1e-10
+        sizes.append(n)
+    assert sizes[-1] == 4097
+
+
+def test_deep_radial_ground_states_match_a_tridiagonal_eigensolver():
+    # at lambda0 ~ 1e-7 the old stopping test |d theta| <= 1e-14 was absolute,
+    # and these levels' phi were off by 1e-7 to 1e-5
+    import scipy.linalg as sla
+
+    fx = hl.fixture("rad(3)", ambient_size=20000)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    deep = [j for j in ev.usable_levels() if fx.exhaustion[j].size >= 4096]
+    assert len(deep) >= 3
+    for j in deep:
+        fac = ev.factor(j)
+        a, root = fac.a_s.tocsr(), np.sqrt(fac.mu)
+        _, psi = sla.eigh_tridiagonal(a.diagonal() / fac.mu, a.diagonal(1) / (root[:-1] * root[1:]),
+                                      select="i", select_range=(0, 0))
+        assert _unit_max_error(fac.principal_pair()[1], psi[:, 0] / root) < 1e-8
+
+
+def test_symmetric_principal_pairs_need_no_sparse_lu(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("sparse LU called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+    geo = hl.fixture("lat1_geo(0.5)", ambient_size=1025)
+    report = crit.classify(hl.assemble(geo.domain), geo.exhaustion)  # critical: ground states
+    assert report.classification is hl.Classification.POSITIVE_CRITICAL
+    rad3 = hl.fixture("rad(3)", ambient_size=2000)
+    lam = crit.lambda0(hl.assemble(rad3.domain), rad3.exhaustion)
+    assert lam.bracket[0] == 0.0 and 0.0 < lam.bracket[1] < 1e-5
 
 
 def test_lambda0_single_vertex_exact():

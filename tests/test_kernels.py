@@ -11,11 +11,12 @@ Claims:
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import heatlab as hl
 from heatlab.domains import closed_path_domain, single_vertex_domain
-from heatlab.kernels import LimitStatus, NonsymmetricFactor, SymmetricFactor, factorize
+from heatlab.kernels import (LimitStatus, NonsymmetricFactor, SymmetricFactor, exhaustion_limit,
+                             factorize)
 from heatlab.series import geometric_grid
 
 from conftest import bessel_i0_scaled, build_drift_lattice
@@ -115,6 +116,29 @@ def test_small_ambient_is_inconclusive_at_large_time():
     r = ev.heat_kernel(0, 0, 50.0)
     assert r.status is LimitStatus.INCONCLUSIVE
     assert "ambient truncation" in r.evidence
+
+
+def test_underflowed_levels_certify_nothing():
+    # at t = 3000 the kernels of the levels of radius 0, 1 and 2 underflow to
+    # exactly 0; three zeros once read as a converged 0
+    fx = hl.fixture("lat1", ambient_size=4097)
+    ex = hl.Exhaustion(fx.domain, [range(-r, r + 1) for r in (0, 1, 2, 600, 650, 700)])
+    r = hl.HeatKernelEvaluator(hl.assemble(fx.domain), ex).heat_kernel(0, 0, 3000.0)
+    assert [v for _, v in r.history[:3]] == [0.0, 0.0, 0.0]
+    assert r.converged and r.level == 5
+    assert r.value == pytest.approx(special.ive(0, 6000.0), rel=1e-11)
+
+
+@pytest.mark.parametrize("values, status, value", [
+    ([0.0] * 6, LimitStatus.CONVERGED, 0.0),  # every level 0: the limit is 0
+    ([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], LimitStatus.CONVERGED, 1.0),
+    ([0.0, 0.0, 0.0, 1.0], LimitStatus.INCONCLUSIVE, 1.0),
+])
+def test_leading_zeros_are_no_evidence(values, status, value):
+    r = exhaustion_limit(values.__getitem__, range(len(values)),
+                         [2 ** j for j in range(len(values))], 1e-9,
+                         trend_divergence=False, exact_final=False)
+    assert (r.status, r.value, r.level) == (status, value, len(values) - 1)
 
 
 def test_cached_levels_reproduce_fresh_computation(lat1, lat1_op, lat1_ev):
@@ -735,7 +759,8 @@ def test_evaluator_grid_limits_equal_one_time_limits(geo_op, geo, grid):
 
 def test_unsettled_time_fails_alone(lat1, lat1_op, monkeypatch):
     # c_m(t) of one time is perturbed at every m, so its basis never settles
-    # and runs into the 500-step cap on the first level above 500 vertices
+    # and runs into the step cap (lowered to 40) on the first level above 40
+    # vertices; a heat value is bounded, so that limit is inconclusive there
     import heatlab.kernels as hk
 
     grid, restless = [0.5, 80.0, 5.0], 80.0
@@ -747,20 +772,23 @@ def test_unsettled_time_fails_alone(lat1, lat1_op, monkeypatch):
         c[ts == restless] *= 1.0 + 1e-3 * m
         return c
 
+    monkeypatch.setattr(hk, "LANCZOS_CAP", 40)
     monkeypatch.setattr(hk._ShiftInvertLanczos, "_f_of_t", never_settles)
     batched = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion).heat_kernels(1, 2, grid)
     alone = hl.HeatKernelEvaluator(lat1_op, lat1.exhaustion).heat_kernel(1, 2, restless)
     failed = batched[1]
-    assert failed.diverging and failed.value == float("inf")
-    assert lat1.exhaustion[failed.level].size > 500
-    assert "Lanczos did not converge in 500 steps" in failed.evidence
-    assert failed == alone
+    assert failed.status is LimitStatus.INCONCLUSIVE and np.isnan(failed.value)
+    assert lat1.exhaustion[failed.level].size > 40
+    assert lat1.exhaustion[failed.history[-1][0]].size <= 40
+    assert "Lanczos did not converge in 40 steps" in failed.evidence
+    assert (alone.status, alone.level, alone.history, alone.evidence) == (
+        failed.status, failed.level, failed.history, failed.evidence)
     assert [batched[0], batched[2]] == [clean[0], clean[2]]
     fac = SymmetricFactor(lat1_op, lat1.exhaustion[failed.level])
     ix, iy = fac.sub.local_of(1), fac.sub.local_of(2)
     values = fac.kernels(ix, iy, grid)
-    assert isinstance(values[1], hl.NumericalError)
-    with pytest.raises(hl.NumericalError, match="did not converge"):
+    assert isinstance(values[1], hl.InconclusiveError)
+    with pytest.raises(hl.InconclusiveError, match="did not converge"):
         fac.kernel(ix, iy, restless)
     assert fac.kernel(ix, iy, 5.0) == values[2]
 
@@ -887,6 +915,8 @@ def test_nested_order_and_factor_grow_only_as_deep_as_the_limit():
     last = fx.exhaustion[r.level].size
     assert fx.exhaustion.nested_order().size <= last < fx.domain.n_vertices // 10
     assert ev._nested.size <= last
+    # grown past lat1's band widening (1 to 3), U stays Fortran-ordered
+    assert fx.exhaustion.nested_order().kd == 3 and ev._nested.ab.flags.f_contiguous
 
 
 # the parent commit's bisections (banded Cholesky factor per level)
@@ -1087,6 +1117,15 @@ def test_mixed_band_nest_matches_dense_solves(stepwise, well_column):
         certified.append(ev.factor(j).is_positive_definite())
         assert certified[-1] is definite
         inverse = np.linalg.inv(a_s) if definite else None
+        if definite:  # Green solves by dpttrs inside the tridiagonal prefix, else dpbtrs
+            assert ev.factor(j).green_column(0) == pytest.approx(inverse[:, 0], rel=1e-12)
+        # the principal pair, by inverse iteration on the nest of A - min(D) D_mu
+        lam, phi, _ = ev.factor(j).principal_pair()
+        root = np.sqrt(ev.factor(j).mu)
+        w, q = np.linalg.eigh(a_s / root[:, None] / root[None, :])
+        ref = q[:, 0] / root * np.sign(q[:, 0].sum())
+        assert lam == pytest.approx(w[0], rel=1e-10)
+        assert np.abs(phi / np.linalg.norm(phi) - ref / np.linalg.norm(ref)).max() < 1e-10
         for x in level.labels:
             for y in level.labels[::3]:
                 if definite:
@@ -1096,6 +1135,8 @@ def test_mixed_band_nest_matches_dense_solves(stepwise, well_column):
                     with pytest.raises(hl.NumericalError):
                         ev.green_finite_level(j, x, y)
     assert nest.kd == 2 and nest.tridiagonal == 7
+    # grown past the band widening, U stays Fortran-ordered: solves take views
+    assert ev._nested.ab.flags.f_contiguous
     if well_column is None:
         assert all(certified) and ev._nested.size == domain.n_vertices
     else:
