@@ -60,7 +60,7 @@ def default_reference_pair(exhaustion: Exhaustion):
     first = exhaustion[0]
     x0 = int(first.labels[0])
     domain = exhaustion.domain
-    neighbors = domain._undirected_adjacency()[domain.index[x0]].nonzero()[1]
+    neighbors = domain._undirected_adjacency()[int(domain.positions_of(x0))].nonzero()[1]
     if neighbors.size == 0:
         return x0, x0  # single-vertex domain
     for j in range(len(exhaustion)):
@@ -154,7 +154,7 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None):
         cols = np.flatnonzero(np.minimum(depth, 5) == m)
         h = 1.0 / np.asarray([ex[j].size for j in levels[-m:]], dtype=float)
         phi[top[cols]] = neville_extrapolate(h, values[-m:, cols])[0]
-    phi[ex.domain.index[x0]] = 1.0
+    phi[ex.domain.positions_of(x0)] = 1.0
     return x0, phi
 
 
@@ -325,8 +325,8 @@ def birman_schwinger_alpha0(op: EllipticOperator, potential: Potential,
             if not r.converged:
                 raise InconclusiveError(f"green limit inconclusive at ({x}, {y})")
             g[a, b] = r.value
-    v_vals = np.array([potential.values[domain.index[x]] for x in support])
-    mu_vals = np.array([domain.mu[domain.index[x]] for x in support])
+    pos = domain.positions_of(support)
+    v_vals, mu_vals = potential.values[pos], domain.mu[pos]
     m = -g * (v_vals * mu_vals)[None, :]
     eigs = np.linalg.eigvals(m)
     real_pos = eigs.real[(np.abs(eigs.imag) <= 1e-9 * np.abs(eigs.real) + 1e-12)
@@ -529,7 +529,7 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
     if phi.shape != (op_alpha.domain.n_vertices,):
         raise ValidationError("phi must be a vertex vector over the domain's positions")
     ev = evaluator or HeatKernelEvaluator(op_alpha, exhaustion)
-    ratios = []
+    greens = []
     for x in region:
         g = ev.green(x, int(y0))
         if g.diverging:
@@ -539,7 +539,8 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
             raise InconclusiveError(f"green limit inconclusive at x={x}")
         if g.value <= 0.0:
             raise NumericalError(f"nonpositive green value at x={x}")
-        ratios.append(phi[op_alpha.domain.index[x]] / g.value)
+        greens.append(g.value)
+    ratios = phi[op_alpha.domain.positions_of(region)] / np.array(greens)
     return float(np.min(ratios)), float(np.max(ratios))
 
 

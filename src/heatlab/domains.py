@@ -61,7 +61,6 @@ class WeightedDomain:
         self._label_order = (order, self.labels[order])  # for positions_of
         if np.any(np.diff(self._label_order[1]) == 0):
             raise ValidationError("duplicate vertex labels")
-        self.index = dict(zip(self.labels.tolist(), range(n)))
 
         mu = (self.vertex_vector(measure, "measure") if isinstance(measure, dict)
               else np.asarray(measure, dtype=float))
@@ -125,7 +124,10 @@ class WeightedDomain:
     def _positions(self, labels, what):
         """Positions of a label or label array; ``what`` names the labels in the
         ValidationError for one outside the domain."""
-        labels = np.asarray(labels, dtype=np.int64)
+        try:
+            labels = np.asarray(labels, dtype=np.int64)
+        except OverflowError:  # no domain has a label outside int64
+            raise ValidationError(f"{what} references a vertex label outside int64") from None
         positions = self.positions_of(labels)
         if np.any(positions < 0):
             raise ValidationError(f"{what} references unknown vertex "
@@ -196,29 +198,6 @@ class WeightedDomain:
         return f"WeightedDomain({self.name or 'unnamed'}, n={self.n_vertices})"
 
 
-class LevelPattern:
-    """The potential-independent part of a Dirichlet restriction, per weight orientation.
-
-    Holds the restricted weights W_S and the full out-weights at the
-    subset's positions (edges leaving S count as absorption), so that the
-    measure form of any operator with these weights is
-
-        A_S = diag(out_weight + D mu) - W_S,
-
-    an O(n) diagonal update.  ``absorbing`` tells whether some edge leaves S;
-    without one, A_S 1 = D mu.
-    """
-
-    def __init__(self, positions, weights, out_weight):
-        self.out_weight = out_weight[positions]
-        self.w_s = weights[positions][:, positions]
-        self.absorbing = bool(np.any(self.out_weight > np.asarray(self.w_s.sum(axis=1)).ravel()))
-
-    def measure_form(self, diag):
-        """Sparse A_S = diag(diag) - W_S, diag being out_weight + D mu."""
-        return (sp.diags(diag) - self.w_s).tocsc()
-
-
 class NestedOrder:
     """Level-major vertex order of a nested sequence of levels, grown shell by shell.
 
@@ -252,7 +231,8 @@ class NestedOrder:
         self.out_weight = np.zeros(0)
         self.band = np.zeros((0, 0))
         self.tridiagonal = 0
-        self._rank = None  # domain position -> index in the order; -1 if not in it yet
+        # domain position -> index in the order; -1 if not in it yet
+        self._rank = np.full(domain.n_vertices, -1, dtype=np.intp)
         self._lock = threading.Lock()
 
     @property
@@ -263,9 +243,10 @@ class NestedOrder:
     def kd(self):
         return self.band.shape[0]
 
-    def index_of(self, x):
-        """Index of label x in a grown exhaustion order (x must be covered)."""
-        return int(self._rank[self.domain.index[int(x)]])
+    def index_of(self, p):
+        """Index of domain position p in the order; -1 if not in it yet.  Only
+        an exhaustion's order keeps the ranks (``IndexedSubdomain.order``)."""
+        return int(self._rank[p])
 
     def grow_to(self, n):
         """Append shells until the order holds at least n vertices."""
@@ -275,15 +256,13 @@ class NestedOrder:
                 self.depth += 1
 
     def _append(self, level):
-        if self._rank is None:
-            self._rank = np.full(self.domain.n_vertices, -1, dtype=np.intp)
         rank, start = self._rank, self.size
         shell = level.positions[rank[level.positions] < 0]
         count, col, value = _csr_rows(self.domain.weights, shell)
         row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
         if not start:  # the whole first level: shell indices are its local indices
-            order = sp.csgraph.reverse_cuthill_mckee(level.pattern().w_s,
-                                                     symmetric_mode=True)[::-1]
+            order = sp.csgraph.reverse_cuthill_mckee(
+                self.domain.weights[shell][:, shell], symmetric_mode=True)[::-1]
         else:
             # breadth-first order of the shell from node 0, the previous level
             rank[shell] = -2 - np.arange(shell.size)  # -1 stays outside the level
@@ -328,8 +307,9 @@ class IndexedSubdomain:
     Operators restricted to the subset impose Dirichlet (absorbing)
     conditions outside of it: the restricted action matrix is the principal
     submatrix of the full one, so edges leaving the subset become pure
-    absorption.  The restriction's ``pattern`` is built once per weight
-    orientation and shared by every operator on the subset.
+    absorption.  The subset keeps only its domain positions, sorted, and
+    their labels; an operator assembles its sparse restriction where that
+    is read (``EllipticOperator.measure_form``).
     """
 
     def __init__(self, domain: WeightedDomain, subset):
@@ -347,7 +327,6 @@ class IndexedSubdomain:
         self.labels = domain.labels[self.positions]
         if not domain._connected(self.positions):
             raise ValidationError("subset is not connected in the support graph")
-        self._patterns = {}
 
     @property
     def size(self):
@@ -357,30 +336,37 @@ class IndexedSubdomain:
     def mu(self):
         return self.domain.mu[self.positions]
 
-    def pattern(self, transposed=False) -> LevelPattern:
-        """The level pattern of the domain's weights (``transposed``: of w^T)."""
-        pat = self._patterns.get(transposed)
-        if pat is None:
-            pat = self._patterns[transposed] = LevelPattern(
-                self.positions, self.domain.oriented_weights(transposed),
-                self.domain.out_weights(transposed))
-        return pat
-
     @functools.cached_property
     def order(self) -> NestedOrder:
         """The subset's own one-level ``NestedOrder`` (symmetric weights): the
-        order of its standalone and shifted Cholesky factors."""
-        return NestedOrder(self.domain, [self])
+        order of its standalone and shifted Cholesky factors, grown whole.  It
+        drops its domain-sized ranks: only an exhaustion's order serves
+        ``index_of``."""
+        order = NestedOrder(self.domain, [self])
+        order.grow_to(self.size)
+        order._rank = None
+        return order
 
-    def has_absorption(self):
-        """True iff some edge of a subset vertex leaves the subset."""
-        return self.pattern().absorbing
+    def _edges(self, transposed=False):
+        """The stored edges of the subset's vertices under w (``transposed``:
+        w^T) as (local row, local column, weight) arrays, row by row; the
+        column is -1 where an edge leaves the subset."""
+        pos = self.positions
+        count, col, value = _csr_rows(self.domain.oriented_weights(transposed), pos)
+        local = np.minimum(np.searchsorted(pos, col), pos.size - 1)
+        return np.repeat(np.arange(pos.size), count), np.where(pos[local] == col, local, -1), value
+
+    def has_absorption(self, transposed=False):
+        """True iff some stored edge of a subset vertex (under w, or w^T) leaves
+        the subset."""
+        return bool(np.any(self._edges(transposed)[1] < 0))
 
     def _local(self, x):
         """Local index of label x, or -1 when x is not in the subset."""
-        pos = self.domain.index.get(int(x), -1)
-        i = int(np.searchsorted(self.positions, pos))
-        return i if i < self.positions.size and self.positions[i] == pos else -1
+        x, (order, ordered) = int(x), self.domain._label_order
+        p = order[min(int(ordered.searchsorted(x)), ordered.size - 1)]
+        i = int(np.searchsorted(self.positions, p))
+        return i if self.domain.labels[p] == x and i < self.size and self.positions[i] == p else -1
 
     def local_of(self, x):
         i = self._local(x)

@@ -167,9 +167,10 @@ def _ground_state_limit(domain, report, x, y, ref=None):
     are read by position; None where one is NaN (outside the last usable level)."""
     if ref is None and report.classification is not Classification.POSITIVE_CRITICAL:
         return 0.0
-    phi, phi_star, pos = report.ground_state, report.adjoint_ground_state, domain.index
-    den = report.mass.value if ref is None else phi[pos[int(ref[0])]] * phi_star[pos[int(ref[1])]]
-    value = float(phi[pos[int(x)]] * phi_star[pos[int(y)]] / den)
+    phi, phi_star = report.ground_state, report.adjoint_ground_state
+    px, py, *pref = domain._positions([x, y, *(ref or ())], "ground-state query")
+    den = report.mass.value if ref is None else phi[pref[0]] * phi_star[pref[1]]
+    value = float(phi[px] * phi_star[py] / den)
     return None if np.isnan(value) else value
 
 

@@ -9,12 +9,11 @@ matrix.  All linear algebra runs on the measure form A_S = diag(mu) K_S,
 whose entries stay bounded even when jump rates 1/mu span hundreds of orders
 of magnitude.
 
-A_S = diag(out_weight + D mu) - W_S splits into the level's pattern (the
-restricted weights and out-weights, see ``domains.LevelPattern``), built once
-per level and weight orientation and shared by every operator on the
-exhaustion, and the operator's O(n) diagonal.  A per-level factor adds only
-that diagonal; operator families (couplings, shifts, adjoints) never
-re-restrict.
+A_S = diag(out_weight + D mu) - W_S is assembled as a sparse matrix only
+where it is read (``EllipticOperator.measure_form``): the direct spectral
+route and nonsymmetric restrictions.  The symmetric certificate, Green
+solves, principal pairs and Krylov steps read the banded factors below,
+which take the diagonal from the operator and the band from the nest.
 
 Symmetric restrictions certify positive definiteness by a banded Cholesky
 factorization A_S = U^T U: it exists exactly when A_S is positive definite.
@@ -378,12 +377,15 @@ class _NestedCholesky:
         self._columns[k] = z
         return z
 
-    def green(self, n, x, y):
-        """G(x, y) = [A_n^-1](x, y) on the level that is the prefix n."""
+    def green(self, n, px, py):
+        """G(x, y) = [A_n^-1](x, y) on the level that is the prefix n, for the
+        vertices at domain positions px, py (in that level)."""
         if not self.definite(n):
             raise NumericalError(
                 "restricted principal eigenvalue is not positive; no finite Green function")
-        k, m = self.nest.index_of(x), self.nest.index_of(y)
+        k, m = self.nest.index_of(px), self.nest.index_of(py)
+        if not (0 <= k < n and 0 <= m < n):
+            raise ValidationError("Green query outside the level")
         with self._lock:
             zx, zy = self._column(k, n), self._column(m, n)
         return float(zx[:n] @ zy[:n])
@@ -392,9 +394,8 @@ class _NestedCholesky:
 class _FactorBase:
     """Per-level state shared by the symmetric and nonsymmetric factors.
 
-    A factor holds only what depends on the operator: the diagonal
-    out_weight + D mu of A_S over its level's shared pattern.  Everything else
-    is built on first use: the sparse A_S (the direct spectral and
+    A factor holds the operator and its level; everything else is built on
+    first use: the sparse A_S (``a_s``: the direct spectral and
     nonsymmetric routes) and the sparse LU (nonsymmetric Green solves and
     principal pairs).  A symmetric factor certifies, solves and iterates by
     the leading block of a ``_NestedCholesky``: its evaluator's, grown over
@@ -407,7 +408,6 @@ class _FactorBase:
         self.op = op
         self.sub = sub
         self.mu = op.mu[sub.positions]
-        self.pattern, self.diag = op.restriction(sub)
         self._a_s = None
         self._lu = None
         self._principal = None
@@ -432,7 +432,7 @@ class _FactorBase:
     def a_s(self):
         """Sparse measure form A_S = diag(mu) K_S."""
         if self._a_s is None:
-            self._a_s = self.pattern.measure_form(self.diag)
+            self._a_s = self.op.measure_form(self.sub)
         return self._a_s
 
     def is_positive_definite(self):
@@ -440,12 +440,12 @@ class _FactorBase:
         certificate for symmetric restrictions, the sign of lambda0(S) otherwise.
         A closed level with D = 0 is singular (A_S 1 = 0) for either kind, and
         so is its adjoint (A_S^T), whose D* = D + (out - in)/mu is not 0: the
-        rule reads the pattern and D of the adjoint's source operator."""
+        rule reads the edges and D of the adjoint's source operator."""
         if self._symmetric:
             return self._cholesky().definite(self.sub.size)
         src = self.op._adjoint_source or self.op
-        if (not self.sub.pattern(src.transposed).absorbing
-                and not np.any(src.potential[self.sub.positions])):
+        if (not np.any(src.potential[self.sub.positions])
+                and not self.sub.has_absorption(src.transposed)):
             return False
         return self.principal_pair()[0] > 0.0
 
@@ -688,7 +688,7 @@ class SymmetricFactor(_FactorBase):
 
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.abs(self.diag) / self.mu
+            rates = np.abs(self.a_s.diagonal()) / self.mu
         max_rate = float(np.max(rates)) if rates.size else 0.0
         if np.isfinite(max_rate) and max_rate <= WELL_SCALED_RATE:
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
@@ -1000,11 +1000,9 @@ class HeatKernelEvaluator:
     def _usable_levels(self):
         levels = list(range(len(self.exhaustion)))
         if self.op.domain.truncated:
-            # a closed (absorption-free) top level of an ambient truncation is
-            # a reflecting box, not a Dirichlet approximant; skip it
-            levels = [j for j in levels
-                      if self.exhaustion[j].size < self.op.domain.n_vertices
-                      or self.exhaustion[j].has_absorption()]
+            # a level that holds every vertex of an ambient truncation is closed
+            # (no edge leaves it): a reflecting box, not a Dirichlet approximant
+            levels = [j for j in levels if self.exhaustion[j].size < self.op.domain.n_vertices]
         if not levels:
             raise ValidationError("exhaustion has no usable Dirichlet levels")
         return levels
@@ -1022,12 +1020,16 @@ class HeatKernelEvaluator:
         sub = self.exhaustion[j]
         return self.factor(j).kernel(sub.local_of(x), sub.local_of(y), float(t))
 
-    def green_finite_level(self, j, x, y):
-        sub = self.exhaustion[j]
-        ix, iy = sub.local_of(x), sub.local_of(y)
+    def _green_at(self, x, y):
+        """G_j(x, y) as a function of the level j, which must hold x and y; the
+        nest reads them by domain position, resolved here once."""
         if self._nested is None:
-            return self.factor(j).green(ix, iy)
-        return self._nested.green(sub.size, x, y)
+            return lambda j: green_finite(self.op, self.exhaustion[j], x, y, self.factor(j))
+        px, py = self.op.domain._positions([int(x), int(y)], "Green query")
+        return lambda j: self._nested.green(self.exhaustion[j].size, px, py)
+
+    def green_finite_level(self, j, x, y):
+        return self._green_at(x, y)(j)
 
     def principal_eigenvalue(self, j):
         return self.factor(j).principal_pair()[0]
@@ -1070,7 +1072,7 @@ class HeatKernelEvaluator:
                 raise row[t]
             return row[t]
 
-        delta = (1.0 / self.op.mu[self.op.domain.index[int(y)]]) if int(x) == int(y) else 0.0
+        delta = (1.0 / self.op.domain.measure_of(y)) if int(x) == int(y) else 0.0
         return [LimitResult(delta, LimitStatus.CONVERGED, start, [(start, delta)], model="delta")
                 if t == 0.0 else
                 exhaustion_limit(functools.partial(value_at, t=t), levels, sizes, tol,
@@ -1088,6 +1090,5 @@ class HeatKernelEvaluator:
         """
         start = self.exhaustion.first_level_containing(x, y)
         tol = GREEN_TOL if tol is None else tol
-        return exhaustion_limit(lambda j: self.green_finite_level(j, x, y),
-                                *self._levels_from(start), tol,
+        return exhaustion_limit(self._green_at(x, y), *self._levels_from(start), tol,
                                 trend_divergence=True, exact_final=self.exhausts_domain)

@@ -122,19 +122,25 @@ class EllipticOperator:
     def mu(self):
         return self.domain.mu
 
-    def restriction(self, subdomain: IndexedSubdomain):
-        """Level pattern and diagonal out_weight + D mu of the Dirichlet
-        restriction's measure form A_S = diag(out_weight + D mu) - W_S."""
-        pattern = subdomain.pattern(self.transposed)
+    def measure_form(self, subdomain: IndexedSubdomain):
+        """The sparse (CSC) measure form A_S = diag(out_weight + D mu) - W_S of
+        the Dirichlet restriction to ``subdomain``: W_S holds the weights
+        between its vertices, and the full out-weights count the edges that
+        leave it as absorption."""
         pos = subdomain.positions
-        return pattern, pattern.out_weight + self.potential[pos] * self.mu[pos]
+        row, col, value = subdomain._edges(self.transposed)
+        inside = col >= 0
+        diag = self.domain.out_weights(self.transposed)[pos] + self.potential[pos] * self.mu[pos]
+        on = np.flatnonzero(diag)  # no stored zero, as in a sparse difference
+        return sp.csc_matrix((np.concatenate((diag[on], -value[inside])),
+                              (np.concatenate((on, row[inside])), np.concatenate((on, col[inside])))),
+                             shape=(pos.size, pos.size))
 
     def action_matrix_dense(self, subdomain: IndexedSubdomain):
         """Dense Dirichlet principal submatrix K_S = diag(mu)^-1 A_S on ``subdomain``."""
-        pattern, diag = self.restriction(subdomain)
         with np.errstate(over="raise"):
             inv_mu = 1.0 / self.mu[subdomain.positions]
-        return pattern.measure_form(diag).toarray() * inv_mu[:, None]
+        return self.measure_form(subdomain).toarray() * inv_mu[:, None]
 
     def apply(self, u):
         """(P u) for a full-domain vector u."""

@@ -316,3 +316,10 @@ def test_overflowing_operator_diagonal_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert "overflows at vertex 3" in captured.err
     assert "value:" not in captured.out
+
+
+def test_label_beyond_int64_exits_2(capsys):
+    code = main(["heat", "--fixture", "lat1", "--ambient-size", "257",
+                 "--x", "99999999999999999999", "--y", "0", "--t", "1"])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err

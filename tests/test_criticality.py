@@ -154,7 +154,7 @@ def test_classify_lat1_null_critical(lat1, lat1_op):
     assert rep.mass.diverging
     # constants are harmonic: the extrapolated ground state is flat
     for x in (0, 1, -5, 17):
-        assert rep.ground_state[lat1.domain.index[x]] == pytest.approx(1.0, abs=1e-6)
+        assert rep.ground_state[lat1.domain.positions_of(x)] == pytest.approx(1.0, abs=1e-6)
     assert rep.green_limit.diverging
 
 
@@ -164,7 +164,7 @@ def test_classify_geo_positive_critical(geo, geo_op):
     assert rep.mass.converged
     assert rep.mass.value == pytest.approx(3.0, abs=1e-6)
     for x in (0, 1, -3):
-        px = geo.domain.index[x]
+        px = geo.domain.positions_of(x)
         assert rep.ground_state[px] == pytest.approx(1.0, abs=1e-7)
         assert rep.adjoint_ground_state[px] == pytest.approx(rep.ground_state[px], abs=1e-9)
 
@@ -234,9 +234,9 @@ def _per_vertex_ground_state(op, exhaustion, x0):
     phi = np.full(exhaustion.domain.n_vertices, np.nan)
     for x in exhaustion[levels[-1]].labels.tolist():
         seq = [(exhaustion[j].size, per_level[j][x]) for j in levels if x in per_level[j]][-5:]
-        phi[exhaustion.domain.index[x]] = seq[0][1] if len(seq) == 1 else _neville_reference(
+        phi[exhaustion.domain.positions_of(x)] = seq[0][1] if len(seq) == 1 else _neville_reference(
             [1.0 / s for s, _ in seq], [v for _, v in seq])[0]
-    phi[exhaustion.domain.index[x0]] = 1.0
+    phi[exhaustion.domain.positions_of(x0)] = 1.0
     return phi
 
 
@@ -274,7 +274,7 @@ def test_ground_state_takes_one_tableau_per_depth(geo_ev, monkeypatch):
     monkeypatch.setattr(crit, "neville_extrapolate", counting)
     x0, phi = crit.ground_state(geo_ev)
     assert 1 <= len(calls) <= 4
-    assert phi[geo_ev.op.domain.index[x0]] == 1.0
+    assert phi[geo_ev.op.domain.positions_of(x0)] == 1.0
 
 
 def test_classify_rejects_negative_lambda0(lat1, lat1_op):

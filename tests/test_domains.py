@@ -63,7 +63,7 @@ def test_radial_weights_and_measure():
         assert d.weight(i + 1, i) == pytest.approx((i + 0.5) ** 2)
     # no edge below the innermost point: the origin is polar
     assert d.weight(1, 2) > 0.0
-    assert 0 not in d.index
+    assert d.positions_of(0) == -1
 
 
 def test_radial_step_scaling():
@@ -111,8 +111,8 @@ def test_restrict_rejects_disconnected_and_empty():
 
 
 def test_restrict_matches_label_lookup_on_unordered_labels():
-    # labels stored out of order: positions come from the domain's index,
-    # local indices follow the domain's order, duplicates collapse
+    # labels stored out of order: positions are places in the given label
+    # order, local indices follow the domain's order, duplicates collapse
     rng = np.random.default_rng(8)
     labels = rng.permutation(np.arange(-20, 20) * 3)
     edges = {}
@@ -121,7 +121,7 @@ def test_restrict_matches_label_lookup_on_unordered_labels():
     domain = hl.WeightedDomain(labels, np.ones(labels.size), edges)
     subset = [int(x) for x in labels[5:17]] + [int(labels[9])]
     sub = hl.restrict(domain, set(subset))
-    expected = sorted(domain.index[x] for x in set(subset))
+    expected = sorted(labels.tolist().index(x) for x in set(subset))
     assert sub.positions.tolist() == expected
     assert sub.labels.tolist() == [int(labels[i]) for i in expected]
     for x in subset:
@@ -263,3 +263,48 @@ def test_label_lookups_outside_the_domain_raise_validation_errors(lookup):
     domain = hl.fixture("lat1", ambient_size=33).domain
     with pytest.raises(hl.ValidationError, match="unknown vertex 99"):
         lookup(domain)
+
+
+@pytest.mark.parametrize("label", [40, 10**6, 2**63, -2**63 - 1, np.int64(40)],
+                         ids=["outside-level", "absent", "2**63", "-2**63-1", "int64"])
+def test_label_lookups_without_a_label_dict(label):
+    # a label outside a level (but in the domain), outside the domain, or
+    # outside int64: False or a ValidationError, never an OverflowError or
+    # a KeyError
+    fx = hl.fixture("lat1", ambient_size=101)
+    sub = fx.exhaustion[1]
+    assert label not in sub
+    with pytest.raises(hl.ValidationError, match="outside the subdomain"):
+        sub.local_of(label)
+    if label == 40:
+        j = fx.exhaustion.first_level_containing(label)
+        assert 40 in fx.exhaustion[j].labels and 40 not in fx.exhaustion[j - 1].labels
+        assert fx.domain.measure_of(label) == 1.0
+        return
+    with pytest.raises(hl.ValidationError, match="not all contained"):
+        fx.exhaustion.first_level_containing(label)
+    with pytest.raises(hl.ValidationError, match="measure query"):
+        fx.domain.measure_of(label)
+
+
+def test_int64_labels_resolve_like_python_ints():
+    fx = hl.fixture("lat1", ambient_size=101)
+    sub = fx.exhaustion[1]
+    for x in (-2, 0, 2):
+        label = np.int64(x)
+        assert label in sub and sub.local_of(label) == sub.local_of(x) == x + 2
+        assert fx.exhaustion.first_level_containing(label) == fx.exhaustion.first_level_containing(x)
+        assert fx.domain.measure_of(label) == 1.0
+
+
+def test_absorption_is_read_from_stored_edges_in_either_orientation():
+    # S = {0, 1, 2} of a path whose edge 3 -> 2 is one-way: under w no edge
+    # leaves S, under w^T the reversed edge 2 -> 3 does
+    x, y = [0, 1, 1, 2, 3, 3, 4], [1, 0, 2, 1, 2, 4, 3]
+    domain = hl.WeightedDomain(range(5), np.ones(5), (x, y, np.ones(7)))
+    sub = hl.restrict(domain, [0, 1, 2])
+    assert not sub.has_absorption() and sub.has_absorption(True)
+    tail = hl.restrict(domain, [3, 4])  # the other way round
+    assert tail.has_absorption() and not tail.has_absorption(True)
+    full = hl.restrict(domain, range(5))
+    assert not full.has_absorption() and not full.has_absorption(True)

@@ -345,7 +345,7 @@ def test_concurrent_cache_population(lat1, lat1_op):
     assert results[1] == results[4] == results[7]
 
 
-# -- level patterns and the banded Cholesky certificate -------------------------
+# -- the banded Cholesky certificate and the measure form ----------------------
 
 def test_cholesky_certificate_rejects_singular_closed_path():
     # D = 0 on a closed path: A_S is the graph Laplacian, singular, and its
@@ -362,6 +362,82 @@ def test_cholesky_certificate_rejects_singular_closed_path():
     rhs = np.arange(9.0)
     assert killed.green_solve(rhs, "N") == pytest.approx(
         np.linalg.solve(killed.a_s.toarray(), rhs), rel=1e-12)
+
+
+def _random_directed_domain(n, seed):
+    """A path 0..n-1 with random weights both ways, some one-way chords and a
+    random measure; returns the domain and its dense weight matrix."""
+    rng = np.random.default_rng(seed)
+    x = np.r_[np.arange(n - 1), np.arange(1, n), rng.integers(0, n, 8)]
+    y = np.r_[np.arange(1, n), np.arange(n - 1), rng.integers(0, n, 8)]
+    keep = x != y
+    x, y = x[keep], y[keep]
+    w = rng.uniform(0.2, 2.0, x.size)
+    dense = np.zeros((n, n))
+    np.add.at(dense, (x, y), w)
+    return hl.WeightedDomain(np.arange(n), rng.uniform(0.5, 2.0, n), (x, y, w)), dense
+
+
+def test_measure_form_matches_the_edge_list_in_both_orientations():
+    # A_S = diag(out_weight + D mu) - W_S with the full out-weights (edges
+    # leaving S are absorption), for the operator and for its adjoint, whose
+    # measure form is A^T, so that A*_S = A_S^T
+    domain, w = _random_directed_domain(12, seed=5)
+    d = np.random.default_rng(6).uniform(-0.3, 0.3, 12)
+    op = hl.assemble(domain, d)
+    sub = hl.restrict(domain, range(2, 9))
+    pos = sub.positions
+    assert sub.has_absorption() and sub.has_absorption(True)
+    for oriented, operator in ((w, op), (w.T, hl.adjoint(op))):
+        a = operator.measure_form(sub)
+        assert a.format == "csc" and a.shape == (7, 7)
+        dense = np.diag(oriented.sum(axis=1) + operator.potential * domain.mu) - oriented
+        assert a.toarray() == pytest.approx(dense[np.ix_(pos, pos)], rel=1e-13, abs=1e-13)
+    assert hl.adjoint(op).measure_form(sub).toarray() == pytest.approx(
+        op.measure_form(sub).toarray().T, rel=1e-13, abs=1e-13)
+    # the dense action matrix reads the same form
+    assert op.action_matrix_dense(sub) == pytest.approx(
+        op.measure_form(sub).toarray() / domain.mu[pos][:, None], rel=1e-13)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_green_query_outside_its_level_is_rejected(symmetric, drift):
+    # the nest reads vertices by domain position; one not yet in the nest,
+    # or in it past level j, is a ValidationError, as on a nonsymmetric level
+    fx = hl.fixture("lat1", ambient_size=257) if symmetric else drift
+    op = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.1))
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    assert ev.green_finite_level(2, 0, 3) > 0.0
+    with pytest.raises(hl.ValidationError):
+        ev.green_finite_level(2, 0, 40)
+    assert ev.green_finite_level(5, 0, 20) > 0.0
+    for x, y in ((0, 20), (20, 0), (-20, 20)):
+        with pytest.raises(hl.ValidationError):
+            ev.green_finite_level(2, x, y)
+
+
+def test_level_orders_keep_no_domain_sized_array():
+    # a heat limit (shifted Krylov factors) and principal pairs under a
+    # constant potential (shifted nests) build each level's own order; below
+    # the top level none of them keeps an array as long as the domain
+    fx = hl.fixture("lat1", ambient_size=4001)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    assert ev.heat_kernel(0, 0, 5.0).converged
+    shifted = hl.HeatKernelEvaluator(
+        hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.01)), fx.exhaustion)
+    levels = shifted.usable_levels()
+    for j in levels[:3] + levels[-2:]:
+        shifted.principal_eigenvalue(j)
+    n = fx.domain.n_vertices
+    orders = [vars(fx.exhaustion[j]).get("order") for j in range(len(fx.exhaustion) - 1)]
+    assert sum(order is not None for order in orders) >= 6
+    for order in filter(None, orders):
+        arrays = [a for a in vars(order).values() if isinstance(a, np.ndarray)]
+        assert arrays and all(n not in a.shape for a in arrays)
+    # the exhaustion's order keeps its ranks: the nest's Green values read them
+    nest = fx.exhaustion.nested_order()
+    nest.grow_to(3)
+    assert 0 <= nest.index_of(fx.domain.positions_of(0)) < 3
 
 
 def test_supercritical_well_diverges_where_restriction_stops_being_definite():
@@ -424,15 +500,14 @@ def test_rcm_banded_green_columns_match_dense_solve():
         assert fac.green_row(iy) == pytest.approx(exact, rel=1e-12)
 
 
-def test_warm_pattern_keeps_orientations_apart(drift):
+def test_warm_orientations_stay_apart(drift):
     op = hl.assemble(drift.domain)
     ev = hl.HeatKernelEvaluator(op, drift.exhaustion)
     ev_star = hl.HeatKernelEvaluator(hl.adjoint(op), drift.exhaustion)
     pairs = [(0, 3), (-4, 2), (5, -1)]
-    for x, y in pairs:  # warm both orientations' patterns on every level
+    for x, y in pairs:  # warm both orientations' factors on every level
         ev.green(x, y)
         ev_star.green(y, x)
-    assert set(drift.exhaustion[3]._patterns) == {False, True}
     for x, y in pairs:
         for j in (3, 5):
             g = ev.green_finite_level(j, y, x)
@@ -474,7 +549,7 @@ def test_shared_pattern_matches_fresh_fixture(build):
         ev = hl.HeatKernelEvaluator(op, fixture.exhaustion)
         return (ev.green(x, y).value, ev.principal_eigenvalue(2), ev.heat_finite(2, x, y, 0.7))
 
-    # the whole family on one exhaustion, so every operator reuses its patterns
+    # the whole family on one exhaustion, so every operator shares its nested order
     got = {name: values(op, shared) for name, op in _family(shared, well).items()}
     for name in got:
         fresh = build()
@@ -996,7 +1071,7 @@ def test_banded_nest_does_not_depend_on_how_it_grew():
         if how == "factor":
             ev._nested.definite(last)
         elif how == "green":
-            ev._nested.green(last, 0, 1)
+            ev._nested.green(last, *fx.domain.positions_of([0, 1]))
         values = [ev.green_finite_level(j, 0, 1) for j in levels]
         assert fx.exhaustion.nested_order().kd == 3
         return ev._nested.ab.tobytes(), values
@@ -1029,7 +1104,7 @@ def test_nested_factor_does_not_depend_on_how_it_grew(ahead):
             assert fx.exhaustion.nested_order().size == last
         if not stepwise:
             for x, y in queries:
-                ev._nested.green(last, x, y)
+                ev._nested.green(last, *fx.domain.positions_of([x, y]))
         values = [ev.green_finite_level(j, x, y) for j in levels for x, y in queries
                   if x in fx.exhaustion[j] and y in fx.exhaustion[j]]
         assert fx.exhaustion.nested_order().tridiagonal == last
@@ -1067,7 +1142,7 @@ def test_tridiagonal_green_values_match_a_long_double_recurrence(ratio):
 
     for (j, x, y), value in got.items():
         m = fx.exhaustion[j].size
-        kx, ky = nest.index_of(x), nest.index_of(y)
+        kx, ky = (nest.index_of(p) for p in fx.domain.positions_of([x, y]))
         exact = float(np.sum(forward(kx, m) * forward(ky, m) / pivot[:m]))
         assert value == pytest.approx(exact, rel=1e-10)
 
