@@ -43,11 +43,12 @@ representable however widely the jump rates 1/mu spread.
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
   f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves a
   whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
-  decomposition of T_m per step count m serves every t, and the stopping
-  rule is applied per t, so a grid's values equal those of one-t calls bit
-  for bit.  The basis lives in the coordinates of the level's own order,
-  those of its factor of A_S - sigma D_mu, where a step costs one O(n)
-  solve (``_NestedCholesky.solve``).
+  decomposition of T_m per check m (every 5 steps up to 30, then every 10)
+  serves every t, and the stopping rule is applied per t, so a grid's values
+  equal those of one-t calls bit for bit.  The basis lives in the
+  coordinates of the level's own order, those of its factor of
+  A_S - sigma D_mu, where a step costs one O(n) solve
+  (``_NestedCholesky.solve``).
 * All-pairs queries (kernel and semigroup matrices, lambda_min, the
   perturbation module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -72,6 +73,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dgemv
 # banded and tridiagonal LAPACK directly: scipy's cholesky_banded and
 # cho_solve_banded copy the band and the right-hand side through
 # asarray_chkfinite on every call
@@ -522,67 +524,78 @@ class _ShiftInvertLanczos:
     the shifted factor's order is orthogonal, so the process runs there: a
     step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
     between two scalings by R in that order (``SymmetricFactor._krylov``).
-    Full reorthogonalization (classical Gram-Schmidt, twice) keeps the basis V
-    orthonormal to round-off.  exp(-tH) e_y is approximated by V_m c_m(t),
-    c_m(t) = f(T_m) e_1 = Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs
-    (theta, Q) of the tridiagonal T_m and lam = 1/theta + sigma.
+    Full reorthogonalization (classical Gram-Schmidt, twice, in place by BLAS
+    ``dgemv`` on the basis rows) keeps the basis V orthonormal to round-off;
+    its rows are allocated by doubling as the basis grows, up to the cap.
+    exp(-tH) e_y is approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 =
+    Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs (theta, Q) of the
+    tridiagonal T_m and lam = 1/theta + sigma.
 
     ``coefficients(ts)`` serves a whole time grid: one Ritz decomposition of
     T_m serves every t, and c_m(t) is one matrix-vector product per t.  The
-    stopping rule is applied per t: its step count m is the first of 10, 20,
-    30, ... at which c_m(t) differs from c_(m-10)(t) by at most
-    max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm, or the dimension of
-    the Krylov space once it is exhausted (then c is exact).  The second term
-    is the round-off floor of c(t): an error eps/theta in the lowest Ritz
-    value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by t eps/theta.
-    The rule depends only on t and on the first m Lanczos steps, so values do
-    not depend on the grid or on query order.  A t whose basis has not
-    settled in ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its
-    c; the other times are unaffected.
+    stopping rule is applied per t at the checks m = 5, 10, ..., 30, then
+    every 10 steps: short bases are confirmed over 5 steps, while past 30 a
+    check's tridiagonal eigensolve costs more than 10 steps save.  A t settles
+    at the first check m at which c_m(t) differs from the previous check's c
+    by at most max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm, or at the
+    dimension of the Krylov space once it is exhausted (then c is exact).  The
+    second term is the round-off floor of c(t): an error eps/theta in the
+    lowest Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by
+    t eps/theta.  Only the latest check's Ritz decomposition is kept; a later
+    call walks the checks again, so values depend only on t and on the first
+    m Lanczos steps, not on the grid or on query order.  A t whose basis has
+    not settled in ``LANCZOS_CAP`` steps gets an InconclusiveError in place of
+    its c; the other times are unaffected.
     """
 
     def __init__(self, factor, iy):
         self.factor = factor
         _, self.sigma, where, root = factor._krylov()
         n = root.size
-        # rows are committed only as the basis grows into them
-        self.basis = np.empty((min(n, LANCZOS_CAP), n))
+        self.cap = min(n, LANCZOS_CAP)  # rows the basis may grow to
+        # 32 rows hold most bases; longer ones double them (``_extend``)
+        self.basis = np.empty((min(self.cap, 32), n))
         self.basis[0] = 0.0
         self.basis[0, where[iy]] = 1.0
         self.alpha, self.beta = [], []
         self.invariant = False  # the Krylov space is exhausted
-        self._ritz = {}  # m -> Ritz values lam and vectors Q of T_m
+        self._ritz = (0, None, None)  # the latest check's m, Ritz values lam and vectors Q of T_m
         self._coeffs = {}  # t -> c(t), or the InconclusiveError of an unsettled t
 
     def _extend(self, m):
         """Run Lanczos to m steps, or to exhaustion; the steps available."""
-        basis, alpha, beta = self.basis, self.alpha, self.beta
+        alpha, beta = self.alpha, self.beta
         shifted, _, _, root = self.factor._krylov()
-        size, n = basis.shape
-        m = min(m, size)
+        n = self.basis.shape[1]
+        m = min(m, self.cap)
         while len(alpha) < m and not self.invariant:
             j = len(alpha)
-            w = shifted.solve(n, root * basis[j])
+            w = shifted.solve(n, root * self.basis[j])
             w *= root
             norm_w = math.sqrt(w @ w)
-            v = basis[:j + 1]
-            h = v @ w
-            w -= v.T @ h
-            h2 = v @ w
-            w -= v.T @ h2
+            v = self.basis[:j + 1].T  # Fortran-ordered: dgemv reads the rows in place
+            # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
+            # positionally: on short bases f2py's keyword parsing costs a third of a call
+            h = dgemv(1.0, v, w, 0.0, None, 0, 1, 0, 1, 1)  # V w
+            w = dgemv(-1.0, v, h, 1.0, w, 0, 1, 0, 1, 0, 1)  # w - V^T h, in place
+            h2 = dgemv(1.0, v, w, 0.0, None, 0, 1, 0, 1, 1)
+            w = dgemv(-1.0, v, h2, 1.0, w, 0, 1, 0, 1, 0, 1)
             alpha.append(float(h[j] + h2[j]))
             b = math.sqrt(w @ w)
             if b <= 1e-14 * norm_w or j + 1 == n:
                 self.invariant = True
-            elif j + 1 < size:
+            elif j + 1 < self.cap:
                 beta.append(b)
-                basis[j + 1] = w / b
+                if j + 1 == self.basis.shape[0]:
+                    grown = np.empty((min(2 * (j + 1), self.cap), n))
+                    grown[:j + 1] = self.basis
+                    self.basis = grown
+                np.divide(w, b, out=self.basis[j + 1])
         return min(m, len(alpha))
 
     def _f_of_t(self, m, ts):
         """c_m(t) for each t of the array ``ts``, one row each."""
-        pairs = self._ritz.get(m)
-        if pairs is None:
+        if self._ritz[0] != m:
             # LAPACK's dstevd directly; its wrapper wants one off-diagonal entry when m = 1
             theta, q, info = dstevd(np.array(self.alpha[:m]), np.array(self.beta[:m - 1] or [0.0]))
             if info:
@@ -590,8 +603,8 @@ class _ShiftInvertLanczos:
             # theta > 0 in exact arithmetic; round-off at or below 0 marks lambda = inf
             with np.errstate(divide="ignore"):
                 lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf)
-            pairs = self._ritz[m] = (lam + self.sigma, q)
-        lam, q = pairs
+            self._ritz = (m, lam + self.sigma, q)
+        _, lam, q = self._ritz
         # a stack of matrix-vector products: each row is q @ w_t, whatever the grid
         return np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
 
@@ -602,21 +615,21 @@ class _ShiftInvertLanczos:
         previous = np.zeros((todo.size, 0))
         m = 0
         while todo.size:
-            m = self._extend(m + 10)
+            m = self._extend(m + (5 if m < 30 else 10))
             c = self._f_of_t(m, todo)
             if self.invariant and m == len(self.alpha):
                 settled = np.ones(todo.size, dtype=bool)
             else:
                 change = c.copy()
                 change[:, :previous.shape[1]] -= previous
-                gap = float(self._ritz[m][0].min()) - self.sigma  # lambda_0 - sigma
+                gap = float(self._ritz[1].min()) - self.sigma  # lambda_0 - sigma
                 floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * todo)
                 settled = (previous.shape[1] > 0) & (
                     _row_norms(change) <= floor * _row_norms(c))
             for t, row in zip(todo[settled], c[settled]):
                 self._coeffs[float(t)] = row
             todo, previous = todo[~settled], c[~settled]
-            if todo.size and m == self.basis.shape[0]:
+            if todo.size and m == self.cap:
                 error = InconclusiveError(f"Lanczos did not converge in {m} steps")
                 for t in todo:
                     self._coeffs[float(t)] = error

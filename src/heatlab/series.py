@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -12,14 +14,23 @@ def neville_extrapolate(h, values):
     the last tableau correction.  Values of shape (m, ...) give arrays of
     shape (...), one tableau per trailing column; a sequence gives floats.
     """
+    if np.ndim(values) == 1:
+        # the same tableau on plain floats, in the same order, bit for bit: for
+        # a handful of values NumPy's per-call cost exceeds the arithmetic
+        h = [float(x) for x in h]
+        tableau = [float(v) for v in values]
+        last, err = tableau[-1], math.inf
+        for k in range(1, len(tableau)):
+            tableau = [((0.0 - h[i + k]) * tableau[i] - (0.0 - h[i]) * tableau[i + 1])
+                       / (h[i] - h[i + k]) for i in range(len(tableau) - 1)]
+            last, err = tableau[0], abs(tableau[0] - last)
+        return last, err
     tableau = np.array(values, dtype=float)
     h = np.asarray(h, dtype=float).reshape((-1,) + (1,) * (tableau.ndim - 1))
     last, err = tableau[-1], np.full(tableau.shape[1:], np.inf)
     for k in range(1, len(tableau)):
         tableau = ((0.0 - h[k:]) * tableau[:-1] - (0.0 - h[:-k]) * tableau[1:]) / (h[:-k] - h[k:])
         last, err = tableau[0], np.abs(tableau[0] - last)
-    if tableau.ndim == 1:
-        return float(last), float(err)
     return last, err
 
 

@@ -209,7 +209,7 @@ def _neville_reference(h, values):
     return last, abs(last - prev) if len(t) > 1 else float("inf")
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_neville_broadcasts_bit_for_bit(m):
     rng = np.random.default_rng(m)
     h = 1.0 / np.sort(rng.integers(3, 5000, size=m))[::-1]

@@ -735,7 +735,7 @@ def test_point_route_settles_at_large_times():
 
 
 def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
-    sub = lat1.exhaustion[2]  # 9 vertices: fewer than the first 10 Lanczos steps
+    sub = lat1.exhaustion[2]  # 9 vertices: exhausted before the check at 10 steps
     assert sub.size == 9
     fac = SymmetricFactor(lat1_op, sub)
     _assert_point_route_matches_dense(fac, range(sub.size))
@@ -866,6 +866,70 @@ def test_unsettled_time_fails_alone(lat1, lat1_op, monkeypatch):
     with pytest.raises(hl.InconclusiveError, match="did not converge"):
         fac.kernel(ix, iy, restless)
     assert fac.kernel(ix, iy, 5.0) == values[2]
+
+
+BENCH_GRID = tuple(geometric_grid(0.5, 16.0, 16))  # series_geo's grid
+PAPER_GRID = tuple(geometric_grid(1.0, 1000.0, 10))
+
+
+@pytest.mark.parametrize("name, ambient, level, columns, grid", [
+    ("lat1_geo(0.5)", 2049, 6, (0, 1), BENCH_GRID),
+    ("lat1_geo(0.5)", 2049, 8, (0, 1), BENCH_GRID),
+    ("lat1_geo(0.5)", 2049, 10, (0, 1), BENCH_GRID),
+    ("lat1", 4097, 10, (0,), PAPER_GRID),
+    ("rad(3)", 20000, 11, (1,), PAPER_GRID),
+])
+def test_settled_coefficients_are_within_their_floor(name, ambient, level, columns, grid):
+    # a c(t) settled by the five-step confirmation agrees with the same basis
+    # run to twice its steps within the stopping rule's floor
+    import heatlab.kernels as hk
+
+    fx = hl.fixture(name, ambient_size=ambient)
+    fac = SymmetricFactor(hl.assemble(fx.domain), fx.exhaustion[level])
+    ts = np.array(grid)
+    for y in columns:
+        iy = fac.sub.local_of(y)
+        lanczos = hk._ShiftInvertLanczos(fac, iy)
+        settled = lanczos.coefficients(list(grid))
+        steps = max(c.size for c in settled)
+        m = lanczos._extend(2 * steps)
+        assert m > steps
+        reference = lanczos._f_of_t(m, ts)
+        gap = float(lanczos._ritz[1].min()) - lanczos.sigma
+        floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * ts)
+        for c, ref, limit in zip(settled, reference, floor):
+            error = ref.copy()
+            error[:c.size] -= c
+            assert np.linalg.norm(error) <= limit * np.linalg.norm(ref)
+
+
+def test_short_basis_settles_within_twenty_steps(geo, geo_op):
+    # checks every 5 steps up to 30: by c_20 against c_15 at the latest, the
+    # bench grid is confirmed on the 2047-vertex level
+    sub = geo.exhaustion[10]
+    assert sub.size == 2047
+    fac = SymmetricFactor(geo_op, sub)
+    iy = sub.local_of(1)
+    fac.kernels(iy, iy, list(BENCH_GRID))
+    assert len(fac._columns[iy].alpha) <= 20
+
+
+def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
+    # a t = 3000 value walks every check up to some 200 steps, and only the
+    # last check's (lam, Q) stays; rows are allocated by doubling, not up to
+    # the cap at once
+    fx = hl.fixture("lat1", ambient_size=4097)
+    sub = fx.exhaustion[10]
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    short, long = sub.local_of(0), sub.local_of(1)
+    fac.kernel(short, short, 0.5)
+    assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11)
+    for iy in (short, long):
+        lanczos = fac._columns[iy]
+        assert lanczos.basis.shape[0] <= max(32, 2 * len(lanczos.alpha))
+    lanczos = fac._columns[long]
+    m, lam, q = lanczos._ritz
+    assert m == len(lanczos.alpha) > 100 and lam.shape == (m,) and q.shape == (m, m)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
