@@ -177,10 +177,11 @@ class WeightedDomain:
         return float(self.mu[self._positions([int(x) for x in subset], "subset")].sum())
 
     def _undirected_adjacency(self):
+        """The undirected support graph's pattern: w when symmetric, else w + w^T."""
+        if self.symmetric:
+            return self.weights
         if self._adjacency is None:
-            u = self.weights + self.weights.T
-            u.data[:] = 1.0
-            self._adjacency = u.tocsr()
+            self._adjacency = self.weights + self.weights.T
         return self._adjacency
 
     def _connected(self, positions):

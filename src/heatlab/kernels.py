@@ -23,12 +23,14 @@ of the deepest level's A_S, so its factor is the leading block of U: one
 factor per (operator, exhaustion), grown shell by shell as deep as some
 level is asked for, certifies each level by whether its whole prefix
 factors (LAPACK's ``info`` is the first failing leading minor), and gives
-its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y (see
-``_NestedCholesky``).  A standalone factor is a one-level nest in the
-level's own order (``IndexedSubdomain.order``).  A closed level (no
-absorption) with D = 0 is singular, A_S 1 = 0, and is never certified,
-whatever the sign of the last pivot's round-off.  The same holds for the
-adjoint of such an operator, whose A*_S = A_S^T.
+its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y.  A
+column is factored once, kept as LDL^T pivots and multipliers on the order's
+tridiagonal prefix, as U past it (see ``_NestedCholesky``).  A standalone
+factor is a one-level nest in the level's own order
+(``IndexedSubdomain.order``).  A closed level (no absorption) with D = 0 is
+singular, A_S 1 = 0, and is never certified, whatever the sign of the last
+pivot's round-off.  The same holds for the adjoint of such an operator,
+whose A*_S = A_S^T.
 
 Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
 shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
@@ -56,8 +58,9 @@ representable however widely the jump rates 1/mu spread.
 Principal pairs (lambda0(S), phi) come from inverse iteration on the leading
 block of a nest of A - sigma D_mu, sigma = min_S D, which is positive
 definite on every level but the closed one with D = sigma.  Sparse LUs serve
-only nonsymmetric restrictions: their Green solves and principal pairs.
-Nonsymmetric kernels use dense scaling-and-squaring matrix exponentials.
+only nonsymmetric restrictions, whose Green solves share theirs of A_S with
+the principal pair at sigma = min D = 0.  Nonsymmetric kernels use dense
+scaling-and-squaring matrix exponentials.
 """
 
 from __future__ import annotations
@@ -195,47 +198,49 @@ def _fortran_concatenate(arrays, axis):
 
 
 class _NestedCholesky:
-    """The upper banded Cholesky factor U (A = U^T U) of one symmetric operator's
-    shifted measure form A = A_op - sigma D_mu over a ``NestedOrder``, grown on
-    demand.  Its diagonal is out_weight + (D - sigma) mu; sigma = 0 (the
-    operator itself) costs nothing extra per column.
+    """The Cholesky factor A = U^T U of one symmetric operator's shifted measure
+    form A = A_op - sigma D_mu over a ``NestedOrder``, grown on demand; each
+    column is factored once.  Its diagonal is out_weight + (D - sigma) mu;
+    sigma = 0 (the operator itself) costs nothing extra per column.
 
     Every level is a prefix of the order, so A_S of a level with n vertices is
-    the leading n x n block of A, and its factor is the leading block of U.
+    the leading n x n block of A, and its factor is the leading block of A's.
     ``size`` columns are factored.  ``failed`` means that column ``size`` had a
-    nonpositive pivot: no longer prefix is positive definite, and U grows no
-    further.  Green values G(x, y) = z_x . z_y of a level come from the
-    columns z = U^-T e_y, cut to its prefix and grown on demand.
+    nonpositive pivot: no longer prefix is positive definite, and the factor
+    grows no further.  Green values G(x, y) = z_x . z_y of a level come from
+    the columns z = U^-T e_y, cut to its prefix and grown on demand.
 
-    Columns inside the nest's tridiagonal prefix (the whole nest on rad(d))
-    are factored by LAPACK's LDL^T ``dpttrf``, A = L diag(d) L^T, whose window
-    starts at the last stored pivot, and stored as U = diag(d)^(1/2) L^T:
-    U_ii = sqrt(d_i), U_(i-1,i) = l_(i-1) sqrt(d_(i-1)).  There U^T is lower
-    bidiagonal, so a column z = U^-T e_k is a cumulative product of the
-    ratios r_i = -U_(i-1,i) / U_ii from z_k = 1/U_kk, each extension seeded
-    with the last stored entry.  Columns past the prefix are factored by
-    ``dpbtrf`` and solved by ``dtbtrs``.  The route of a column depends only
-    on the nest, both tridiagonal routes are seeded with stored values, and
-    both banded routes run in windows that end at level sizes, so neither U
-    nor a column z depends on how the growth was split or on which operator
-    grew the shared nest first.
+    The nest's tridiagonal prefix (the whole nest on rad(d)) is factored by
+    LAPACK's LDL^T ``dpttrf``, A = L diag(d) L^T, each window led by the last
+    stored pivot, and only d and l are kept: ``solve`` reads them by
+    ``dpttrs``.  There U = diag(d)^(1/2) L^T: U_ii = sqrt(d_i) and
+    U_(i-1,i) = l_(i-1) sqrt(d_(i-1)), so a column z = U^-T e_k is a
+    cumulative product of the ratios r_i = -U_(i-1,i) / U_ii from
+    z_k = 1/U_kk, each extension seeded with the last stored entry; the
+    ratios grow with the columns that read them.  U in LAPACK upper banded
+    storage (``ab``) exists only once the nest grows past that prefix:
+    written for the prefix from (d, l), it grows by ``dpbtrf``, solves by
+    ``dpbtrs`` and gives columns by ``dtbtrs``.  The route of a column
+    depends only on the nest, both tridiagonal routes are seeded with stored
+    values, and both banded routes run in windows that end at level sizes,
+    so neither the factor nor a column depends on how the growth was split or
+    on which operator grew the shared nest first.
     """
 
     def __init__(self, op, nest: NestedOrder, sigma=0.0):
         self.op = op
         self.nest = nest
         self.sigma = sigma
-        self.ab = np.zeros((1, 0), order="F")  # U in LAPACK upper banded storage
+        self._d, self._l = np.zeros(0), np.zeros(0)  # LDL^T of the tridiagonal prefix
+        self.ab = np.zeros((1, 0), order="F")  # U, banded, once the nest grows past it
         self.failed = False
-        self._pivot = 0.0  # d of the last column, while every column is tridiagonal
-        self._ratio = np.zeros(0)  # r_i over the tridiagonal columns (r_0 = 0)
-        self._ldl = (np.zeros(0), np.zeros(1))  # LDL^T pivots and multipliers for dpttrs
+        self._ratio = np.zeros(1)  # r_i over the prefix, grown by Green columns (r_0 unused)
         self._columns = {}  # index k in the order -> U^-T e_k over a prefix
         self._lock = threading.Lock()
 
     @property
     def size(self):
-        return self.ab.shape[1]
+        return max(self._d.size, self.ab.shape[1])
 
     def definite(self, n):
         """Whether the leading n x n block of A is positive definite: its
@@ -245,15 +250,14 @@ class _NestedCholesky:
         if n == self.op.domain.n_vertices and not np.any(self.op.potential != self.sigma):
             return False
         with self._lock:
-            if n > self.size and not self.failed:
-                for end in self._ends(self.size, n):
-                    if not self.failed:
-                        self._extend(end)
+            for end in self._ends(self.size, n):
+                if not self.failed:
+                    self._extend(end)
         return n <= self.size
 
     def _ends(self, p, n):
-        """The ends of the windows that grow U or a column from p to n: every
-        level size in between, then n (none when p >= n)."""
+        """The ends of the windows that grow the factor or a column from p to n:
+        every level size in between, then n (none when p >= n)."""
         if n <= p:
             return []
         sizes = self.nest.sizes
@@ -270,15 +274,18 @@ class _NestedCholesky:
         nest.grow_to(q)
         band = nest.band  # read once: another operator's factor may grow the nest
         kd = band.shape[0]
-        if self.ab.shape[0] <= kd:  # the band widened: pad with zero rows on top
-            self.ab = _fortran_concatenate((np.zeros((kd + 1 - self.ab.shape[0], p)), self.ab),
-                                           axis=0)
         tri = min(nest.tridiagonal, q)  # final below q once the nest holds q columns
         if p < tri:
             self._extend_tridiagonal(band, p, tri)
             p = self.size
             if self.failed or p == q:
                 return
+        if not self.ab.shape[1]:  # the first banded column: U of the prefix from (d, l)
+            root = np.sqrt(self._d)
+            self.ab = np.array([np.r_[0.0, self._l * root[:-1]], root], order="F")
+        if self.ab.shape[0] <= kd:  # the band widened: pad with zero rows on top
+            self.ab = _fortran_concatenate((np.zeros((kd + 1 - self.ab.shape[0], p)), self.ab),
+                                           axis=0)
         s = max(p - kd, 0)
         m = p - s
         window = np.vstack((band[:, s:q], self._diagonal(s, q)))
@@ -303,48 +310,26 @@ class _NestedCholesky:
         """Factor the tridiagonal columns [p, tri) by ``dpttrf`` on the window
         [p - 1, tri) led by the stored pivot d_(p-1) (on [0, tri) when p = 0)."""
         seeded = int(p > 0)
-        d = self._diagonal(p, tri)
-        if seeded:
-            d = np.concatenate(([self._pivot], d))
+        d = np.concatenate((self._d[-1:], self._diagonal(p, tri)))  # _d[-1:] is d_(p-1) or empty
         if d.size == 1:  # dpttrf's wrapper rejects an empty off-diagonal
-            info = 0 if d[0] > 0.0 else 1
-            l = np.zeros(0)
+            l, info = np.zeros(0), int(not d[0] > 0.0)
         else:
             d, l, info = dpttrf(d, band[-1, p + 1 - seeded:tri])
         # info is the first nonpositive pivot of the window
         done = d.size if info == 0 else info - 1
         if done > seeded:
-            root = np.sqrt(d[:done])
-            # U_(i-1,i) of the window's columns from 1 on; column 0 of the order has none
-            upper = l[:done - 1] * root[:-1]
-            if not seeded:
-                upper = np.concatenate(([0.0], upper))
-            block = np.zeros((self.ab.shape[0], done - seeded), order="F")
-            block[-1] = root[seeded:]
-            if block.shape[0] > 1:
-                block[-2] = upper
-            self.ab = _fortran_concatenate((self.ab, block), axis=1)
-            self._ratio = np.concatenate((self._ratio, -upper / root[seeded:]))
-            self._pivot = float(d[done - 1])
+            self._l = np.concatenate((self._l, l[:done - 1]))
+            self._d = np.concatenate((self._d, d[seeded:done]))
         self.failed = done < d.size
 
     def solve(self, n, rhs):
         """A_n^-1 rhs on a certified prefix n, in the nest's order, in place when
-        ``rhs`` is a Fortran-ordered float array: by ``dpbtrs`` on U, or, inside
-        the tridiagonal prefix, by ``dpttrs`` on its LDL^T factor.  That factor
-        is the one ``_extend_tridiagonal`` computes, bit for bit, refactored
-        on the first solve that needs it (most nests only serve Green columns)."""
-        if n > self._ratio.size:
+        ``rhs`` is a Fortran-ordered float array: by ``dpttrs`` on the stored
+        LDL^T factor inside the tridiagonal prefix, else by ``dpbtrs`` on U."""
+        if n > self._d.size:
             return dpbtrs(self.ab[:, :n], rhs, overwrite_b=1)[0]
-        d, l = self._ldl
-        if d.size < n:
-            if n == 1:  # dpttrf's wrapper rejects an empty off-diagonal
-                d, l = self._diagonal(0, 1), np.zeros(1)
-            else:
-                d, l, _ = dpttrf(self._diagonal(0, n), self.nest.band[-1, 1:n])
-            self._ldl = d, l
         # dpttrs's wrapper wants one off-diagonal entry even when n = 1
-        return dpttrs(d[:n], l[:max(n - 1, 1)], rhs, overwrite_b=1)[0]
+        return dpttrs(self._d[:n], self._l[:n - 1] if n > 1 else np.zeros(1), rhs, overwrite_b=1)[0]
 
     def _column(self, k, n):
         """U^-T e_k over the prefix n (at least), past the tridiagonal prefix in
@@ -354,13 +339,18 @@ class _NestedCholesky:
         if p >= n:
             return z
         ab = self.ab
-        tri = min(self._ratio.size, n)
+        tri = min(self._d.size, n)
+        r = self._ratio.size
+        if r < tri:  # r_i = -U_(i-1,i) / U_ii, U from (d, l) as in the class docstring
+            root = np.sqrt(self._d[r - 1:tri])
+            upper = self._l[r - 1:tri - 1] * root[:-1]
+            self._ratio = np.concatenate((self._ratio, -upper / root[1:]))
         if p < tri:
             # z_i = r_i z_(i-1) from z_k = 1/U_kk, seeded with the stored z_(p-1)
             grown = np.zeros(tri - p)
             if k < tri:
                 first = max(k, p)
-                seed = z[-1] * self._ratio[p] if k < p else 1.0 / ab[-1, k]
+                seed = z[-1] * self._ratio[p] if k < p else 1.0 / math.sqrt(self._d[k])
                 np.multiply.accumulate(np.concatenate(([seed], self._ratio[first + 1:tri])),
                                        out=grown[first - p:])
             z = np.concatenate((z, grown))
@@ -411,7 +401,6 @@ class _FactorBase:
         self.sub = sub
         self.mu = op.mu[sub.positions]
         self._a_s = None
-        self._lu = None
         self._principal = None
         self._green_cols = {}
         self._nested = nested
@@ -483,9 +472,7 @@ class _FactorBase:
             out = np.empty(n)
             out[self._nest_local] = self._cholesky().solve(n, rhs[self._nest_local])
             return out
-        if self._lu is None:
-            self._lu = _sparse_lu(self.a_s)
-        return self._lu.solve(rhs, trans=trans)
+        return self._shifted_lu(0.0).solve(rhs, trans=trans)
 
     def green_column(self, iy):
         """Column y of [K_S^-1]/mu(y), i.e. G(. , y) = A_S^-1 e_y."""
@@ -536,16 +523,18 @@ class _ShiftInvertLanczos:
     stopping rule is applied per t at the checks m = 5, 10, ..., 30, then
     every 10 steps: short bases are confirmed over 5 steps, while past 30 a
     check's tridiagonal eigensolve costs more than 10 steps save.  A t settles
-    at the first check m at which c_m(t) differs from the previous check's c
-    by at most max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm, or at the
-    dimension of the Krylov space once it is exhausted (then c is exact).  The
-    second term is the round-off floor of c(t): an error eps/theta in the
-    lowest Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by
-    t eps/theta.  Only the latest check's Ritz decomposition is kept; a later
-    call walks the checks again, so values depend only on t and on the first
-    m Lanczos steps, not on the grid or on query order.  A t whose basis has
-    not settled in ``LANCZOS_CAP`` steps gets an InconclusiveError in place of
-    its c; the other times are unaffected.
+    at the first check m at which c_m(t) is nonzero (an underflowed 0 is no
+    evidence) and differs from the previous check's c by at most
+    max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm (below 1e-138 both
+    rows scaled by one power of 2, lest squares underflow), or at the
+    dimension of the Krylov space once it is exhausted (then c is exact).
+    The second term is the round-off floor of c(t): an error eps/theta in
+    the lowest Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0)
+    by t eps/theta.  Only the latest check's Ritz decomposition is kept; a
+    later call walks the checks again, so values depend only on t and the
+    first m Lanczos steps, not on the grid or query order.  A t unsettled in
+    ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its c; the
+    others do not.
     """
 
     def __init__(self, factor, iy):
@@ -624,8 +613,11 @@ class _ShiftInvertLanczos:
                 change[:, :previous.shape[1]] -= previous
                 gap = float(self._ritz[1].min()) - self.sigma  # lambda_0 - sigma
                 floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * todo)
-                settled = (previous.shape[1] > 0) & (
-                    _row_norms(change) <= floor * _row_norms(c))
+                norm, moved = _row_norms(c), _row_norms(change)
+                if norm.min() < 1e-138:  # squares may have underflowed: rescale every row exactly
+                    e = np.frexp(np.maximum(np.abs(c).max(1), np.abs(change).max(1)))[1][:, None]
+                    norm, moved = _row_norms(np.ldexp(c, -e)), _row_norms(np.ldexp(change, -e))
+                settled = (previous.shape[1] > 0) & (norm > 0) & (moved <= floor * norm)
             for t, row in zip(todo[settled], c[settled]):
                 self._coeffs[float(t)] = row
             todo, previous = todo[~settled], c[~settled]
@@ -667,7 +659,8 @@ class SymmetricFactor(_FactorBase):
             sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
             shifted = _NestedCholesky(self.op, self.sub.order, sigma)
             with np.errstate(over="ignore", invalid="ignore"):  # D - sigma may overflow
-                finite = shifted.definite(self.sub.size) and np.all(np.isfinite(shifted.ab))
+                finite = shifted.definite(self.sub.size) and all(
+                    np.all(np.isfinite(a)) for a in (shifted._d, shifted._l, shifted.ab))
             if not finite:
                 raise NumericalError("shifted restriction overflows or is not positive definite")
             local = self._locals(shifted.nest)
@@ -795,12 +788,17 @@ class NonsymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
+        self._lu = None  # the sparse LU of A_S, shared by Green solves and principal pairs
         self._expm_cache = {}
         self.route = "expm"
 
     def _shifted_lu(self, sigma):
-        mat = self.a_s if sigma == 0.0 else (self.a_s - sigma * sp.diags(self.mu)).tocsc()
-        return _sparse_lu(mat)
+        """The sparse LU of A_S - sigma D_mu; at sigma = 0 the one cached LU of A_S."""
+        if sigma != 0.0:
+            return _sparse_lu((self.a_s - sigma * sp.diags(self.mu)).tocsc())
+        if self._lu is None:
+            self._lu = _sparse_lu(self.a_s)
+        return self._lu
 
     def _rayleigh(self, v):
         return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))

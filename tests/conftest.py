@@ -81,6 +81,23 @@ def build_drift_lattice(n_half=192, right=1.2, left=0.8):
     return hl.DomainFixture("drift", domain, exhaustion)
 
 
+def build_scrambled_grid(side, seed):
+    """side x side grid graph with randomly permuted labels (not banded as given)."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(side * side)
+    edges = {}
+    for i in range(side):
+        for j in range(side):
+            v = label[i * side + j]
+            for di, dj in ((0, 1), (1, 0)):
+                if i + di < side and j + dj < side:
+                    u = label[(i + di) * side + j + dj]
+                    w = 1.0 + 0.1 * ((i + j) % 3)
+                    edges[(v, u)] = edges[(u, v)] = w
+    measure = {v: 0.5 + (v % 4) * 0.25 for v in range(side * side)}
+    return hl.WeightedDomain(range(side * side), measure, edges)
+
+
 @pytest.fixture(scope="session")
 def drift():
     return build_drift_lattice()

@@ -5,6 +5,7 @@ import os
 import pytest
 from scipy import special
 
+import heatlab as hl
 from heatlab.cli import main
 
 
@@ -139,6 +140,23 @@ def test_overflowing_lanczos_shift_is_a_restriction_failure(tmp_path, capsys):
                  "--x", "1", "--y", "1", "--t", "1"]) == 0
     out = capsys.readouterr().out
     assert "status: diverging" in out and "shifted restriction overflows" in out
+
+
+def test_underflowed_heat_limit_is_inconclusive(capsys):
+    # at t = 1e5 the small levels' Lanczos coefficients underflow; their
+    # change and norm once both read 0, a settled 0, and the limit exited 0 as
+    # a converged 0 although the top level's kernel is 1.114857e-10
+    assert main(["heat", "--fixture", "rad(2)", "--ambient-size", "200", "--x", "1", "--y", "1",
+                 "--t", "100000"]) == 3
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+               if ": " in line)
+    fx = hl.fixture("rad(2)", ambient_size=200)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    top = ev.usable_levels()[-1]
+    assert out["status"] == "inconclusive" and int(out["level"]) == top
+    i = fx.exhaustion[top].local_of(1)
+    dense = ev.factor(top).kernel_matrix(1e5)[i, i]
+    assert float(out["value"]) == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("y", [0, 1])

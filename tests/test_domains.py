@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 import heatlab as hl
+from heatlab.criticality import default_reference_pair
 from heatlab.domains import MEASURE_FLOOR, ball_exhaustion, closed_path_domain, load_edge_list
+
+from conftest import build_scrambled_grid
 
 
 def test_lat1_small_counts():
@@ -308,3 +311,38 @@ def test_absorption_is_read_from_stored_edges_in_either_orientation():
     assert tail.has_absorption() and not tail.has_absorption(True)
     full = hl.restrict(domain, range(5))
     assert not full.has_absorption() and not full.has_absorption(True)
+
+
+def _drift_path_with_a_shortcut():
+    """A drift path 0..39 with a one-way edge 0 -> 20: w + w^T has entries w lacks."""
+    x = np.r_[np.arange(39), np.arange(1, 40), 0]
+    y = np.r_[np.arange(1, 40), np.arange(39), 20]
+    w = np.r_[np.full(39, 1.2), np.full(39, 0.8), 0.5]
+    return hl.WeightedDomain(range(40), np.ones(40), (x, y, w))
+
+
+@pytest.mark.parametrize("build", [lambda: build_scrambled_grid(7, seed=11),
+                                   _drift_path_with_a_shortcut], ids=["grid", "drift"])
+def test_undirected_adjacency_has_the_pattern_of_w_plus_w_transpose(build, monkeypatch):
+    # a symmetric domain is its own adjacency, with no copy cached; connectivity,
+    # balls and reference pairs are those of the w + w^T pattern
+    domain = build()
+    w = domain.weights
+    pattern = (w + w.T).tocsr()
+    pattern.data[:] = 1.0
+    adj = domain._undirected_adjacency()
+    assert np.array_equal(adj.indptr, pattern.indptr)
+    assert np.array_equal(adj.indices, pattern.indices)
+    assert (adj is w) is domain.symmetric and (domain._adjacency is None) is domain.symmetric
+    rng = np.random.default_rng(3)
+    subsets = [rng.choice(domain.n_vertices, size, replace=False) for size in (2, 5, 12, 30)]
+    centers = domain.labels[[0, 7, domain.n_vertices - 1]]
+
+    def read():
+        balls = [[level.labels.tolist() for level in ball_exhaustion(domain, c)] for c in centers]
+        pairs = [default_reference_pair(ball_exhaustion(domain, c)) for c in centers]
+        return [domain._connected(s) for s in subsets], balls, pairs
+
+    got = read()
+    monkeypatch.setattr(domain, "_undirected_adjacency", lambda: pattern)
+    assert got == read()

@@ -19,7 +19,7 @@ from heatlab.kernels import (LimitStatus, NonsymmetricFactor, SymmetricFactor, e
                              factorize)
 from heatlab.series import geometric_grid
 
-from conftest import bessel_i0_scaled, build_drift_lattice
+from conftest import bessel_i0_scaled, build_drift_lattice, build_scrambled_grid
 
 
 # -- fixed-subdomain closed forms --------------------------------------------
@@ -127,6 +127,35 @@ def test_underflowed_levels_certify_nothing():
     assert [v for _, v in r.history[:3]] == [0.0, 0.0, 0.0]
     assert r.converged and r.level == 5
     assert r.value == pytest.approx(special.ive(0, 6000.0), rel=1e-11)
+
+
+def test_underflowed_coefficients_settle_nothing():
+    # at t = 1e5 the early checks' c(t) on these levels square to 0 in their
+    # norms, so a change and a norm of 0 once settled every level at 2.08e-229;
+    # the closed form on the Dirichlet path of n vertices is
+    # sum_k exp(-t lambda_k) phi_k(i)^2, lambda_k = 2 - 2 cos(k pi / (n + 1))
+    fx = hl.fixture("lat1", ambient_size=4001)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    t = 1e5
+    for j in (5, 6, 7, 8):
+        sub = fx.exhaustion[j]
+        n, i = sub.size, sub.local_of(0) + 1
+        angle = np.arange(1, n + 1) * np.pi / (n + 1)
+        exact = np.sum(np.exp(-t * (2.0 - 2.0 * np.cos(angle))) * np.sin(angle * i) ** 2)
+        assert ev.heat_finite(j, 0, 0, t) == pytest.approx(2.0 * exact / (n + 1), rel=1e-9,
+                                                          abs=0.0)
+
+
+def test_tiny_coefficients_settle_at_their_value():
+    # lat1 + 0.4 at t = 1000: every c(t) is below 1e-154, so its squares
+    # underflow; unscaled norms once settled a converged 4.7e-178, and norms of
+    # 0 read as no evidence alone would run the 513-vertex level to the cap
+    fx = hl.fixture("lat1", ambient_size=4001)
+    op = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.4))
+    r = hl.HeatKernelEvaluator(op, fx.exhaustion).heat_kernel(0, 0, 1000.0)
+    assert r.converged
+    assert r.value == pytest.approx(special.ive(0, 2000.0) * np.exp(-400.0),
+                                  rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("values, status, value", [
@@ -456,23 +485,6 @@ def test_supercritical_well_diverges_where_restriction_stops_being_definite():
     assert first_nonpositive == r.level
 
 
-def _scrambled_grid(side, seed):
-    """side x side grid graph with randomly permuted labels (not banded as given)."""
-    rng = np.random.default_rng(seed)
-    label = rng.permutation(side * side)
-    edges = {}
-    for i in range(side):
-        for j in range(side):
-            v = label[i * side + j]
-            for di, dj in ((0, 1), (1, 0)):
-                if i + di < side and j + dj < side:
-                    u = label[(i + di) * side + j + dj]
-                    w = 1.0 + 0.1 * ((i + j) % 3)
-                    edges[(v, u)] = edges[(u, v)] = w
-    measure = {v: 0.5 + (v % 4) * 0.25 for v in range(side * side)}
-    return hl.WeightedDomain(range(side * side), measure, edges)
-
-
 def _own_order(sub):
     """(perm, band) of the level's own order: the local index at each place of
     the order, and the order's upper band."""
@@ -482,7 +494,7 @@ def _own_order(sub):
 
 
 def test_rcm_banded_green_columns_match_dense_solve():
-    domain = _scrambled_grid(7, seed=11)
+    domain = build_scrambled_grid(7, seed=11)
     op = hl.assemble(domain, hl.Potential.constant(domain, 0.05))
     sub = hl.restrict(domain, range(domain.n_vertices))
     perm, band = _own_order(sub)
@@ -636,7 +648,7 @@ def test_inverse_route_matches_direct_route_in_scrambled_order(monkeypatch, cons
     # shifted factor
     import heatlab.kernels as hk
 
-    domain = _scrambled_grid(7, seed=11)
+    domain = build_scrambled_grid(7, seed=11)
     sub = hl.restrict(domain, range(domain.n_vertices))
     perm = _own_order(sub)[0]
     assert not np.array_equal(perm[perm], np.arange(sub.size))
@@ -711,7 +723,7 @@ def test_point_route_matches_dense_route_on_indefinite_levels(level):
 
 
 def test_point_route_matches_dense_route_in_scrambled_order():
-    domain = _scrambled_grid(7, seed=11)
+    domain = build_scrambled_grid(7, seed=11)
     sub = hl.restrict(domain, range(domain.n_vertices))
     perm = _own_order(sub)[0]
     assert not np.array_equal(perm[perm], np.arange(sub.size))
@@ -1081,6 +1093,11 @@ def test_rad3_bisection_is_unchanged_by_the_nested_factor(r):
     assert res.agree
 
 
+def _factor_bytes(nested):
+    """What a nested factor stores: its LDL^T pivots and multipliers and U."""
+    return nested._d.tobytes(), nested._l.tobytes(), nested.ab.tobytes()
+
+
 def _assert_concurrent_limits_match_serial(build, constant, couplings):
     """Threads grow one exhaustion's order and two operators' nested factors at
     once; every Green history must equal a serial run's, bit for bit."""
@@ -1107,6 +1124,8 @@ def _assert_concurrent_limits_match_serial(build, constant, couplings):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+    assert [_factor_bytes(ev._nested) for ev in shared] == [_factor_bytes(ev._nested)
+                                                            for ev in serial]
     return fx
 
 
@@ -1125,7 +1144,7 @@ def test_concurrent_banded_green_limits_share_one_nest():
 
 def test_banded_nest_does_not_depend_on_how_it_grew():
     # lat1 + 0.01 (band 3), grown level by level, or to the deepest level in
-    # one call (the factor alone, or a Green value): the same U and G_j(0, 1)
+    # one call (the factor alone, or a Green value): the same factor and G_j(0, 1)
     def grow(how):
         fx = hl.fixture("lat1", ambient_size=4001)
         op = hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.01))
@@ -1138,7 +1157,7 @@ def test_banded_nest_does_not_depend_on_how_it_grew():
             ev._nested.green(last, *fx.domain.positions_of([0, 1]))
         values = [ev.green_finite_level(j, 0, 1) for j in levels]
         assert fx.exhaustion.nested_order().kd == 3
-        return ev._nested.ab.tobytes(), values
+        return _factor_bytes(ev._nested), values
 
     assert grow("stepwise") == grow("factor") == grow("green")
 
@@ -1154,7 +1173,8 @@ def _rad3_wells(fx, couplings):
 @pytest.mark.parametrize("ahead", [False, True])
 def test_nested_factor_does_not_depend_on_how_it_grew(ahead):
     # level by level, or to the deepest level in one call; on a fresh nest or
-    # on one another operator grew ahead: the same U and Green values, bit for bit
+    # on one another operator grew ahead: the same LDL^T factor and Green
+    # values, bit for bit
     queries = [(1, 1), (1, 2), (3, 1), (7, 40)]
 
     def grow(stepwise, ahead):
@@ -1172,7 +1192,7 @@ def test_nested_factor_does_not_depend_on_how_it_grew(ahead):
         values = [ev.green_finite_level(j, x, y) for j in levels for x, y in queries
                   if x in fx.exhaustion[j] and y in fx.exhaustion[j]]
         assert fx.exhaustion.nested_order().tridiagonal == last
-        return ev._nested.ab.tobytes(), values
+        return _factor_bytes(ev._nested), values
 
     assert grow(True, False) == grow(False, ahead) == grow(True, ahead)
 
@@ -1281,3 +1301,66 @@ def test_mixed_band_nest_matches_dense_solves(stepwise, well_column):
     else:
         assert ev._nested.failed and ev._nested.size == well_column
         assert certified == [ex[j].size <= well_column for j in levels]
+
+
+def test_solves_never_factor(monkeypatch):
+    # a heat limit's Lanczos steps and the principal pairs solve with the
+    # stored LDL^T factor: no dpttrf runs inside a solve
+    import heatlab.kernels as hk
+
+    inside, calls = [], []
+    dpttrf, solve = hk.dpttrf, hk._NestedCholesky.solve
+
+    def counted_dpttrf(d, e):
+        calls.append(bool(inside))
+        return dpttrf(d, e)
+
+    def marked_solve(self, n, rhs):
+        inside.append(n)
+        try:
+            return solve(self, n, rhs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hk, "dpttrf", counted_dpttrf)
+    monkeypatch.setattr(hk._NestedCholesky, "solve", marked_solve)
+    fx = hl.fixture("rad(3)", ambient_size=20000)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    assert ev.heat_kernel(1, 1, 5.0).converged
+    for j in ev.usable_levels():
+        assert ev.principal_eigenvalue(j) > 0.0
+    assert calls and not any(calls)
+
+
+def test_a_nest_that_only_solves_holds_no_u():
+    # rad(3)'s nests are tridiagonal throughout: the shifted nests of a heat
+    # limit and the Green nest of principal pairs keep only d and l
+    fx = hl.fixture("rad(3)", ambient_size=4000)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    assert ev.heat_kernel(1, 1, 5.0).converged
+    levels = ev.usable_levels()
+    for j in levels:
+        ev.principal_eigenvalue(j)
+    nests = [ev.factor(j)._krylov()[0] for j in levels if ev.factor(j)._shifted] + [ev._nested]
+    assert len(nests) > 3 and ev._nested.size == fx.exhaustion[levels[-1]].size
+    for nest in nests:
+        assert nest.ab.size == 0 and nest._ratio.size == 1 and nest._l.size == nest.size - 1
+
+
+def test_drift_green_limit_factors_each_restriction_once(monkeypatch):
+    # the principal pair's LU at sigma = min D = 0 is the Green solves' LU
+    import heatlab.kernels as hk
+
+    seen = []
+    sparse_lu = hk._sparse_lu
+
+    def recorded(mat):
+        seen.append((mat.shape, mat.indices.tobytes(), mat.data.tobytes()))
+        return sparse_lu(mat)
+
+    monkeypatch.setattr(hk, "_sparse_lu", recorded)
+    fx = build_drift_lattice(192)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    r = ev.green(0, 1)
+    assert r.converged and r.value == pytest.approx(2.5, rel=1e-12)
+    assert len(r.history) > 3 and len(set(seen)) == len(seen)
