@@ -23,9 +23,10 @@ of the deepest level's A_S, so its factor is the leading block of U: one
 factor per (operator, exhaustion), grown shell by shell as deep as some
 level is asked for, certifies each level by whether its whole prefix
 factors (LAPACK's ``info`` is the first failing leading minor), and gives
-its Green values G_j(x, y) = z_x[:n_j] . z_y[:n_j] with z = U^-T e_y.  A
-column is factored once, kept as LDL^T pivots and multipliers on the order's
-tridiagonal prefix, as U past it (see ``_NestedCholesky``).  A standalone
+its Green values G_j(x, y) as entries of the column A_{S_j}^-1 e_y, one
+solve per level and column.  A column of the factor is factored once, kept
+as LDL^T pivots and multipliers on the order's tridiagonal prefix, as U past
+it (see ``_NestedCholesky``).  A standalone
 factor is a one-level nest in the level's own order
 (``IndexedSubdomain.order``).  A closed level (no absorption) with D = 0 is
 singular, A_S 1 = 0, and is never certified, whatever the sign of the last
@@ -80,7 +81,7 @@ from scipy.linalg.blas import dgemv
 # banded and tridiagonal LAPACK directly: scipy's cholesky_banded and
 # cho_solve_banded copy the band and the right-hand side through
 # asarray_chkfinite on every call
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs, dstevd, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs, dstevd
 
 from .domains import Exhaustion, IndexedSubdomain, NestedOrder
 from .errors import InconclusiveError, NumericalError, ValidationError
@@ -207,24 +208,19 @@ class _NestedCholesky:
     the leading n x n block of A, and its factor is the leading block of A's.
     ``size`` columns are factored.  ``failed`` means that column ``size`` had a
     nonpositive pivot: no longer prefix is positive definite, and the factor
-    grows no further.  Green values G(x, y) = z_x . z_y of a level come from
-    the columns z = U^-T e_y, cut to its prefix and grown on demand.
+    grows no further.  A level's Green values G(x, y) are entries of its
+    column A_n^-1 e_y, one ``solve`` per level and column, cached.
 
     The nest's tridiagonal prefix (the whole nest on rad(d)) is factored by
     LAPACK's LDL^T ``dpttrf``, A = L diag(d) L^T, each window led by the last
     stored pivot, and only d and l are kept: ``solve`` reads them by
-    ``dpttrs``.  There U = diag(d)^(1/2) L^T: U_ii = sqrt(d_i) and
-    U_(i-1,i) = l_(i-1) sqrt(d_(i-1)), so a column z = U^-T e_k is a
-    cumulative product of the ratios r_i = -U_(i-1,i) / U_ii from
-    z_k = 1/U_kk, each extension seeded with the last stored entry; the
-    ratios grow with the columns that read them.  U in LAPACK upper banded
-    storage (``ab``) exists only once the nest grows past that prefix:
-    written for the prefix from (d, l), it grows by ``dpbtrf``, solves by
-    ``dpbtrs`` and gives columns by ``dtbtrs``.  The route of a column
-    depends only on the nest, both tridiagonal routes are seeded with stored
-    values, and both banded routes run in windows that end at level sizes,
-    so neither the factor nor a column depends on how the growth was split or
-    on which operator grew the shared nest first.
+    ``dpttrs``.  U in LAPACK upper banded storage (``ab``) exists only once
+    the nest grows past that prefix: written for the prefix from (d, l),
+    U = diag(d)^(1/2) L^T, it grows by ``dpbtrf`` and solves by ``dpbtrs``.
+    The tridiagonal route is seeded with the last stored pivot and the banded
+    one runs in windows that end at level sizes, so neither the factor nor a
+    Green value depends on how the growth was split or on which operator grew
+    the shared nest first.
     """
 
     def __init__(self, op, nest: NestedOrder, sigma=0.0):
@@ -234,8 +230,7 @@ class _NestedCholesky:
         self._d, self._l = np.zeros(0), np.zeros(0)  # LDL^T of the tridiagonal prefix
         self.ab = np.zeros((1, 0), order="F")  # U, banded, once the nest grows past it
         self.failed = False
-        self._ratio = np.zeros(1)  # r_i over the prefix, grown by Green columns (r_0 unused)
-        self._columns = {}  # index k in the order -> U^-T e_k over a prefix
+        self._columns = {}  # (n, m) -> the Green column A_n^-1 e_m
         self._lock = threading.Lock()
 
     @property
@@ -256,7 +251,7 @@ class _NestedCholesky:
         return n <= self.size
 
     def _ends(self, p, n):
-        """The ends of the windows that grow the factor or a column from p to n:
+        """The ends of the windows that grow the factor from p to n:
         every level size in between, then n (none when p >= n)."""
         if n <= p:
             return []
@@ -331,47 +326,10 @@ class _NestedCholesky:
         # dpttrs's wrapper wants one off-diagonal entry even when n = 1
         return dpttrs(self._d[:n], self._l[:n - 1] if n > 1 else np.zeros(1), rhs, overwrite_b=1)[0]
 
-    def _column(self, k, n):
-        """U^-T e_k over the prefix n (at least), past the tridiagonal prefix in
-        level-wise windows."""
-        z = self._columns.get(k, np.zeros(0))
-        p = z.size
-        if p >= n:
-            return z
-        ab = self.ab
-        tri = min(self._d.size, n)
-        r = self._ratio.size
-        if r < tri:  # r_i = -U_(i-1,i) / U_ii, U from (d, l) as in the class docstring
-            root = np.sqrt(self._d[r - 1:tri])
-            upper = self._l[r - 1:tri - 1] * root[:-1]
-            self._ratio = np.concatenate((self._ratio, -upper / root[1:]))
-        if p < tri:
-            # z_i = r_i z_(i-1) from z_k = 1/U_kk, seeded with the stored z_(p-1)
-            grown = np.zeros(tri - p)
-            if k < tri:
-                first = max(k, p)
-                seed = z[-1] * self._ratio[p] if k < p else 1.0 / math.sqrt(self._d[k])
-                np.multiply.accumulate(np.concatenate(([seed], self._ratio[first + 1:tri])),
-                                       out=grown[first - p:])
-            z = np.concatenate((z, grown))
-            p = tri
-        kd = ab.shape[0] - 1
-        for end in self._ends(p, n):
-            rhs = np.zeros((end - p, 1))
-            if p <= k < end:
-                rhs[k - p] = 1.0
-            for d in range(1, min(kd, end) + 1):  # only the first kd new rows couple to z
-                lo, hi = max(0, d - p), min(d, end - p)
-                rhs[lo:hi, 0] -= ab[kd - d, p + lo:p + hi] * z[p + lo - d:p + hi - d]
-            new = dtbtrs(ab[:, p:end], rhs, trans="T", overwrite_b=1)[0]
-            z = np.concatenate((z, new[:, 0]))
-            p = end
-        self._columns[k] = z
-        return z
-
     def green(self, n, px, py):
         """G(x, y) = [A_n^-1](x, y) on the level that is the prefix n, for the
-        vertices at domain positions px, py (in that level)."""
+        vertices at domain positions px, py (in that level): entry k of the
+        column A_n^-1 e_m, k and m their indices in the order."""
         if not self.definite(n):
             raise NumericalError(
                 "restricted principal eigenvalue is not positive; no finite Green function")
@@ -379,8 +337,12 @@ class _NestedCholesky:
         if not (0 <= k < n and 0 <= m < n):
             raise ValidationError("Green query outside the level")
         with self._lock:
-            zx, zy = self._column(k, n), self._column(m, n)
-        return float(zx[:n] @ zy[:n])
+            column = self._columns.get((n, m))
+            if column is None:
+                column = np.zeros(n)
+                column[m] = 1.0
+                column = self._columns[n, m] = self.solve(n, column)
+        return float(column[k])
 
 
 class _FactorBase:
@@ -873,18 +835,22 @@ def factorize(op: EllipticOperator, sub: IndexedSubdomain, nested=None):
     return NonsymmetricFactor(op, sub)
 
 
+def _check_time(t) -> float:
+    """A kernel time as a float; it must be finite and nonnegative."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"time must be finite and nonnegative, got {t!r}")
+    return t
+
+
 def heat_kernel_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, t) -> float:
     """Dirichlet heat kernel k(x, y, t) on a fixed subdomain."""
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValidationError("time must be finite and nonnegative")
-    return factorize(op, sub).kernel(sub.local_of(x), sub.local_of(y), float(t))
+    return factorize(op, sub).kernel(sub.local_of(x), sub.local_of(y), _check_time(t))
 
 
 def heat_matrix_finite(op: EllipticOperator, sub: IndexedSubdomain, t):
     """All-pairs kernel matrix on the subdomain, in its local indexing."""
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValidationError("time must be finite and nonnegative")
-    return factorize(op, sub).kernel_matrix(float(t))
+    return factorize(op, sub).kernel_matrix(_check_time(t))
 
 
 def green_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, factor=None) -> float:
@@ -1029,7 +995,7 @@ class HeatKernelEvaluator:
 
     def heat_finite(self, j, x, y, t):
         sub = self.exhaustion[j]
-        return self.factor(j).kernel(sub.local_of(x), sub.local_of(y), float(t))
+        return self.factor(j).kernel(sub.local_of(x), sub.local_of(y), _check_time(t))
 
     def _green_at(self, x, y):
         """G_j(x, y) as a function of the level j, which must hold x and y; the
@@ -1061,10 +1027,7 @@ class HeatKernelEvaluator:
         has an InconclusiveError at that level, which makes only its own
         limit inconclusive there.
         """
-        ts = [float(t) for t in ts]
-        for t in ts:
-            if not (np.isfinite(t) and t >= 0.0):
-                raise ValidationError(f"time must be finite and nonnegative, got {t!r}")
+        ts = [_check_time(t) for t in ts]
         if not ts:
             return []
         start = self.exhaustion.first_level_containing(x, y)

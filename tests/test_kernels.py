@@ -14,6 +14,7 @@ import pytest
 from scipy import integrate, special
 
 import heatlab as hl
+from heatlab.criticality import birman_schwinger_alpha0
 from heatlab.domains import closed_path_domain, single_vertex_domain
 from heatlab.kernels import (LimitStatus, NonsymmetricFactor, SymmetricFactor, exhaustion_limit,
                              factorize)
@@ -126,7 +127,7 @@ def test_underflowed_levels_certify_nothing():
     r = hl.HeatKernelEvaluator(hl.assemble(fx.domain), ex).heat_kernel(0, 0, 3000.0)
     assert [v for _, v in r.history[:3]] == [0.0, 0.0, 0.0]
     assert r.converged and r.level == 5
-    assert r.value == pytest.approx(special.ive(0, 6000.0), rel=1e-11)
+    assert r.value == pytest.approx(special.ive(0, 6000.0), rel=1e-11, abs=0.0)
 
 
 def test_underflowed_coefficients_settle_nothing():
@@ -935,7 +936,8 @@ def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
     short, long = sub.local_of(0), sub.local_of(1)
     fac.kernel(short, short, 0.5)
-    assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11)
+    assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11,
+                                                           abs=0.0)
     for iy in (short, long):
         lanczos = fac._columns[iy]
         assert lanczos.basis.shape[0] <= max(32, 2 * len(lanczos.alpha))
@@ -950,6 +952,15 @@ def test_grid_rejects_a_bad_time_before_any_level(lat1, lat1_op, bad):
     with pytest.raises(hl.ValidationError, match=repr(bad)):
         ev.heat_kernels(0, 0, [1.0, bad, 2.0])
     assert not ev._factors
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_level_kernel_rejects_a_bad_time(bad):
+    # once: -1 gave a backward "kernel", nan a bare KeyError, inf a 0 after an overflow
+    fx = hl.fixture("lat1", ambient_size=65)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
+    with pytest.raises(hl.ValidationError, match="time must be finite and nonnegative"):
+        ev.heat_finite(3, 0, 0, bad)
 
 
 def test_empty_grid_gives_no_limits(lat1_ev):
@@ -1162,7 +1173,7 @@ def test_banded_nest_does_not_depend_on_how_it_grew():
     assert grow("stepwise") == grow("factor") == grow("green")
 
 
-# -- the tridiagonal route of the nested factor (LDL^T pivots, cumulative products) -
+# -- the tridiagonal route of the nested factor (LDL^T pivots and multipliers) ----
 
 def _rad3_wells(fx, couplings):
     base = hl.assemble(fx.domain)
@@ -1199,7 +1210,7 @@ def test_nested_factor_does_not_depend_on_how_it_grew(ahead):
 
 @pytest.mark.parametrize("ratio", [0.99, 0.999])
 def test_tridiagonal_green_values_match_a_long_double_recurrence(ratio):
-    # the LDL^T pivot recurrence and the columns U^-T e_k, evaluated in long
+    # the LDL^T pivot recurrence and the Green values, evaluated in long
     # double on the same matrix, near the critical coupling (G(1, 1) ~ 50-500)
     fx = hl.fixture("rad(3)", ambient_size=20000)
     (op,) = _rad3_wells(fx, (ratio / (np.pi**2 / 2.0 - 4.0),))
@@ -1332,6 +1343,51 @@ def test_solves_never_factor(monkeypatch):
     assert calls and not any(calls)
 
 
+@pytest.mark.parametrize("spec, size, pairs", [
+    ("rad(3)", 4000, [(1, 1), (1, 2), (3, 40)]),
+    ("lat1", 257, [(0, 0), (0, 1), (-2, 5)]),
+    ("lat1_geo(0.5)", 257, [(0, 0), (0, 1), (-2, 5)]),
+])
+def test_limit_and_level_factor_read_one_green_route(spec, size, pairs):
+    # an evaluator's Green value is its level factor's Green column entry, bit
+    # for bit: both are one solve of A_S z = e_y on the shared nest
+    fx = hl.fixture(spec, ambient_size=size)
+    ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain, hl.Potential.constant(fx.domain, 0.01)),
+                                fx.exhaustion)
+    compared = 0
+    for j in ev.usable_levels():
+        sub = fx.exhaustion[j]
+        for x, y in pairs:
+            if x in sub and y in sub:
+                expected = ev.factor(j).green(sub.local_of(x), sub.local_of(y))
+                assert ev.green_finite_level(j, x, y) == expected
+                compared += 1
+    assert compared >= 3 * len(pairs)
+
+
+def test_oracle_solves_one_green_column_per_level_and_support_vertex(monkeypatch):
+    # the Birman-Schwinger oracle reads 9 Green limits on a 3-vertex support;
+    # the limits that share y share one solve per level
+    import heatlab.kernels as hk
+
+    fx = hl.fixture("rad(3)", ambient_size=4000)
+    op = hl.assemble(fx.domain)
+    ev = hl.HeatKernelEvaluator(op, fx.exhaustion)
+    sizes = []
+    solve = hk._NestedCholesky.solve
+
+    def counted(self, n, rhs):
+        if self is ev._nested:
+            sizes.append(n)
+        return solve(self, n, rhs)
+
+    monkeypatch.setattr(hk._NestedCholesky, "solve", counted)
+    well = hl.Potential.indicator(fx.domain, [1, 2, 3], -0.2)
+    assert birman_schwinger_alpha0(op, well, ev) > 0.0
+    per_level = [sizes.count(fx.exhaustion[j].size) for j in ev.usable_levels()]
+    assert sum(per_level) == len(sizes) and 0 < max(per_level) <= 3
+
+
 def test_a_nest_that_only_solves_holds_no_u():
     # rad(3)'s nests are tridiagonal throughout: the shifted nests of a heat
     # limit and the Green nest of principal pairs keep only d and l
@@ -1344,7 +1400,7 @@ def test_a_nest_that_only_solves_holds_no_u():
     nests = [ev.factor(j)._krylov()[0] for j in levels if ev.factor(j)._shifted] + [ev._nested]
     assert len(nests) > 3 and ev._nested.size == fx.exhaustion[levels[-1]].size
     for nest in nests:
-        assert nest.ab.size == 0 and nest._ratio.size == 1 and nest._l.size == nest.size - 1
+        assert nest.ab.size == 0 and nest._l.size == nest.size - 1
 
 
 def test_drift_green_limit_factors_each_restriction_once(monkeypatch):
