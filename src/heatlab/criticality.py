@@ -32,6 +32,7 @@ from .kernels import (
     factorize,
 )
 from .operators import EllipticOperator, Potential, add_potential, adjoint
+from .perturbation import _check_integer
 from .series import fit_log_time_formula, neville_extrapolate, neville_in_size
 
 
@@ -118,7 +119,7 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
     increments = np.diff(np.asarray(values))
     shrinking = len(values) < 3 or abs(increments[-1]) <= abs(increments[-2]) * (1.0 + 1e-3)
     if not shrinking and d_last > tol * max(1.0, abs(values[-1])):
-        raise NumericalError("principal eigenvalue increments are not shrinking; no convergence")
+        raise InconclusiveError("principal eigenvalue increments are not shrinking; no convergence")
     extrap, _ = neville_in_size(sizes, values, min(5, len(values)))
     return result(extrap, d_last)
 
@@ -444,6 +445,7 @@ def perturbation_integrals(op: EllipticOperator, potential: Potential,
     """
     if kind not in ("small", "semismall"):
         raise ValidationError(f"unknown perturbation kind: {kind!r}")
+    seed = _check_integer(seed, 0, "seed must be a nonnegative integer")
     ev = HeatKernelEvaluator(op, exhaustion)
     if x0 is None:
         x0 = int(exhaustion[0].labels[0])

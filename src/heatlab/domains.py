@@ -357,11 +357,6 @@ class IndexedSubdomain:
         local = np.minimum(np.searchsorted(pos, col), pos.size - 1)
         return np.repeat(np.arange(pos.size), count), np.where(pos[local] == col, local, -1), value
 
-    def has_absorption(self, transposed=False):
-        """True iff some stored edge of a subset vertex (under w, or w^T) leaves
-        the subset."""
-        return bool(np.any(self._edges(transposed)[1] < 0))
-
     def _local(self, x):
         """Local index of label x, or -1 when x is not in the subset."""
         x, (order, ordered) = int(x), self.domain._label_order

@@ -29,9 +29,7 @@ as LDL^T pivots and multipliers on the order's tridiagonal prefix, as U past
 it (see ``_NestedCholesky``).  A standalone
 factor is a one-level nest in the level's own order
 (``IndexedSubdomain.order``).  A closed level (no absorption) with D = 0 is
-singular, A_S 1 = 0, and is never certified, whatever the sign of the last
-pivot's round-off.  The same holds for the adjoint of such an operator,
-whose A*_S = A_S^T.
+singular, A_S 1 = 0, and never certified, whatever the last pivot's round-off.
 
 Symmetric kernels work with H = diag(mu)^(-1/2) A_S diag(mu)^(-1/2) and its
 shifted inverse B = (H - sigma)^(-1) = diag(mu)^(1/2) (A_S - sigma D_mu)^(-1)
@@ -59,9 +57,9 @@ representable however widely the jump rates 1/mu spread.
 Principal pairs (lambda0(S), phi) come from inverse iteration on the leading
 block of a nest of A - sigma D_mu, sigma = min_S D, which is positive
 definite on every level but the closed one with D = sigma.  Sparse LUs serve
-only nonsymmetric restrictions, whose Green solves share theirs of A_S with
-the principal pair at sigma = min D = 0.  Nonsymmetric kernels use dense
-scaling-and-squaring matrix exponentials.
+only nonsymmetric restrictions: one LU of A_S per level certifies the level,
+solves its Green values and serves the principal pair at sigma = min D = 0.
+Nonsymmetric kernels use dense scaling-and-squaring matrix exponentials.
 """
 
 from __future__ import annotations
@@ -350,8 +348,8 @@ class _FactorBase:
 
     A factor holds the operator and its level; everything else is built on
     first use: the sparse A_S (``a_s``: the direct spectral and
-    nonsymmetric routes) and the sparse LU (nonsymmetric Green solves and
-    principal pairs).  A symmetric factor certifies, solves and iterates by
+    nonsymmetric routes) and the sparse LU (nonsymmetric certificates, Green
+    solves and principal pairs).  A symmetric factor certifies, solves and iterates by
     the leading block of a ``_NestedCholesky``: its evaluator's, grown over
     the exhaustion, or a standalone one-level nest.  Its kernels factor
     A_S - sigma D_mu instead (see ``SymmetricFactor``).  The symmetric
@@ -389,18 +387,10 @@ class _FactorBase:
         return self._a_s
 
     def is_positive_definite(self):
-        """Positivity of the restricted principal eigenvalue: the banded Cholesky
-        certificate for symmetric restrictions, the sign of lambda0(S) otherwise.
-        A closed level with D = 0 is singular (A_S 1 = 0) for either kind, and
-        so is its adjoint (A_S^T), whose D* = D + (out - in)/mu is not 0: the
-        rule reads the edges and D of the adjoint's source operator."""
+        """lambda0(S) > 0, certified by the factor that solves (``_m_matrix`` if nonsymmetric)."""
         if self._symmetric:
             return self._cholesky().definite(self.sub.size)
-        src = self.op._adjoint_source or self.op
-        if (not np.any(src.potential[self.sub.positions])
-                and not self.sub.has_absorption(src.transposed)):
-            return False
-        return self.principal_pair()[0] > 0.0
+        return self._m_matrix
 
     def principal_pair(self):
         """(lambda0(S), phi, positive): ``_pair``, with phi made positive where
@@ -750,7 +740,7 @@ class NonsymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub):
         super().__init__(op, sub)
-        self._lu = None  # the sparse LU of A_S, shared by Green solves and principal pairs
+        self._lu = None  # the sparse LU of A_S: certificate, Green solves, principal pair
         self._expm_cache = {}
         self.route = "expm"
 
@@ -761,6 +751,19 @@ class NonsymmetricFactor(_FactorBase):
         if self._lu is None:
             self._lu = _sparse_lu(self.a_s)
         return self._lu
+
+    @functools.cached_property
+    def _m_matrix(self):
+        """Whether u = A_S^-1 1 > 0 and A_S u > 2 k eps |A_S| u, its round-off bound, in every
+        row (k: the most entries in a row): then the Z-matrix A_S is a nonsingular M-matrix, so
+        lambda0(S) > 0 (Berman & Plemmons 1994, ch. 6; Higham 2002, §3.5); no singular level is."""
+        try:
+            u = self._shifted_lu(0.0).solve(np.ones(self.sub.size))
+        except NumericalError:  # SuperLU found A_S exactly singular
+            return False
+        a = self.a_s
+        k = np.bincount(a.indices, minlength=a.shape[0]).max()  # CSC: indices are rows
+        return bool(u.min() > 0.0 and np.all(a @ u > 2.0 * k * np.finfo(float).eps * (abs(a) @ u)))
 
     def _rayleigh(self, v):
         return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))

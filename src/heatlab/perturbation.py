@@ -164,8 +164,8 @@ class IteratedKernelStack:
         return layers[j]
 
     def column_at(self, j, y, t):
-        """k^(j)(., y, t) over the subset: the grid row when t is on the grid,
-        else 4-point Lagrange interpolation, O(h^4)."""
+        """k^(j)(., y, t) over the subset: the grid row when t is on the grid, else
+        Lagrange interpolation on the min(4, n_steps + 1) nodes nearest t, O(h^4)."""
         t = float(t)
         if not (0.0 <= t <= self.t_max + 1e-12 * self.t_max):
             raise ValidationError(f"t={t:g} outside the quadrature grid [0, {self.t_max:g}]")
@@ -174,12 +174,12 @@ class IteratedKernelStack:
         i = int(round(pos))
         if abs(pos - i) <= 1e-9:
             return rows[min(i, self.n_steps)]
-        i0 = min(max(int(np.floor(pos)) - 1, 0), self.n_steps - 3)
+        i0 = min(max(int(np.floor(pos)) - 1, 0), max(self.n_steps - 3, 0))
         ts = self.grid[i0:i0 + 4]
         out = 0.0
-        for a in range(4):
+        for a in range(ts.size):
             w = 1.0
-            for b in range(4):
+            for b in range(ts.size):
                 if a != b:
                     w *= (t - ts[b]) / (ts[a] - ts[b])
             out = out + w * rows[i0 + a]

@@ -183,6 +183,32 @@ def test_malformed_config_exits_2(tmp_path, capsys, text):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # default_rng once raised numpy's ValueError on a negative seed (exit 1)
+    argv = ["perturb", "--fixture", "rad(3)", "--pert-indicator", "1", "--seed", "-1"]
+    assert main(argv) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    for kind in ("small", "semismall"):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text("[fixture]\nname = rad(3)\n\n[perturbation]\nindicator = 1\n\n"
+                       f"[experiment]\nkind = perturb_integrals\nperturbation_kind = {kind}\n"
+                       "seed = -4\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_unconverged_lambda0_exits_3(tmp_path, capsys):
+    # too small a truncation for the well: the principal eigenvalues are still
+    # moving, which is inconclusive, not a numerical failure (at 4001 the same
+    # input converges)
+    well = tmp_path / "well.txt"
+    well.write_text("100 -0.5\n")
+    for command in ("lambda0", "classify"):
+        argv = [command, "--fixture", "lat1", "--ambient-size", "257", "--potential", str(well)]
+        assert main(argv) == 3
+        assert "increments are not shrinking" in capsys.readouterr().err
+
+
 def test_run_missing_config(capsys):
     code = main(["run", "/nonexistent/path.cfg"])
     assert code == 2

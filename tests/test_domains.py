@@ -96,11 +96,11 @@ def test_lattice_rejects_small_and_bad_measure():
 def test_restrict_cases():
     fx = hl.build_lattice_1d(2, "unit")
     single = hl.restrict(fx.domain, [0])
-    assert single.size == 1 and single.has_absorption()
+    assert single.size == 1
     middle = hl.restrict(fx.domain, [-1, 0, 1])
     assert middle.size == 3
     full = hl.restrict(fx.domain, fx.domain.labels)
-    assert full.size == 5 and not full.has_absorption()
+    assert full.size == 5
 
 
 def test_restrict_rejects_disconnected_and_empty():
@@ -298,19 +298,6 @@ def test_int64_labels_resolve_like_python_ints():
         assert label in sub and sub.local_of(label) == sub.local_of(x) == x + 2
         assert fx.exhaustion.first_level_containing(label) == fx.exhaustion.first_level_containing(x)
         assert fx.domain.measure_of(label) == 1.0
-
-
-def test_absorption_is_read_from_stored_edges_in_either_orientation():
-    # S = {0, 1, 2} of a path whose edge 3 -> 2 is one-way: under w no edge
-    # leaves S, under w^T the reversed edge 2 -> 3 does
-    x, y = [0, 1, 1, 2, 3, 3, 4], [1, 0, 2, 1, 2, 4, 3]
-    domain = hl.WeightedDomain(range(5), np.ones(5), (x, y, np.ones(7)))
-    sub = hl.restrict(domain, [0, 1, 2])
-    assert not sub.has_absorption() and sub.has_absorption(True)
-    tail = hl.restrict(domain, [3, 4])  # the other way round
-    assert tail.has_absorption() and not tail.has_absorption(True)
-    full = hl.restrict(domain, range(5))
-    assert not full.has_absorption() and not full.has_absorption(True)
 
 
 def _drift_path_with_a_shortcut():

@@ -417,7 +417,6 @@ def test_measure_form_matches_the_edge_list_in_both_orientations():
     op = hl.assemble(domain, d)
     sub = hl.restrict(domain, range(2, 9))
     pos = sub.positions
-    assert sub.has_absorption() and sub.has_absorption(True)
     for oriented, operator in ((w, op), (w.T, hl.adjoint(op))):
         a = operator.measure_form(sub)
         assert a.format == "csc" and a.shape == (7, 7)
@@ -682,6 +681,46 @@ def test_certificate_rejects_adjoints_of_random_singular_closed_drift_paths():
         assert not fac.is_positive_definite()
         with pytest.raises(hl.NumericalError):
             fac.green_column(0)
+
+
+def test_certificate_reads_one_way_edges_in_either_orientation():
+    # a path whose edge 3 -> 2 is one-way, D = 0: under w no edge leaves
+    # S = {0, 1, 2}, so A_S 1 = 0 and A_S is singular, and so is the adjoint's
+    # A_S^T although its reversed edge 2 -> 3 leaves S; {3, 4} loses 3 -> 2
+    # under w, and both A_S and A_S^T are nonsingular M-matrices; the whole
+    # domain is closed for both
+    x, y = [0, 1, 1, 2, 3, 3, 4], [1, 0, 2, 1, 2, 4, 3]
+    domain = hl.WeightedDomain(range(5), np.ones(5), (x, y, np.ones(7)))
+    op = hl.assemble(domain)
+    for labels, certified in (([0, 1, 2], False), ([3, 4], True), (range(5), False)):
+        sub = hl.restrict(domain, labels)
+        for operator in (op, hl.adjoint(op)):
+            assert NonsymmetricFactor(operator, sub).is_positive_definite() is certified
+
+
+def test_certificate_agrees_with_the_principal_eigenvalue_on_random_drift_paths():
+    # open drift paths (S drops both ends) with random measure, conductances
+    # and a one-vertex well of random depth, and their adjoints: lambda0(S)
+    # takes both signs, and the M-matrix certificate reads its sign
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for _ in range(100):
+        n = int(rng.integers(3, 25))
+        right, left = rng.uniform(0.05, 3.0, (2, n + 1))
+        edges = {}
+        for x in range(n + 1):
+            edges[(x, x + 1)], edges[(x + 1, x)] = float(right[x]), float(left[x])
+        domain = hl.WeightedDomain(range(n + 2), rng.uniform(0.5, 2.0, n + 2), edges)
+        d = np.zeros(n + 2)
+        d[rng.integers(1, n + 1)] = -rng.uniform(0.0, 1.0)
+        op = hl.assemble(domain, d)
+        sub = hl.restrict(domain, range(1, n + 1))
+        for operator in (op, hl.adjoint(op)):
+            fac = NonsymmetricFactor(operator, sub)
+            certified = fac.principal_pair()[0] > 0.0
+            assert fac.is_positive_definite() is certified
+            verdicts.append(certified)
+    assert 50 < sum(verdicts) < 150
 
 
 # -- the Krylov point route against the dense all-pairs route --------------------
@@ -1403,8 +1442,28 @@ def test_a_nest_that_only_solves_holds_no_u():
         assert nest.ab.size == 0 and nest._l.size == nest.size - 1
 
 
+def test_drift_green_limit_runs_no_eigensolve(monkeypatch):
+    # each level is certified by the LU that solves it, not by the sign of a
+    # principal eigenvalue
+    import heatlab.kernels as hk
+
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(hk, "_inverse_iteration", counted(hk._inverse_iteration))
+    monkeypatch.setattr(hk._FactorBase, "principal_pair", counted(hk._FactorBase.principal_pair))
+    fx = build_drift_lattice(192)
+    r = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion).green(0, 1)
+    assert r.converged and len(r.history) > 3 and calls == []
+
+
 def test_drift_green_limit_factors_each_restriction_once(monkeypatch):
-    # the principal pair's LU at sigma = min D = 0 is the Green solves' LU
+    # the certificate's LU of A_S is the Green solves' LU: one per level
     import heatlab.kernels as hk
 
     seen = []
@@ -1419,4 +1478,4 @@ def test_drift_green_limit_factors_each_restriction_once(monkeypatch):
     ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
     r = ev.green(0, 1)
     assert r.converged and r.value == pytest.approx(2.5, rel=1e-12)
-    assert len(r.history) > 3 and len(set(seen)) == len(seen)
+    assert len(r.history) > 3 and len(set(seen)) == len(seen) == len(r.history)

@@ -455,6 +455,21 @@ def test_self_check_rejects_one_step_stack(lat1_nine):
     assert type(info.value) is hl.ValidationError
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_off_grid_times_interpolate_on_short_grids(n_steps):
+    # fewer than 4 grid nodes once indexed past the grid; the interpolant
+    # reads the n_steps + 1 nodes there are and is exact on linear data
+    fx = hl.fixture("lat1", ambient_size=33)
+    op = hl.assemble(fx.domain)
+    sub = hl.restrict(fx.domain, range(-5, 6))
+    stack = pert.IteratedKernelStack(op, hl.Potential.indicator(fx.domain, [0]), sub,
+                                     t_max=1.0, n_steps=n_steps)
+    assert np.isfinite(stack.value(1, 0, 0, 0.3))
+    slope = np.linspace(-1.0, 1.0, sub.size)
+    stack.layer_column(0, 1)[:] = 0.5 + stack.grid[:, None] * slope
+    assert stack.column_at(1, 0, 0.3) == pytest.approx(0.5 + 0.3 * slope, rel=1e-13, abs=1e-15)
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
 def test_neumann_rejects_nonfinite_coupling(scalar_stack, eps):
     with pytest.raises(hl.HeatLabError, match="coupling must be finite") as info:
