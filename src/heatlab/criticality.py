@@ -33,7 +33,12 @@ from .kernels import (
 )
 from .operators import EllipticOperator, Potential, add_potential, adjoint
 from .perturbation import _check_integer
-from .series import fit_log_time_formula, neville_extrapolate, neville_in_size
+from .series import (
+    fit_log_time_formula,
+    increments_decreasing,
+    neville_extrapolate,
+    neville_in_size,
+)
 
 
 class Classification(enum.Enum):
@@ -116,8 +121,7 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
     if len(values) == 1:
         return result(values[-1], float("inf"))
     d_last = abs(values[-2] - values[-1])
-    increments = np.diff(np.asarray(values))
-    shrinking = len(values) < 3 or abs(increments[-1]) <= abs(increments[-2]) * (1.0 + 1e-3)
+    shrinking = len(values) < 3 or increments_decreasing(values[-3:])
     if not shrinking and d_last > tol * max(1.0, abs(values[-1])):
         raise InconclusiveError("principal eigenvalue increments are not shrinking; no convergence")
     extrap, _ = neville_in_size(sizes, values, min(5, len(values)))
@@ -363,10 +367,15 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         raise ValidationError("bracket must be finite")
     if lo >= hi:
         raise ValidationError("bracket must satisfy lo < hi")
-    if np.count_nonzero(potential.values) > exhaustion[len(exhaustion) - 1].size:
-        raise ValidationError("potential support exceeds the exhaustion")
     x0, y0 = default_reference_pair(exhaustion)
     base_ev = HeatKernelEvaluator(op, exhaustion)
+    # the oracle reads G on every support pair, so each must lie in a usable level
+    last = exhaustion[base_ev.usable_levels()[-1]].positions
+    support = np.flatnonzero(potential.values != 0.0)
+    outside = support[last[np.minimum(np.searchsorted(last, support), last.size - 1)] != support]
+    if outside.size:
+        raise ValidationError(f"potential support vertex {op.domain.labels[outside[0]]} "
+                              "is outside the last usable exhaustion level")
     _require_subcritical(base_ev.green(x0, y0, tol=green_tol))
 
     history = []

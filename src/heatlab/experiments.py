@@ -339,8 +339,7 @@ def write_csv(path, fieldnames, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_fmt(row.get(k, "")) if isinstance(row, dict) else _fmt(row[i])
-                             for i, k in enumerate(fieldnames)])
+            writer.writerow([_fmt(row.get(k, "")) for k in fieldnames])
 
 
 EXPERIMENT_KINDS = (

@@ -50,8 +50,8 @@ representable however widely the jump rates 1/mu spread.
   coordinates of the level's own order, those of its factor of
   A_S - sigma D_mu, where a step costs one O(n) solve
   (``_NestedCholesky.solve``).
-* All-pairs queries (kernel and semigroup matrices, lambda_min, the
-  perturbation module's first layer) eigendecompose the whole level: H
+* All-pairs queries (kernel and semigroup matrices, the perturbation
+  module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
 
 Principal pairs (lambda0(S), phi) come from inverse iteration on the leading
@@ -588,8 +588,8 @@ class SymmetricFactor(_FactorBase):
     t of a grid from one shift-and-invert Lanczos basis started at e_y, built
     on first use and extended as later times ask for more steps; ``kernel``
     is the one-t call.  All-pairs queries
-    (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``,
-    ``lambda_min``, ``route``) use the dense eigendecomposition of the level.
+    (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``) use the
+    dense eigendecomposition of the level, ``spectral()``.
     """
 
     _symmetric = True
@@ -672,14 +672,6 @@ class SymmetricFactor(_FactorBase):
             self._spectral = self._build_spectral()
         return self._spectral
 
-    @property
-    def route(self):
-        return self.spectral()[2]
-
-    @property
-    def lambda_min(self):
-        return float(self.spectral()[0][0])
-
     def kernels(self, ix, iy, ts):
         """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
         from column y's basis; a t whose basis has not settled has its
@@ -742,7 +734,6 @@ class NonsymmetricFactor(_FactorBase):
         super().__init__(op, sub)
         self._lu = None  # the sparse LU of A_S: certificate, Green solves, principal pair
         self._expm_cache = {}
-        self.route = "expm"
 
     def _shifted_lu(self, sigma):
         """The sparse LU of A_S - sigma D_mu; at sigma = 0 the one cached LU of A_S."""
@@ -824,10 +815,6 @@ class NonsymmetricFactor(_FactorBase):
     def apply_semigroup(self, t, vec):
         return self.semigroup_matrix(t) @ vec
 
-    @property
-    def lambda_min(self):
-        return self.principal_pair()[0]
-
 
 def factorize(op: EllipticOperator, sub: IndexedSubdomain, nested=None):
     """The factor of ``op`` on ``sub``.  A symmetric one certifies and solves by
@@ -860,11 +847,6 @@ def green_finite(op: EllipticOperator, sub: IndexedSubdomain, x, y, factor=None)
     """Dirichlet Green value G(x, y) = [K_S^-1](x, y)/mu(y) on a fixed subdomain."""
     fac = factor if factor is not None else factorize(op, sub)
     return fac.green(sub.local_of(x), sub.local_of(y))
-
-
-def principal_dirichlet_eigenvalue(op: EllipticOperator, sub: IndexedSubdomain) -> float:
-    """Principal eigenvalue of the Dirichlet restriction of ``op`` to ``sub``."""
-    return factorize(op, sub).principal_pair()[0]
 
 
 def check_tolerance(tol) -> float:

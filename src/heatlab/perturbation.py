@@ -22,7 +22,7 @@ spectral (symmetric) and block-exponential (any operator).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +34,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .kernels import SymmetricFactor, factorize
+from .kernels import SymmetricFactor, _check_time, factorize
 from .operators import EllipticOperator, Potential, add_potential
 from .series import fit_loglog_slope, geometric_grid
 
@@ -234,9 +234,7 @@ def first_layer_spectral(op: EllipticOperator, potential: Potential,
     Independent of the Simpson recursion: the time integral of each spectral
     pair is evaluated in closed form.
     """
-    t = float(t)
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValidationError("t must be finite and nonnegative")
+    t = _check_time(t)
     fac = factor if factor is not None else factorize(op, subset)
     if not isinstance(fac, SymmetricFactor):
         raise ValidationError("the spectral first layer needs a symmetric operator")
@@ -386,7 +384,11 @@ def duhamel_residual(op: EllipticOperator, potential: Potential, eps,
 
 @dataclass
 class EquivalenceReport:
-    """Sampled kernel-ratio bounds for one coupling against the 3-k prediction."""
+    """Sampled kernel-ratio bounds for one coupling against the 3-k prediction.
+
+    The ratios run over ``samples`` pairs and times above the noise floor.  C
+    is a sampled lower bound of the true sup, so the verdicts are conditional.
+    """
 
     epsilon: float
     c_estimate: float
@@ -394,24 +396,11 @@ class EquivalenceReport:
     lower_ratio: float
     bound_satisfied: bool | None  # None when C|eps| >= 1 (no prediction)
     max_principle_ok: bool | None  # for nonnegative V and eps > 0
-    conditional: bool = True  # C is a sampled lower bound of the true sup
     samples: int = 0
-    sample_rows: list = field(default_factory=list)
-
-    def rows(self):
-        """Per-sample rows (x, y, t, alpha_or_eps, lhs, rhs, margin) when kept,
-        else a one-line aggregate with the same columns."""
-        if self.sample_rows:
-            return self.sample_rows
-        rhs = (1.0 / (1.0 - self.c_estimate * abs(self.epsilon))
-               if self.c_estimate * abs(self.epsilon) < 1.0 else "")
-        return [{"x": "", "y": "", "t": "", "alpha_or_eps": self.epsilon,
-                 "lhs": self.upper_ratio, "rhs": rhs,
-                 "margin": rhs - self.upper_ratio if rhs != "" else ""}]
 
 
 def equivalence_check(op: EllipticOperator, potential: Potential,
-                      eps_list, subset: IndexedSubdomain, t_grid=None, keep_samples=False):
+                      eps_list, subset: IndexedSubdomain, t_grid=None):
     """Kernel-ratio equivalence reports per coupling.
 
     Verifies upper_ratio <= 1/(1 - C|eps|) when C|eps| < 1, and for
@@ -429,7 +418,6 @@ def equivalence_check(op: EllipticOperator, potential: Potential,
         fac_e = factorize(add_potential(op, potential, eps), subset)
         upper, lower = -np.inf, np.inf
         count = 0
-        kept = []
         for t in t_grid:
             k0 = fac.kernel_matrix(t)
             ke = fac_e.kernel_matrix(t)
@@ -440,47 +428,29 @@ def equivalence_check(op: EllipticOperator, potential: Potential,
                 upper = max(upper, float(ratios.max()))
                 lower = min(lower, float(ratios.min()))
                 count += int(ratios.size)
-                if keep_samples and c * abs(eps) < 1.0:
-                    bound = 1.0 / (1.0 - c * abs(eps))
-                    for ix, iy in zip(*np.nonzero(good)):
-                        lhs_v = float(ke[ix, iy])
-                        rhs_v = bound * float(k0[ix, iy])
-                        kept.append({"x": int(subset.labels[ix]), "y": int(subset.labels[iy]),
-                                     "t": float(t), "alpha_or_eps": eps,
-                                     "lhs": lhs_v, "rhs": rhs_v, "margin": rhs_v - lhs_v})
         bound = None
         if c * abs(eps) < 1.0:
             bound = bool(upper <= 1.0 / (1.0 - c * abs(eps)) + 1e-6)
         mp = None
         if v_nonneg and eps > 0.0:
             mp = bool(upper <= 1.0 + 1e-6)
-        reports.append(EquivalenceReport(eps, c, upper, lower, bound, mp,
-                                         conditional=True, samples=count,
-                                         sample_rows=kept))
+        reports.append(EquivalenceReport(eps, c, upper, lower, bound, mp, samples=count))
     return reports
 
 
 @dataclass
 class ConvexityReport:
-    """Sampled check of log-convexity of kernels along a potential segment."""
+    """Sampled check of log-convexity of kernels along a potential segment;
+    ``worst_margin`` is the least rhs - lhs over all ``samples``."""
 
     holds: bool
     worst_margin: float
     samples: int
-    violations: list = field(default_factory=list)
-    sample_rows: list = field(default_factory=list)
-
-    def rows(self):
-        """Per-sample rows (x, y, t, alpha_or_eps, lhs, rhs, margin)."""
-        if self.sample_rows:
-            return self.sample_rows
-        return [{"x": x, "y": y, "t": t, "alpha_or_eps": a, "lhs": l, "rhs": r,
-                 "margin": r - l} for (x, y, t, a, l, r) in self.violations]
+    violations: list  # (x, y, t, alpha, lhs, rhs) of each failing sample
 
 
 def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
-                    subset: IndexedSubdomain, pairs, t_values, exhaustion=None,
-                    keep_samples=False) -> ConvexityReport:
+                    subset: IndexedSubdomain, pairs, t_values, exhaustion=None) -> ConvexityReport:
     """Check k_alpha <= k_0^(1-alpha) k_1^alpha (to 1e-10 relative) at samples.
 
     The segment hypothesis lambda0 >= 0 at both endpoints is verified first
@@ -503,7 +473,6 @@ def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
     fac1 = factorize(op1, subset)
     worst = np.inf
     violations = []
-    kept = []
     count = 0
     fac_alpha = {}
     for alpha in alphas:
@@ -531,13 +500,8 @@ def convexity_check(op0: EllipticOperator, op1: EllipticOperator, alphas,
                     continue
                 lhs = ma[ix, iy]
                 rhs = m0[ix, iy] ** (1.0 - alpha) * m1[ix, iy] ** alpha
-                margin = rhs - lhs
-                worst = min(worst, margin)
+                worst = min(worst, rhs - lhs)
                 count += 1
-                if keep_samples:
-                    kept.append({"x": int(x), "y": int(y), "t": t,
-                                 "alpha_or_eps": alpha, "lhs": float(lhs),
-                                 "rhs": float(rhs), "margin": float(margin)})
                 if lhs > rhs + 1e-10 * max(abs(rhs), 1e-300):
                     violations.append((int(x), int(y), t, alpha, float(lhs), float(rhs)))
-    return ConvexityReport(not violations, float(worst), count, violations, kept)
+    return ConvexityReport(not violations, float(worst), count, violations)

@@ -1,6 +1,10 @@
-"""CLI subcommands, flags and exit codes (0 ok / 2 validation / 3 inconclusive)."""
+"""CLI subcommands, flags and exit codes (0 ok / 2 validation / 3 inconclusive),
+and the README's library quick tour."""
 
+import ast
+import math
 import os
+from pathlib import Path
 
 import pytest
 from scipy import special
@@ -105,6 +109,26 @@ def test_coupling_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "alpha0: 2.236" in out
+
+
+@pytest.mark.parametrize("argv, outside", [
+    # the absorbing ghost vertex of rad(3), in no level
+    (["--fixture", "rad(3)", "--ambient-size", "100", "--pert-indicator", "101"], 101),
+    (["--fixture", "rad(3)", "--ambient-size", "100", "--pert-indicator", "1,101"], 101),
+    # a vertex of the closed top level only, which no limit uses
+    (["--fixture", "lat1", "--ambient-size", "65", "--constant", "1",
+      "--pert-indicator", "32"], 32),
+])
+def test_coupling_support_outside_the_usable_levels_exits_2(monkeypatch, capsys, argv,
+                                                           outside):
+    def no_limit(*args, **kwargs):
+        raise AssertionError("Green limit computed")
+
+    monkeypatch.setattr(hl.HeatKernelEvaluator, "green", no_limit)
+    code = main(["coupling", *argv, "--pert-value", "-1", "--bracket", "0", "40"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and f"vertex {outside} " in err
 
 
 def test_perturb_command(capsys):
@@ -367,3 +391,24 @@ def test_label_beyond_int64_exits_2(capsys):
                  "--x", "99999999999999999999", "--y", "0", "--t", "1"])
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def test_readme_quick_tour_runs_as_documented():
+    # the README's "Library quick tour" block, run statement by statement; each
+    # bare expression's value is checked against what its comment promises
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    source = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            values[ast.unparse(node.value)] = eval(ast.unparse(node.value), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    heat = values["ev.heat_kernel(0, 0, 1.0)"]
+    assert heat.converged and heat.value == pytest.approx(0.30850832, abs=1e-8)
+    assert values["ev.green(0, 0)"].diverging
+    assert values["rep.label"] == "null-critical"
+    assert values["hl.classify(op1, fx.exhaustion).label"] == "subcritical"
+    alpha0 = values["hl.critical_coupling(op1, w, fx.exhaustion, bracket=(0, 4)).alpha0"]
+    assert abs(alpha0 - math.sqrt(5.0)) <= 1e-4

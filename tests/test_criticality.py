@@ -19,7 +19,7 @@ import pytest
 import heatlab as hl
 from heatlab import criticality as crit
 from heatlab.domains import single_vertex_domain
-from heatlab.kernels import principal_dirichlet_eigenvalue
+from heatlab.kernels import factorize
 from heatlab.series import neville_extrapolate
 
 
@@ -29,7 +29,7 @@ from heatlab.series import neville_extrapolate
 def test_path_dirichlet_eigenvalue_formula(lat1, lat1_op, n):
     half = (n - 1) // 2
     sub = hl.restrict(lat1.domain, range(-half, half + 1))
-    lam = principal_dirichlet_eigenvalue(lat1_op, sub)
+    lam = factorize(lat1_op, sub).principal_pair()[0]
     assert lam == pytest.approx(2.0 * (1.0 - np.cos(np.pi / (n + 1))), abs=1e-10)
 
 

@@ -244,7 +244,7 @@ def test_green_agrees_with_time_quadrature(lat1):
     fac = factorize(op, sub)
     x, y = 0, 1
     g_solve = hl.green_finite(op, sub, x, y, factor=fac)
-    lam_min = fac.lambda_min
+    lam_min = fac.spectral()[0][0]
     t_min, T = 1e-6, 80.0 / lam_min
 
     def kernel(t):
@@ -349,16 +349,16 @@ def test_maximum_principle_pointwise(lat1, lat1_op):
 
 def test_inverse_route_matches_direct_route(lat1, lat1_op, monkeypatch):
     # point kernels always take the Lanczos route; the all-pairs kernel
-    # matrix and lambda_min are what the route choice serves
+    # matrix and the spectrum are what the route choice serves
     import heatlab.kernels as hk
 
     sub = hl.restrict(lat1.domain, range(-15, 16))
     direct = hk.SymmetricFactor(lat1_op, sub)
-    assert direct.route == "direct"  # force the lazy build before patching
+    assert direct.spectral()[2] == "direct"  # force the lazy build before patching
     monkeypatch.setattr(hk, "WELL_SCALED_RATE", 0.0)
     inverse = hk.SymmetricFactor(lat1_op, sub)
-    assert inverse.route == "inverse"
-    assert inverse.lambda_min == pytest.approx(direct.lambda_min, rel=1e-11)
+    assert inverse.spectral()[2] == "inverse"
+    assert inverse.spectral()[0][0] == pytest.approx(direct.spectral()[0][0], rel=1e-11)
     for t in (0.5, 2.0):
         a, b = direct.kernel_matrix(t), inverse.kernel_matrix(t)
         assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
@@ -579,13 +579,13 @@ def test_inverse_route_keeps_negative_eigenvalues(level):
     sub = fx.exhaustion[level]
     op = hl.assemble(fx.domain)
     base, shifted = SymmetricFactor(op, sub), SymmetricFactor(hl.shift(op, 0.3), sub)
-    assert shifted.route == "inverse" and not shifted.is_positive_definite()
+    assert shifted.spectral()[2] == "inverse" and not shifted.is_positive_definite()
     i0 = sub.local_of(0)
     for t in (1.0, 5.0):
         expected = np.exp(0.3 * t) * base.kernel(i0, i0, t)
         assert shifted.kernel(i0, i0, t) == pytest.approx(expected, rel=1e-12)
-    assert shifted.lambda_min < 0.0
-    assert shifted.lambda_min == pytest.approx(shifted.principal_pair()[0], abs=1e-10)
+    assert shifted.spectral()[0][0] < 0.0
+    assert shifted.spectral()[0][0] == pytest.approx(shifted.principal_pair()[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("factor_type", [NonsymmetricFactor, SymmetricFactor])
@@ -615,7 +615,7 @@ def test_shifted_inverse_route_conserves_mass():
     domain = hl.WeightedDomain(labels, {x: 2.0 ** -abs(x) for x in labels}, edges)
     sub = hl.restrict(domain, labels)
     fac = SymmetricFactor(hl.assemble(domain), sub)
-    assert fac.route == "inverse" and not fac.is_positive_definite()
+    assert fac.spectral()[2] == "inverse" and not fac.is_positive_definite()
     i0 = sub.local_of(0)
     for t in (0.5, 5.0, 50.0):
         mass = sum(fac.kernel(ix, i0, t) * sub.mu[ix] for ix in range(sub.size))
@@ -633,7 +633,7 @@ def test_inverse_route_needs_no_sparse_lu(monkeypatch):
     sub = fx.exhaustion[5]
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
     assert fac.is_positive_definite()
-    assert fac.route == "inverse"
+    assert fac.spectral()[2] == "inverse"
     i0 = sub.local_of(0)
     assert fac.kernel(i0, i0, 1.0) > 0.0
     assert np.all(np.isfinite(fac.kernel_matrix(1.0)))
@@ -654,12 +654,12 @@ def test_inverse_route_matches_direct_route_in_scrambled_order(monkeypatch, cons
     assert not np.array_equal(perm[perm], np.arange(sub.size))
     op = hl.assemble(domain, hl.Potential.constant(domain, constant))
     direct = SymmetricFactor(op, sub)
-    assert direct.route == "direct"
+    assert direct.spectral()[2] == "direct"
     monkeypatch.setattr(hk, "WELL_SCALED_RATE", 0.0)
     inverse = SymmetricFactor(op, sub)
-    assert inverse.route == "inverse"
+    assert inverse.spectral()[2] == "inverse"
     assert inverse.is_positive_definite() is (constant > 0.0)
-    assert inverse.lambda_min == pytest.approx(constant, abs=1e-12)
+    assert inverse.spectral()[0][0] == pytest.approx(constant, abs=1e-12)
     for t in (0.3, 2.0):
         a, b = direct.kernel_matrix(t), inverse.kernel_matrix(t)
         assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a))
@@ -749,7 +749,7 @@ def test_point_route_matches_dense_inverse_route_on_geometric_measure():
     fx = hl.fixture("lat1_geo(0.5)", ambient_size=257)
     sub = fx.exhaustion[7]  # 255 vertices, jump rates up to 2^127
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
-    assert fac.route == "inverse" and fac.is_positive_definite()
+    assert fac.spectral()[2] == "inverse" and fac.is_positive_definite()
     _assert_point_route_matches_dense(fac, [sub.local_of(y) for y in (0, 1, -3, 20)])
 
 
@@ -758,7 +758,7 @@ def test_point_route_matches_dense_route_on_indefinite_levels(level):
     fx = hl.fixture("lat1_geo(0.5)", ambient_size=129)
     sub = fx.exhaustion[level]
     fac = SymmetricFactor(hl.shift(hl.assemble(fx.domain), 0.3), sub)
-    assert not fac.is_positive_definite() and fac.lambda_min < 0.0
+    assert not fac.is_positive_definite() and fac.spectral()[0][0] < 0.0
     _assert_point_route_matches_dense(fac, [sub.local_of(y) for y in (0, 2, -5)])
 
 
