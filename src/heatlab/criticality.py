@@ -66,7 +66,8 @@ def default_reference_pair(exhaustion: Exhaustion):
     first = exhaustion[0]
     x0 = int(first.labels[0])
     domain = exhaustion.domain
-    neighbors = domain._undirected_adjacency()[int(domain.positions_of(x0))].nonzero()[1]
+    adj, p = domain._undirected_adjacency(), int(domain.positions_of(x0))
+    neighbors = adj.indices[adj.indptr[p]:adj.indptr[p + 1]]  # in storage order
     if neighbors.size == 0:
         return x0, x0  # single-vertex domain
     for j in range(len(exhaustion)):

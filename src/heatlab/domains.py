@@ -5,6 +5,9 @@ nonnegative directed edge weights ``w``.  Infinite model domains (the 1-d
 lattice, the radial half-line) are represented by a large ambient truncation
 marked ``truncated=True``; every infinite-domain quantity is then a limit
 along an exhaustion of finite subsets lying inside the truncation.
+
+A domain keeps one CSR matrix of w (and one of w^T when w is not symmetric),
+built without other copies; an exhaustion level keeps only its positions.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +47,14 @@ class WeightedDomain:
         domain, in which case exhausting it without convergence is reported
         as inconclusive rather than exact.
 
+    The domain keeps ``labels`` (int64, in the given order), ``mu`` and
+    ``weights``, the canonical CSR matrix of w (sorted columns, duplicate
+    edges summed), built straight from the edge arrays.  It is ``symmetric``
+    when w stores exactly as its CSC form, i.e. as w^T; otherwise that form
+    is kept as w^T for ``oriented_weights(True)``.  Label lookups search the
+    labels themselves when they are sorted (every fixture and edge-list
+    file), else a sorted copy and its permutation.
+
     A path on 0, 1, 2 with unit measure and conductances, in the array form::
 
         hl.WeightedDomain(labels, mu, (x, y, w))
@@ -57,10 +68,15 @@ class WeightedDomain:
         n = self.labels.size
         if n == 0:
             raise ValidationError("domain needs at least one vertex")
-        order = np.argsort(self.labels)
-        self._label_order = (order, self.labels[order])  # for positions_of
-        if np.any(np.diff(self._label_order[1]) == 0):
-            raise ValidationError("duplicate vertex labels")
+        # positions_of searches (permutation, sorted labels): no permutation and
+        # no copy when the labels come sorted
+        if np.all(self.labels[1:] > self.labels[:-1]):
+            self._label_order = (None, self.labels)
+        else:
+            order = np.argsort(self.labels)
+            self._label_order = (order, self.labels[order])
+            if np.any(np.diff(self._label_order[1]) == 0):
+                raise ValidationError("duplicate vertex labels")
 
         mu = (self.vertex_vector(measure, "measure") if isinstance(measure, dict)
               else np.asarray(measure, dtype=float))
@@ -71,6 +87,21 @@ class WeightedDomain:
         self.mu = mu
         self.max_mu = float(mu.max())
 
+        self.weights = self._weight_matrix(edge_weights)
+        self._weights_t = _transpose(self.weights)
+        self.symmetric = self._weights_t is self.weights
+        self._out_weights = {}
+        self._adjacency = None
+        self.truncated = bool(truncated)
+        self.name = name
+
+        if n > 1 and not self._connected():
+            raise ValidationError("support graph is not connected")
+
+    def _weight_matrix(self, edge_weights):
+        """The canonical CSR matrix of w from a mapping or (x, y, w) label
+        arrays; duplicate edges are summed."""
+        n = self.labels.size
         try:
             if isinstance(edge_weights, tuple):
                 x, y, w = edge_weights
@@ -86,7 +117,10 @@ class WeightedDomain:
         # every check reports the first offending edge, in the given order
         negative, loop = w < 0.0, x == y
         kept = ~loop & (w != 0.0)
-        px, py = self.positions_of(x), self.positions_of(y)
+        # the CSR's index type, so that scipy keeps the positions uncopied
+        index = np.int32 if max(n, w.size) <= np.iinfo(np.int32).max else np.int64
+        px = self.positions_of(x).astype(index)
+        py = self.positions_of(y).astype(index)
         bad = negative | (loop & (w != 0.0)) | (kept & ((px < 0) | (py < 0)))
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -95,21 +129,12 @@ class WeightedDomain:
             if loop[k]:
                 raise ValidationError(f"nonzero loop weight at vertex {x[k]}")
             raise ValidationError(f"edge ({x[k]}, {y[k]}) references unknown vertex")
-        self.weights = sp.csr_matrix((w[kept], (px[kept], py[kept])), shape=(n, n))
-        self.weights.sum_duplicates()
-        if not np.all(np.isfinite(self.weights.data)):
+        if not kept.all():
+            px, py, w = px[kept], py[kept], w[kept]
+        weights = sp.csr_matrix((w, (px, py)), shape=(n, n))
+        if not np.all(np.isfinite(weights.data)):
             raise ValidationError("edge weights must be finite")
-
-        self._weights_t = None
-        self._out_weights = {}
-        self._adjacency = None
-        sym = self.weights - self.weights.T
-        self.symmetric = bool(abs(sym).max() == 0.0) if sym.nnz else True
-        self.truncated = bool(truncated)
-        self.name = name
-
-        if n > 1 and not self._connected(np.arange(n)):
-            raise ValidationError("support graph is not connected")
+        return weights
 
     @property
     def n_vertices(self):
@@ -118,8 +143,13 @@ class WeightedDomain:
     def positions_of(self, labels):
         """Internal positions of an int64 label array; -1 where a label is absent."""
         order, ordered = self._label_order
-        positions = order[np.minimum(np.searchsorted(ordered, labels), order.size - 1)]
-        return np.where(self.labels[positions] == labels, positions, -1)
+        positions = np.asarray(np.searchsorted(ordered, labels))
+        np.minimum(positions, ordered.size - 1, out=positions)
+        found = ordered[positions] == labels
+        if order is not None:
+            positions = np.asarray(order[positions])
+        positions[~found] = -1
+        return positions
 
     def _positions(self, labels, what):
         """Positions of a label or label array; ``what`` names the labels in the
@@ -155,11 +185,7 @@ class WeightedDomain:
 
     def oriented_weights(self, transposed):
         """The weights w, or (``transposed``) w^T, the weights of an adjoint."""
-        if not transposed:
-            return self.weights
-        if self._weights_t is None:
-            self._weights_t = self.weights.T.tocsr()
-        return self._weights_t
+        return self._weights_t if transposed else self.weights
 
     def out_weights(self, transposed=False):
         """Each vertex's total out-weight under ``oriented_weights(transposed)``:
@@ -181,19 +207,25 @@ class WeightedDomain:
         if self.symmetric:
             return self.weights
         if self._adjacency is None:
-            self._adjacency = self.weights + self.weights.T
+            self._adjacency = self.weights + self._weights_t
         return self._adjacency
 
-    def _connected(self, positions):
-        """True iff the undirected support graph restricted to ``positions`` is connected."""
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.size == 0:
-            return False
-        if positions.size == 1:
-            return True
-        adj = self._undirected_adjacency()[positions][:, positions]
-        n_comp = sp.csgraph.connected_components(adj, directed=False, return_labels=False)
-        return n_comp == 1
+    def _connected(self, positions=None):
+        """True iff the undirected support graph restricted to ``positions``
+        (distinct domain positions; None: every vertex) is connected."""
+        adj = self._undirected_adjacency()
+        if positions is not None:
+            positions = np.asarray(positions, dtype=np.intp)
+            if positions.size == 0:
+                return False
+            lo, hi = positions.min(), positions.max() + 1
+            if hi - lo == positions.size:  # consecutive positions: one copy, or none
+                adj = adj if hi - lo == adj.shape[0] else adj[lo:hi, lo:hi]
+            else:
+                adj = adj[positions][:, positions]
+        # adj is symmetric: the vertices reached from the first are its component
+        reached = sp.csgraph.breadth_first_order(adj, 0, return_predecessors=False)
+        return reached.size == adj.shape[0]
 
     def __repr__(self):
         return f"WeightedDomain({self.name or 'unnamed'}, n={self.n_vertices})"
@@ -293,6 +325,17 @@ class NestedOrder:
                                           self.domain.out_weights()[shell[order]]))
 
 
+def _transpose(matrix):
+    """The transpose of a canonical CSR matrix, as CSR, or the matrix itself
+    when it is symmetric: canonical storage is unique, so that is when the
+    matrix stores exactly as its CSC form, whose arrays are the transpose's."""
+    t = matrix.tocsc()
+    if all(np.array_equal(getattr(matrix, part), getattr(t, part))
+           for part in ("indptr", "indices", "data")):
+        return matrix
+    return sp.csr_matrix((t.data, t.indices, t.indptr), shape=matrix.shape[::-1])
+
+
 def _csr_rows(matrix, rows):
     """(entries per row, columns, values) of the given rows of a CSR matrix,
     concatenated in the order of ``rows``."""
@@ -308,30 +351,39 @@ class IndexedSubdomain:
     Operators restricted to the subset impose Dirichlet (absorbing)
     conditions outside of it: the restricted action matrix is the principal
     submatrix of the full one, so edges leaving the subset become pure
-    absorption.  The subset keeps only its domain positions, sorted, and
-    their labels; an operator assembles its sparse restriction where that
-    is read (``EllipticOperator.measure_form``).
+    absorption.  The subset keeps only its domain positions, sorted; its
+    ``labels`` and ``mu`` are read through the domain, and an operator
+    assembles its sparse restriction where that is read
+    (``EllipticOperator.measure_form``).  Connectivity is checked on the
+    support graph's block when the positions are consecutive (every level of
+    the path fixtures), else on the induced subgraph.
     """
 
     def __init__(self, domain: WeightedDomain, subset):
-        labels = np.sort(np.asarray(
-            subset if isinstance(subset, np.ndarray) else list(subset)).astype(np.int64))
+        labels = np.asarray(
+            subset if isinstance(subset, np.ndarray) else list(subset)).astype(np.int64, copy=False)
         if not labels.size:
             raise ValidationError("empty subset")
-        labels = labels[np.r_[True, labels[1:] != labels[:-1]]]  # drop duplicates
+        if not np.all(labels[1:] > labels[:-1]):
+            labels = np.unique(labels)  # sorted, without duplicates
         positions = domain.positions_of(labels)
         missing = labels[positions < 0]
         if missing.size:
             raise ValidationError(f"subset vertices not in domain: {missing[:5].tolist()}")
         self.domain = domain
-        self.positions = np.sort(positions)
-        self.labels = domain.labels[self.positions]
+        # sorted labels sit at sorted positions unless the domain's labels are unsorted
+        self.positions = positions if domain._label_order[0] is None else np.sort(positions)
         if not domain._connected(self.positions):
             raise ValidationError("subset is not connected in the support graph")
 
     @property
     def size(self):
-        return int(self.labels.size)
+        return int(self.positions.size)
+
+    @property
+    def labels(self):
+        """The vertex labels in local (position) order."""
+        return self.domain.labels[self.positions]
 
     @property
     def mu(self):
@@ -359,10 +411,9 @@ class IndexedSubdomain:
 
     def _local(self, x):
         """Local index of label x, or -1 when x is not in the subset."""
-        x, (order, ordered) = int(x), self.domain._label_order
-        p = order[min(int(ordered.searchsorted(x)), ordered.size - 1)]
+        p = int(self.domain.positions_of(int(x)))
         i = int(np.searchsorted(self.positions, p))
-        return i if self.domain.labels[p] == x and i < self.size and self.positions[i] == p else -1
+        return i if p >= 0 and i < self.size and self.positions[i] == p else -1
 
     def local_of(self, x):
         i = self._local(x)
@@ -382,8 +433,15 @@ def restrict(domain: WeightedDomain, subset) -> IndexedSubdomain:
     return IndexedSubdomain(domain, subset)
 
 
+def _within(inner, outer):
+    """True iff every entry of the sorted array ``inner`` is in the sorted ``outer``."""
+    at = np.minimum(np.searchsorted(outer, inner), outer.size - 1)
+    return bool(np.array_equal(outer[at], inner))
+
+
 class Exhaustion:
-    """Strictly increasing sequence of finite connected vertex subsets."""
+    """Strictly increasing sequence of finite connected vertex subsets; each
+    level's sorted positions are searched for the previous level's."""
 
     def __init__(self, domain: WeightedDomain, subsets):
         self.domain = domain
@@ -392,8 +450,7 @@ class Exhaustion:
         for j, subset in enumerate(subsets):
             sub = IndexedSubdomain(domain, subset)
             if previous is not None and not (
-                    sub.size > previous.size
-                    and np.all(np.isin(previous.positions, sub.positions, assume_unique=True))):
+                    sub.size > previous.size and _within(previous.positions, sub.positions)):
                 raise ValidationError(f"exhaustion level {j + 1} does not strictly contain level {j}")
             self.levels.append(sub)
             previous = sub
@@ -452,10 +509,13 @@ def _doubling_radii(max_radius, penultimate=None):
 
 
 def _pow(base, exponent):
-    """Elementwise base ** exponent by Python's scalar power, the fixtures' documented
-    arithmetic; NumPy's vectorised power can differ from it in the last bit."""
-    base, exponent = np.broadcast_arrays(base, exponent)
-    return np.fromiter(map(pow, base.tolist(), exponent.tolist()), float, base.size)
+    """Elementwise base ** exponent (each a scalar or a 1-d array) by Python's
+    scalar power, the fixtures' documented arithmetic; NumPy's vectorised
+    power can differ from it in the last bit."""
+    base, exponent = np.asarray(base), np.asarray(exponent)
+    size = np.broadcast(base, exponent).size
+    sides = (a.tolist() if a.ndim else repeat(a.item()) for a in (base, exponent))
+    return np.fromiter(map(pow, *sides), float, size)
 
 
 def _path_edges(vertices, w):
@@ -500,7 +560,7 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> Do
     # deepest Dirichlet level at n_half - 1; the full truncation is the
     # formal top level (closed, so kernel limits never certify on it)
     radii = _doubling_radii(n_half, penultimate=max(n_half - 1, 1))
-    exhaustion = Exhaustion(domain, [np.arange(-r, r + 1) for r in radii])
+    exhaustion = Exhaustion(domain, (np.arange(-r, r + 1) for r in radii))
     return DomainFixture(name, domain, exhaustion)
 
 
@@ -533,7 +593,7 @@ def build_radial(dimension_d, n_points=DEFAULT_RADIAL_POINTS, step_h=1.0) -> Dom
     domain = WeightedDomain(vertices, measure, _path_edges(vertices, w), truncated=True, name=name)
 
     radii = [r for r in _doubling_radii(n) if r >= 2] or [n]
-    exhaustion = Exhaustion(domain, [np.arange(1, r + 1) for r in radii])
+    exhaustion = Exhaustion(domain, (np.arange(1, r + 1) for r in radii))
     return DomainFixture(name, domain, exhaustion)
 
 
@@ -557,7 +617,8 @@ def load_edge_list(path):
 
     Lines with three tokens are edges, lines with two tokens are vertex
     measures; blank lines and `#` comments are ignored.  Every vertex must
-    carry a measure line.  The domain is finite and named after ``path``.
+    carry a measure line, and no edge or vertex may be given twice.  The
+    domain is finite and named after ``path``.
     """
     measures = {}
     edges = {}
@@ -569,13 +630,17 @@ def load_edge_list(path):
             parts = line.split()
             try:
                 if len(parts) == 2:
-                    measures[int(parts[0])] = float(parts[1])
+                    table, key, what = measures, int(parts[0]), "measure line for vertex"
                 elif len(parts) == 3:
-                    edges[(int(parts[0]), int(parts[1]))] = float(parts[2])
+                    table, key, what = edges, (int(parts[0]), int(parts[1])), "edge"
                 else:
                     raise ValueError
+                value = float(parts[-1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: cannot parse {raw.strip()!r}") from exc
+            if key in table:
+                raise ValidationError(f"{path}:{lineno}: repeated {what} {key}")
+            table[key] = value
     if not measures:
         raise ValidationError(f"{path}: no vertex measure lines found")
     for (x, y) in edges:

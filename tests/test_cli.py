@@ -318,6 +318,22 @@ def test_edge_list_nonfinite_input_exits_2(tmp_path, capsys, command, bad_line):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("repeat, where", [
+    ("0 1 5.0\n", "tri.txt:10: repeated edge (0, 1)"),
+    ("1 2.0\n", "tri.txt:10: repeated measure line for vertex 1"),
+])
+def test_edge_list_repeated_line_exits_2(tmp_path, capsys, repeat, where):
+    # unchecked, a repeated line would replace the first one's weight or measure
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1.0\n1 1.0\n2 1.0\n"
+                    "0 1 1.0\n1 0 1.0\n1 2 1.0\n2 1 1.0\n0 2 1.0\n2 0 1.0\n" + repeat)
+    code = main(["heat", "--fixture", str(path), "--x", "0", "--y", "1", "--t", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and where in captured.err
+    assert "value" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["ratio", "--t-grid", "geometric:5:200"],
     ["ratio", "--t-grid", "10,5,20"],

@@ -7,11 +7,19 @@ Claims:
     - invariant violations are rejected at construction, with the same
       message for mapping and array edges
     - the path fixtures are bit-identical to their formulas built edge by edge
-    - edge-list files round-trip
+    - edge-list files round-trip, and reject a repeated edge or measure line
+    - every array a domain and its levels keep matches a pinned digest of its
+      bytes, dtype and shape
 """
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import heatlab as hl
 from heatlab.criticality import default_reference_pair
@@ -146,6 +154,14 @@ def test_exhaustion_strict_nesting_and_connectivity():
         hl.Exhaustion(fx.domain, [[-1, 0, 1], [-1, 0, 1]])
     with pytest.raises(hl.ValidationError):
         hl.Exhaustion(fx.domain, [[0], [-2, 2]])
+    # a disconnected level inside the connected domain, and larger levels that
+    # miss a vertex of the previous one
+    with pytest.raises(hl.ValidationError, match="subset is not connected"):
+        hl.Exhaustion(fx.domain, [[0, 1], [0, 1, 3]])
+    with pytest.raises(hl.ValidationError, match="level 2 does not strictly contain level 1"):
+        hl.Exhaustion(fx.domain, [[-1, 0], [0, 1, 2]])
+    with pytest.raises(hl.ValidationError, match="level 3 does not strictly contain level 2"):
+        hl.Exhaustion(fx.domain, [[0], [-1, 0, 1], [0, 1, 2, 3]])
 
 
 def test_domain_invariant_violations():
@@ -157,6 +173,9 @@ def test_domain_invariant_violations():
         hl.WeightedDomain([0, 1], {0: 1.0, 1: 1.0}, {(0, 0): 2.0})
     with pytest.raises(hl.ValidationError):
         hl.WeightedDomain([0, 1, 2], {i: 1.0 for i in range(3)}, {(0, 1): 1.0, (1, 0): 1.0})
+    for labels in ([0, 1, 0], [3, 1, 2, 1]):
+        with pytest.raises(hl.ValidationError, match="duplicate vertex labels"):
+            hl.WeightedDomain(labels, np.ones(len(labels)), {})
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -182,6 +201,18 @@ def test_edge_list_errors(tmp_path):
     missing.write_text("0 1.0\n0 1 1.0\n1 0 1.0\n")
     with pytest.raises(hl.ValidationError):
         load_edge_list(missing)
+
+
+@pytest.mark.parametrize("repeat, message", [
+    ("0 1 5.0\n", r"graph.txt:6: repeated edge \(0, 1\)"),
+    ("1 2.0\n", "graph.txt:6: repeated measure line for vertex 1"),
+])
+def test_edge_list_rejects_a_repeated_line(tmp_path, repeat, message):
+    # unchecked, the later line would override the first: w(0, 1) = 5, mu(1) = 2
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1.0\n1 1.0\n# the edge both ways\n0 1 1.0\n1 0 1.0\n" + repeat)
+    with pytest.raises(hl.ValidationError, match=message):
+        load_edge_list(path)
 
 
 def test_fixture_resolver():
@@ -333,3 +364,95 @@ def test_undirected_adjacency_has_the_pattern_of_w_plus_w_transpose(build, monke
     got = read()
     monkeypatch.setattr(domain, "_undirected_adjacency", lambda: pattern)
     assert got == read()
+
+
+def test_duplicate_array_edges_are_summed():
+    x, y = np.array([0, 1, 0, 1, 0, 2]), np.array([1, 0, 1, 0, 1, 1])
+    w = np.array([1.0, 2.0, 0.5, 0.25, 4.0, 3.0])
+    d = hl.WeightedDomain([0, 1, 2], np.ones(3), (x, y, w))
+    assert d.weight(0, 1) == 5.5 and d.weight(1, 0) == 2.25 and d.weight(2, 1) == 3.0
+    assert d.weights.nnz == 3 and d.weights.has_canonical_format and not d.symmetric
+    assert np.array_equal(d.oriented_weights(True).toarray(), d.weights.toarray().T)
+
+
+@pytest.mark.parametrize("build", [lambda: build_scrambled_grid(7, seed=11),
+                                   _drift_path_with_a_shortcut], ids=["grid", "drift"])
+def test_connectivity_agrees_with_the_induced_subgraph(build):
+    # every block of consecutive positions (checked on the block) and scattered
+    # subsets (on the induced subgraph) against components of the dense
+    # w + w^T restricted to them
+    domain = build()
+    dense = domain.weights.toarray()
+    dense = dense + dense.T
+    n = domain.n_vertices
+    rng = np.random.default_rng(5)
+    subsets = [np.arange(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+    subsets += [np.sort(rng.choice(n, size, replace=False)) for size in (2, 6, 15, 40)]
+    seen = set()
+    for s in subsets:
+        block = sp.csr_matrix(dense[np.ix_(s, s)])
+        expected = sp.csgraph.connected_components(block, directed=False)[0] == 1
+        assert domain._connected(s) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def _digest(domain, levels):
+    """sha256 of every array the domain and its levels keep, with dtypes and shapes."""
+    h = hashlib.sha256()
+    arrays = [domain.labels, domain.mu]
+    for matrix in (domain.weights, domain.oriented_weights(True)):
+        arrays += [matrix.data, matrix.indices, matrix.indptr]
+    for level in levels:
+        arrays += [level.positions, level.labels]
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr(domain.symmetric).encode())
+    return h.hexdigest()[:16]
+
+
+def _bench_drift_case():
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve their module there
+    spec.loader.exec_module(workloads)
+    domain = workloads.drift_domain(1.2)
+    half = workloads.PERT_HALF
+    return domain, [hl.restrict(domain, range(-half, half + 1))]
+
+
+def _edge_list_case(tmp_path):
+    path = tmp_path / "asymmetric.txt"
+    path.write_text("0 1.0\n1 2.0\n2 0.5\n3 1.0\n0 1 1.0\n1 0 2.0\n"
+                    "1 2 0.25\n2 1 0.25\n2 3 1.5\n3 2 1.5\n0 3 0.5\n")
+    domain = load_edge_list(path)
+    return domain, ball_exhaustion(domain)
+
+
+def _fixture_case(spec, size):
+    fx = hl.fixture(spec, ambient_size=size)
+    return fx.domain, fx.exhaustion
+
+
+def _grid_case():
+    domain = build_scrambled_grid(7, seed=11)
+    return domain, ball_exhaustion(domain)
+
+
+# a change to any kept array's bytes, dtype or shape changes its digest
+DIGESTS = {
+    "rad(3)@100000": (lambda tmp: _fixture_case("rad(3)", 100000), "d72b6d5b9d4928a6"),
+    "lat1_geo(0.5)@2049": (lambda tmp: _fixture_case("lat1_geo(0.5)", 2049), "eae554d8db71ae01"),
+    "lat1@4001": (lambda tmp: _fixture_case("lat1", 4001), "4366a961ea68f39b"),
+    "scrambled_grid": (lambda tmp: _grid_case(), "77ffbad7af20df24"),
+    "bench_drift": (lambda tmp: _bench_drift_case(), "8362d0574d6e5b80"),
+    "asymmetric_edge_list": (_edge_list_case, "0726000f3f83ba3c"),
+}
+
+
+@pytest.mark.parametrize("case", list(DIGESTS))
+def test_kept_arrays_match_their_pinned_digests(case, tmp_path):
+    build, expected = DIGESTS[case]
+    assert _digest(*build(tmp_path)) == expected
