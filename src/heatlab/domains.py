@@ -553,7 +553,11 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> Do
     if measure_rule == "unit":
         measure = np.ones(vertices.size)
     else:
-        measure = np.maximum(_pow(q, np.abs(vertices)), MEASURE_FLOOR)
+        # q^|n| < MEASURE_FLOOR past `near`: only the vertices inside need the power
+        near = min(int(np.log(MEASURE_FLOOR) / np.log(q)) + 2, n_half)
+        measure = np.full(vertices.size, MEASURE_FLOOR)
+        inner = slice(n_half - near, n_half + near + 1)
+        measure[inner] = np.maximum(_pow(q, np.abs(vertices[inner])), MEASURE_FLOOR)
     domain = WeightedDomain(vertices, measure, _path_edges(vertices, conductance),
                             truncated=True, name=name)
 

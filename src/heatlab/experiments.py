@@ -13,6 +13,7 @@ import configparser
 import csv
 import enum
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,14 +295,14 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     at the reference vertex y1: the sup of k_{P+}(x, y1, t)/k_{P0}(x, y1, t)
     past its observed peak.
     """
-    rep_zero = classify(op_zero, exhaustion)
-    rep_plus = classify(op_plus, exhaustion)
+    ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
+    ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
+    rep_zero = classify(op_zero, exhaustion, evaluator=ev_zero)
+    rep_plus = classify(op_plus, exhaustion, evaluator=ev_plus)
     if rep_zero.classification is Classification.SUBCRITICAL:
         raise ValidationError("the reference operator must be critical")
     if rep_plus.classification is not Classification.SUBCRITICAL:
         raise ValidationError("the perturbed operator must be subcritical")
-    ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
-    ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
 
     def ratios(grid, yy):
         return _sample(grid, map(_ratio, ev_plus.heat_kernels(x, yy, grid, tol=heat_tol),
@@ -355,9 +356,9 @@ def parse_grid(raw, name):
     Returns None for an empty spec; the grid must be finite and strictly
     increasing.  Errors are ValidationErrors prefixed with ``name``.
     """
-    if raw is None or raw.strip() == "":
-        return None
     raw = raw.strip()
+    if not raw:
+        return None
     if raw.startswith("geometric:"):
         parts = raw.split(":")[1:]
         if len(parts) != 3:
@@ -385,8 +386,6 @@ def parse_indicator(raw, name):
 
     Returns [] for an empty spec; errors are ValidationErrors prefixed with ``name``.
     """
-    if raw is None or raw.strip() == "":
-        return []
     try:
         return [int(v) for v in raw.replace(",", " ").split()]
     except ValueError:
@@ -410,47 +409,75 @@ def _parse_bracket(raw, name):
     return lo, hi
 
 
+def _text(raw, name):
+    return raw
+
+
 _FLOAT = _parse_number(float, "a number")
 _INT = _parse_number(int, "an integer")
 
-# [section] key of a scenario file -> (ScenarioConfig field, parser or None for
-# text); an absent or empty key keeps the field default.
-_CONFIG_KEYS = {
-    ("fixture", "ambient_size"): ("ambient_size", _INT),
-    ("operator", "constant"): ("constant", _FLOAT),
-    ("operator", "potential_file"): ("potential_file", None),
-    ("operator", "coupling"): ("coupling", _FLOAT),
-    ("perturbation", "constant"): ("pert_constant", _FLOAT),
-    ("perturbation", "potential_file"): ("pert_file", None),
-    ("perturbation", "indicator"): ("pert_indicator", parse_indicator),
-    ("perturbation", "value"): ("pert_value", _FLOAT),
-    ("perturbation", "coupling"): ("pert_coupling", _FLOAT),
-    ("experiment", "x"): ("x", _INT),
-    ("experiment", "y"): ("y", _INT),
-    ("experiment", "x0"): ("x0", _INT),
-    ("experiment", "y0"): ("y0", _INT),
-    ("experiment", "y1"): ("y1", _INT),
-    ("experiment", "t"): ("t", _FLOAT),
-    ("experiment", "tau"): ("tau", _FLOAT),
-    ("experiment", "t_grid"): ("t_grid", parse_grid),
-    ("experiment", "lambda_deltas"): ("lambda_deltas", parse_grid),
-    ("experiment", "heat_tol"): ("heat_tol", _FLOAT),
-    ("experiment", "green_tol"): ("green_tol", _FLOAT),
-    ("experiment", "bracket"): ("bracket", _parse_bracket),
-    ("experiment", "perturbation_kind"): ("pert_kind", None),
-    ("experiment", "seed"): ("seed", _INT),
-    ("output", "dir"): ("out_dir", None),
-    ("output", "prefix"): ("prefix", None),
-}
+
+# The one input schema of the CLI and of scenario files, in the CLI's help
+# order.  A row is an input: the ScenarioConfig field it sets, its "[section]
+# key" in a scenario file, its CLI flag (None: files only), the one parser of
+# its raw text, and the subcommands that take the flag.  Only the fixture name
+# ([fixture] name, --fixture) and the experiment kind ([experiment] kind, the
+# subcommand and ratio's --kind) stay outside it.
+Input = namedtuple("Input", "field key flag parse commands help metavar nargs",
+                   defaults=((), None, None, None))
+_ALL = ("classify", "heat", "green", "lambda0", "ratio", "perturb", "coupling")
+_PERT, _RATIO = ("ratio", "perturb", "coupling"), ("ratio",)
+INPUTS = (
+    Input("potential_file", "[operator] potential_file", "--potential", _text, _ALL,
+          "potential file `x V(x)` per line", "FILE"),
+    Input("constant", "[operator] constant", "--constant", _FLOAT, _ALL,
+          "add a constant potential"),
+    Input("coupling", "[operator] coupling", "--coupling", _FLOAT, _ALL,
+          "coupling applied to the potential file"),
+    Input("x", "[experiment] x", "--x", _INT, _ALL),
+    Input("y", "[experiment] y", "--y", _INT, _ALL),
+    Input("t", "[experiment] t", "--t", _FLOAT, _ALL),
+    Input("tol", "[experiment] tol", "--tol", _FLOAT, _ALL,
+          "tolerance of the heat, Green and lambda0 limits"),
+    Input("ambient_size", "[fixture] ambient_size", "--ambient-size", _INT, _ALL,
+          "vertex count of the ambient truncation"),
+    Input("out_dir", "[output] dir", "--out", _text, _ALL,
+          "write the CSV artifacts and summary here", "DIR"),
+    Input("seed", "[experiment] seed", "--seed", _INT, _ALL, "seed for sampled suprema"),
+    # perturbation_integrals rejects a kind other than these two
+    Input("pert_kind", "[experiment] perturbation_kind", "--kind", _text, ("perturb",),
+          metavar="{small,semismall}"),
+    Input("x0", "[experiment] x0", "--x0", _INT, ("ratio", "perturb")),
+    Input("y0", "[experiment] y0", "--y0", _INT, _RATIO),
+    Input("y1", "[experiment] y1", "--y1", _INT, _RATIO),
+    Input("tau", "[experiment] tau", "--tau", _FLOAT, _RATIO),
+    Input("t_grid", "[experiment] t_grid", "--t-grid", parse_grid, _RATIO,
+          "geometric:start:stop:n or a list"),
+    Input("lambda_deltas", "[experiment] lambda_deltas", "--lambda-deltas", parse_grid, _RATIO,
+          "offsets below lambda0"),
+    Input("bracket", "[experiment] bracket", "--bracket", _parse_bracket, ("coupling",), nargs=2),
+    Input("pert_file", "[perturbation] potential_file", "--pert-file", _text, _PERT),
+    Input("pert_indicator", "[perturbation] indicator", "--pert-indicator", parse_indicator,
+          _PERT, "vertices of an indicator potential"),
+    Input("pert_value", "[perturbation] value", "--pert-value", _FLOAT, _PERT),
+    Input("pert_constant", "[perturbation] constant", "--pert-constant", _FLOAT, _PERT),
+    Input("pert_coupling", "[perturbation] coupling", "--pert-coupling", _FLOAT, _RATIO),
+    Input("prefix", "[output] prefix", None, _text),
+)
+_KEYS = {row.key: row for row in INPUTS}
+_SECTIONS = ("fixture", "operator", "perturbation", "experiment", "output")
+_REQUIRED = ("[fixture] name", "[experiment] kind")
 
 
 @dataclass
 class ScenarioConfig:
     """One validated experiment request, from a scenario file or CLI flags.
 
-    The field defaults are the defaults of both front ends.  ``green_tol``
-    is also the tolerance of the ``lambda0`` kind; ``out_dir`` None writes
-    no files.
+    Each field but ``fixture_name`` and ``kind`` is one row of ``INPUTS``,
+    whose parser reads it from both front ends; the field defaults are the
+    defaults of both.  ``tol`` is the tolerance of the heat, Green and
+    lambda0 limits the kind asks for, None each limit's own default;
+    ``out_dir`` None writes no files.
     """
 
     fixture_name: str
@@ -473,8 +500,7 @@ class ScenarioConfig:
     tau: float = -1.0
     t_grid: np.ndarray | None = None
     lambda_deltas: np.ndarray | None = None
-    heat_tol: float | None = None
-    green_tol: float | None = None
+    tol: float | None = None
     bracket: tuple = (0.0, 8.0)
     pert_kind: str = "semismall"
     seed: int = 0
@@ -494,6 +520,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_parser(cls, parser, path="<config>"):
+        """Read the file's own sections and keys; one that is not in INPUTS is
+        a ValidationError naming it, and an empty key keeps the field default."""
         for section, key in (("fixture", "name"), ("experiment", "kind")):
             if section not in parser or not parser[section].get(key):
                 raise ValidationError(f"{path}: missing [{section}] {key}")
@@ -502,10 +530,15 @@ class ScenarioConfig:
             raise ValidationError(
                 f"{path}: [experiment] kind: unknown kind {kind!r}; one of {EXPERIMENT_KINDS}")
         values = {"out_dir": "out"}
-        for (section, key), (name, parse) in _CONFIG_KEYS.items():
-            raw = parser[section].get(key, "").strip() if section in parser else ""
-            if raw:
-                values[name] = parse(raw, f"{path}: [{section}] {key}") if parse else raw
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ValidationError(f"{path}: unknown section [{section}]")
+            for key, raw in parser[section].items():
+                name, raw = f"[{section}] {key}", raw.strip()
+                if name not in _KEYS and name not in _REQUIRED:
+                    raise ValidationError(f"{path}: unknown key {name}")
+                if name in _KEYS and raw:
+                    values[_KEYS[name].field] = _KEYS[name].parse(raw, f"{path}: {name}")
         return cls(parser["fixture"]["name"].strip(), kind, **values)
 
 
@@ -553,16 +586,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     inconclusive = False
     series = None
     if kind == "classify":
-        report = classify(op, exhaustion, green_tol=config.green_tol)
+        report = classify(op, exhaustion, green_tol=config.tol)
         lines.append(report.to_text().rstrip())
         tables.append(("diagnostics", ["level", "lambda0_j", "green_j", "mass_j"],
                        report.diagnostic_rows()))
     elif kind in ("heat", "green"):
         ev = HeatKernelEvaluator(op, exhaustion)
         if kind == "heat":
-            r = ev.heat_kernel(x, y, config.t, tol=config.heat_tol)
+            r = ev.heat_kernel(x, y, config.t, tol=config.tol)
         else:
-            r = ev.green(x, y, tol=config.green_tol)
+            r = ev.green(x, y, tol=config.tol)
         lines += [f"value: {r.value:.17g}", f"status: {r.status.value}",
                   f"level: {r.level}", f"model: {r.model}"]
         if r.evidence:
@@ -571,7 +604,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                        [{"level": j, "value": v} for j, v in r.history]))
         inconclusive = r.status is LimitStatus.INCONCLUSIVE
     elif kind == "lambda0":
-        lam = lambda0(op, exhaustion, tol=config.green_tol)
+        lam = lambda0(op, exhaustion, tol=config.tol)
         lines += [f"lambda0: {lam.value:.17g}", f"error_estimate: {lam.error:.3g}",
                   f"lambda0_bracket: {lam.bracket[0]:.17g} {lam.bracket[1]:.17g}"]
         tables.append(("history", ["level", "lambda0_j"],
@@ -579,33 +612,33 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     elif kind == "lambda0_log":
         ev = HeatKernelEvaluator(op, exhaustion)
         grid = config.t_grid if config.t_grid is not None else geometric_grid(5.0, 200.0, 12)
-        est = lambda0_log_estimate(ev, x, y, grid, tol=config.heat_tol)
+        est = lambda0_log_estimate(ev, x, y, grid, tol=config.tol)
         lines += [f"lambda0_estimate: {est.estimate:.12g}",
                   f"fit: a={est.fit[0]:.6g} b={est.fit[1]:.6g} c={est.fit[2]:.6g} rms={est.fit[3]:.3g}"]
         tables.append(("series", ["t", "value"], est.rows()))
     elif kind == "theorem_limit":
         series = theorem_limit_series(op, exhaustion, x, y, t_grid=config.t_grid,
-                                      heat_tol=config.heat_tol)
+                                      heat_tol=config.tol)
     elif kind == "resolvent":
         series = resolvent_limit(op, exhaustion, x, y, lambda_deltas=config.lambda_deltas,
-                                 green_tol=config.green_tol)
+                                 green_tol=config.tol)
     elif kind == "time_shift":
         series = time_shift_ratio_series(op, exhaustion, x, y, config.tau,
-                                         t_grid=config.t_grid, heat_tol=config.heat_tol)
+                                         t_grid=config.t_grid, heat_tol=config.tol)
     elif kind == "davies":
-        report = classify(op, exhaustion, green_tol=config.green_tol) if op.symmetric else None
+        report = classify(op, exhaustion, green_tol=config.tol) if op.symmetric else None
         series = davies_ratio_series(op, exhaustion, x, y,
                                      x if config.x0 is None else config.x0,
                                      y if config.y0 is None else config.y0,
                                      t_grid=config.t_grid, report=report,
-                                     heat_tol=config.heat_tol)
+                                     heat_tol=config.tol)
     elif kind == "conjecture":
         op_plus = add_potential(op, perturbation(), config.pert_coupling)
         series = conjecture_ratio_series(op_plus, op, exhaustion, x, y, t_grid=config.t_grid,
-                                         y1=config.y1, heat_tol=config.heat_tol)
+                                         y1=config.y1, heat_tol=config.tol)
     elif kind == "coupling":
         res = critical_coupling(op, perturbation(), exhaustion, bracket=config.bracket,
-                                green_tol=config.green_tol)
+                                green_tol=config.tol)
         lines += [f"alpha0: {res.alpha0:.12g}",
                   f"bracket: {res.bracket[0]:.12g} {res.bracket[1]:.12g}",
                   f"oracle_alpha0: {'' if res.oracle_alpha0 is None else format(res.oracle_alpha0, '.12g')}",

@@ -4,13 +4,16 @@ and the README's library quick tour."""
 import ast
 import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 from scipy import special
 
 import heatlab as hl
-from heatlab.cli import main
+from heatlab.cli import _COMMANDS, build_parser, experiment_config, main
+from heatlab.experiments import INPUTS, ScenarioConfig
 
 
 def test_heat_ok(capsys):
@@ -428,3 +431,92 @@ def test_readme_quick_tour_runs_as_documented():
     assert values["hl.classify(op1, fx.exhaustion).label"] == "subcritical"
     alpha0 = values["hl.critical_coupling(op1, w, fx.exhaustion, bracket=(0, 4)).alpha0"]
     assert abs(alpha0 - math.sqrt(5.0)) <= 1e-4
+
+
+def _readme_block(heading, fence):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(heading + "\n", 1)[1]
+    return section, section.split(fence + "\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_block_and_flag_table_match_the_input_table():
+    # every `heatlab ...` line parses, flag values included, and the flag
+    # table lists exactly the rows of INPUTS
+    section, block = _readme_block("## CLI", "```")
+    lines = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("heatlab ")]
+    assert len(lines) == 9
+    for argv in lines:
+        args = build_parser().parse_args(argv)
+        if args.command != "run":
+            experiment_config(args)
+    table = set()
+    for line in section.split("### Scenario configs", 1)[0].splitlines():
+        if not line.startswith("| ") or "Config key" in line:
+            continue
+        flags, keys, commands = (c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1])
+        flags = [f.split()[0] for f in re.findall(r"`([^`]+)`", flags)] or [None]
+        (section_key, *more) = re.findall(r"`([^`]+)`", keys)
+        name, first = section_key.split()
+        commands = {"all": frozenset(_COMMANDS), "files only": frozenset()}.get(
+            commands, frozenset(commands.split(", ")))
+        table |= {(f, f"{name} {k}", commands) for f, k in zip(flags, [first, *more],
+                                                                 strict=True)}
+    assert table == {(row.flag, row.key, frozenset(row.commands)) for row in INPUTS}
+
+
+def test_readme_scenario_config_is_accepted(tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(_readme_block("### Scenario configs", "```ini")[1])
+    config = ScenarioConfig.from_file(cfg)
+    assert (config.fixture_name, config.kind, config.tol) == ("lat1_geo(0.5)", "theorem_limit",
+                                                              1e-4)
+
+
+@pytest.mark.parametrize("text, name", [
+    ("[fixture]\nname = lat1\nambient-size = 129\n\n[experiment]\nkind = heat\n",
+     "[fixture] ambient-size"),
+    ("[fixture]\nname = lat1\n\n[experiment]\nkind = heat\ntolerance = 1e-3\n",
+     "[experiment] tolerance"),
+    ("[fixture]\nname = lat1\n\n[experiment]\nkind = heat\n\n[outputs]\ndir = elsewhere\n",
+     "[outputs]"),
+    ("[fixture]\nname = lat1\n\n[experiment]\nkind = heat\nheat_tol = 1e-3\n",
+     "[experiment] heat_tol"),
+    ("[fixture]\nname = lat1\n\n[experiment]\nkind = heat\ngreen_tol = 1e-3\n",
+     "[experiment] green_tol"),
+], ids=["ambient-size", "tolerance", "outputs", "heat_tol", "green_tol"])
+def test_unknown_config_section_or_key_exits_2(tmp_path, monkeypatch, capsys, text, name):
+    # these were once ignored: the run went on with the defaults and wrote to ./out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(text)
+    assert main(["run", "s.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and name in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["s.cfg"]
+
+
+def test_conjecture_ratio_runs_to_a_vanishing_verdict(capsys):
+    # P+ = lat1 + 1_{0} is subcritical against the critical P0 = lat1, so
+    # k_{P+}/k_{P0} vanishes; k_{P+} <= k_{P0} bounds the domination constant by 1
+    code = main(["ratio", "--kind", "conjecture", "--fixture", "lat1", "--ambient-size", "4001",
+                 "--pert-indicator", "0", "--x", "0", "--y", "0",
+                 "--t-grid", "geometric:1:100:8"])
+    assert code == 0
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert out["status"] == "vanishing-like"
+    assert out["points"] == "8 (excluded 0)"
+    assert 0.0 < float(out["domination_constant"]) <= 1.0
+
+
+def test_lambda0_log_estimates_a_constant_potential(tmp_path, capsys):
+    # lambda0 of lat1 + 1/2 is 1/2: the log-fit estimate of k(0, 0, t) finds it
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[fixture]\nname = lat1\nambient_size = 4001\n\n[operator]\nconstant = 0.5\n\n"
+                   f"[experiment]\nkind = lambda0_log\nx = 0\ny = 0\n\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg)]) == 0
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+               if ": " in line)
+    assert float(out["lambda0_estimate"]) == pytest.approx(0.5, abs=1e-3)
+    assert (tmp_path / "out" / "lambda0_log_series.csv").exists()

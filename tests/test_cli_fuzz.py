@@ -25,7 +25,7 @@ FLAGS = {
     "--y": (VERTICES, "experiment", ["y"]),
     "--t": (NUMBERS, "experiment", ["t"]),
     "--tol": (["1e-6", "1e-10", "0", "-1", "nan", "inf", "1e17", "abc"],
-              "experiment", ["heat_tol", "green_tol"]),
+              "experiment", ["tol"]),
     "--seed": (["0", "7", "-1", "1e17", "x"], "experiment", ["seed"]),
     "--x0": (VERTICES, "experiment", ["x0"]),
     "--y0": (VERTICES, "experiment", ["y0"]),

@@ -209,7 +209,7 @@ kind = theorem_limit
 x = 0
 y = 1
 t_grid = geometric:0.5:4:6
-heat_tol = 1e-3
+tol = 1e-3
 
 [output]
 dir = {out}
@@ -276,6 +276,15 @@ def test_config_validation_errors(tmp_path):
     unknown_kind = "[fixture]\nname = lat1\n\n[experiment]\nkind = wat\n"
     with pytest.raises(hl.ValidationError):
         ScenarioConfig.from_file(_write_config(tmp_path, unknown_kind))
+
+
+def test_config_tol_is_one_key(tmp_path):
+    cfg = ScenarioConfig.from_file(_write_config(tmp_path, CONFIG_TEXT.format(out=tmp_path)))
+    assert cfg.tol == 1e-3
+    for old in ("heat_tol", "green_tol"):
+        text = CONFIG_TEXT.format(out=tmp_path).replace("tol = 1e-3", f"{old} = 1e-3")
+        with pytest.raises(hl.ValidationError, match=rf"unknown key \[experiment\] {old}"):
+            ScenarioConfig.from_file(_write_config(tmp_path, text))
 
 
 def test_no_partial_output_on_bad_fixture(tmp_path):
