@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .experiments import INPUTS, ScenarioConfig, run_scenario
+from .experiments import INPUTS, ScenarioConfig, parse_text, run_scenario
 
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
@@ -43,8 +43,8 @@ def cmd_experiment(args):
 
 def cmd_run(args):
     config = ScenarioConfig.from_file(args.config)
-    if args.out:
-        config.out_dir = args.out
+    if args.out is not None:
+        config.out_dir = parse_text(args.out, "--out")
     return _run(config)
 
 

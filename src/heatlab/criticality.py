@@ -141,9 +141,9 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None):
     x0 = int(ex[0].labels[0]) if x0 is None else int(x0)
     levels = evaluator.usable_levels()
     top = ex[levels[-1]].positions
-    values = np.empty((len(levels), top.size))  # phi_j on the top level's positions
-    depth = np.zeros(top.size, dtype=int)  # number of levels containing each vertex
-    for row, j in zip(values, levels):
+    kept = min(5, len(levels))  # every level's pair is checked, the last ones kept
+    values = np.full((kept, top.size), np.nan)  # their phi_j on the top level's positions
+    for i, j in enumerate(levels, kept - len(levels)):
         _, v, positive = evaluator.factor(j).principal_pair()
         if not positive:
             raise NumericalError(
@@ -151,13 +151,13 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None):
         ref = v[ex[j].local_of(x0)]
         if ref <= 0.0:
             raise NumericalError(f"ground state vanishes at reference vertex {x0}")
-        cols = np.searchsorted(top, ex[j].positions)
-        row[cols] = v / ref
-        depth[cols] += 1
+        if i >= 0:
+            values[i, np.searchsorted(top, ex[j].positions)] = v / ref
+    depth = np.count_nonzero(~np.isnan(values), axis=0)  # kept levels containing each vertex
     phi = np.full(ex.domain.n_vertices, np.nan)
     phi[top] = values[-1]  # a vertex of the top level only keeps its value there
-    for m in range(2, min(5, len(levels)) + 1):
-        cols = np.flatnonzero(np.minimum(depth, 5) == m)
+    for m in range(2, kept + 1):
+        cols = np.flatnonzero(depth == m)
         h = 1.0 / np.asarray([ex[j].size for j in levels[-m:]], dtype=float)
         phi[top[cols]] = neville_extrapolate(h, values[-m:, cols])[0]
     phi[ex.domain.positions_of(x0)] = 1.0

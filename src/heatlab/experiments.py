@@ -409,7 +409,10 @@ def _parse_bracket(raw, name):
     return lo, hi
 
 
-def _text(raw, name):
+def parse_text(raw, name):
+    """Text such as a path; blank text is a ValidationError prefixed with ``name``."""
+    if not raw.strip():
+        raise ValidationError(f"{name}: blank text")
     return raw
 
 
@@ -428,7 +431,7 @@ Input = namedtuple("Input", "field key flag parse commands help metavar nargs",
 _ALL = ("classify", "heat", "green", "lambda0", "ratio", "perturb", "coupling")
 _PERT, _RATIO = ("ratio", "perturb", "coupling"), ("ratio",)
 INPUTS = (
-    Input("potential_file", "[operator] potential_file", "--potential", _text, _ALL,
+    Input("potential_file", "[operator] potential_file", "--potential", parse_text, _ALL,
           "potential file `x V(x)` per line", "FILE"),
     Input("constant", "[operator] constant", "--constant", _FLOAT, _ALL,
           "add a constant potential"),
@@ -441,11 +444,11 @@ INPUTS = (
           "tolerance of the heat, Green and lambda0 limits"),
     Input("ambient_size", "[fixture] ambient_size", "--ambient-size", _INT, _ALL,
           "vertex count of the ambient truncation"),
-    Input("out_dir", "[output] dir", "--out", _text, _ALL,
+    Input("out_dir", "[output] dir", "--out", parse_text, _ALL,
           "write the CSV artifacts and summary here", "DIR"),
     Input("seed", "[experiment] seed", "--seed", _INT, _ALL, "seed for sampled suprema"),
     # perturbation_integrals rejects a kind other than these two
-    Input("pert_kind", "[experiment] perturbation_kind", "--kind", _text, ("perturb",),
+    Input("pert_kind", "[experiment] perturbation_kind", "--kind", parse_text, ("perturb",),
           metavar="{small,semismall}"),
     Input("x0", "[experiment] x0", "--x0", _INT, ("ratio", "perturb")),
     Input("y0", "[experiment] y0", "--y0", _INT, _RATIO),
@@ -456,13 +459,13 @@ INPUTS = (
     Input("lambda_deltas", "[experiment] lambda_deltas", "--lambda-deltas", parse_grid, _RATIO,
           "offsets below lambda0"),
     Input("bracket", "[experiment] bracket", "--bracket", _parse_bracket, ("coupling",), nargs=2),
-    Input("pert_file", "[perturbation] potential_file", "--pert-file", _text, _PERT),
+    Input("pert_file", "[perturbation] potential_file", "--pert-file", parse_text, _PERT),
     Input("pert_indicator", "[perturbation] indicator", "--pert-indicator", parse_indicator,
           _PERT, "vertices of an indicator potential"),
     Input("pert_value", "[perturbation] value", "--pert-value", _FLOAT, _PERT),
     Input("pert_constant", "[perturbation] constant", "--pert-constant", _FLOAT, _PERT),
     Input("pert_coupling", "[perturbation] coupling", "--pert-coupling", _FLOAT, _RATIO),
-    Input("prefix", "[output] prefix", None, _text),
+    Input("prefix", "[output] prefix", None, parse_text),
 )
 _KEYS = {row.key: row for row in INPUTS}
 _SECTIONS = ("fixture", "operator", "perturbation", "experiment", "output")

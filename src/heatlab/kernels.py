@@ -92,7 +92,6 @@ WELL_SCALED_RATE = 1e8
 
 HEAT_TOL = 1e-9
 GREEN_TOL = 1e-8
-DIVERGENCE_CAP = 1e12
 #: Lanczos steps per basis; a time whose basis has not settled by then has no value
 LANCZOS_CAP = 500
 
@@ -141,9 +140,9 @@ def _clamped(values, scale):
 def _trend_diverging(values, sizes, tol):
     """Increments nondecreasing over >= 3 consecutive levels.
 
-    Increments are normalized by the logarithmic level-size growth so that a
-    final partial level (smaller growth factor than the doubling default)
-    does not mask genuine divergence.
+    Each increment is divided by the log of its level-size growth, however
+    small that growth is, so that a final partial level (adding only a few
+    vertices) does not mask a log or linear divergence.
     """
     if len(values) < 4:
         return False
@@ -152,11 +151,7 @@ def _trend_diverging(values, sizes, tol):
     inc = np.abs(np.diff(v))
     if not np.all(inc > tol * max(abs(v[-1]), 1e-300)):
         return False
-    log_growth = np.log(s[1:] / s[:-1])
-    if np.any(log_growth < 0.05):
-        ninc = inc
-    else:
-        ninc = inc / log_growth
+    ninc = inc / np.log(s[1:] / s[:-1])
     return bool(np.all(ninc[1:] >= ninc[:-1] * (1.0 - 1e-3)))
 
 
@@ -868,17 +863,17 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
       exhaustion): diverging, value inf, at that level;
     * an InconclusiveError at level j (a Lanczos basis at its step cap):
       inconclusive there;
-    * a value beyond ``DIVERGENCE_CAP``: diverging;
+    * an infinite value (overflow): diverging;
     * two consecutive relative increments below ``tol``: converged.  Zeros
       before the first nonzero value (underflow) count in no rule; if every
       level is 0, the limit is 0.
 
     When the levels run out, the tail decides, in this order:
 
-    * ``trend_divergence`` and increments nondecreasing over 3 consecutive
-      levels: diverging.  This suits limits whose dichotomy is
-      finite-vs-infinite (Green values, mass series), not heat values at
-      fixed t, which are bounded;
+    * ``trend_divergence`` and increments, each divided by the log of its
+      level-size growth, nondecreasing over 3 consecutive levels: diverging.
+      This suits limits whose dichotomy is finite-vs-infinite (Green values,
+      mass series), not heat values at fixed t, which are bounded;
     * ``exact_final``, the last level exhausting a genuinely finite domain:
       converged, exact;
     * cleanly decaying increments: Neville extrapolation in 1/(level size),
@@ -903,9 +898,9 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
         if v == 0.0 and not values:
             continue
         values.append(v)
-        if abs(v) > DIVERGENCE_CAP:
+        if math.isinf(v):
             return LimitResult(v, LimitStatus.DIVERGING, j, history,
-                               evidence=f"value exceeded divergence cap {DIVERGENCE_CAP:g}")
+                               evidence=f"value overflowed at level {j}")
         if len(values) >= 3:
             scale = max(abs(v), 1e-300)
             i1 = abs(values[-1] - values[-2]) / scale

@@ -8,6 +8,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -93,6 +94,58 @@ def test_classify_command(capsys):
     out = capsys.readouterr().out
     assert "classification: positive-critical" in out
     assert "mass: 3" in out
+
+
+def _fields(out):
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+@pytest.mark.parametrize("fixture, size, extra, verdict", [
+    ("lat1", "2053", [], "null-critical"),
+    ("rad(2)", "2049", [], "null-critical"),
+    ("lat1_geo(0.5)", "2053", [], "positive-critical"),
+    ("rad(3)", "2049", [], "subcritical"),
+    ("rad(4)", "4097", [], "subcritical"),
+    ("rad(2)", "2049", ["--constant", "1e-4"], "subcritical"),
+])
+def test_classify_with_a_short_last_level(fixture, size, extra, verdict, capsys):
+    # each size lands just past a power of two, so the last level adds a few
+    # vertices; raw Green increments across it once hid the divergence (exit 3)
+    assert main(["classify", "--fixture", fixture, "--ambient-size", size] + extra) == 0
+    assert _fields(capsys.readouterr().out)["classification"] == verdict
+
+
+def test_green_with_a_short_last_level_diverges(capsys):
+    assert main(["green", "--fixture", "rad(2)", "--ambient-size", "2049",
+                 "--x", "1", "--y", "1"]) == 0
+    assert _fields(capsys.readouterr().out)["status"] == "diverging"
+
+
+def test_a_large_finite_green_value_is_no_divergence(tmp_path, capsys):
+    # D = 1e-14 on a 20-vertex path: G(0, 0) ~ 4.9e12 is finite, and the last
+    # level is the whole domain; a value above 1e12 was once read as divergence
+    path = tmp_path / "path.txt"
+    lines = [f"{v} 1.0" for v in range(20)]
+    lines += [f"{v} {v + 1} 1.0\n{v + 1} {v} 1.0" for v in range(19)]
+    path.write_text("\n".join(lines) + "\n")
+    w = np.diag(np.ones(19), 1) + np.diag(np.ones(19), -1)
+    dense = np.linalg.inv(np.diag(w.sum(axis=1) + 1e-14) - w)[0, 0]
+    argv = ["--fixture", str(path), "--constant", "1e-14"]
+    assert main(["green", "--x", "0", "--y", "0"] + argv) == 0
+    out = _fields(capsys.readouterr().out)
+    assert (out["status"], out["model"]) == ("converged", "exact")
+    assert float(out["value"]) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert main(["classify"] + argv) == 0
+    assert _fields(capsys.readouterr().out)["classification"] == "subcritical"
+
+
+def test_a_large_bounded_heat_value_is_no_divergence(capsys):
+    # k(45, 45, 1e-15) ~ 1/mu(45) = 3.3e13 is bounded; it was once read as
+    # divergence (exit 0); the level values still move by 3e-5 at the top level
+    assert main(["heat", "--fixture", "lat1_geo(0.5)", "--ambient-size", "257",
+                 "--x", "45", "--y", "45", "--t", "1e-15"]) == 3
+    out = _fields(capsys.readouterr().out)
+    assert (out["status"], out["level"]) == ("inconclusive", "7")
 
 
 def test_ratio_time_shift(capsys, tmp_path):
@@ -385,6 +438,37 @@ def test_bad_potential_file_exits_2(tmp_path, capsys, source, content):
     err = capsys.readouterr().err
     assert "validation error" in err and "v.txt" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["heat", "--out", ""], "--out"),
+    (["heat", "--out", "out", "--potential", " "], "--potential"),
+    (["coupling", "--out", "out", "--constant", "1", "--pert-indicator", "0", "--pert-file", ""],
+     "--pert-file"),
+    (["perturb", "--out", "out", "--pert-indicator", "0", "--kind", ""], "--kind"),
+    (["run", "s.cfg", "--out", ""], "--out"),
+])
+def test_blank_text_input_exits_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # a blank --out once ended in a FileNotFoundError traceback, and a blank
+    # --potential or --pert-file was silently ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text("[fixture]\nname = lat1\nambient_size = 33\n\n"
+                                    "[experiment]\nkind = heat\n")
+    if argv[0] != "run":
+        argv = argv + ["--fixture", "lat1", "--ambient-size", "33"]
+    assert main(argv) == 2
+    assert f"validation error: {flag}: blank text" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["s.cfg"]
+
+
+def test_blank_text_key_keeps_its_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.cfg").write_text(
+        "[fixture]\nname = lat1\nambient_size = 257\n\n[operator]\npotential_file =\n\n"
+        "[experiment]\nkind = heat\n\n[output]\ndir =\nprefix =\n")
+    assert main(["run", "s.cfg"]) == 0
+    assert "status: converged" in capsys.readouterr().out
+    assert (tmp_path / "out" / "heat_summary.txt").exists()
 
 
 @pytest.mark.parametrize("argv", [

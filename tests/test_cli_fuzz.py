@@ -17,9 +17,13 @@ VERTICES = ["0", "1", "2", "-3", "40", "1e17", "x"]
 GRIDS = ["geometric:1:50:6", "geometric:5:60:5", "0.5,2,8", "3,2,1", "geometric:0:1:3",
          "geometric:1:2", "geometric:nan:2:3", "1e17", "nan", "abc", ""]
 INDICATORS = ["0", "1", "0,1", "-2 2", "1,x", "99999", ""]
+# {tmp} is the draw's temporary directory, which holds the potential file v.txt
+FILES = ["{tmp}/v.txt", "{tmp}/missing.txt", ""]
+OUTS = ["{tmp}/out", "{tmp}/missing/out", ""]
 
 # flag -> (pool, config section, config keys)
 FLAGS = {
+    "--potential": (FILES, "operator", ["potential_file"]),
     "--constant": (NUMBERS, "operator", ["constant"]),
     "--x": (VERTICES, "experiment", ["x"]),
     "--y": (VERTICES, "experiment", ["y"]),
@@ -27,6 +31,7 @@ FLAGS = {
     "--tol": (["1e-6", "1e-10", "0", "-1", "nan", "inf", "1e17", "abc"],
               "experiment", ["tol"]),
     "--seed": (["0", "7", "-1", "1e17", "x"], "experiment", ["seed"]),
+    "--out": (OUTS, "output", ["dir"]),
     "--x0": (VERTICES, "experiment", ["x0"]),
     "--y0": (VERTICES, "experiment", ["y0"]),
     "--y1": (VERTICES, "experiment", ["y1"]),
@@ -35,13 +40,14 @@ FLAGS = {
     "--lambda-deltas": (GRIDS, "experiment", ["lambda_deltas"]),
     "--bracket": (["0 4", "0 8", "4 0", "nan 4", "0 inf", "-1e17 1e17", "a b"],
                   "experiment", ["bracket"]),
+    "--pert-file": (FILES, "perturbation", ["potential_file"]),
     "--pert-indicator": (INDICATORS, "perturbation", ["indicator"]),
     "--pert-value": (NUMBERS, "perturbation", ["value"]),
     "--pert-constant": (NUMBERS, "perturbation", ["constant"]),
     "--pert-coupling": (NUMBERS, "perturbation", ["coupling"]),
 }
-COMMON = ["--constant", "--x", "--y", "--t", "--tol", "--seed"]
-PERTURBATION = ["--pert-indicator", "--pert-value", "--pert-constant"]
+COMMON = ["--potential", "--constant", "--x", "--y", "--t", "--tol", "--seed", "--out"]
+PERTURBATION = ["--pert-file", "--pert-indicator", "--pert-value", "--pert-constant"]
 # subcommand -> (its own flags, its --kind values and their config kinds)
 COMMANDS = {
     "classify": ([], {}),
@@ -66,7 +72,7 @@ def _exit_code(argv):
 
 def _config_text(command, kind, fixture, ambient, flags):
     sections = {"fixture": {"name": fixture, "ambient_size": ambient},
-                "operator": {}, "perturbation": {}, "experiment": {}}
+                "operator": {}, "perturbation": {}, "experiment": {}, "output": {}}
     if command == "ratio":
         sections["experiment"]["kind"] = COMMANDS["ratio"][1][kind]
     elif command == "perturb":
@@ -95,15 +101,18 @@ def test_cli_and_config_exit_with_documented_codes(data):
     names = data.draw(st.lists(st.sampled_from(COMMON + own), unique=True, max_size=3))
     flags = {name: data.draw(st.sampled_from(FLAGS[name][0])) for name in names}
 
-    argv = [command, "--fixture", fixture, "--ambient-size", ambient]
-    if kind:
-        argv += ["--kind", kind]
-    for flag, value in flags.items():
-        argv += [flag] + (value.split() if flag == "--bracket" else [value])
-    assert _exit_code(argv) in (0, 2, 3, 4), argv
-
-    text = _config_text(command, kind, fixture, ambient, flags)
     with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "v.txt"), "w") as fh:
+            fh.write("1 0.5\n2 -0.25\n")
+        flags = {flag: value.format(tmp=tmp) for flag, value in flags.items()}
+        argv = [command, "--fixture", fixture, "--ambient-size", ambient]
+        if kind:
+            argv += ["--kind", kind]
+        for flag, value in flags.items():
+            argv += [flag] + (value.split() if flag == "--bracket" else [value])
+        assert _exit_code(argv) in (0, 2, 3, 4), argv
+
+        text = _config_text(command, kind, fixture, ambient, flags)
         cfg = os.path.join(tmp, "fuzz.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
