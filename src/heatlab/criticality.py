@@ -140,7 +140,8 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None):
     ex = evaluator.exhaustion
     x0 = int(ex[0].labels[0]) if x0 is None else int(x0)
     levels = evaluator.usable_levels()
-    top = ex[levels[-1]].positions
+    top_level = ex[levels[-1]]
+    top = top_level.positions
     kept = min(5, len(levels))  # every level's pair is checked, the last ones kept
     values = np.full((kept, top.size), np.nan)  # their phi_j on the top level's positions
     for i, j in enumerate(levels, kept - len(levels)):
@@ -152,7 +153,7 @@ def ground_state(evaluator: HeatKernelEvaluator, x0=None):
         if ref <= 0.0:
             raise NumericalError(f"ground state vanishes at reference vertex {x0}")
         if i >= 0:
-            values[i, np.searchsorted(top, ex[j].positions)] = v / ref
+            values[i, top_level.local_indices(ex[j].positions)] = v / ref
     depth = np.count_nonzero(~np.isnan(values), axis=0)  # kept levels containing each vertex
     phi = np.full(ex.domain.n_vertices, np.nan)
     phi[top] = values[-1]  # a vertex of the top level only keeps its value there
@@ -371,9 +372,9 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
     x0, y0 = default_reference_pair(exhaustion)
     base_ev = HeatKernelEvaluator(op, exhaustion)
     # the oracle reads G on every support pair, so each must lie in a usable level
-    last = exhaustion[base_ev.usable_levels()[-1]].positions
+    last = exhaustion[base_ev.usable_levels()[-1]]
     support = np.flatnonzero(potential.values != 0.0)
-    outside = support[last[np.minimum(np.searchsorted(last, support), last.size - 1)] != support]
+    outside = support[last.local_indices(support) < 0]
     if outside.size:
         raise ValidationError(f"potential support vertex {op.domain.labels[outside[0]]} "
                               "is outside the last usable exhaustion level")

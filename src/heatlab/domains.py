@@ -13,6 +13,7 @@ built without other copies; an exhaustion level keeps only its positions.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -51,9 +52,11 @@ class WeightedDomain:
     ``weights``, the canonical CSR matrix of w (sorted columns, duplicate
     edges summed), built straight from the edge arrays.  It is ``symmetric``
     when w stores exactly as its CSC form, i.e. as w^T; otherwise that form
-    is kept as w^T for ``oriented_weights(True)``.  Label lookups search the
-    labels themselves when they are sorted (every fixture and edge-list
-    file), else a sorted copy and its permutation.
+    is kept as w^T for ``oriented_weights(True)``.  When the labels are
+    consecutive integers in order (every built-in fixture), a label's
+    position is the label minus the first one; other labels are searched:
+    themselves when they are sorted (an edge-list file), else a sorted copy
+    and its permutation.
 
     A path on 0, 1, 2 with unit measure and conductances, in the array form::
 
@@ -68,10 +71,14 @@ class WeightedDomain:
         n = self.labels.size
         if n == 0:
             raise ValidationError("domain needs at least one vertex")
-        # positions_of searches (permutation, sorted labels): no permutation and
-        # no copy when the labels come sorted
+        # positions_of subtracts the first of consecutive sorted labels, else
+        # searches (permutation, sorted labels): no permutation and no copy
+        # when the labels come sorted
+        self._first = None
         if np.all(self.labels[1:] > self.labels[:-1]):
             self._label_order = (None, self.labels)
+            if int(self.labels[-1]) - int(self.labels[0]) == n - 1:
+                self._first = int(self.labels[0])
         else:
             order = np.argsort(self.labels)
             self._label_order = (order, self.labels[order])
@@ -141,14 +148,26 @@ class WeightedDomain:
         return int(self.labels.size)
 
     def positions_of(self, labels):
-        """Internal positions of an int64 label array; -1 where a label is absent."""
-        order, ordered = self._label_order
-        positions = np.asarray(np.searchsorted(ordered, labels))
-        np.minimum(positions, ordered.size - 1, out=positions)
-        found = ordered[positions] == labels
-        if order is not None:
-            positions = np.asarray(order[positions])
-        positions[~found] = -1
+        """Internal positions of a label or an int64 label array; -1 where a
+        label is absent."""
+        labels = np.asarray(labels)
+        first = self._first
+        if first is None:
+            order, ordered = self._label_order
+            positions = np.asarray(np.searchsorted(ordered, labels))
+            np.minimum(positions, ordered.size - 1, out=positions)
+            found = ordered[positions] == labels
+            if order is not None:
+                positions = np.asarray(order[positions])
+            positions[~found] = -1
+            return positions
+        # compared with the range before the first label is subtracted: no
+        # label outside it is shifted, so nothing overflows at the int64 ends
+        inside = (labels >= first) & (labels <= first + self.labels.size - 1)
+        if inside.all():
+            return labels.astype(np.intp, copy=False) - first
+        positions = np.full(labels.shape, -1, dtype=np.intp)
+        positions[inside] = labels[inside].astype(np.intp) - first
         return positions
 
     def _positions(self, labels, what):
@@ -237,11 +256,12 @@ class NestedOrder:
     A vertex's primary key is the first level that contains it, so every level
     S_j is a prefix of the order, and the measure form A_{S_j} of an operator
     is the leading n_j x n_j block of the deepest level's.  The first level
-    comes in Cuthill-McKee order (George & Liu 1981, ch. 4; the position
-    order on a path), each shell S_j minus S_(j-1) in breadth-first order
-    from S_(j-1), i.e. by hop distance from it (on intervals and balls: from
-    S_0).  That interleaves the two sides of a ball's shell and keeps the
-    band narrow: at most 3 on lat1, 1 on rad(d).
+    comes in Cuthill-McKee order (George & Liu 1981, ch. 4), taken without
+    running it when the level's edges join only neighbouring local indices:
+    on that path it is the local order.  Each shell S_j minus S_(j-1) comes
+    in breadth-first order from S_(j-1), i.e. by hop distance from it (on
+    intervals and balls: from S_0).  That interleaves the two sides of a
+    ball's shell and keeps the band narrow: at most 3 on lat1, 1 on rad(d).
 
     ``grow_to(n)`` appends whole shells until the order holds n vertices, so
     it covers only the levels asked for.  ``positions`` (domain positions in
@@ -294,8 +314,11 @@ class NestedOrder:
         count, col, value = _csr_rows(self.domain.weights, shell)
         row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
         if not start:  # the whole first level: shell indices are its local indices
-            order = sp.csgraph.reverse_cuthill_mckee(
-                self.domain.weights[shell][:, shell], symmetric_mode=True)[::-1]
+            if _path_in_local_order(level, row, col):
+                order = np.arange(shell.size)  # Cuthill-McKee's order of such a path
+            else:
+                order = sp.csgraph.reverse_cuthill_mckee(
+                    self.domain.weights[shell][:, shell], symmetric_mode=True)[::-1]
         else:
             # breadth-first order of the shell from node 0, the previous level
             rank[shell] = -2 - np.arange(shell.size)  # -1 stays outside the level
@@ -323,6 +346,14 @@ class NestedOrder:
         self.positions = np.concatenate((self.positions, shell[order]))
         self.out_weight = np.concatenate((self.out_weight,
                                           self.domain.out_weights()[shell[order]]))
+
+
+def _path_in_local_order(level, row, col):
+    """True iff the level's edges (local rows, domain columns) that stay in it
+    join only neighbouring local indices."""
+    local = level.local_indices(col)
+    inside = local >= 0
+    return bool(np.all(np.abs(local[inside] - row[inside]) == 1))
 
 
 def _transpose(matrix):
@@ -354,9 +385,11 @@ class IndexedSubdomain:
     absorption.  The subset keeps only its domain positions, sorted; its
     ``labels`` and ``mu`` are read through the domain, and an operator
     assembles its sparse restriction where that is read
-    (``EllipticOperator.measure_form``).  Connectivity is checked on the
-    support graph's block when the positions are consecutive (every level of
-    the path fixtures), else on the induced subgraph.
+    (``EllipticOperator.measure_form``).  When the positions are an interval
+    (every level of the path fixtures), a position's local index is its
+    offset from the first, and connectivity is checked on the support graph's
+    block; otherwise positions are searched, and connectivity is checked on
+    the induced subgraph.
     """
 
     def __init__(self, domain: WeightedDomain, subset):
@@ -373,6 +406,9 @@ class IndexedSubdomain:
         self.domain = domain
         # sorted labels sit at sorted positions unless the domain's labels are unsorted
         self.positions = positions if domain._label_order[0] is None else np.sort(positions)
+        lo = int(self.positions[0])
+        # the first position when the positions are an interval, else None
+        self._lo = lo if int(self.positions[-1]) - lo == self.positions.size - 1 else None
         if not domain._connected(self.positions):
             raise ValidationError("subset is not connected in the support graph")
 
@@ -404,16 +440,24 @@ class IndexedSubdomain:
         """The stored edges of the subset's vertices under w (``transposed``:
         w^T) as (local row, local column, weight) arrays, row by row; the
         column is -1 where an edge leaves the subset."""
+        count, col, value = _csr_rows(self.domain.oriented_weights(transposed), self.positions)
+        return np.repeat(np.arange(self.size), count), self.local_indices(col), value
+
+    def local_indices(self, positions):
+        """Local indices of domain positions (-1 allowed); -1 where a position
+        is outside the subset."""
+        positions = np.asarray(positions)
+        if self._lo is not None:
+            local = np.asarray(positions - self._lo)
+            local[(local < 0) | (local >= self.size)] = -1
+            return local
         pos = self.positions
-        count, col, value = _csr_rows(self.domain.oriented_weights(transposed), pos)
-        local = np.minimum(np.searchsorted(pos, col), pos.size - 1)
-        return np.repeat(np.arange(pos.size), count), np.where(pos[local] == col, local, -1), value
+        local = np.minimum(np.searchsorted(pos, positions), pos.size - 1)
+        return np.where(pos[local] == positions, local, -1)
 
     def _local(self, x):
         """Local index of label x, or -1 when x is not in the subset."""
-        p = int(self.domain.positions_of(int(x)))
-        i = int(np.searchsorted(self.positions, p))
-        return i if p >= 0 and i < self.size and self.positions[i] == p else -1
+        return int(self.local_indices(self.domain.positions_of(int(x))))
 
     def local_of(self, x):
         i = self._local(x)
@@ -433,15 +477,19 @@ def restrict(domain: WeightedDomain, subset) -> IndexedSubdomain:
     return IndexedSubdomain(domain, subset)
 
 
-def _within(inner, outer):
-    """True iff every entry of the sorted array ``inner`` is in the sorted ``outer``."""
-    at = np.minimum(np.searchsorted(outer, inner), outer.size - 1)
-    return bool(np.array_equal(outer[at], inner))
+def _within(inner: IndexedSubdomain, outer: IndexedSubdomain):
+    """True iff every vertex of ``inner`` is in ``outer``: when outer's positions
+    are an interval, iff it contains inner's first and last position."""
+    lo = outer._lo
+    if lo is not None:
+        return bool(lo <= inner.positions[0] and inner.positions[-1] < lo + outer.size)
+    return bool(np.all(outer.local_indices(inner.positions) >= 0))
 
 
 class Exhaustion:
     """Strictly increasing sequence of finite connected vertex subsets; each
-    level's sorted positions are searched for the previous level's."""
+    level must contain the previous one, which is a range test when the level's
+    positions are an interval (every path fixture) and a search otherwise."""
 
     def __init__(self, domain: WeightedDomain, subsets):
         self.domain = domain
@@ -449,8 +497,7 @@ class Exhaustion:
         previous = None
         for j, subset in enumerate(subsets):
             sub = IndexedSubdomain(domain, subset)
-            if previous is not None and not (
-                    sub.size > previous.size and _within(previous.positions, sub.positions)):
+            if previous is not None and not (sub.size > previous.size and _within(previous, sub)):
                 raise ValidationError(f"exhaustion level {j + 1} does not strictly contain level {j}")
             self.levels.append(sub)
             previous = sub
@@ -509,13 +556,14 @@ def _doubling_radii(max_radius, penultimate=None):
 
 
 def _pow(base, exponent):
-    """Elementwise base ** exponent (each a scalar or a 1-d array) by Python's
-    scalar power, the fixtures' documented arithmetic; NumPy's vectorised
-    power can differ from it in the last bit."""
-    base, exponent = np.asarray(base), np.asarray(exponent)
+    """Elementwise base ** exponent (each a scalar or a 1-d array) by C's pow,
+    the fixtures' documented arithmetic: ``math.pow`` on float exponents,
+    which is Python's scalar power on a finite positive base; NumPy's
+    vectorised power can differ from it in the last bit."""
+    base, exponent = np.asarray(base, dtype=float), np.asarray(exponent, dtype=float)
     size = np.broadcast(base, exponent).size
     sides = (a.tolist() if a.ndim else repeat(a.item()) for a in (base, exponent))
-    return np.fromiter(map(pow, *sides), float, size)
+    return np.fromiter(map(math.pow, *sides), float, size)
 
 
 def _path_edges(vertices, w):

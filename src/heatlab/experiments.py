@@ -552,14 +552,27 @@ class ScenarioResult:
     csv_paths: list
 
 
+def _check_out_dir(path):
+    """Reject an output dir that is a file or lies under one: its nearest
+    existing ancestor (itself included) must be a directory."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ValidationError(f"output dir {path}: {head} is not a directory")
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Execute the configured experiment; write its CSV artifacts and summary.
 
     Deterministic given the config.  Files go to ``config.out_dir`` only after
-    the experiment succeeded, and nowhere when it is None.  Exit status: 0
-    success, 3 when a limit or series is inconclusive (hard errors raise and
-    are mapped by the CLI).
+    the experiment succeeded, and nowhere when it is None; a dir that is a
+    file or lies under one is rejected before anything is computed.  Exit
+    status: 0 success, 3 when a limit or series is inconclusive (hard errors
+    raise and are mapped by the CLI).
     """
+    if config.out_dir is not None:
+        _check_out_dir(config.out_dir)
     fixture = resolve_fixture(config.fixture_name, ambient_size=config.ambient_size)
     domain, exhaustion, kind = fixture.domain, fixture.exhaustion, config.kind
     x, y = config.x, config.y

@@ -372,7 +372,7 @@ class _FactorBase:
 
     def _locals(self, nest):
         """The local index of each vertex of this level's prefix of ``nest``."""
-        return np.searchsorted(self.sub.positions, nest.positions[:self.sub.size])
+        return self.sub.local_indices(nest.positions[:self.sub.size])
 
     @property
     def a_s(self):

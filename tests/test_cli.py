@@ -212,6 +212,21 @@ def test_run_command(tmp_path, capsys):
     assert "lambda0:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("out", ["c.cfg", "c.cfg/sub"], ids=["file", "under-a-file"])
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys, out):
+    # once a FileExistsError or NotADirectoryError traceback (exit 1) after
+    # the experiment had run
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[fixture]\nname = lat1\nambient_size = 33\n\n[experiment]\nkind = heat\n\n"
+                   f"[output]\ndir = {tmp_path / out}\n")
+    assert main(["heat", "--ambient-size", "33", "--out", str(tmp_path / out)]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+    message = f"validation error: output dir {tmp_path / out}: {cfg} is not a directory"
+    assert capsys.readouterr().err.count(message) == 3
+    assert cfg.read_text().startswith("[fixture]")
+
+
 def test_overflowing_lanczos_shift_is_a_restriction_failure(tmp_path, capsys):
     # D = +-1e308 is finite, but D - sigma, sigma = min D - 1, overflows
     pot = tmp_path / "pot.txt"

@@ -19,7 +19,7 @@ GRIDS = ["geometric:1:50:6", "geometric:5:60:5", "0.5,2,8", "3,2,1", "geometric:
 INDICATORS = ["0", "1", "0,1", "-2 2", "1,x", "99999", ""]
 # {tmp} is the draw's temporary directory, which holds the potential file v.txt
 FILES = ["{tmp}/v.txt", "{tmp}/missing.txt", ""]
-OUTS = ["{tmp}/out", "{tmp}/missing/out", ""]
+OUTS = ["{tmp}/out", "{tmp}/missing/out", "{tmp}/v.txt", ""]
 
 # flag -> (pool, config section, config keys)
 FLAGS = {

@@ -15,6 +15,7 @@ Claims:
 import hashlib
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,13 @@ import scipy.sparse as sp
 
 import heatlab as hl
 from heatlab.criticality import default_reference_pair
-from heatlab.domains import MEASURE_FLOOR, ball_exhaustion, closed_path_domain, load_edge_list
+from heatlab.domains import (
+    MEASURE_FLOOR,
+    _path_edges,
+    ball_exhaustion,
+    closed_path_domain,
+    load_edge_list,
+)
 
 from conftest import build_scrambled_grid
 
@@ -158,8 +165,10 @@ def test_exhaustion_strict_nesting_and_connectivity():
     # miss a vertex of the previous one
     with pytest.raises(hl.ValidationError, match="subset is not connected"):
         hl.Exhaustion(fx.domain, [[0, 1], [0, 1, 3]])
-    with pytest.raises(hl.ValidationError, match="level 2 does not strictly contain level 1"):
-        hl.Exhaustion(fx.domain, [[-1, 0], [0, 1, 2]])
+    # interval levels that stick out of the next on either side, or miss it
+    for levels in ([[-1, 0], [0, 1, 2]], [[1, 2], [-1, 0, 1]], [[5, 6], [-1, 0, 1]]):
+        with pytest.raises(hl.ValidationError, match="level 2 does not strictly contain level 1"):
+            hl.Exhaustion(fx.domain, levels)
     with pytest.raises(hl.ValidationError, match="level 3 does not strictly contain level 2"):
         hl.Exhaustion(fx.domain, [[0], [-1, 0, 1], [0, 1, 2, 3]])
 
@@ -329,6 +338,116 @@ def test_int64_labels_resolve_like_python_ints():
         assert label in sub and sub.local_of(label) == sub.local_of(x) == x + 2
         assert fx.exhaustion.first_level_containing(label) == fx.exhaustion.first_level_containing(x)
         assert fx.domain.measure_of(label) == 1.0
+
+
+def _grid(labels, order):
+    """The 6 x 6 grid whose vertex k carries label labels[k], stored in ``order``."""
+    k = np.arange(36).reshape(6, 6)
+    x = np.r_[k[:, :-1].ravel(), k[:-1, :].ravel()]
+    y = np.r_[k[:, 1:].ravel(), k[1:, :].ravel()]
+    w = 1.0 + 0.1 * (x % 3)
+    mu = 0.5 + 0.25 * (np.arange(36) % 4)
+    return hl.WeightedDomain(labels[order], mu[order],
+                             (labels[np.r_[x, y]], labels[np.r_[y, x]], np.r_[w, w]))
+
+
+def _labelled_edges(sub, relabel=int):
+    """The level's stored edges as sorted (label, inside, label or 0, weight)
+    tuples, ``relabel`` applied to each label."""
+    rows, cols, w = sub._edges()
+    labels = sub.labels
+    return sorted((relabel(labels[r]), c >= 0, relabel(labels[c]) if c >= 0 else 0, float(v))
+                  for r, c, v in zip(rows, cols, w))
+
+
+@pytest.mark.parametrize("case", ["range", "shifted", "gapped", "permuted"])
+def test_label_ranges_agree_with_searched_labels(case):
+    # consecutive sorted labels take their positions by subtraction, others by
+    # search; both give the same graph, lookups, balls and level edges
+    k = np.arange(36)
+    labels, order = {"range": (k, k), "shifted": (k - 17, k), "gapped": (3 * k - 40, k),
+                     "permuted": (k, np.random.default_rng(3).permutation(36))}[case]
+    base, domain = _grid(k, k), _grid(labels, order)
+    assert base._first == 0
+    assert domain._first == {"range": 0, "shifted": -17}.get(case)
+    where = np.argsort(order)  # the position of vertex k
+    assert np.array_equal(domain.positions_of(labels), where)
+    absent = np.setdiff1d(np.arange(-60, 120), labels)
+    assert np.all(domain.positions_of(absent) == -1)
+    assert [int(domain.positions_of(int(x))) for x in labels[:5]] == where[:5].tolist()
+    assert (domain.weights[where][:, where] != base.weights).nnz == 0
+    assert np.array_equal(domain.mu[where], base.mu)
+    relabel = dict(zip(k.tolist(), labels.tolist()))
+    for sub, sub0 in zip(ball_exhaustion(domain, center=labels[14]), ball_exhaustion(base, 14),
+                         strict=True):
+        assert sorted(sub.labels.tolist()) == sorted(relabel[x] for x in sub0.labels.tolist())
+        assert _labelled_edges(sub) == _labelled_edges(sub0, lambda x: relabel[int(x)])
+        for x in range(-45, 75):
+            assert (x in sub) == (x in sub.labels)
+    # nesting of levels whose positions are no interval: a corner ball and a
+    # larger one around it, or around the opposite corner
+    assert len(hl.Exhaustion(domain, [labels[[0, 1, 6]], labels[[0, 1, 2, 6, 7, 12]]])) == 2
+    with pytest.raises(hl.ValidationError, match="level 2 does not strictly contain level 1"):
+        hl.Exhaustion(domain, [labels[[0, 1, 6]], labels[[35, 34, 29, 33, 28, 23]]])
+
+
+@pytest.mark.parametrize("first", [-5, 3, 2**63 - 4, -2**63])
+def test_label_ranges_at_the_int64_ends(first):
+    # labels first .. first + 3: lookups of the int64 ends, or beyond them, are
+    # absent or a ValidationError, and nothing overflows or warns
+    labels = first + np.arange(4)
+    domain = hl.WeightedDomain(labels, np.ones(4), _path_edges(labels, 1.0))
+    sub = hl.restrict(domain, labels[1:3])
+    assert domain._first == first and sub._lo == 1
+    ends = np.array([2**63 - 1, -2**63], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = np.isin(ends, labels)
+        assert np.array_equal(domain.positions_of(ends), np.where(inside, ends - first, -1))
+        for x, present in zip(ends, inside):
+            assert int(domain.positions_of(x)) == (int(x) - first if present else -1)
+            assert (int(x) in sub) == (int(x) in labels[1:3])
+            if not present:
+                with pytest.raises(hl.ValidationError, match="unknown vertex"):
+                    domain.measure_of(x)
+        for x in (2**63, -2**63 - 1):
+            assert x not in sub
+            with pytest.raises(hl.ValidationError, match="outside int64"):
+                domain.measure_of(x)
+        assert np.array_equal(domain.positions_of(labels), np.arange(4))
+
+
+def test_interval_levels_index_by_offset():
+    # local_of, `in` and the level's edges of interval levels, against the
+    # dense weights
+    fx = hl.fixture("lat1_geo(0.5)", ambient_size=41)
+    w = fx.domain.weights.toarray()
+    for sub in fx.exhaustion:
+        assert sub._lo == sub.positions[0] and sub.positions[-1] == sub._lo + sub.size - 1
+        labels = sub.labels.tolist()
+        for x in range(-22, 23):
+            assert (x in sub) == (x in labels)
+            if x in labels:
+                assert sub.local_of(x) == labels.index(x)
+        rows, cols, values = sub._edges()
+        expected = [(i, int(q) - sub._lo if sub._lo <= q < sub._lo + sub.size else -1, w[p, q])
+                    for i, p in enumerate(sub.positions) for q in np.flatnonzero(w[p])]
+        assert list(zip(rows.tolist(), cols.tolist(), values.tolist())) == expected
+        # positions -1 (absent) .. 41 (past the domain); position p is label p - 20
+        assert sub.local_indices(np.arange(-1, 42)).tolist() == [
+            sub.local_of(p - 20) if 0 <= p <= 40 and p - 20 in sub else -1 for p in range(-1, 42)]
+
+
+@pytest.mark.parametrize("spec, size", [("lat1_geo(0.5)", 20001), ("rad(3)", 20000)])
+def test_range_labelled_fixtures_build_without_searches(spec, size, monkeypatch):
+    def searchsorted(*args, **kwargs):
+        raise AssertionError("searchsorted called")
+
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    fx = hl.fixture(spec, ambient_size=size)
+    fx.exhaustion.nested_order().grow_to(fx.domain.n_vertices)
+    assert fx.exhaustion[3].order.size == fx.exhaustion[3].size
+    assert fx.exhaustion[-2].local_of(2) == 2 - int(fx.exhaustion[-2].labels[0])
 
 
 def _drift_path_with_a_shortcut():
