@@ -42,14 +42,14 @@ representable however widely the jump rates 1/mu spread.
 
 * Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
-  f(nu) = exp(-t(1/nu + sigma)).  One basis per (level, column) serves a
-  whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
+  f(nu) = exp(-t(1/nu + sigma)).  One three-term recurrence per (level, x,
+  y), which keeps two Lanczos vectors and their entries at x, not V, serves
+  a whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
   decomposition of T_m per check m (every 5 steps up to 30, then every 10)
   serves every t, and the stopping rule is applied per t, so a grid's values
-  equal those of one-t calls bit for bit.  The basis lives in the
-  coordinates of the level's own order, those of its factor of
-  A_S - sigma D_mu, where a step costs one O(n) solve
-  (``_NestedCholesky.solve``).
+  equal those of one-t calls bit for bit.  It runs in the coordinates of the
+  level's own order, those of its factor of A_S - sigma D_mu, where a step
+  costs one O(n) solve (``_NestedCholesky.solve``).
 * All-pairs queries (kernel and semigroup matrices, the perturbation
   module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -75,7 +75,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dgemv
 # banded and tridiagonal LAPACK directly: scipy's cholesky_banded and
 # cho_solve_banded copy the band and the right-hand side through
 # asarray_chkfinite on every call
@@ -92,7 +91,7 @@ WELL_SCALED_RATE = 1e8
 
 HEAT_TOL = 1e-9
 GREEN_TOL = 1e-8
-#: Lanczos steps per basis; a time whose basis has not settled by then has no value
+#: Lanczos steps per recurrence; a time unsettled by then has no value
 LANCZOS_CAP = 500
 
 
@@ -458,18 +457,19 @@ class _ShiftInvertLanczos:
     the shifted factor's order is orthogonal, so the process runs there: a
     step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
     between two scalings by R in that order (``SymmetricFactor._krylov``).
-    Full reorthogonalization (classical Gram-Schmidt, twice, in place by BLAS
-    ``dgemv`` on the basis rows) keeps the basis V orthonormal to round-off;
-    its rows are allocated by doubling as the basis grows, up to the cap.
+    The three-term recurrence keeps v_(j-1), v_j and, of V, the entries
+    ``rows`` at the row x it serves: lost orthogonality only delays the
+    convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
     exp(-tH) e_y is approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 =
-    Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs (theta, Q) of the
-    tridiagonal T_m and lam = 1/theta + sigma.
+    Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs (theta, Q) of T_m and
+    lam = 1/theta + sigma.
 
     ``coefficients(ts)`` serves a whole time grid: one Ritz decomposition of
     T_m serves every t, and c_m(t) is one matrix-vector product per t.  The
     stopping rule is applied per t at the checks m = 5, 10, ..., 30, then
-    every 10 steps: short bases are confirmed over 5 steps, while past 30 a
+    every 10 steps: short runs are confirmed over 5 steps, while past 30 a
     check's tridiagonal eigensolve costs more than 10 steps save.  A t settles
+    at once at c = 0 if exp(-t min D) = 0 (|c(t)| <= exp(-t min D)), else
     at the first check m at which c_m(t) is nonzero (an underflowed 0 is no
     evidence) and differs from the previous check's c by at most
     max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm (below 1e-138 both
@@ -484,15 +484,16 @@ class _ShiftInvertLanczos:
     others do not.
     """
 
-    def __init__(self, factor, iy):
+    def __init__(self, factor, ix, iy):
         self.factor = factor
         _, self.sigma, where, root = factor._krylov()
         n = root.size
-        self.cap = min(n, LANCZOS_CAP)  # rows the basis may grow to
-        # 32 rows hold most bases; longer ones double them (``_extend``)
-        self.basis = np.empty((min(self.cap, 32), n))
-        self.basis[0] = 0.0
-        self.basis[0, where[iy]] = 1.0
+        self.cap = min(n, LANCZOS_CAP)  # steps the recurrence may run to
+        self.x = where[ix]
+        self.previous, self.current = np.zeros(n), np.zeros(n)  # v_(j-1), v_j
+        self.current[where[iy]] = 1.0
+        self.rows = np.empty(self.cap)  # v_j[x] of the steps so far
+        self.rows[0] = self.current[self.x]
         self.alpha, self.beta = [], []
         self.invariant = False  # the Krylov space is exhausted
         self._ritz = (0, None, None)  # the latest check's m, Ritz values lam and vectors Q of T_m
@@ -502,31 +503,25 @@ class _ShiftInvertLanczos:
         """Run Lanczos to m steps, or to exhaustion; the steps available."""
         alpha, beta = self.alpha, self.beta
         shifted, _, _, root = self.factor._krylov()
-        n = self.basis.shape[1]
+        n = root.size
         m = min(m, self.cap)
         while len(alpha) < m and not self.invariant:
             j = len(alpha)
-            w = shifted.solve(n, root * self.basis[j])
+            w = shifted.solve(n, root * self.current)
             w *= root
             norm_w = math.sqrt(w @ w)
-            v = self.basis[:j + 1].T  # Fortran-ordered: dgemv reads the rows in place
-            # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y)
-            # positionally: on short bases f2py's keyword parsing costs a third of a call
-            h = dgemv(1.0, v, w, 0.0, None, 0, 1, 0, 1, 1)  # V w
-            w = dgemv(-1.0, v, h, 1.0, w, 0, 1, 0, 1, 0, 1)  # w - V^T h, in place
-            h2 = dgemv(1.0, v, w, 0.0, None, 0, 1, 0, 1, 1)
-            w = dgemv(-1.0, v, h2, 1.0, w, 0, 1, 0, 1, 0, 1)
-            alpha.append(float(h[j] + h2[j]))
+            if j:
+                w -= beta[j - 1] * self.previous
+            alpha.append(float(w @ self.current))
+            w -= alpha[j] * self.current
             b = math.sqrt(w @ w)
             if b <= 1e-14 * norm_w or j + 1 == n:
                 self.invariant = True
             elif j + 1 < self.cap:
                 beta.append(b)
-                if j + 1 == self.basis.shape[0]:
-                    grown = np.empty((min(2 * (j + 1), self.cap), n))
-                    grown[:j + 1] = self.basis
-                    self.basis = grown
-                np.divide(w, b, out=self.basis[j + 1])
+                w /= b
+                self.previous, self.current = self.current, w
+                self.rows[j + 1] = w[self.x]
         return min(m, len(alpha))
 
     def _f_of_t(self, m, ts):
@@ -545,9 +540,12 @@ class _ShiftInvertLanczos:
         return np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
 
     def coefficients(self, ts):
-        """c(t) for each t > 0 of ``ts``, with exp(-tH) e_y = basis[:len(c)].T @ c,
-        or the InconclusiveError of a t whose basis has not settled."""
+        """c(t) for each t > 0 of ``ts``, with [exp(-tH) e_y][x] = rows[:len(c)] @ c,
+        or the InconclusiveError of a t whose recurrence has not settled."""
         todo = np.array([t for t in dict.fromkeys(ts) if t not in self._coeffs], dtype=float)
+        underflowed = _decay(self.sigma + 1.0, todo) == 0.0  # sigma + 1 = min D
+        self._coeffs.update(dict.fromkeys(todo[underflowed].tolist(), np.zeros(1)))
+        todo = todo[~underflowed]
         previous = np.zeros((todo.size, 0))
         m = 0
         while todo.size:
@@ -579,10 +577,10 @@ class _ShiftInvertLanczos:
 class SymmetricFactor(_FactorBase):
     """Heat kernels of a symmetric restriction, by its shifted inverse B.
 
-    Point queries ``kernels(ix, iy, ts)`` read column iy of exp(-tH) at every
-    t of a grid from one shift-and-invert Lanczos basis started at e_y, built
-    on first use and extended as later times ask for more steps; ``kernel``
-    is the one-t call.  All-pairs queries
+    Point queries ``kernels(ix, iy, ts)`` read entry (x, y) of exp(-tH) at
+    every t of a grid from one shift-and-invert Lanczos recurrence per
+    (ix, iy), built on first use and extended as later times ask for more
+    steps; ``kernel`` is the one-t call.  All-pairs queries
     (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``) use the
     dense eigendecomposition of the level, ``spectral()``.
     """
@@ -594,7 +592,7 @@ class SymmetricFactor(_FactorBase):
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
         self._shifted = None
-        self._columns = {}  # local column iy -> its _ShiftInvertLanczos
+        self._recurrences = {}  # local (ix, iy) -> its _ShiftInvertLanczos
         self._lock = threading.Lock()
 
     def _krylov(self):
@@ -669,8 +667,8 @@ class SymmetricFactor(_FactorBase):
 
     def kernels(self, ix, iy, ts):
         """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
-        from column y's basis; a t whose basis has not settled has its
-        InconclusiveError in place of a value.
+        from the recurrence of (x, y); a t whose recurrence has not settled has
+        its InconclusiveError in place of a value.
 
         Negative values within 1e-13 of the column's norm are round-off and
         read as 0.
@@ -679,21 +677,20 @@ class SymmetricFactor(_FactorBase):
         values = {}  # t -> value, or its InconclusiveError
         if positive:
             with self._lock:
-                lanczos = self._columns.get(iy)
+                lanczos = self._recurrences.get((ix, iy))
                 if lanczos is None:
-                    lanczos = self._columns[iy] = _ShiftInvertLanczos(self, iy)
+                    lanczos = self._recurrences[ix, iy] = _ShiftInvertLanczos(self, ix, iy)
                 values.update(zip(positive, lanczos.coefficients(positive)))
-            row = self._krylov()[2][ix]
             settled = {t: c for t, c in values.items() if not isinstance(c, InconclusiveError)}
             scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
-            raw = np.array([lanczos.basis[:c.size, row] @ c for c in settled.values()]) / scale
+            raw = np.array([lanczos.rows[:c.size] @ c for c in settled.values()]) / scale
             floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
             values.update(zip(settled, _clamped(raw, floor).tolist()))
         delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
         return [delta if t == 0.0 else values[t] for t in ts]
 
     def kernel(self, ix, iy, t):
-        """``kernels`` at the one time t; an unsettled basis raises."""
+        """``kernels`` at the one time t; an unsettled recurrence raises."""
         value = self.kernels(ix, iy, [t])[0]
         if isinstance(value, InconclusiveError):
             raise value
@@ -861,7 +858,7 @@ def exhaustion_limit(value_at, levels, sizes, tol, *, trend_divergence,
 
     * a NumericalError at level j (a nonpositive restriction inside the
       exhaustion): diverging, value inf, at that level;
-    * an InconclusiveError at level j (a Lanczos basis at its step cap):
+    * an InconclusiveError at level j (a Lanczos recurrence at its step cap):
       inconclusive there;
     * an infinite value (overflow): diverging;
     * two consecutive relative increments below ``tol``: converged.  Zeros
@@ -1001,11 +998,11 @@ class HeatKernelEvaluator:
         LimitResult per t of ``ts``.
 
         The first request for a level computes its values on the whole grid
-        (one Lanczos basis per level serves every t); each t's limit then
-        reads them unchanged, so it sees exactly the values, levels and
-        verdict it would see alone.  A t whose Lanczos basis does not settle
-        has an InconclusiveError at that level, which makes only its own
-        limit inconclusive there.
+        (one Lanczos recurrence per level serves every t); each t's limit
+        then reads them unchanged, so it sees exactly the values, levels and
+        verdict it would see alone.  A t whose recurrence does not settle has
+        an InconclusiveError at that level, which makes only its own limit
+        inconclusive there.
         """
         ts = [_check_time(t) for t in ts]
         if not ts:

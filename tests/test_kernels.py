@@ -11,6 +11,8 @@ Claims:
     - green values agree with time quadrature of the kernel
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -154,20 +156,27 @@ def test_underflowed_levels_certify_nothing():
 
 
 def test_underflowed_coefficients_settle_nothing():
-    # at t = 1e5 the early checks' c(t) on these levels square to 0 in their
-    # norms, so a change and a norm of 0 once settled every level at 2.08e-229;
-    # the closed form on the Dirichlet path of n vertices is
-    # sum_k exp(-t lambda_k) phi_k(i)^2, lambda_k = 2 - 2 cos(k pi / (n + 1))
+    # at t = 1e5 the early checks' c(t) on the levels of 65 to 513 vertices
+    # square to 0 in their norms, so a change and a norm of 0 once settled
+    # every level at 2.08e-229; the closed form on the Dirichlet path of n
+    # vertices is sum_k exp(-t lambda_k) phi_k(i) phi_k(l),
+    # lambda_k = 4 sin^2(k pi / (2n + 2)), phi_k(i) = sqrt(2/(n + 1)) sin(k pi i / (n + 1)),
+    # and the route's floor is max(1e-13, 8 eps t) of the value
     fx = hl.fixture("lat1", ambient_size=4001)
     ev = hl.HeatKernelEvaluator(hl.assemble(fx.domain), fx.exhaustion)
-    t = 1e5
-    for j in (5, 6, 7, 8):
+    for j in range(10):  # 3 to 1025 vertices
         sub = fx.exhaustion[j]
-        n, i = sub.size, sub.local_of(0) + 1
+        n = sub.size
         angle = np.arange(1, n + 1) * np.pi / (n + 1)
-        exact = np.sum(np.exp(-t * (2.0 - 2.0 * np.cos(angle))) * np.sin(angle * i) ** 2)
-        assert ev.heat_finite(j, 0, 0, t) == pytest.approx(2.0 * exact / (n + 1), rel=1e-9,
-                                                          abs=0.0)
+        decay = 4.0 * np.sin(angle / 2.0) ** 2
+        for x, y in ((0, 0), (0, 1)):
+            i, l = sub.local_of(x) + 1, sub.local_of(y) + 1
+            for t in (0.5, 50.0, 1e3, 1e4, 1e5):
+                exact = 2.0 / (n + 1) * math.fsum(
+                    np.exp(-t * decay) * np.sin(angle * i) * np.sin(angle * l))
+                floor = max(1e-13, 8.0 * np.finfo(float).eps * t)
+                assert ev.heat_finite(j, x, y, t) == pytest.approx(exact, rel=floor, abs=0.0), (
+                    n, x, y, t)
 
 
 def test_tiny_coefficients_settle_at_their_value():
@@ -822,11 +831,11 @@ def test_point_route_settles_at_large_times():
     assert sub.size == 1024
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
     dense = fac.kernel_matrix(4000.0)
+    ix = sub.local_of(1)
     for y in (1, 2):
         iy = sub.local_of(y)
-        assert fac.kernel(sub.local_of(1), iy, 4000.0) == pytest.approx(
-            dense[sub.local_of(1), iy], rel=1e-11)
-        assert len(fac._columns[iy].alpha) < 400
+        assert fac.kernel(ix, iy, 4000.0) == pytest.approx(dense[ix, iy], rel=1e-11)
+        assert len(fac._recurrences[ix, iy].alpha) < 400
 
 
 def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
@@ -834,8 +843,9 @@ def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
     assert sub.size == 9
     fac = SymmetricFactor(lat1_op, sub)
     _assert_point_route_matches_dense(fac, range(sub.size))
-    for iy in range(sub.size):
-        assert len(fac._columns[iy].alpha) <= sub.size
+    assert len(fac._recurrences) == sub.size ** 2
+    for lanczos in fac._recurrences.values():
+        assert len(lanczos.alpha) <= sub.size
 
 
 def test_point_values_do_not_depend_on_query_order():
@@ -975,8 +985,8 @@ PAPER_GRID = tuple(geometric_grid(1.0, 1000.0, 10))
     ("rad(3)", 20000, 11, (1,), PAPER_GRID),
 ])
 def test_settled_coefficients_are_within_their_floor(name, ambient, level, columns, grid):
-    # a c(t) settled by the five-step confirmation agrees with the same basis
-    # run to twice its steps within the stopping rule's floor
+    # a c(t) settled by the five-step confirmation agrees with the same
+    # recurrence run to twice its steps within the stopping rule's floor
     import heatlab.kernels as hk
 
     fx = hl.fixture(name, ambient_size=ambient)
@@ -984,7 +994,7 @@ def test_settled_coefficients_are_within_their_floor(name, ambient, level, colum
     ts = np.array(grid)
     for y in columns:
         iy = fac.sub.local_of(y)
-        lanczos = hk._ShiftInvertLanczos(fac, iy)
+        lanczos = hk._ShiftInvertLanczos(fac, iy, iy)
         settled = lanczos.coefficients(list(grid))
         steps = max(c.size for c in settled)
         m = lanczos._extend(2 * steps)
@@ -1006,13 +1016,13 @@ def test_short_basis_settles_within_twenty_steps(geo, geo_op):
     fac = SymmetricFactor(geo_op, sub)
     iy = sub.local_of(1)
     fac.kernels(iy, iy, list(BENCH_GRID))
-    assert len(fac._columns[iy].alpha) <= 20
+    assert len(fac._recurrences[iy, iy].alpha) <= 20
 
 
 def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
     # a t = 3000 value walks every check up to some 200 steps, and only the
-    # last check's (lam, Q) stays; rows are allocated by doubling, not up to
-    # the cap at once
+    # last check's (lam, Q) stays; of the basis only the entries at row x
+    # stay, so no array but Q holds more than n entries
     fx = hl.fixture("lat1", ambient_size=4097)
     sub = fx.exhaustion[10]
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
@@ -1021,9 +1031,10 @@ def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
     assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11,
                                                            abs=0.0)
     for iy in (short, long):
-        lanczos = fac._columns[iy]
-        assert lanczos.basis.shape[0] <= max(32, 2 * len(lanczos.alpha))
-    lanczos = fac._columns[long]
+        lanczos = fac._recurrences[iy, iy]
+        arrays = [a for a in vars(lanczos).values() if isinstance(a, np.ndarray)]
+        arrays += [c for c in lanczos._coeffs.values() if isinstance(c, np.ndarray)]
+        assert len(arrays) >= 3 and max(a.size for a in arrays) <= sub.size
     m, lam, q = lanczos._ritz
     assert m == len(lanczos.alpha) > 100 and lam.shape == (m,) and q.shape == (m, m)
 
