@@ -42,14 +42,15 @@ representable however widely the jump rates 1/mu spread.
 
 * Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
-  f(nu) = exp(-t(1/nu + sigma)).  One three-term recurrence per (level, x,
-  y), which keeps two Lanczos vectors and their entries at x, not V, serves
-  a whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
+  f(nu) = exp(-t(1/nu + sigma)).  One three-term recurrence per (level,
+  y), which keeps two Lanczos vectors and their entries at the rows x read,
+  not V, serves a whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
   decomposition of T_m per check m (every 5 steps up to 30, then every 10)
   serves every t, and the stopping rule is applied per t, so a grid's values
   equal those of one-t calls bit for bit.  It runs in the coordinates of the
   level's own order, those of its factor of A_S - sigma D_mu, where a step
-  costs one O(n) solve (``_NestedCholesky.solve``).
+  costs one O(n) solve (``_NestedCholesky.solve``).  A t unsettled at a small
+  level's dimension n is read from B's dense eigendecomposition.
 * All-pairs queries (kernel and semigroup matrices, the perturbation
   module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -458,8 +459,8 @@ class _ShiftInvertLanczos:
     step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
     between two scalings by R in that order (``SymmetricFactor._krylov``).
     The three-term recurrence keeps v_(j-1), v_j and, of V, the entries
-    ``rows`` at the row x it serves: lost orthogonality only delays the
-    convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
+    ``rows`` at the rows ``ixs`` it serves: lost orthogonality only delays
+    the convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
     exp(-tH) e_y is approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 =
     Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs (theta, Q) of T_m and
     lam = 1/theta + sigma.
@@ -469,38 +470,44 @@ class _ShiftInvertLanczos:
     stopping rule is applied per t at the checks m = 5, 10, ..., 30, then
     every 10 steps: short runs are confirmed over 5 steps, while past 30 a
     check's tridiagonal eigensolve costs more than 10 steps save.  A t settles
-    at once at c = 0 if exp(-t min D) = 0 (|c(t)| <= exp(-t min D)), else
-    at the first check m at which c_m(t) is nonzero (an underflowed 0 is no
+    at once at c = 0 if exp(-t min D)/mu(y) underflows to 0 (K_S has
+    off-diagonal entries <= 0 and row sums >= min D, so k(x, y, t) mu(y) =
+    [exp(-tK_S)](x, y) <= exp(-t min D) for every x), else at the
+    first check m at which c_m(t) is nonzero (an underflowed 0 is no
     evidence) and differs from the previous check's c by at most
     max(1e-13, 8 eps t (lambda_0 - sigma)) of its norm (below 1e-138 both
-    rows scaled by one power of 2, lest squares underflow), or at the
-    dimension of the Krylov space once it is exhausted (then c is exact).
-    The second term is the round-off floor of c(t): an error eps/theta in
-    the lowest Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0)
-    by t eps/theta.  Only the latest check's Ritz decomposition is kept; a
+    rows scaled by one power of 2, lest squares underflow), or once beta
+    collapses (the Krylov space is invariant and c is exact).  The second
+    term is the round-off floor of c(t): an error eps/theta in the lowest
+    Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by
+    t eps/theta.  Only the latest check's Ritz decomposition is kept; a
     later call walks the checks again, so values depend only on t and the
     first m Lanczos steps, not on the grid or query order.  A t unsettled in
-    ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its c; the
-    others do not.
+    ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its c, one
+    unsettled at the dimension n gets None: without reorthogonalization T_n
+    need not have the spectrum of B.
     """
 
-    def __init__(self, factor, ix, iy):
+    def __init__(self, factor, iy, ixs=(), coeffs=None):
         self.factor = factor
         _, self.sigma, where, root = factor._krylov()
         n = root.size
         self.cap = min(n, LANCZOS_CAP)  # steps the recurrence may run to
-        self.x = where[ix]
+        self.log_mu = math.log(factor.mu[iy])
+        self.ixs = list(ixs)  # the local rows x it records
+        self.at = where[self.ixs]
         self.previous, self.current = np.zeros(n), np.zeros(n)  # v_(j-1), v_j
         self.current[where[iy]] = 1.0
-        self.rows = np.empty(self.cap)  # v_j[x] of the steps so far
-        self.rows[0] = self.current[self.x]
+        self.rows = np.empty((len(self.ixs), self.cap))  # v_j[x] of the steps so far, a row per x
+        self.rows[:, 0] = self.current[self.at]
         self.alpha, self.beta = [], []
-        self.invariant = False  # the Krylov space is exhausted
+        self.invariant = False  # beta collapsed: the Krylov space is invariant
         self._ritz = (0, None, None)  # the latest check's m, Ritz values lam and vectors Q of T_m
-        self._coeffs = {}  # t -> c(t), or the InconclusiveError of an unsettled t
+        # t -> c(t), or the InconclusiveError of an unsettled t; a rerun of the column keeps them
+        self._coeffs = {} if coeffs is None else coeffs
 
     def _extend(self, m):
-        """Run Lanczos to m steps, or to exhaustion; the steps available."""
+        """Run Lanczos to m steps, or until beta collapses; the steps available."""
         alpha, beta = self.alpha, self.beta
         shifted, _, _, root = self.factor._krylov()
         n = root.size
@@ -515,13 +522,13 @@ class _ShiftInvertLanczos:
             alpha.append(float(w @ self.current))
             w -= alpha[j] * self.current
             b = math.sqrt(w @ w)
-            if b <= 1e-14 * norm_w or j + 1 == n:
+            if b <= 1e-14 * norm_w:
                 self.invariant = True
             elif j + 1 < self.cap:
                 beta.append(b)
                 w /= b
                 self.previous, self.current = self.current, w
-                self.rows[j + 1] = w[self.x]
+                self.rows[:, j + 1] = w[self.at]
         return min(m, len(alpha))
 
     def _f_of_t(self, m, ts):
@@ -540,10 +547,11 @@ class _ShiftInvertLanczos:
         return np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
 
     def coefficients(self, ts):
-        """c(t) for each t > 0 of ``ts``, with [exp(-tH) e_y][x] = rows[:len(c)] @ c,
-        or the InconclusiveError of a t whose recurrence has not settled."""
+        """c(t) for each t > 0 of ``ts``, with [exp(-tH) e_y][x] = rows[i, :len(c)] @ c,
+        or the InconclusiveError (or None) of a t whose recurrence has not settled."""
         todo = np.array([t for t in dict.fromkeys(ts) if t not in self._coeffs], dtype=float)
-        underflowed = _decay(self.sigma + 1.0, todo) == 0.0  # sigma + 1 = min D
+        with np.errstate(over="ignore"):  # sigma + 1 = min D
+            underflowed = np.exp(-(self.sigma + 1.0) * todo - self.log_mu) == 0.0
         self._coeffs.update(dict.fromkeys(todo[underflowed].tolist(), np.zeros(1)))
         todo = todo[~underflowed]
         previous = np.zeros((todo.size, 0))
@@ -567,9 +575,10 @@ class _ShiftInvertLanczos:
                 self._coeffs[float(t)] = row
             todo, previous = todo[~settled], c[~settled]
             if todo.size and m == self.cap:
-                error = InconclusiveError(f"Lanczos did not converge in {m} steps")
+                stop = None if m == self.current.size else InconclusiveError(
+                    f"Lanczos did not converge in {m} steps")
                 for t in todo:
-                    self._coeffs[float(t)] = error
+                    self._coeffs[float(t)] = stop
                 break
         return [self._coeffs[t] for t in ts]
 
@@ -579,8 +588,12 @@ class SymmetricFactor(_FactorBase):
 
     Point queries ``kernels(ix, iy, ts)`` read entry (x, y) of exp(-tH) at
     every t of a grid from one shift-and-invert Lanczos recurrence per
-    (ix, iy), built on first use and extended as later times ask for more
-    steps; ``kernel`` is the one-t call.  All-pairs queries
+    column y, built on first use and extended as later times ask for more
+    steps, or at the level's dimension from ``_inverse_pairs()`` if
+    unsettled there; ``kernel`` is the one-t call.  A recurrence records
+    v_j[x] only at the rows x it was built for: a new row on the column
+    reruns its steps, which repeat bit for bit, and keeps the column's c(t),
+    so it costs Lanczos steps but no Ritz decomposition.  All-pairs queries
     (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``) use the
     dense eigendecomposition of the level, ``spectral()``.
     """
@@ -591,8 +604,9 @@ class SymmetricFactor(_FactorBase):
         super().__init__(op, sub, nested)
         self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
+        self._inverse = None
         self._shifted = None
-        self._recurrences = {}  # local (ix, iy) -> its _ShiftInvertLanczos
+        self._columns = {}  # local iy -> its _ShiftInvertLanczos
         self._lock = threading.Lock()
 
     def _krylov(self):
@@ -637,6 +651,23 @@ class SymmetricFactor(_FactorBase):
         out[local] = v
         return sigma + float(v @ av) / float(v @ (mu * v)), out
 
+    def _inverse_pairs(self):
+        """(lam, vecs) of H, in local order, from the dense eigendecomposition of B."""
+        if self._inverse is None:
+            shifted, sigma, where, root = self._krylov()
+            # 2B in the level's order, built in place in one Fortran-ordered array
+            b = shifted.solve(root.size, np.diag(root).T)
+            b *= root[:, None]
+            b += b.T
+            nu2, vecs = sla.eigh(b, overwrite_a=True)
+            del b  # one n x n array fewer during the reordering copy below
+            # 2 nu > 0 in exact arithmetic; round-off below 0 marks lambda = inf
+            with np.errstate(divide="ignore"):
+                lam = np.where(nu2 > 0.0, 2.0 / np.maximum(nu2, 1e-300), np.inf) + sigma
+            order = np.argsort(lam)
+            self._inverse = (lam[order], vecs[np.ix_(where, order)])
+        return self._inverse
+
     def _build_spectral(self):
         with np.errstate(over="ignore", invalid="ignore"):
             rates = np.abs(self.a_s.diagonal()) / self.mu
@@ -645,18 +676,7 @@ class SymmetricFactor(_FactorBase):
             h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
             lam, vecs = sla.eigh(h)
             return lam, vecs, "direct"
-        shifted, sigma, where, root = self._krylov()
-        # 2B in the level's order, built in place in one Fortran-ordered array
-        b = shifted.solve(root.size, np.diag(root).T)
-        b *= root[:, None]
-        b += b.T
-        nu2, vecs = sla.eigh(b, overwrite_a=True)
-        del b  # one n x n array fewer during the reordering copy below
-        # 2 nu > 0 in exact arithmetic; round-off below 0 marks lambda = inf
-        with np.errstate(divide="ignore"):
-            lam = np.where(nu2 > 0.0, 2.0 / np.maximum(nu2, 1e-300), np.inf) + sigma
-        order = np.argsort(lam)
-        return lam[order], vecs[np.ix_(where, order)], "inverse"
+        return (*self._inverse_pairs(), "inverse")
 
     def spectral(self):
         """The dense eigendecomposition (lam, vecs, route) of H, for all-pairs
@@ -667,8 +687,8 @@ class SymmetricFactor(_FactorBase):
 
     def kernels(self, ix, iy, ts):
         """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
-        from the recurrence of (x, y); a t whose recurrence has not settled has
-        its InconclusiveError in place of a value.
+        from the recurrence of column y; a t whose recurrence has not settled
+        has its InconclusiveError in place of a value.
 
         Negative values within 1e-13 of the column's norm are round-off and
         read as 0.
@@ -677,15 +697,26 @@ class SymmetricFactor(_FactorBase):
         values = {}  # t -> value, or its InconclusiveError
         if positive:
             with self._lock:
-                lanczos = self._recurrences.get((ix, iy))
-                if lanczos is None:
-                    lanczos = self._recurrences[ix, iy] = _ShiftInvertLanczos(self, ix, iy)
+                lanczos = self._columns.get(iy)
+                if lanczos is None or ix not in lanczos.ixs:
+                    ixs, coeffs = ([], None) if lanczos is None else (lanczos.ixs, lanczos._coeffs)
+                    lanczos = self._columns[iy] = _ShiftInvertLanczos(self, iy, ixs + [ix], coeffs)
                 values.update(zip(positive, lanczos.coefficients(positive)))
-            settled = {t: c for t, c in values.items() if not isinstance(c, InconclusiveError)}
+                settled = {t: c for t, c in values.items() if isinstance(c, np.ndarray)}
+                lanczos._extend(max((c.size for c in settled.values()), default=0))  # a rerun's rows
+            row = lanczos.rows[lanczos.ixs.index(ix)]
             scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
-            raw = np.array([lanczos.rows[:c.size] @ c for c in settled.values()]) / scale
+            raw = np.array([row[:c.size] @ c for c in settled.values()]) / scale
             floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
             values.update(zip(settled, _clamped(raw, floor).tolist()))
+            dense = [t for t, c in values.items() if c is None]  # unsettled at dimension n
+            if dense:
+                lam, vecs = self._inverse_pairs()
+                d = _decay(lam, np.array(dense)[:, None])[:, None, :]  # a stack: one product per t
+                xy, xx, yy = (np.matmul(d, v[:, None])[:, 0, 0]
+                              for v in (vecs[ix] * vecs[iy], vecs[ix] ** 2, vecs[iy] ** 2))
+                floor = np.sqrt(xx * yy) / scale + 1e-300  # kernel_matrix's
+                values.update(zip(dense, _clamped(xy / scale, floor).tolist()))
         delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
         return [delta if t == 0.0 else values[t] for t in ts]
 
