@@ -256,9 +256,10 @@ def test_underflowed_heat_limit_is_inconclusive(capsys):
 
 @pytest.mark.parametrize("fixture, point", [("lat1", "0"), ("lat1_geo(0.5)", "-300")])
 def test_kernels_below_exp_of_minus_t_min_d_are_a_converged_zero(capsys, fixture, point):
-    # exp(-1000 min D) underflows and bounds every c(t), so both limits are a
-    # certified 0; without that bound lat1 ran level 8 into the Lanczos step
-    # cap (exit 3), and the three-term recurrence does so on lat1_geo(0.5) too
+    # exp(-1000 min D)/mu(y) underflows (mu(-300) = 2^-300) and bounds k(x, y,
+    # 1000) for every x, so both limits are a certified 0; without that bound
+    # lat1 ran level 8 into the Lanczos step cap (exit 3), and the three-term
+    # recurrence does so on lat1_geo(0.5) too
     assert main(["heat", "--fixture", fixture, "--ambient-size", "4097", "--constant", "1",
                  "--x", point, "--y", point, "--t", "1000"]) == 0
     out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
