@@ -29,9 +29,8 @@ from .kernels import (
     LimitStatus,
     check_tolerance,
     exhaustion_limit,
-    factorize,
 )
-from .operators import EllipticOperator, Potential, add_potential, adjoint
+from .operators import EllipticOperator, Potential, adjoint
 from .perturbation import _check_integer
 from .series import (
     fit_log_time_formula,
@@ -303,20 +302,35 @@ def lambda0_log_estimate(evaluator: HeatKernelEvaluator, x, y, t_grid,
 
 @dataclass
 class CouplingResult:
-    """Critical coupling from bisection, cross-checked against the spectral oracle."""
+    """Critical coupling: the exhaustion limit of the level values alpha0(S_j),
+    which never increase with j, so the last, ``upper_bound``, bounds alpha0
+    from above; cross-checked against the spectral oracle."""
 
     alpha0: float
-    bracket: tuple
+    upper_bound: float
+    error_estimate: float
     oracle_alpha0: float | None
     agree: bool
     finding: str | None
-    history: list  # (alpha, is_critical_side)
+    history: list  # (level, alpha0(S_j))
+
+
+def _first_singular_coupling(g, weights):
+    """1/rho, rho the largest real positive eigenvalue of -g diag(weights), or
+    None: with g = A^-1 and weights = V mu on the support of V, the least
+    alpha > 0 at which A + alpha V mu is singular."""
+    eigs = np.linalg.eigvals(-g * weights[None, :])
+    real_pos = eigs.real[(np.abs(eigs.imag) <= 1e-9 * np.abs(eigs.real) + 1e-12)
+                         & (eigs.real > 0.0)]
+    if real_pos.size == 0:
+        return None
+    return float(1.0 / real_pos.max())
 
 
 def birman_schwinger_alpha0(op: EllipticOperator, potential: Potential,
                             evaluator: HeatKernelEvaluator, green_tol=None):
     """Oracle coupling: alpha0 = 1/rho with rho the largest positive eigenvalue
-    of the matrix -G(x, z) V(z) mu(z) on the support of V.
+    of the matrix -G(x, z) V(z) mu(z) on the support of V, G the Green limits.
 
     For a pure attractive V = -W this is 1/rho(W^(1/2) G W^(1/2)).
     """
@@ -333,14 +347,7 @@ def birman_schwinger_alpha0(op: EllipticOperator, potential: Potential,
                 raise InconclusiveError(f"green limit inconclusive at ({x}, {y})")
             g[a, b] = r.value
     pos = domain.positions_of(support)
-    v_vals, mu_vals = potential.values[pos], domain.mu[pos]
-    m = -g * (v_vals * mu_vals)[None, :]
-    eigs = np.linalg.eigvals(m)
-    real_pos = eigs.real[(np.abs(eigs.imag) <= 1e-9 * np.abs(eigs.real) + 1e-12)
-                         & (eigs.real > 0.0)]
-    if real_pos.size == 0:
-        return None
-    return float(1.0 / real_pos.max())
+    return _first_singular_coupling(g, potential.values[pos] * domain.mu[pos])
 
 
 def _require_subcritical(green: LimitResult):
@@ -355,12 +362,14 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
                       bracket=(0.0, 8.0), green_tol=None) -> CouplingResult:
     """Coupling alpha0 at which P + alpha V stops being subcritical.
 
-    Bisection on the Green-limit dichotomy, to bracket width < 1e-4; the
-    result is cross-checked against the Birman-Schwinger style oracle and a
-    relative disagreement beyond 1e-3 is reported as a finding.  Each
-    bisection step and the oracle factor their operator independently (one
-    nested Cholesky factor each, grown only as deep as its limit asks); they
-    share only the exhaustion's level-major order.
+    The exhaustion limit (tolerance ``green_tol``) of alpha0(S_j) =
+    1/rho(-G_j V mu) on the levels that hold the support of V, G_j the level's
+    Green matrix there from the base operator's factor (Birman-Schwinger;
+    Reed-Simon IV, XIII.3).  A_j is a Z-matrix, so alpha0(S_j), the first
+    zero of det(A_j + alpha V mu), never increases with j and bounds alpha0
+    from above.  alpha0 outside ``bracket`` is NoSignChangeError, an
+    uncertified limit InconclusiveError.  The Birman-Schwinger oracle on the
+    Green limits cross-checks alpha0: a relative gap beyond 1e-3 is a finding.
     """
     if not np.any(potential.negative_part > 0.0):
         raise ValidationError("potential must have a nonzero attractive part")
@@ -371,52 +380,41 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         raise ValidationError("bracket must satisfy lo < hi")
     x0, y0 = default_reference_pair(exhaustion)
     base_ev = HeatKernelEvaluator(op, exhaustion)
-    # the oracle reads G on every support pair, so each must lie in a usable level
+    # every level value reads G on the support, so it must lie in a usable level
     last = exhaustion[base_ev.usable_levels()[-1]]
-    support = np.flatnonzero(potential.values != 0.0)
-    outside = support[last.local_indices(support) < 0]
+    pos = np.flatnonzero(potential.values != 0.0)
+    outside = pos[last.local_indices(pos) < 0]
     if outside.size:
         raise ValidationError(f"potential support vertex {op.domain.labels[outside[0]]} "
                               "is outside the last usable exhaustion level")
-    _require_subcritical(base_ev.green(x0, y0, tol=green_tol))
+    tol = GREEN_TOL if green_tol is None else green_tol
+    _require_subcritical(base_ev.green(x0, y0, tol=tol))
 
-    history = []
+    support, weights = potential.support, potential.values[pos] * op.domain.mu[pos]
 
-    def critical_side(alpha):
-        if alpha == 0.0:
-            history.append((0.0, False))
-            return False
-        pa = add_potential(op, potential, alpha)
-        ev = HeatKernelEvaluator(pa, exhaustion)
-        g = ev.green(x0, y0, tol=green_tol)
-        if g.status is LimitStatus.INCONCLUSIVE:
-            raise InconclusiveError(
-                f"green limit inconclusive at alpha={alpha:g}: {g.evidence}")
-        side = g.diverging
-        history.append((alpha, side))
-        return side
+    def level_alpha0(j):
+        g = np.array([[base_ev.green_finite_level(j, x, y) for y in support] for x in support])
+        value = _first_singular_coupling(g, weights)
+        if value is None:
+            raise NumericalError(f"-G_j V mu has no positive eigenvalue at level {j}")
+        return value
 
-    if critical_side(lo) or not critical_side(hi):
-        raise NoSignChangeError(
-            f"bracket ({lo:g}, {hi:g}) does not straddle the subcritical/critical transition")
-    resolution_note = None
-    while hi - lo >= 1e-4:
-        mid = 0.5 * (lo + hi)
-        try:
-            side = critical_side(mid)
-        except InconclusiveError as exc:
-            # divergence was not established at this coupling; count the point
-            # as subcritical but record that the ambient limits the resolution
-            resolution_note = f"resolution limited by the ambient truncation near alpha={mid:g}"
-            side = False
-        if side:
-            hi = mid
-        else:
-            lo = mid
-    alpha0 = 0.5 * (lo + hi)
+    limit = exhaustion_limit(level_alpha0,
+                             *base_ev._levels_from(exhaustion.first_level_containing(*support)),
+                             tol, trend_divergence=False, exact_final=base_ev.exhausts_domain)
+    if limit.diverging:  # a level is not positive definite, or has no such eigenvalue
+        raise NumericalError(f"critical coupling limit failed: {limit.evidence}")
+    upper = limit.history[-1][1]
+    if not limit.converged:
+        raise InconclusiveError(f"critical coupling limit inconclusive ({limit.evidence}); "
+                                f"alpha0 <= {upper:.12g}")
+    alpha0 = min(limit.value, upper)
+    if not lo <= alpha0 <= hi:
+        raise NoSignChangeError(f"critical coupling {alpha0:.8g} lies outside the bracket "
+                                f"({lo:g}, {hi:g})")
 
-    oracle = birman_schwinger_alpha0(op, potential, base_ev, green_tol=green_tol)
-    finding = resolution_note
+    oracle = birman_schwinger_alpha0(op, potential, base_ev, green_tol=tol)
+    finding = None
     agree = False
     if oracle is None:
         finding = "spectral oracle produced no positive eigenvalue"
@@ -424,10 +422,10 @@ def critical_coupling(op: EllipticOperator, potential: Potential, exhaustion: Ex
         rel = abs(alpha0 - oracle) / abs(oracle)
         agree = rel <= 1e-3
         if not agree:
-            disagreement = (f"bisection alpha0={alpha0:.8g} and oracle alpha0={oracle:.8g} "
-                            f"disagree by {rel:.2e} relative")
-            finding = f"{finding}; {disagreement}" if finding else disagreement
-    return CouplingResult(alpha0, (lo, hi), oracle, agree, finding, history)
+            finding = (f"limit alpha0={alpha0:.8g} and oracle alpha0={oracle:.8g} "
+                       f"disagree by {rel:.2e} relative")
+    return CouplingResult(alpha0, upper, limit.error_estimate, oracle, agree, finding,
+                          limit.history)
 
 
 @dataclass

@@ -30,7 +30,7 @@ class NegativeLambda0Error(NumericalError):
 
 
 class NoSignChangeError(NumericalError):
-    """A bisection bracket does not straddle the sought transition."""
+    """The sought transition lies outside the given bracket."""
 
 
 class QuadratureError(NumericalError):

@@ -656,13 +656,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         res = critical_coupling(op, perturbation(), exhaustion, bracket=config.bracket,
                                 green_tol=config.tol)
         lines += [f"alpha0: {res.alpha0:.12g}",
-                  f"bracket: {res.bracket[0]:.12g} {res.bracket[1]:.12g}",
+                  f"upper_bound: {res.upper_bound:.12g}",
+                  f"error_estimate: {res.error_estimate:.3g}",
                   f"oracle_alpha0: {'' if res.oracle_alpha0 is None else format(res.oracle_alpha0, '.12g')}",
                   f"oracle_agrees: {res.agree}"]
         if res.finding:
             lines.append(f"finding: {res.finding}")
-        tables.append(("history", ["alpha", "critical_side"],
-                       [{"alpha": a, "critical_side": int(s)} for a, s in res.history]))
+        tables.append(("history", ["level", "alpha0"],
+                       [{"level": j, "alpha0": v} for j, v in res.history]))
     elif kind == "perturb_integrals":
         res = perturbation_integrals(op, perturbation(), exhaustion, x0=config.x0,
                                      kind=config.pert_kind, seed=config.seed)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import heatlab as hl
+from heatlab.criticality import default_reference_pair
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +80,41 @@ def build_drift_lattice(n_half=192, right=1.2, left=0.8):
     radii.append(n_half)
     exhaustion = hl.Exhaustion(domain, [range(-s, s + 1) for s in sorted(set(radii))])
     return hl.DomainFixture("drift", domain, exhaustion)
+
+
+def _bisect(op, potential, exhaustion, bracket=(0.0, 4.0), green_tol=None):
+    """The critical coupling by bisection on the Green dichotomy, to bracket
+    width < 1e-4: (midpoint, [(alpha, is_critical_side)]).
+
+    Each trial alpha builds P + alpha V and reads its Green limit at the
+    default reference pair: divergence is the critical side.  An inconclusive
+    limit counts as subcritical and is left out of the history.  A reference
+    for ``critical_coupling``, which takes the limit of per-level values.
+    """
+    x0, y0 = default_reference_pair(exhaustion)
+    history = []
+
+    def critical_side(alpha):
+        """Whether P + alpha V is critical; None if its Green limit is inconclusive."""
+        side = False
+        if alpha != 0.0:
+            ev = hl.HeatKernelEvaluator(hl.add_potential(op, potential, alpha), exhaustion)
+            green = ev.green(x0, y0, tol=green_tol)
+            if not (green.converged or green.diverging):
+                return None
+            side = green.diverging
+        history.append((alpha, side))
+        return side
+
+    lo, hi = bracket
+    assert critical_side(lo) is False and critical_side(hi) is True, "no straddling bracket"
+    while hi - lo >= 1e-4:
+        mid = 0.5 * (lo + hi)
+        if critical_side(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), history
 
 
 def build_scrambled_grid(side, seed):

@@ -158,13 +158,25 @@ def test_ratio_time_shift(capsys, tmp_path):
     assert os.path.exists(os.path.join(out_dir, "time_shift_series.csv"))
 
 
-def test_coupling_command(capsys):
+def test_coupling_command(capsys, tmp_path):
     code = main(["coupling", "--fixture", "lat1", "--ambient-size", "1025",
                  "--constant", "1.0", "--pert-indicator", "0",
-                 "--pert-value", "-1.0", "--bracket", "0", "4"])
+                 "--pert-value", "-1.0", "--bracket", "0", "4", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "alpha0: 2.236" in out
+    assert "upper_bound: 2.2360679775\n" in out and "error_estimate: " in out
+    rows = (tmp_path / "coupling_history.csv").read_text().splitlines()
+    assert rows[0] == "level,alpha0" and len(rows) > 3
+
+
+def test_coupling_inconclusive_limit_exits_3_and_names_the_upper_bound(capsys):
+    # vertex 400 lies in one usable level only (1023 vertices): one value of
+    # alpha0(S_j), which is sqrt(5) there, certifies no limit
+    code = main(["coupling", "--fixture", "lat1", "--ambient-size", "1025", "--constant", "1",
+                 "--pert-indicator", "400", "--pert-value", "-1", "--bracket", "0", "4"])
+    assert code == 3
+    assert "alpha0 <= 2.2360679775" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, outside", [

@@ -9,18 +9,24 @@ Claims:
     - ground states are one, and symmetric fixtures have phi* = phi
     - the batched Neville ground states and mass series equal the per-vertex
       algorithm bit for bit
-    - critical couplings match the rank-one spectral oracle
+    - critical couplings match the rank-one spectral oracle, the closed forms
+      and a bisection on the Green dichotomy; their level values decrease to
+      an upper bound that the top level's factor certifies
     - perturbation integrals vanish/decrease as documented
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 import heatlab as hl
 from heatlab import criticality as crit
-from heatlab.domains import single_vertex_domain
+from heatlab.domains import ball_exhaustion, single_vertex_domain
 from heatlab.kernels import factorize
 from heatlab.series import neville_extrapolate
+
+from conftest import _bisect
 
 
 # -- lambda0 -------------------------------------------------------------------
@@ -354,6 +360,78 @@ def test_coupling_rejects_critical_base(lat1, lat1_op):
     attractive = hl.Potential.indicator(lat1.domain, [0], -1.0)
     with pytest.raises(hl.ValidationError):
         crit.critical_coupling(lat1_op, attractive, lat1.exhaustion)
+
+
+@functools.cache
+def _rad3_fixture():
+    return hl.fixture("rad(3)", ambient_size=100000)
+
+
+@functools.cache
+def _drift_half_line():
+    """Drift half-line 0..2000 (weight 1.2 to the right, 0.8 to the left, unit
+    measure) with killing 0.05: finite and nonsymmetric, exhausted by balls."""
+    n, edges = 2001, {}
+    for x in range(n - 1):
+        edges[(x, x + 1)], edges[(x + 1, x)] = 1.2, 0.8
+    domain = hl.WeightedDomain(range(n), {x: 1.0 for x in range(n)}, edges, name="drift")
+    op = hl.add_potential(hl.assemble(domain), hl.Potential.constant(domain, 0.05))
+    return op, ball_exhaustion(domain)
+
+
+def _coupling_case(name):
+    """(operator, potential, exhaustion, green_tol) of a named coupling case."""
+    if name.startswith("rad3"):
+        fx = _rad3_fixture()
+        well = hl.Potential.indicator(fx.domain, [int(name[-1])], -1.0)
+        return hl.assemble(fx.domain), well, fx.exhaustion, 1e-5
+    if name.startswith("lat1"):
+        fx = hl.fixture("lat1")
+        op = hl.add_potential(hl.assemble(fx.domain), hl.Potential.constant(fx.domain, 1.0))
+        values = {0: -1.0, 1: 0.5} if name.endswith("sign-changing") else {0: -1.0}
+        return op, hl.Potential(fx.domain, values), fx.exhaustion, None
+    op, exhaustion = _drift_half_line()
+    values = {0: -1.0, 1: 0.7, 2: -0.3} if name.endswith("sign-changing") else {0: -1.0}
+    return op, hl.Potential(op.domain, values), exhaustion, None
+
+
+COUPLING_CASES = ["rad3-r1", "rad3-r2", "rad3-r3", "lat1+1", "lat1+1-sign-changing", "drift",
+                  "drift-sign-changing"]
+
+
+@pytest.mark.parametrize("name", COUPLING_CASES)
+def test_coupling_limit_agrees_with_bisection(name):
+    # rad(3) runs at 100000: at 20000 the bisection itself lies 1.9e-4 below
+    # alpha0 for r = 2, 3 (its Green limits read divergence just below alpha0)
+    op, v, exhaustion, tol = _coupling_case(name)
+    res = crit.critical_coupling(op, v, exhaustion, bracket=(0.0, 4.0), green_tol=tol)
+    mid, _ = _bisect(op, v, exhaustion, bracket=(0.0, 4.0), green_tol=tol)
+    assert abs(res.alpha0 - mid) <= 1e-4 * res.alpha0
+    assert res.agree and res.alpha0 <= res.upper_bound
+
+
+@pytest.mark.parametrize("name", COUPLING_CASES)
+def test_coupling_level_values_decrease_to_a_certified_upper_bound(name):
+    op, v, exhaustion, tol = _coupling_case(name)
+    res = crit.critical_coupling(op, v, exhaustion, bracket=(0.0, 4.0), green_tol=tol)
+    values = [a for _, a in res.history]
+    assert all(b <= a * (1.0 + 1e-14) for a, b in zip(values, values[1:]))  # up to round-off
+    assert res.upper_bound == values[-1]
+    # the top level's P + alpha V is positive definite just below the bound, not just above
+    top = exhaustion[hl.HeatKernelEvaluator(op, exhaustion).usable_levels()[-1]]
+    for scale, definite in ((1.0 - 1e-8, True), (1.0 + 1e-8, False)):
+        shifted = hl.add_potential(op, v, res.upper_bound * scale)
+        assert factorize(shifted, top).is_positive_definite() is definite
+
+
+def test_coupling_limit_matches_the_rank_one_closed_forms():
+    op, v, exhaustion, tol = _coupling_case("rad3-r1")
+    res = crit.critical_coupling(op, v, exhaustion, bracket=(0.0, 4.0), green_tol=tol)
+    exact = 1.0 / (np.pi**2 / 2.0 - 4.0)  # 1/G(1, 1)
+    assert abs(res.alpha0 - exact) <= 1e-8 * exact
+    op, v, exhaustion, tol = _coupling_case("lat1+1")
+    res = crit.critical_coupling(op, v, exhaustion, bracket=(0.0, 4.0), green_tol=tol)
+    assert abs(res.alpha0 - np.sqrt(5.0)) <= 1e-12 * np.sqrt(5.0)
 
 
 # -- perturbation integrals ------------------------------------------------------

