@@ -8,6 +8,7 @@ result, 4 internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import (
@@ -37,23 +38,12 @@ def experiment_config(args):
     return ScenarioConfig(args.fixture_name, _KINDS.get(kind, kind), **values)
 
 
-def cmd_experiment(args):
-    return _run(experiment_config(args))
-
-
-def cmd_run(args):
+def file_config(args):
+    """The ScenarioConfig of ``run``: the file's, with ``--out`` if given."""
     config = ScenarioConfig.from_file(args.config)
     if args.out is not None:
         config.out_dir = parse_text(args.out, "--out")
-    return _run(config)
-
-
-def _run(config):
-    result = run_scenario(config)
-    print(result.summary, end="")
-    for path in result.csv_paths:
-        print(f"wrote {path}")
-    return result.exit_status
+    return config
 
 
 _COMMANDS = {
@@ -75,6 +65,8 @@ def build_parser():
     for name, help in _COMMANDS.items():
         # flags not given stay out of the namespace (argparse.SUPPRESS)
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        # -1e-3 is a value too: argparse's own pattern takes only -N and -N.N for numbers
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--fixture", dest="fixture_name", metavar="FIXTURE", default="lat1",
                        help="fixture name: lat1, lat1_geo(q), rad(d), or an edge-list file")
         if name == "ratio":
@@ -84,12 +76,12 @@ def build_parser():
             if name in row.commands:
                 p.add_argument(row.flag, dest=row.field, help=row.help, metavar=row.metavar,
                                nargs=row.nargs)
-        p.set_defaults(func=cmd_experiment)
+        p.set_defaults(func=experiment_config)
 
     p = sub.add_parser("run", help="run a scenario config file")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="override the [output] dir")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=file_config)
     return parser
 
 
@@ -97,7 +89,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = run_scenario(args.func(args))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -110,6 +102,10 @@ def main(argv=None):
     except HeatLabError as exc:  # pragma: no cover - catch-all for subclasses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    print(result.summary, end="")
+    for path in result.csv_paths:
+        print(f"wrote {path}")
+    return result.exit_status
 
 
 if __name__ == "__main__":

@@ -247,10 +247,8 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, x0=None, y0=None,
 
     # critical: ground states and the mass series decide the subdivision
     _, phi = ground_state(ev, x0)
-    if op.symmetric:
-        phi_star = phi.copy()
-    else:
-        _, phi_star = ground_state(HeatKernelEvaluator(adjoint(op), exhaustion), x0)
+    phi_star = phi if op.symmetric else ground_state(
+        HeatKernelEvaluator(adjoint(op), exhaustion), x0)[1]
     usable = ev.usable_levels()
     # on ambient truncations, the outermost level's new vertices appear in too
     # few levels for their phi extrapolation to be trusted; the mass series

@@ -265,9 +265,8 @@ class NestedOrder:
 
     ``grow_to(n)`` appends whole shells until the order holds n vertices, so
     it covers only the levels asked for.  ``positions`` (domain positions in
-    the order), ``out_weight`` (the full out-weights there: edges leaving a
-    level are absorption) and ``band`` (the strict upper band of -W in the
-    order, ``kd`` rows of LAPACK upper banded storage) cover ``size`` vertices.
+    the order) and ``band`` (the strict upper band of -W in the order, ``kd``
+    rows of LAPACK upper banded storage) cover ``size`` vertices.
     ``tridiagonal`` is the length of the leading run of columns whose only
     band entry is at distance 1, so that the leading block of that size is
     tridiagonal: the whole order on rad(d), about 3 columns on lat1, a few on
@@ -281,7 +280,6 @@ class NestedOrder:
         self.sizes = [level.size for level in levels]
         self.depth = 0  # levels covered
         self.positions = np.zeros(0, dtype=np.intp)
-        self.out_weight = np.zeros(0)
         self.band = np.zeros((0, 0))
         self.tridiagonal = 0
         # domain position -> index in the order; -1 if not in it yet
@@ -344,8 +342,6 @@ class NestedOrder:
             wide = np.flatnonzero(band[:-1, start:].any(axis=0))
             self.tridiagonal = start + int(wide[0]) if wide.size else band.shape[1]
         self.positions = np.concatenate((self.positions, shell[order]))
-        self.out_weight = np.concatenate((self.out_weight,
-                                          self.domain.out_weights()[shell[order]]))
 
 
 def _path_in_local_order(level, row, col):

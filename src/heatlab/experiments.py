@@ -212,6 +212,8 @@ def resolvent_limit(op: EllipticOperator, exhaustion, x, y, lambda_deltas=None,
     deltas = np.asarray(sorted(lambda_deltas, reverse=True), dtype=float)
     if np.any(deltas <= 0.0):
         raise ValidationError("lambda grid must approach lambda0 strictly from below")
+    if np.any(lam0 - deltas == lam0):  # then so does deltas[-1], the smallest offset
+        raise ValidationError(f"lambda0 - {deltas[-1]:g} rounds to lambda0 = {lam0:.12g}")
 
     def point(delta):
         lam = lam0 - delta

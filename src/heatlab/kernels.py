@@ -194,8 +194,9 @@ def _fortran_concatenate(arrays, axis):
 class _NestedCholesky:
     """The Cholesky factor A = U^T U of one symmetric operator's shifted measure
     form A = A_op - sigma D_mu over a ``NestedOrder``, grown on demand; each
-    column is factored once.  Its diagonal is out_weight + (D - sigma) mu;
-    sigma = 0 (the operator itself) costs nothing extra per column.
+    column is factored once.  ``_diagonal`` reads its diagonal out_weight +
+    (D - sigma) mu from the domain (out-weights in full: edges leaving a level
+    are absorption); sigma = 0 (the operator itself) costs nothing extra.
 
     Every level is a prefix of the order, so A_S of a level with n vertices is
     the leading n x n block of A, and its factor is the leading block of A's.
@@ -292,7 +293,7 @@ class _NestedCholesky:
         """The diagonal out_weight + (D - sigma) mu of A over the columns [s, q)."""
         pos = self.nest.positions[s:q]
         d = self.op.potential[pos] - self.sigma if self.sigma else self.op.potential[pos]
-        return self.nest.out_weight[s:q] + d * self.op.mu[pos]
+        return self.op.domain.out_weights()[pos] + d * self.op.mu[pos]
 
     def _extend_tridiagonal(self, band, p, tri):
         """Factor the tridiagonal columns [p, tri) by ``dpttrf`` on the window
@@ -354,7 +355,6 @@ class _FactorBase:
     def __init__(self, op: EllipticOperator, sub: IndexedSubdomain, nested=None):
         self.op = op
         self.sub = sub
-        self.mu = op.mu[sub.positions]
         self._a_s = None
         self._principal = None
         self._green_cols = {}
@@ -493,7 +493,7 @@ class _ShiftInvertLanczos:
         _, self.sigma, where, root = factor._krylov()
         n = root.size
         self.cap = min(n, LANCZOS_CAP)  # steps the recurrence may run to
-        self.log_mu = math.log(factor.mu[iy])
+        self.log_mu = math.log(factor.op.mu[factor.sub.positions[iy]])
         self.ixs = list(ixs)  # the local rows x it records
         self.at = where[self.ixs]
         self.previous, self.current = np.zeros(n), np.zeros(n)  # v_(j-1), v_j
@@ -602,7 +602,6 @@ class SymmetricFactor(_FactorBase):
 
     def __init__(self, op, sub, nested=None):
         super().__init__(op, sub, nested)
-        self.sqrt_mu = np.sqrt(self.mu)
         self._spectral = None
         self._inverse = None
         self._shifted = None
@@ -623,7 +622,7 @@ class SymmetricFactor(_FactorBase):
             if not finite:
                 raise NumericalError("shifted restriction overflows or is not positive definite")
             local = self._locals(shifted.nest)
-            self._shifted = (shifted, sigma, np.argsort(local), self.sqrt_mu[local])
+            self._shifted = (shifted, sigma, np.argsort(local), np.sqrt(self.sub.mu[local]))
         return self._shifted
 
     def _pair(self):
@@ -639,7 +638,7 @@ class SymmetricFactor(_FactorBase):
                 return sigma, np.full(n, 1.0 / math.sqrt(n))
             raise NumericalError("shifted restriction is not positive definite")
         local = self._locals(nest.nest)
-        mu = self.mu[local]
+        mu = self.sub.mu[local]
         v = _inverse_iteration(functools.partial(nest.solve, n), mu)
         band = nest.nest.band
         av = nest._diagonal(0, n) * v
@@ -669,11 +668,13 @@ class SymmetricFactor(_FactorBase):
         return self._inverse
 
     def _build_spectral(self):
+        mu = self.sub.mu
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.abs(self.a_s.diagonal()) / self.mu
+            rates = np.abs(self.a_s.diagonal()) / mu
         max_rate = float(np.max(rates)) if rates.size else 0.0
         if np.isfinite(max_rate) and max_rate <= WELL_SCALED_RATE:
-            h = (self.a_s.toarray() / self.sqrt_mu[:, None]) / self.sqrt_mu[None, :]
+            root = np.sqrt(mu)
+            h = (self.a_s.toarray() / root[:, None]) / root[None, :]
             lam, vecs = sla.eigh(h)
             return lam, vecs, "direct"
         return (*self._inverse_pairs(), "inverse")
@@ -705,7 +706,7 @@ class SymmetricFactor(_FactorBase):
                 settled = {t: c for t, c in values.items() if isinstance(c, np.ndarray)}
                 lanczos._extend(max((c.size for c in settled.values()), default=0))  # a rerun's rows
             row = lanczos.rows[lanczos.ixs.index(ix)]
-            scale = self.sqrt_mu[ix] * self.sqrt_mu[iy]
+            scale = np.prod(np.sqrt(self.op.mu[self.sub.positions[[ix, iy]]]))
             raw = np.array([row[:c.size] @ c for c in settled.values()]) / scale
             floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
             values.update(zip(settled, _clamped(raw, floor).tolist()))
@@ -717,7 +718,7 @@ class SymmetricFactor(_FactorBase):
                               for v in (vecs[ix] * vecs[iy], vecs[ix] ** 2, vecs[iy] ** 2))
                 floor = np.sqrt(xx * yy) / scale + 1e-300  # kernel_matrix's
                 values.update(zip(dense, _clamped(xy / scale, floor).tolist()))
-        delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
+        delta = (1.0 / self.op.mu[self.sub.positions[iy]]) if ix == iy else 0.0
         return [delta if t == 0.0 else values[t] for t in ts]
 
     def kernel(self, ix, iy, t):
@@ -729,10 +730,10 @@ class SymmetricFactor(_FactorBase):
 
     def kernel_matrix(self, t):
         if t == 0.0:
-            return np.diag(1.0 / self.mu)
+            return np.diag(1.0 / self.sub.mu)
         lam, vecs, _ = self.spectral()
-        m = (vecs * _decay(lam, t)) @ vecs.T
-        m = m / self.sqrt_mu[:, None] / self.sqrt_mu[None, :]
+        root = np.sqrt(self.sub.mu)
+        m = (vecs * _decay(lam, t)) @ vecs.T / root[:, None] / root[None, :]
         diag = np.maximum(np.diag(m), 0.0)
         scale = np.sqrt(np.outer(diag, diag)) + 1e-300
         return _clamped(m, scale)
@@ -740,14 +741,15 @@ class SymmetricFactor(_FactorBase):
     def apply_semigroup(self, t, vec):
         """exp(-t K_S) @ vec via the dense spectral factorization."""
         lam, vecs, _ = self.spectral()
-        w = vecs.T @ (vec * self.sqrt_mu)
-        return (vecs @ (_decay(lam, t) * w)) / self.sqrt_mu
+        root = np.sqrt(self.sub.mu)
+        w = vecs.T @ (vec * root)
+        return (vecs @ (_decay(lam, t) * w)) / root
 
     def semigroup_matrix(self, t):
         """Dense exp(-t K_S): the symmetrized spectral form scaled back to K_S."""
         lam, vecs, _ = self.spectral()
-        m = (vecs * _decay(lam, t)) @ vecs.T
-        return m / self.sqrt_mu[:, None] * self.sqrt_mu[None, :]
+        root = np.sqrt(self.sub.mu)
+        return (vecs * _decay(lam, t)) @ vecs.T / root[:, None] * root[None, :]
 
 
 class NonsymmetricFactor(_FactorBase):
@@ -761,7 +763,7 @@ class NonsymmetricFactor(_FactorBase):
     def _shifted_lu(self, sigma):
         """The sparse LU of A_S - sigma D_mu; at sigma = 0 the one cached LU of A_S."""
         if sigma != 0.0:
-            return _sparse_lu((self.a_s - sigma * sp.diags(self.mu)).tocsc())
+            return _sparse_lu((self.a_s - sigma * sp.diags(self.sub.mu)).tocsc())
         if self._lu is None:
             self._lu = _sparse_lu(self.a_s)
         return self._lu
@@ -780,7 +782,7 @@ class NonsymmetricFactor(_FactorBase):
         return bool(u.min() > 0.0 and np.all(a @ u > 2.0 * k * np.finfo(float).eps * (abs(a) @ u)))
 
     def _rayleigh(self, v):
-        return float(v @ (self.a_s @ v)) / float(v @ (self.mu * v))
+        return float(v @ (self.a_s @ v)) / float(v @ (self.sub.mu * v))
 
     def _pair(self):
         """``_inverse_iteration`` by a sparse LU of A_S - sigma D_mu, sigma = min_S D
@@ -790,14 +792,15 @@ class NonsymmetricFactor(_FactorBase):
             lu = self._shifted_lu(sigma)
         except NumericalError:
             lu = self._shifted_lu(sigma - 1.0)
-        v = _inverse_iteration(lu.solve, self.mu)
+        mu = self.sub.mu
+        v = _inverse_iteration(lu.solve, mu)
         theta = self._rayleigh(v)
         for _ in range(4):  # Rayleigh-shift refinement, cubic near the fixed point
             try:
                 lu_r = self._shifted_lu(theta)
             except NumericalError:
                 break  # theta hit the eigenvalue exactly
-            w = lu_r.solve(self.mu * v)
+            w = lu_r.solve(mu * v)
             nrm = float(np.linalg.norm(w))
             if nrm == 0.0 or not np.isfinite(nrm):
                 break
@@ -823,8 +826,9 @@ class NonsymmetricFactor(_FactorBase):
 
     def kernels(self, ix, iy, ts):
         """k(x, y, t) for each t of ``ts``, from the exponentials cached per t."""
-        delta = (1.0 / self.mu[iy]) if ix == iy else 0.0
-        return [delta if t == 0.0 else float(self.semigroup_matrix(t)[ix, iy] / self.mu[iy])
+        mu_y = self.op.mu[self.sub.positions[iy]]
+        delta = (1.0 / mu_y) if ix == iy else 0.0
+        return [delta if t == 0.0 else float(self.semigroup_matrix(t)[ix, iy] / mu_y)
                 for t in ts]
 
     def kernel(self, ix, iy, t):
@@ -832,8 +836,8 @@ class NonsymmetricFactor(_FactorBase):
 
     def kernel_matrix(self, t):
         if t == 0.0:
-            return np.diag(1.0 / self.mu)
-        return self.semigroup_matrix(t) / self.mu[None, :]
+            return np.diag(1.0 / self.sub.mu)
+        return self.semigroup_matrix(t) / self.sub.mu[None, :]
 
     def apply_semigroup(self, t, vec):
         return self.semigroup_matrix(t) @ vec

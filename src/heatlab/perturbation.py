@@ -147,7 +147,6 @@ class IteratedKernelStack:
         self.grid = np.linspace(0.0, self.t_max, self.n_steps + 1)
         self.h = self.t_max / self.n_steps
         self.v_local = potential.values[subset.positions]
-        self.mu = op.mu[subset.positions]
         self._steps = _steps(self.factor, self.h)
         self._columns = {}  # iy -> [layer_0, layer_1, ...], each (n_steps+1, n)
 
@@ -157,7 +156,7 @@ class IteratedKernelStack:
         layers = self._columns.setdefault(iy, [])
         if not layers:
             e = np.zeros(self.sub.size)
-            e[iy] = 1.0 / self.mu[iy]
+            e[iy] = 1.0 / self.op.mu[self.sub.positions[iy]]
             layers.append(_march(self._steps[0], e, self.n_steps))
         while len(layers) <= j:
             layers.append(_convolve(layers[-1] * self.v_local[None, :], self._steps, self.h))
@@ -244,7 +243,8 @@ def first_layer_spectral(op: EllipticOperator, potential: Potential,
     v = np.abs(potential.values[subset.positions])
     s = vecs.T @ (v[:, None] * vecs)
     m = vecs @ (s * _pair_time_integral(lam, t)) @ vecs.T
-    return m / fac.sqrt_mu[:, None] / fac.sqrt_mu[None, :]
+    root = np.sqrt(fac.sub.mu)
+    return m / root[:, None] / root[None, :]
 
 
 def _first_layer_expm(factor, v_abs, t):
@@ -255,7 +255,7 @@ def _first_layer_expm(factor, v_abs, t):
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = block[n:, n:] = -factor.k_dense
     block[:n, n:] = np.diag(v_abs)
-    return sla.expm(t * block)[:n, n:] / factor.mu[None, :]
+    return sla.expm(t * block)[:n, n:] / factor.sub.mu[None, :]
 
 
 def _above_noise(k):

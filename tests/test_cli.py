@@ -14,7 +14,7 @@ from scipy import special
 
 import heatlab as hl
 from heatlab.cli import _COMMANDS, build_parser, experiment_config, main
-from heatlab.experiments import INPUTS, ScenarioConfig
+from heatlab.experiments import INPUTS, ScenarioConfig, _FLOAT, _parse_bracket
 
 
 def test_heat_ok(capsys):
@@ -451,6 +451,57 @@ def test_bad_numeric_input_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert "validation error" in captured.err
     assert "converged" not in captured.out
+
+
+# every flag that takes a float, with a subcommand that has it
+FLOAT_FLAGS = [("lambda0", "--constant"), ("lambda0", "--coupling"), ("heat", "--t"),
+               ("heat", "--tol"), ("ratio", "--tau"), ("ratio", "--pert-value"),
+               ("ratio", "--pert-constant"), ("ratio", "--pert-coupling"),
+               ("coupling", "--bracket")]
+
+
+def test_float_flags_are_every_float_input():
+    floats = {row.flag for row in INPUTS if row.flag and row.parse in (_FLOAT, _parse_bracket)}
+    assert floats == {flag for _, flag in FLOAT_FLAGS}
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_negative_float_with_an_exponent_is_a_value(command, flag):
+    # argparse alone takes only -N and -N.N for numbers, and read -1e-3 as a flag
+    second = ["4"] if flag == "--bracket" else []
+    spaced = experiment_config(build_parser().parse_args([command, flag, "-1e-3", *second]))
+    decimal = experiment_config(build_parser().parse_args([command, flag, "-0.001", *second]))
+    assert spaced == decimal
+    row = next(row for row in INPUTS if row.flag == flag)
+    assert getattr(spaced, row.field) == ((-0.001, 4.0) if second else -0.001)
+
+
+def test_constant_with_an_exponent_prints_the_summary_of_its_equals_form(capsys):
+    # "--constant -1e-3" once exited 2: "argument --constant: expected one argument"
+    argv = ["lambda0", "--fixture", "lat1", "--ambient-size", "257"]
+    assert main(argv + ["--constant=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(argv + ["--constant", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
+    assert "lambda0: -0.001" in joined.splitlines()
+
+
+def test_resolvent_offset_below_the_resolution_of_lambda0_exits_2(capsys):
+    # 1 - 1e-17 == 1: its Green limit diverged and blamed the lambda0 estimate (exit 4)
+    code = main(["ratio", "--kind", "resolvent", "--fixture", "lat1", "--ambient-size", "257",
+                 "--constant", "1", "--lambda-deltas", "1e-17,1e-3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error: lambda0 - 1e-17 rounds to lambda0 = 1" in err
+
+
+def test_resolvent_with_two_offsets_exits_3(capsys):
+    code = main(["ratio", "--kind", "resolvent", "--fixture", "lat1", "--ambient-size", "257",
+                 "--constant", "1", "--lambda-deltas", "0.1,0.5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert "status: inconclusive" in out and "points: 2 (excluded 0)" in out
+    assert "limit_model: too few converged spectral points" in out
 
 
 @pytest.mark.parametrize("fixture", ["lat1", "lat1_geo(0.5)", "rad(3)"])

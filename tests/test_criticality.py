@@ -73,8 +73,8 @@ def test_deep_radial_ground_states_match_a_tridiagonal_eigensolver():
     assert len(deep) >= 3
     for j in deep:
         fac = ev.factor(j)
-        a, root = fac.a_s.tocsr(), np.sqrt(fac.mu)
-        _, psi = sla.eigh_tridiagonal(a.diagonal() / fac.mu, a.diagonal(1) / (root[:-1] * root[1:]),
+        a, root = fac.a_s.tocsr(), np.sqrt(fac.sub.mu)
+        _, psi = sla.eigh_tridiagonal(a.diagonal() / fac.sub.mu, a.diagonal(1) / (root[:-1] * root[1:]),
                                       select="i", select_range=(0, 0))
         assert _unit_max_error(fac.principal_pair()[1], psi[:, 0] / root) < 1e-8
 

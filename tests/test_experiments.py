@@ -19,7 +19,13 @@ import pytest
 
 import heatlab as hl
 from heatlab.domains import single_vertex_domain
-from heatlab.experiments import DEFAULT_T_GRID, ScenarioConfig, run_scenario, write_csv
+from heatlab.experiments import (
+    DEFAULT_T_GRID,
+    ScenarioConfig,
+    _decide_series,
+    run_scenario,
+    write_csv,
+)
 from heatlab.series import geometric_grid
 
 MID_GRID = geometric_grid(1.0, 100.0, 16)
@@ -58,6 +64,24 @@ def test_theorem_series_lat1_vanishes(lat1, lat1_op, lat1_ev):
     assert s.values[-1] * np.sqrt(4 * np.pi * t_last) == pytest.approx(1.0, rel=0.05)
 
 
+# -- series verdicts -----------------------------------------------------------
+
+def test_alternating_tail_is_non_monotone():
+    t = np.arange(1.0, 11.0)
+    v = 1.0 + 0.5 * (-1.0) ** np.arange(10)  # 1.5, 0.5, 1.5, ...: range 2/3 of the max
+    s = _decide_series(t, v, [0] * 10)
+    assert s.status is hl.SeriesStatus.NON_MONOTONE
+    assert s.limit_model == "oscillating tail"
+    assert s.extrapolated_limit == v[-1]
+
+
+def test_one_rise_then_one_fall_is_not_settled():
+    # one sign change of the increments, range half the max: neither settled nor oscillating
+    s = _decide_series(np.arange(1.0, 6.0), [1.0, 1.5, 2.0, 1.5, 1.0], [0] * 5)
+    assert s.status is hl.SeriesStatus.INCONCLUSIVE
+    assert s.limit_model == "tail not settled"
+
+
 # -- resolvent -----------------------------------------------------------------
 
 def test_resolvent_single_vertex_identity():
@@ -84,6 +108,14 @@ def test_resolvent_rejects_lambda_above_lambda0(lat1, lat1_plus1_op):
     with pytest.raises(hl.ValidationError):
         hl.resolvent_limit(lat1_plus1_op, lat1.exhaustion, 0, 0,
                            lambda_deltas=[0.1, -0.1])
+
+
+def test_resolvent_with_two_offsets_is_inconclusive(lat1, lat1_plus1_op):
+    s = hl.resolvent_limit(lat1_plus1_op, lat1.exhaustion, 0, 0, lambda_deltas=[0.5, 0.1])
+    assert s.status is hl.SeriesStatus.INCONCLUSIVE
+    assert s.limit_model == "too few converged spectral points"
+    assert s.t.tolist() == [0.5, 0.1] and s.values.size == 2
+    assert s.extrapolated_limit == s.values[-1]
 
 
 # -- time shift -----------------------------------------------------------------

@@ -792,7 +792,7 @@ def _assert_point_route_matches_dense(fac, columns):
         diag, diag_2t = np.diag(dense), np.diag(fac.kernel_matrix(2.0 * t))
         for iy in columns:
             point = np.array([fac.kernel(ix, iy, t) for ix in range(fac.sub.size)])
-            floor = 1e-13 * np.maximum(np.sqrt(diag * diag[iy]), np.sqrt(diag_2t[iy] / fac.mu))
+            floor = 1e-13 * np.maximum(np.sqrt(diag * diag[iy]), np.sqrt(diag_2t[iy] / fac.sub.mu))
             err = np.abs(point - dense[:, iy])
             assert np.all(err <= 1e-11 * np.abs(dense[:, iy]) + floor), (t, iy, err.max())
 
@@ -1347,7 +1347,7 @@ def test_tridiagonal_green_values_match_a_long_double_recurrence(ratio):
     n = fx.exhaustion[levels[-1]].size
     assert nest.tridiagonal == n
     pos = nest.positions[:n]
-    diag = (nest.out_weight[:n] + op.potential[pos] * op.mu[pos]).astype(np.longdouble)
+    diag = (fx.domain.out_weights()[pos] + op.potential[pos] * op.mu[pos]).astype(np.longdouble)
     off = nest.band[-1, 1:n].astype(np.longdouble)
     pivot, mult = diag.copy(), np.zeros(n - 1, np.longdouble)
     for i in range(n - 1):
@@ -1416,7 +1416,7 @@ def test_mixed_band_nest_matches_dense_solves(stepwise, well_column):
             assert ev.factor(j).green_column(0) == pytest.approx(inverse[:, 0], rel=1e-12)
         # the principal pair, by inverse iteration on the nest of A - min(D) D_mu
         lam, phi, _ = ev.factor(j).principal_pair()
-        root = np.sqrt(ev.factor(j).mu)
+        root = np.sqrt(ev.factor(j).sub.mu)
         w, q = np.linalg.eigh(a_s / root[:, None] / root[None, :])
         ref = q[:, 0] / root * np.sign(q[:, 0].sum())
         assert lam == pytest.approx(w[0], rel=1e-10)
