@@ -138,7 +138,10 @@ def _decide_series(t, values, levels, predicted=None, excluded=None):
 
 
 def _t_grid(t_grid):
-    return DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
+    grid = DEFAULT_T_GRID if t_grid is None else np.asarray(list(t_grid), dtype=float)
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise ValidationError("t grid times must be finite and positive")
+    return grid
 
 
 def _sample(grid, points):
@@ -180,6 +183,7 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
                          heat_tol=None) -> RatioSeries:
     """Series e^(lambda0 t) k(x, y, t): limit phi(x) phi*(y)/mass when the
     shifted operator is positive-critical, 0 otherwise."""
+    grid = _t_grid(t_grid)
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     if report is None:
         report = classify(op, exhaustion, evaluator=ev, green_tol=heat_tol)
@@ -191,7 +195,6 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
         # exp(lam0 t) k can overflow pointwise even though the product is finite
         return float(np.exp(lam0 * t + np.log(r.value))), r.level
 
-    grid = _t_grid(t_grid)
     ts, vals, levels, excluded = _sample(
         grid, map(point, grid, ev.heat_kernels(x, y, grid, tol=heat_tol)))
     series = _decide_series(ts, vals, levels, excluded=excluded,
@@ -256,7 +259,7 @@ def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
     if not np.any(t_grid > -tau):
         raise ValidationError("t grid has no point above |tau|")
 
-    later = t_grid[~(t_grid <= -tau)]  # t + tau is a positive time (or t is invalid)
+    later = t_grid[t_grid > -tau]  # t + tau is a positive time
     limits = ev.heat_kernels(x, y, np.concatenate((later + tau, later)), tol=heat_tol)
     ratios = map(_ratio, limits[:later.size], limits[later.size:])
     ts, vals, levels, excluded = _sample(
@@ -279,9 +282,9 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
     limit is the ground-state ratio phi(x) phi*(y)/(phi(x0) phi*(y0))."""
     ev = evaluator or HeatKernelEvaluator(op, exhaustion)
     grid = _t_grid(t_grid)
-    ts, vals, levels, excluded = _sample(grid, map(
-        _ratio, ev.heat_kernels(x, y, grid, tol=heat_tol),
-        ev.heat_kernels(x0, y0, grid, tol=heat_tol)))
+    limits = ev.heat_kernels(x, y, grid, tol=heat_tol)
+    ref = limits if (x0, y0) == (x, y) else ev.heat_kernels(x0, y0, grid, tol=heat_tol)
+    ts, vals, levels, excluded = _sample(grid, map(_ratio, limits, ref))
     predicted = None
     if report is not None and report.ground_state is not None and op.symmetric:
         predicted = _ground_state_limit(op.domain, report, x, y, ref=(x0, y0))
@@ -297,6 +300,7 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     at the reference vertex y1: the sup of k_{P+}(x, y1, t)/k_{P0}(x, y1, t)
     past its observed peak.
     """
+    grid = _t_grid(t_grid)
     ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
     ev_zero = HeatKernelEvaluator(op_zero, exhaustion)
     rep_zero = classify(op_zero, exhaustion, evaluator=ev_zero)
@@ -310,16 +314,16 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
         return _sample(grid, map(_ratio, ev_plus.heat_kernels(x, yy, grid, tol=heat_tol),
                                  ev_zero.heat_kernels(x, yy, grid, tol=heat_tol)))
 
-    ts, vals, levels, excluded = ratios(_t_grid(t_grid), y)
+    ts, vals, levels, excluded = ratios(grid, y)
     series = _decide_series(ts, vals, levels, predicted=0.0, excluded=excluded)
     series.extras["lambda_plus"] = f"{rep_plus.lambda0.value:.10g}"
 
-    t_dom, rx = ratios(ts, int(y) if y1 is None else int(y1))[:2]
+    t_dom, rx = (ts, vals) if y1 is None else ratios(ts, int(y1))[:2]
     c_emp, onset = 0.0, ""
     if rx:
         peak = int(np.argmax(rx))
         onset = f"{int(x)}:{t_dom[peak]:g}"
-        c_emp = max(c_emp, float(np.max(rx[peak:])))
+        c_emp = max(c_emp, float(rx[peak]))
     series.extras["domination_constant"] = f"{c_emp:.10g}"
     series.extras["onset_times"] = onset
     return series

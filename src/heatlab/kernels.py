@@ -42,15 +42,15 @@ representable however widely the jump rates 1/mu spread.
 
 * Point queries k(x, y, t) run Lanczos on B from e_y (shift-and-invert
   Krylov; van den Eshof & Hochbruck 2006): exp(-tH) e_y ~ V f(T) e_1 with
-  f(nu) = exp(-t(1/nu + sigma)).  One three-term recurrence per (level,
-  y), which keeps two Lanczos vectors and their entries at the rows x read,
-  not V, serves a whole time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz
-  decomposition of T_m per check m (every 5 steps up to 30, then every 10)
-  serves every t, and the stopping rule is applied per t, so a grid's values
-  equal those of one-t calls bit for bit.  It runs in the coordinates of the
-  level's own order, those of its factor of A_S - sigma D_mu, where a step
-  costs one O(n) solve (``_NestedCholesky.solve``).  A t unsettled at a small
-  level's dimension n is read from B's dense eigendecomposition.
+  f(nu) = exp(-t(1/nu + sigma)).  A query's own three-term recurrence keeps
+  two Lanczos vectors and their entries at row x, not V, and serves a whole
+  time grid (``HeatKernelEvaluator.heat_kernels``): one Ritz decomposition
+  of T_m per check m (every 5 steps up to 30, then every 10) serves every t,
+  and the stopping rule is applied per t, so a grid's values equal those of
+  one-t calls bit for bit; the factor keeps only each column's settled c(t).
+  A step, in the coordinates of the level's own order, costs one O(n) solve
+  by its factor of A_S - sigma D_mu (``_NestedCholesky.solve``).  A t
+  unsettled at a small level's dimension n is read from B's dense eigenpairs.
 * All-pairs queries (kernel and semigroup matrices, the perturbation
   module's first layer) eigendecompose the whole level: H
   directly when its rates are at most ``WELL_SCALED_RATE``, else B.
@@ -452,15 +452,16 @@ def _row_norms(a):
 
 class _ShiftInvertLanczos:
     """Lanczos process for B = (H - sigma)^(-1) started from e_y, in the
-    coordinates of the level's own order, that of its shifted factor.
+    coordinates of the level's own order, that of its shifted factor; it
+    serves one point query (x, y) and lives only as long as that query.
 
     B = R (A_S - sigma D_mu)^(-1) R with R = D_mu^(1/2).  The permutation to
     the shifted factor's order is orthogonal, so the process runs there: a
     step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
     between two scalings by R in that order (``SymmetricFactor._krylov``).
     The three-term recurrence keeps v_(j-1), v_j and, of V, the entries
-    ``rows`` at the rows ``ixs`` it serves: lost orthogonality only delays
-    the convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
+    ``row`` at the row x it serves: lost orthogonality only delays the
+    convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
     exp(-tH) e_y is approximated by V_m c_m(t), c_m(t) = f(T_m) e_1 =
     Q diag(exp(-t lam)) Q^T e_1 with the Ritz pairs (theta, Q) of T_m and
     lam = 1/theta + sigma.
@@ -480,41 +481,33 @@ class _ShiftInvertLanczos:
     collapses (the Krylov space is invariant and c is exact).  The second
     term is the round-off floor of c(t): an error eps/theta in the lowest
     Ritz value lambda_0 = 1/theta + sigma moves exp(-t lambda_0) by
-    t eps/theta.  Only the latest check's Ritz decomposition is kept; a
-    later call walks the checks again, so values depend only on t and the
-    first m Lanczos steps, not on the grid or query order.  A t unsettled in
-    ``LANCZOS_CAP`` steps gets an InconclusiveError in place of its c, one
-    unsettled at the dimension n gets None: without reorthogonalization T_n
-    need not have the spectrum of B.
+    t eps/theta.  Values depend only on t and the first m Lanczos steps, not on
+    the grid or query order.  A t unsettled in ``LANCZOS_CAP`` steps gets an
+    InconclusiveError in place of its c, one unsettled at the dimension n gets
+    None: without reorthogonalization T_n need not have the spectrum of B.
     """
 
-    def __init__(self, factor, iy, ixs=(), coeffs=None):
-        self.factor = factor
-        _, self.sigma, where, root = factor._krylov()
-        n = root.size
+    def __init__(self, factor, ix, iy):
+        self.shifted, self.sigma, where, self.root = factor._krylov()
+        n = self.root.size
         self.cap = min(n, LANCZOS_CAP)  # steps the recurrence may run to
         self.log_mu = math.log(factor.op.mu[factor.sub.positions[iy]])
-        self.ixs = list(ixs)  # the local rows x it records
-        self.at = where[self.ixs]
+        self.at = where[ix]
         self.previous, self.current = np.zeros(n), np.zeros(n)  # v_(j-1), v_j
         self.current[where[iy]] = 1.0
-        self.rows = np.empty((len(self.ixs), self.cap))  # v_j[x] of the steps so far, a row per x
-        self.rows[:, 0] = self.current[self.at]
+        self.row = np.empty(self.cap)  # v_j[x] of the steps so far
+        self.row[0] = self.current[self.at]
         self.alpha, self.beta = [], []
         self.invariant = False  # beta collapsed: the Krylov space is invariant
-        self._ritz = (0, None, None)  # the latest check's m, Ritz values lam and vectors Q of T_m
-        # t -> c(t), or the InconclusiveError of an unsettled t; a rerun of the column keeps them
-        self._coeffs = {} if coeffs is None else coeffs
 
     def _extend(self, m):
         """Run Lanczos to m steps, or until beta collapses; the steps available."""
-        alpha, beta = self.alpha, self.beta
-        shifted, _, _, root = self.factor._krylov()
+        alpha, beta, root = self.alpha, self.beta, self.root
         n = root.size
         m = min(m, self.cap)
         while len(alpha) < m and not self.invariant:
             j = len(alpha)
-            w = shifted.solve(n, root * self.current)
+            w = self.shifted.solve(n, root * self.current)
             w *= root
             norm_w = math.sqrt(w @ w)
             if j:
@@ -528,72 +521,68 @@ class _ShiftInvertLanczos:
                 beta.append(b)
                 w /= b
                 self.previous, self.current = self.current, w
-                self.rows[:, j + 1] = w[self.at]
+                self.row[j + 1] = w[self.at]
         return min(m, len(alpha))
 
     def _f_of_t(self, m, ts):
-        """c_m(t) for each t of the array ``ts``, one row each."""
-        if self._ritz[0] != m:
-            # LAPACK's dstevd directly; its wrapper wants one off-diagonal entry when m = 1
-            theta, q, info = dstevd(np.array(self.alpha[:m]), np.array(self.beta[:m - 1] or [0.0]))
-            if info:
-                raise NumericalError(f"tridiagonal eigensolver failed (info {info})")
-            # theta > 0 in exact arithmetic; round-off at or below 0 marks lambda = inf
-            with np.errstate(divide="ignore"):
-                lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf)
-            self._ritz = (m, lam + self.sigma, q)
-        _, lam, q = self._ritz
+        """The Ritz values lam of T_m and c_m(t) for each t of the array ``ts``, a row each."""
+        # LAPACK's dstevd directly; its wrapper wants one off-diagonal entry when m = 1
+        theta, q, info = dstevd(np.array(self.alpha[:m]), np.array(self.beta[:m - 1] or [0.0]))
+        if info:
+            raise NumericalError(f"tridiagonal eigensolver failed (info {info})")
+        # theta > 0 in exact arithmetic; round-off at or below 0 marks lambda = inf
+        with np.errstate(divide="ignore"):
+            lam = np.where(theta > 0.0, 1.0 / np.maximum(theta, 1e-300), np.inf) + self.sigma
         # a stack of matrix-vector products: each row is q @ w_t, whatever the grid
-        return np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
+        return lam, np.matmul(q, (_decay(lam, ts[:, None]) * q[0])[:, :, None])[:, :, 0]
 
     def coefficients(self, ts):
-        """c(t) for each t > 0 of ``ts``, with [exp(-tH) e_y][x] = rows[i, :len(c)] @ c,
+        """c(t) for each t > 0 of ``ts``, with [exp(-tH) e_y][x] = row[:len(c)] @ c,
         or the InconclusiveError (or None) of a t whose recurrence has not settled."""
-        todo = np.array([t for t in dict.fromkeys(ts) if t not in self._coeffs], dtype=float)
+        out = {}  # t -> c(t), or the marker of an unsettled t
+        todo = np.array(ts, dtype=float)
         with np.errstate(over="ignore"):  # sigma + 1 = min D
             underflowed = np.exp(-(self.sigma + 1.0) * todo - self.log_mu) == 0.0
-        self._coeffs.update(dict.fromkeys(todo[underflowed].tolist(), np.zeros(1)))
+        out.update(dict.fromkeys(todo[underflowed].tolist(), np.zeros(1)))
         todo = todo[~underflowed]
         previous = np.zeros((todo.size, 0))
         m = 0
         while todo.size:
             m = self._extend(m + (5 if m < 30 else 10))
-            c = self._f_of_t(m, todo)
+            lam, c = self._f_of_t(m, todo)
             if self.invariant and m == len(self.alpha):
                 settled = np.ones(todo.size, dtype=bool)
             else:
                 change = c.copy()
                 change[:, :previous.shape[1]] -= previous
-                gap = float(self._ritz[1].min()) - self.sigma  # lambda_0 - sigma
+                gap = float(lam.min()) - self.sigma  # lambda_0 - sigma
                 floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * todo)
                 norm, moved = _row_norms(c), _row_norms(change)
                 if norm.min() < 1e-138:  # squares may have underflowed: rescale every row exactly
                     e = np.frexp(np.maximum(np.abs(c).max(1), np.abs(change).max(1)))[1][:, None]
                     norm, moved = _row_norms(np.ldexp(c, -e)), _row_norms(np.ldexp(change, -e))
                 settled = (previous.shape[1] > 0) & (norm > 0) & (moved <= floor * norm)
-            for t, row in zip(todo[settled], c[settled]):
-                self._coeffs[float(t)] = row
+            out.update(zip(todo[settled].tolist(), c[settled]))
             todo, previous = todo[~settled], c[~settled]
             if todo.size and m == self.cap:
                 stop = None if m == self.current.size else InconclusiveError(
                     f"Lanczos did not converge in {m} steps")
-                for t in todo:
-                    self._coeffs[float(t)] = stop
+                out.update(dict.fromkeys(todo.tolist(), stop))
                 break
-        return [self._coeffs[t] for t in ts]
+        return [out[t] for t in ts]
 
 
 class SymmetricFactor(_FactorBase):
     """Heat kernels of a symmetric restriction, by its shifted inverse B.
 
-    Point queries ``kernels(ix, iy, ts)`` read entry (x, y) of exp(-tH) at
-    every t of a grid from one shift-and-invert Lanczos recurrence per
-    column y, built on first use and extended as later times ask for more
-    steps, or at the level's dimension from ``_inverse_pairs()`` if
-    unsettled there; ``kernel`` is the one-t call.  A recurrence records
-    v_j[x] only at the rows x it was built for: a new row on the column
-    reruns its steps, which repeat bit for bit, and keeps the column's c(t),
-    so it costs Lanczos steps but no Ritz decomposition.  All-pairs queries
+    A point query ``kernels(ix, iy, ts)`` reads entry (x, y) of exp(-tH) at
+    every t of a grid from its own shift-and-invert Lanczos recurrence, or
+    at the level's dimension from ``_inverse_pairs()`` if unsettled there;
+    ``kernel`` is the one-t call.  The recurrence is dropped with the query.
+    Per column y the factor keeps only the settled c(t): a later query on
+    the column runs the recurrence as far as its new times need, and for
+    the times it already holds only to their length, with no Ritz
+    decomposition; the steps repeat bit for bit.  All-pairs queries
     (``kernel_matrix``, ``semigroup_matrix``, ``apply_semigroup``) use the
     dense eigendecomposition of the level, ``spectral()``.
     """
@@ -605,7 +594,7 @@ class SymmetricFactor(_FactorBase):
         self._spectral = None
         self._inverse = None
         self._shifted = None
-        self._columns = {}  # local iy -> its _ShiftInvertLanczos
+        self._coefficients = {}  # local iy -> {t: c(t), or the marker of an unsettled t}
         self._lock = threading.Lock()
 
     def _krylov(self):
@@ -688,7 +677,7 @@ class SymmetricFactor(_FactorBase):
 
     def kernels(self, ix, iy, ts):
         """k(x, y, t) = [exp(-tH)](x, y)/sqrt(mu(x) mu(y)) for each t of ``ts``,
-        from the recurrence of column y; a t whose recurrence has not settled
+        from the coefficients of column y; a t whose recurrence has not settled
         has its InconclusiveError in place of a value.
 
         Negative values within 1e-13 of the column's norm are round-off and
@@ -698,16 +687,15 @@ class SymmetricFactor(_FactorBase):
         values = {}  # t -> value, or its InconclusiveError
         if positive:
             with self._lock:
-                lanczos = self._columns.get(iy)
-                if lanczos is None or ix not in lanczos.ixs:
-                    ixs, coeffs = ([], None) if lanczos is None else (lanczos.ixs, lanczos._coeffs)
-                    lanczos = self._columns[iy] = _ShiftInvertLanczos(self, iy, ixs + [ix], coeffs)
-                values.update(zip(positive, lanczos.coefficients(positive)))
+                known = self._coefficients.setdefault(iy, {})
+                lanczos = _ShiftInvertLanczos(self, ix, iy)
+                todo = [t for t in dict.fromkeys(positive) if t not in known]
+                known.update(zip(todo, lanczos.coefficients(todo)))
+                values.update((t, known[t]) for t in positive)
                 settled = {t: c for t, c in values.items() if isinstance(c, np.ndarray)}
-                lanczos._extend(max((c.size for c in settled.values()), default=0))  # a rerun's rows
-            row = lanczos.rows[lanczos.ixs.index(ix)]
+                lanczos._extend(max((c.size for c in settled.values()), default=0))  # their rows
             scale = np.prod(np.sqrt(self.op.mu[self.sub.positions[[ix, iy]]]))
-            raw = np.array([row[:c.size] @ c for c in settled.values()]) / scale
+            raw = np.array([lanczos.row[:c.size] @ c for c in settled.values()]) / scale
             floor = np.array([math.sqrt(c @ c) for c in settled.values()]) / scale + 1e-300
             values.update(zip(settled, _clamped(raw, floor).tolist()))
             dense = [t for t, c in values.items() if c is None]  # unsettled at dimension n

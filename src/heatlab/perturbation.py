@@ -360,6 +360,7 @@ def duhamel_residual(op: EllipticOperator, potential: Potential, eps,
     fac_q = factorize(op_pert, subset)
     ix, iy = subset.local_of(x), subset.local_of(y)
     lhs = fac_q.kernel(ix, iy, t)
+    k_p = fac_p.kernel(ix, iy, t)
     e = np.zeros(subset.size)
     e[iy] = 1.0
     v_local = potential.values[subset.positions]
@@ -368,7 +369,6 @@ def duhamel_residual(op: EllipticOperator, potential: Potential, eps,
         h = t / n_steps
         col_q = _march(fac_q.semigroup_matrix(h), e, n_steps)  # exp(-s K') e_y
         acc = _convolve(col_q * v_local[None, :], _steps(fac_p, h), h)[n_steps]
-        k_p = fac_p.kernel(ix, iy, t)
         mu_y = subset.mu[iy]
         return k_p - eps * acc[ix] / mu_y
 

@@ -291,6 +291,17 @@ def test_lambda0_log_rejects_a_nonpositive_time(tmp_path, capsys, y):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0 1 2 3 4", "-1 1 2 3 4"])
+@pytest.mark.parametrize("kind", ["theorem", "time-shift", "davies", "conjecture"])
+def test_ratio_grid_with_a_nonpositive_time_exits_2(capsys, kind, grid):
+    # t = 0 once entered the theorem's tail fit (a LinAlgError traceback, exit 1)
+    # and gave the conjecture domination constant 1 at onset 0, the delta/delta point
+    code = main(["ratio", "--kind", kind, "--fixture", "lat1", "--ambient-size", "257",
+                 "--pert-indicator", "0", "--t-grid", grid])
+    assert code == 2
+    assert "t grid times must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "[fixture]\nname = lat1\n\n[experiment]\nkind = heat\nt = 1%\n",
     "name = lat1\n",

@@ -26,6 +26,7 @@ from heatlab.experiments import (
     run_scenario,
     write_csv,
 )
+from heatlab.kernels import SymmetricFactor
 from heatlab.series import geometric_grid
 
 MID_GRID = geometric_grid(1.0, 100.0, 16)
@@ -205,6 +206,25 @@ def test_conjecture_power_law(lat1, lat1_op, lat1_ev):
     assert s.status is hl.SeriesStatus.VANISHING_LIKE
     assert -1.3 <= s.trend_power <= -0.7
     assert "domination_constant" in s.extras
+
+
+def test_default_reference_vertex_issues_no_second_point_query(lat1, lat1_op, monkeypatch):
+    # at the default y1 = y the domination pass reads the ratio series itself:
+    # no level is queried twice at (x, y), and C and T(x) are those of y1 = y
+    op_plus = hl.add_potential(lat1_op, hl.Potential.indicator(lat1.domain, [0], 1.0))
+    grid = geometric_grid(50.0, 400.0, 10)
+    explicit = hl.conjecture_ratio_series(op_plus, lat1_op, lat1.exhaustion, 0, 0,
+                                          t_grid=grid, y1=0)
+    queries, kernels = [], SymmetricFactor.kernels
+
+    def counted(self, ix, iy, ts):
+        queries.append((id(self), ix, iy))
+        return kernels(self, ix, iy, ts)
+
+    monkeypatch.setattr(SymmetricFactor, "kernels", counted)
+    default = hl.conjecture_ratio_series(op_plus, lat1_op, lat1.exhaustion, 0, 0, t_grid=grid)
+    assert queries and len(set(queries)) == len(queries)
+    assert default.extras == explicit.extras
 
 
 def test_conjecture_exponential_shift_identity(lat1, lat1_op, lat1_ev):

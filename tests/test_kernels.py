@@ -780,6 +780,21 @@ def test_certificate_agrees_with_the_principal_eigenvalue_on_random_drift_paths(
 KRYLOV_TIMES = (0.05, 0.5, 5.0, 50.0, 400.0)
 
 
+@pytest.fixture
+def recurrences(monkeypatch):
+    """Every Lanczos recurrence a point query builds from here on, in order."""
+    import heatlab.kernels as hk
+
+    built, init = [], hk._ShiftInvertLanczos.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(hk._ShiftInvertLanczos, "__init__", record)
+    return built
+
+
 def _assert_point_route_matches_dense(fac, columns):
     """Every point value of the given columns against the dense kernel matrix,
     to 1e-11 relative or within 1e-13 of the larger noise scale of the two
@@ -823,7 +838,7 @@ def test_point_route_matches_dense_route_in_scrambled_order():
     _assert_point_route_matches_dense(fac, [0, 17, 48])
 
 
-def test_point_route_settles_at_large_times():
+def test_point_route_settles_at_large_times(recurrences):
     # at t = 4000 an error eps in a Ritz value near 1 moves c(t) by ~4e-13 of
     # its norm, so a fixed 1e-13 stopping rule runs into the 500-step cap
     fx = hl.fixture("rad(3)", ambient_size=3000)
@@ -835,19 +850,18 @@ def test_point_route_settles_at_large_times():
         iy = sub.local_of(y)
         assert fac.kernel(sub.local_of(1), iy, 4000.0) == pytest.approx(
             dense[sub.local_of(1), iy], rel=1e-11)
-        assert len(fac._columns[iy].alpha) < 400
+        assert len(recurrences[-1].alpha) < 400
 
 
-def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op):
+def test_point_route_is_exact_once_the_krylov_space_is_exhausted(lat1, lat1_op, recurrences):
     sub = lat1.exhaustion[2]  # 9 vertices: the recurrence stops at 9 steps, before the check at 10
     assert sub.size == 9
     fac = SymmetricFactor(lat1_op, sub)
     _assert_point_route_matches_dense(fac, range(sub.size))
-    for iy in range(sub.size):
-        assert len(fac._columns[iy].alpha) <= sub.size
+    assert recurrences and all(len(r.alpha) <= sub.size for r in recurrences)
 
 
-def test_point_route_at_the_dimension_of_a_wide_spectrum_level():
+def test_point_route_at_the_dimension_of_a_wide_spectrum_level(recurrences):
     # without reorthogonalization T_9 of this 9-vertex level (rates 1 to 16)
     # need not have the spectrum of B: k(-4, 1, 0.05) read from c_9 as exact
     # was 1.6e-6 off; a t unsettled at 9 steps takes B's dense eigendecomposition
@@ -856,23 +870,31 @@ def test_point_route_at_the_dimension_of_a_wide_spectrum_level():
     assert sub.size == 9
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
     _assert_point_route_matches_dense(fac, range(sub.size))
-    reached = [r for r in fac._columns.values() if len(r.alpha) == sub.size]
+    reached = [r for r in recurrences if len(r.alpha) == sub.size]
     assert reached and not any(r.invariant for r in reached)
-    assert any(c is None for r in reached for c in r._coeffs.values())
+    assert any(c is None for column in fac._coefficients.values() for c in column.values())
 
 
-def test_a_second_row_reruns_its_column_bit_for_bit():
-    # a recurrence keeps v_j[x] only at the rows it was built for: a second x
-    # on the column reruns the steps, keeps the column's c(t) (no Ritz
-    # decomposition is redone) and changes no value of either row
+def test_a_second_row_reruns_its_column_bit_for_bit(recurrences, monkeypatch):
+    # a recurrence keeps v_j[x] only at its own row: a second x on the column
+    # reruns the steps, reads the column's c(t) (no Ritz decomposition is
+    # redone) and changes no value of either row
+    import heatlab.kernels as hk
+
     fx = hl.fixture("lat1_geo(0.5)", ambient_size=513)
     sub, op = fx.exhaustion[8], hl.assemble(fx.domain)
     iy, ix, ix2 = sub.local_of(0), sub.local_of(3), sub.local_of(-2)
     fac = SymmetricFactor(op, sub)
     first = fac.kernels(ix, iy, KRYLOV_TIMES)
+    f_of_t, decompositions = hk._ShiftInvertLanczos._f_of_t, []
+
+    def counted(self, m, ts):
+        decompositions.append(m)
+        return f_of_t(self, m, ts)
+
+    monkeypatch.setattr(hk._ShiftInvertLanczos, "_f_of_t", counted)
     second = fac.kernels(ix2, iy, KRYLOV_TIMES)
-    lanczos = fac._columns[iy]
-    assert lanczos.ixs == [ix, ix2] and lanczos._ritz[0] == 0 and len(lanczos.alpha) >= 10
+    assert decompositions == [] and len(recurrences[-1].alpha) >= 10
     assert fac.kernels(ix, iy, KRYLOV_TIMES) == first
     assert SymmetricFactor(op, sub).kernels(ix2, iy, KRYLOV_TIMES) == second
 
@@ -907,9 +929,10 @@ def test_point_queries_build_no_dense_eigendecomposition(monkeypatch):
     assert series.values[-1] == pytest.approx(1.0 / 3.0, rel=0.01)
 
 
-def test_concurrent_point_queries_share_one_basis():
-    # threads extend one column's basis at once; values must equal those of a
-    # factor queried serially, bit for bit
+def test_concurrent_point_queries_equal_serial_ones():
+    # threads query one column at once, each with its own recurrence, and
+    # share the column's c(t); values must equal those of a factor queried
+    # serially, bit for bit
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -931,7 +954,7 @@ def test_concurrent_point_queries_share_one_basis():
     assert got == expected
 
 
-# -- one Lanczos basis per (level, column) serves a whole time grid -------------
+# -- one Lanczos recurrence per point query serves a whole time grid --------------
 
 GRID = (0.05, 0.5, 2.0, 5.0, 16.0, 50.0, 400.0)
 GRIDS = {
@@ -977,9 +1000,9 @@ def test_unsettled_time_fails_alone(lat1, lat1_op, monkeypatch):
     f_of_t = hk._ShiftInvertLanczos._f_of_t
 
     def never_settles(self, m, ts):
-        c = f_of_t(self, m, ts)
+        lam, c = f_of_t(self, m, ts)
         c[ts == restless] *= 1.0 + 1e-3 * m
-        return c
+        return lam, c
 
     monkeypatch.setattr(hk, "LANCZOS_CAP", 40)
     monkeypatch.setattr(hk._ShiftInvertLanczos, "_f_of_t", never_settles)
@@ -1023,13 +1046,13 @@ def test_settled_coefficients_are_within_their_floor(name, ambient, level, colum
     ts = np.array(grid)
     for y in columns:
         iy = fac.sub.local_of(y)
-        lanczos = hk._ShiftInvertLanczos(fac, iy)
+        lanczos = hk._ShiftInvertLanczos(fac, iy, iy)
         settled = lanczos.coefficients(list(grid))
         steps = max(c.size for c in settled)
         m = lanczos._extend(2 * steps)
         assert m > steps
-        reference = lanczos._f_of_t(m, ts)
-        gap = float(lanczos._ritz[1].min()) - lanczos.sigma
+        lam, reference = lanczos._f_of_t(m, ts)
+        gap = float(lam.min()) - lanczos.sigma
         floor = np.maximum(1e-13, 8.0 * np.finfo(float).eps * gap * ts)
         for c, ref, limit in zip(settled, reference, floor):
             error = ref.copy()
@@ -1037,7 +1060,7 @@ def test_settled_coefficients_are_within_their_floor(name, ambient, level, colum
             assert np.linalg.norm(error) <= limit * np.linalg.norm(ref)
 
 
-def test_short_basis_settles_within_twenty_steps(geo, geo_op):
+def test_short_basis_settles_within_twenty_steps(geo, geo_op, recurrences):
     # checks every 5 steps up to 30: by c_20 against c_15 at the latest, the
     # bench grid is confirmed on the 2047-vertex level
     sub = geo.exhaustion[10]
@@ -1045,13 +1068,19 @@ def test_short_basis_settles_within_twenty_steps(geo, geo_op):
     fac = SymmetricFactor(geo_op, sub)
     iy = sub.local_of(1)
     fac.kernels(iy, iy, list(BENCH_GRID))
-    assert len(fac._columns[iy].alpha) <= 20
+    assert len(recurrences[-1].alpha) <= 20
 
 
-def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
-    # a t = 3000 value walks every check up to some 200 steps, and only the
-    # last check's (lam, Q) stays; of the basis only the entries at row x
-    # stay, so no array but Q holds more than n entries
+def test_a_point_query_leaves_only_its_coefficients():
+    # a t = 3000 value walks every check up to some 200 steps; once the
+    # queries return, the factor holds no recurrence and, apart from the
+    # shifted factor of _krylov(), no array of n entries: only the columns'
+    # settled c(t)
+    import gc
+    import types
+
+    import heatlab.kernels as hk
+
     fx = hl.fixture("lat1", ambient_size=4097)
     sub = fx.exhaustion[10]
     fac = SymmetricFactor(hl.assemble(fx.domain), sub)
@@ -1059,13 +1088,20 @@ def test_basis_keeps_its_latest_ritz_pairs_and_rows_as_needed():
     fac.kernel(short, short, 0.5)
     assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11,
                                                            abs=0.0)
-    for iy in (short, long):
-        lanczos = fac._columns[iy]
-        arrays = [a for a in vars(lanczos).values() if isinstance(a, np.ndarray)]
-        arrays += [c for c in lanczos._coeffs.values() if isinstance(c, np.ndarray)]
-        assert len(arrays) >= 3 and max(a.size for a in arrays) <= sub.size
-    m, lam, q = lanczos._ritz
-    assert m == len(lanczos.alpha) > 100 and lam.shape == (m,) and q.shape == (m, m)
+    found, stack = {}, [v for k, v in vars(fac).items() if k not in ("op", "sub", "_shifted")]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in found or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        found[id(obj)] = obj
+        stack += gc.get_referents(obj)
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    assert not any(isinstance(obj, hk._ShiftInvertLanczos) for obj in found.values())
+    arrays = [obj for obj in found.values() if isinstance(obj, np.ndarray)]
+    assert len(arrays) >= 2 and max(a.size for a in arrays) < sub.size
+    assert sorted(fac._coefficients) == sorted([short, long])
+    assert fac._coefficients[long][3000.0].size > 100
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
