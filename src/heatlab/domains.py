@@ -58,6 +58,15 @@ class WeightedDomain:
     themselves when they are sorted (an edge-list file), else a sorted copy
     and its permutation.
 
+    The domain is a ``path`` when every stored edge joins neighbouring
+    positions (every built-in fixture, and an edge-list path listed in label
+    order), a flag set once from the nonzeros on the +-1 diagonals of w.  A
+    path is connected when each pair of neighbours is linked one way or the
+    other; its connected subsets are then its intervals, and ``NestedOrder``
+    writes their shells by arithmetic.  No other domain is a path, whatever
+    its support graph: a path whose labels are out of position order, or a
+    cycle, goes through the graph routes.
+
     A path on 0, 1, 2 with unit measure and conductances, in the array form::
 
         hl.WeightedDomain(labels, mu, (x, y, w))
@@ -102,7 +111,10 @@ class WeightedDomain:
         self.truncated = bool(truncated)
         self.name = name
 
-        if n > 1 and not self._connected():
+        # where w(p, p + 1) and w(p + 1, p) are stored (no stored entry is 0)
+        up, down = (self.weights.diagonal(k) != 0.0 for k in (1, -1))
+        self.path = bool(np.count_nonzero(up) + np.count_nonzero(down) == self.weights.nnz)
+        if n > 1 and not (np.all(up | down) if self.path else self._connected()):
             raise ValidationError("support graph is not connected")
 
     def _weight_matrix(self, edge_weights):
@@ -231,13 +243,19 @@ class WeightedDomain:
 
     def _connected(self, positions=None):
         """True iff the undirected support graph restricted to ``positions``
-        (distinct domain positions; None: every vertex) is connected."""
-        adj = self._undirected_adjacency()
-        if positions is not None:
+        (distinct domain positions; None: every vertex) is connected.  On a
+        path (connected, as every constructed domain is) a subset is
+        connected iff its positions are an interval."""
+        if positions is None:
+            adj = self._undirected_adjacency()
+        else:
             positions = np.asarray(positions, dtype=np.intp)
             if positions.size == 0:
                 return False
             lo, hi = positions.min(), positions.max() + 1
+            if self.path:
+                return bool(hi - lo == positions.size)
+            adj = self._undirected_adjacency()
             if hi - lo == positions.size:  # consecutive positions: one copy, or none
                 adj = adj if hi - lo == adj.shape[0] else adj[lo:hi, lo:hi]
             else:
@@ -263,6 +281,16 @@ class NestedOrder:
     intervals and balls: from S_0).  That interleaves the two sides of a
     ball's shell and keeps the band narrow: at most 3 on lat1, 1 on rad(d).
 
+    On a symmetric path domain (``WeightedDomain.path``, every level an
+    interval) the order and its band are written by arithmetic: the first
+    level in position order, then each shell around [a, b) as a - 1, b,
+    a - 2, b + 1, ... (one side on rad(d)), each vertex coupled to the one
+    before it on its side, with the link weight read from its own CSR row.
+    Elsewhere the shell's CSR rows are gathered into a shell graph whose
+    breadth-first order is found by scipy, and the first level is reordered
+    by reverse Cuthill-McKee unless it is a path in local order.  Both give
+    the same order, band and ranks on a path.
+
     ``grow_to(n)`` appends whole shells until the order holds n vertices, so
     it covers only the levels asked for.  ``positions`` (domain positions in
     the order) and ``band`` (the strict upper band of -W in the order, ``kd``
@@ -271,10 +299,11 @@ class NestedOrder:
     band entry is at distance 1, so that the leading block of that size is
     tridiagonal: the whole order on rad(d), about 3 columns on lat1, a few on
     balls of a grid.  It is final once it falls short of ``size``.  The
-    weights must be symmetric.
+    weights must be symmetric.  An order made with ``ranked=False`` (a
+    level's own) keeps no ranks and serves no ``index_of``.
     """
 
-    def __init__(self, domain, levels):
+    def __init__(self, domain, levels, ranked=True):
         self.domain = domain
         self.levels = levels
         self.sizes = [level.size for level in levels]
@@ -283,7 +312,7 @@ class NestedOrder:
         self.band = np.zeros((0, 0))
         self.tridiagonal = 0
         # domain position -> index in the order; -1 if not in it yet
-        self._rank = np.full(domain.n_vertices, -1, dtype=np.intp)
+        self._rank = np.full(domain.n_vertices, -1, dtype=np.intp) if ranked else None
         self._lock = threading.Lock()
 
     @property
@@ -307,7 +336,52 @@ class NestedOrder:
                 self.depth += 1
 
     def _append(self, level):
-        rank, start = self._rank, self.size
+        start = self.size
+        shell = self._path_shell if self.domain.path and self.domain.symmetric else self._shell
+        new, column, partner, value = shell(level, start)
+        offset = column - partner
+        kd = max(self.kd, int(offset.max(initial=0)))
+        band = np.zeros((kd, start + new.size))
+        band[kd - self.kd:, :start] = self.band
+        band[kd - offset, column] = -value
+        self.band = band
+        if self.tridiagonal == start:  # up to the first column with an entry above distance 1
+            wide = np.flatnonzero(band[:-1, start:].any(axis=0))
+            self.tridiagonal = start + int(wide[0]) if wide.size else band.shape[1]
+        self.positions = np.concatenate((self.positions, new)) if start else new
+
+    def _path_shell(self, level, start):
+        """(the level's new vertices in order; then, for each new vertex coupled
+        to one earlier in the order, the two indices and their weight) on an
+        interval level of a symmetric path domain."""
+        data, indptr = self.domain.weights.data, self.domain.weights.indptr
+        if not start:  # the first level in position order: w(v, v - 1) begins v's CSR row
+            new = level.positions
+            if self._rank is not None:
+                self._rank[new] = np.arange(new.size)
+            column = np.arange(1, new.size)
+            return new, column, column - 1, data[indptr[new[1:]]]
+        # around the previous level [a, b): a - 1, b, a - 2, b + 1, ..., each
+        # coupled to its neighbour towards [a, b)
+        previous = self.levels[self.depth - 1]
+        a, b, hi = previous._lo, previous._lo + previous.size, level._lo + level.size
+        left, right = np.arange(a - 1, level._lo - 1, -1), np.arange(b, hi)
+        m = min(left.size, right.size)
+        new = np.concatenate((np.column_stack((left[:m], right[:m])).ravel(),
+                              left[m:], right[m:]))
+        column = start + np.arange(new.size)
+        self._rank[new] = column
+        inward = new < a
+        partner = self._rank[np.where(inward, new + 1, new - 1)]
+        # w(v, v + 1) ends v's CSR row
+        return new, column, partner, data[np.where(inward, indptr[new + 1] - 1, indptr[new])]
+
+    def _shell(self, level, start):
+        """``_path_shell`` on any domain: breadth-first order on the shell graph
+        (Cuthill-McKee on the first level), couplings from the CSR rows.  An
+        unranked order's ranks live only while its one level is appended."""
+        rank = self._rank if self._rank is not None else np.full(
+            self.domain.n_vertices, -1, dtype=np.intp)
         shell = level.positions[rank[level.positions] < 0]
         count, col, value = _csr_rows(self.domain.weights, shell)
         row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
@@ -332,16 +406,7 @@ class NestedOrder:
         rank[shell[order]] = start + np.arange(shell.size)
         column, partner = rank[shell][row], rank[col]
         upper = (partner >= 0) & (partner < column)
-        offset = column[upper] - partner[upper]
-        kd = max(self.kd, int(offset.max(initial=0)))
-        band = np.zeros((kd, start + shell.size))
-        band[kd - self.kd:, :start] = self.band
-        band[kd - offset, column[upper]] = -value[upper]
-        self.band = band
-        if self.tridiagonal == start:  # up to the first column with an entry above distance 1
-            wide = np.flatnonzero(band[:-1, start:].any(axis=0))
-            self.tridiagonal = start + int(wide[0]) if wide.size else band.shape[1]
-        self.positions = np.concatenate((self.positions, shell[order]))
+        return shell[order], column[upper], partner[upper], value[upper]
 
 
 def _path_in_local_order(level, row, col):
@@ -383,9 +448,9 @@ class IndexedSubdomain:
     assembles its sparse restriction where that is read
     (``EllipticOperator.measure_form``).  When the positions are an interval
     (every level of the path fixtures), a position's local index is its
-    offset from the first, and connectivity is checked on the support graph's
-    block; otherwise positions are searched, and connectivity is checked on
-    the induced subgraph.
+    offset from the first; otherwise positions are searched.  On a path
+    domain connectivity is the interval test itself; elsewhere it is checked
+    on the support graph's block or induced subgraph.
     """
 
     def __init__(self, domain: WeightedDomain, subset):
@@ -425,11 +490,10 @@ class IndexedSubdomain:
     def order(self) -> NestedOrder:
         """The subset's own one-level ``NestedOrder`` (symmetric weights): the
         order of its standalone and shifted Cholesky factors, grown whole.  It
-        drops its domain-sized ranks: only an exhaustion's order serves
-        ``index_of``."""
-        order = NestedOrder(self.domain, [self])
+        keeps no domain-sized ranks (only an exhaustion's order serves
+        ``index_of``), and on a path its positions are the level's own."""
+        order = NestedOrder(self.domain, [self], ranked=False)
         order.grow_to(self.size)
-        order._rank = None
         return order
 
     def _edges(self, transposed=False):

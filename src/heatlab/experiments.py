@@ -297,8 +297,8 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     """Series k_{P+}(x, y, t)/k_{P0}(x, y, t) for subcritical P+ against critical P0.
 
     Also estimates the empirical domination constant C and onset time T(x)
-    at the reference vertex y1: the sup of k_{P+}(x, y1, t)/k_{P0}(x, y1, t)
-    past its observed peak.
+    at the reference vertex y1 (default y, where the series itself is read):
+    the sup of k_{P+}(x, y1, t)/k_{P0}(x, y1, t) past its observed peak.
     """
     grid = _t_grid(t_grid)
     ev_plus = HeatKernelEvaluator(op_plus, exhaustion)
@@ -318,7 +318,7 @@ def conjecture_ratio_series(op_plus: EllipticOperator, op_zero: EllipticOperator
     series = _decide_series(ts, vals, levels, predicted=0.0, excluded=excluded)
     series.extras["lambda_plus"] = f"{rep_plus.lambda0.value:.10g}"
 
-    t_dom, rx = (ts, vals) if y1 is None else ratios(ts, int(y1))[:2]
+    t_dom, rx = (ts, vals) if y1 is None or int(y1) == int(y) else ratios(ts, int(y1))[:2]
     c_emp, onset = 0.0, ""
     if rx:
         peak = int(np.argmax(rx))

@@ -4,6 +4,8 @@ Claims:
     - lattice and radial builders realize the documented weights and measures
     - geometric-measure partial sums match the closed form per level
     - restriction validates connectivity and supports the identity case
+    - on path domains the nested orders written by arithmetic equal the
+      generic graph route's bit for bit, and connectivity is a range test
     - invariant violations are rejected at construction, with the same
       message for mapping and array edges
     - the path fixtures are bit-identical to their formulas built edge by edge
@@ -15,6 +17,7 @@ Claims:
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,6 +29,7 @@ import heatlab as hl
 from heatlab.criticality import default_reference_pair
 from heatlab.domains import (
     MEASURE_FLOOR,
+    NestedOrder,
     _path_edges,
     ball_exhaustion,
     closed_path_domain,
@@ -444,6 +448,9 @@ def test_range_labelled_fixtures_build_without_searches(spec, size, monkeypatch)
         raise AssertionError("searchsorted called")
 
     monkeypatch.setattr(np, "searchsorted", searchsorted)
+    # path levels are connected, nested and ordered without a graph search
+    for name in ("breadth_first_order", "reverse_cuthill_mckee"):
+        monkeypatch.setattr(sp.csgraph, name, searchsorted)
     fx = hl.fixture(spec, ambient_size=size)
     fx.exhaustion.nested_order().grow_to(fx.domain.n_vertices)
     assert fx.exhaustion[3].order.size == fx.exhaustion[3].size
@@ -575,3 +582,140 @@ DIGESTS = {
 def test_kept_arrays_match_their_pinned_digests(case, tmp_path):
     build, expected = DIGESTS[case]
     assert _digest(*build(tmp_path)) == expected
+
+
+# -- path domains: orders by arithmetic ------------------------------------------
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The names of the ``NestedOrder`` shell routes taken, in call order."""
+    taken = []
+    for name in ("_path_shell", "_shell"):
+        def spy(self, level, start, name=name, method=getattr(NestedOrder, name)):
+            taken.append(name)
+            return method(self, level, start)
+
+        monkeypatch.setattr(NestedOrder, name, spy)
+    return taken
+
+
+def _gapped_edge_list_case(tmp_path):
+    """A path on the labels 0, 3, 6, ... with random weights and measures, in
+    balls around a vertex near one end: shells run out on that side first."""
+    rng = np.random.default_rng(6)
+    labels = range(0, 120, 3)
+    mu, w = rng.uniform(0.5, 2.0, 40).tolist(), rng.uniform(0.5, 2.0, 39).tolist()
+    path = tmp_path / "gapped.txt"
+    path.write_text("".join(f"{x} {m!r}\n" for x, m in zip(labels, mu))
+                    + "".join(f"{a} {b} {c!r}\n{b} {a} {c!r}\n"
+                              for a, b, c in zip(labels[:-1], labels[1:], w)))
+    domain = load_edge_list(path)
+    return domain, ball_exhaustion(domain, center=12)
+
+
+def _uneven_intervals_case():
+    """A one-vertex first level, then shells of unequal sides on either hand."""
+    rng = np.random.default_rng(9)
+    vertices = np.arange(30)
+    domain = hl.WeightedDomain(vertices, rng.uniform(0.5, 2.0, 30),
+                               _path_edges(vertices, rng.uniform(0.5, 2.0, 29)))
+    return domain, hl.Exhaustion(domain, [[9], range(8, 12), range(2, 13), range(1, 30)])
+
+
+PATH_CASES = {
+    "lat1": lambda tmp: _fixture_case("lat1", 4001),
+    "lat1_geo(0.5)": lambda tmp: _fixture_case("lat1_geo(0.5)", 2049),
+    "rad(2)": lambda tmp: _fixture_case("rad(2)", 1000),
+    "rad(3)": lambda tmp: _fixture_case("rad(3)", 20000),
+    "closed_path": lambda tmp: (lambda fx: (fx.domain, fx.exhaustion))(closed_path_domain(50)),
+    "gapped_edge_list": _gapped_edge_list_case,
+    "uneven_intervals": lambda tmp: _uneven_intervals_case(),
+}
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES))
+def test_path_orders_equal_the_generic_route(case, tmp_path, monkeypatch, routes):
+    # the exhaustion's order and every level's own order, grown by the path
+    # route and again with the path flag cleared: positions, band, ranks (an
+    # exhaustion's; a level's own keeps none) and tridiagonal prefix agree
+    domain, exhaustion = PATH_CASES[case](tmp_path)
+    assert domain.path and domain.symmetric
+
+    def grow():
+        orders = [NestedOrder(domain, exhaustion.levels)]
+        orders += [NestedOrder(domain, [level], ranked=False) for level in exhaustion]
+        for order in orders:
+            order.grow_to(order.sizes[-1])
+        return orders
+
+    fast = grow()
+    assert set(routes) == {"_path_shell"}
+    del routes[:]
+    monkeypatch.setattr(domain, "path", False)
+    slow = grow()
+    assert set(routes) == {"_shell"}
+    for a, b in zip(fast, slow, strict=True):
+        assert a.tridiagonal == b.tridiagonal and a.depth == b.depth
+        assert (a._rank is None) == (b._rank is None) == (a is not fast[0])
+        for x, y in ((a.positions, b.positions), (a.band, b.band), (a._rank, b._rank)):
+            if x is not None:
+                assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    # and connectivity: the range test against the induced subgraph's search
+    rng = np.random.default_rng(2)
+    n = domain.n_vertices
+    subsets = [np.arange(a, a + k) for k in (1, 2, 5) for a in (0, n // 2, n - k)]
+    subsets += [np.sort(rng.choice(n, k, replace=False)) for k in (2, 3, 6)] + [[0, 2]]
+    slow = [domain._connected(s) for s in subsets]
+    monkeypatch.setattr(domain, "path", True)
+    assert [domain._connected(s) for s in subsets] == slow
+
+
+def test_scrambled_paths_and_cycles_take_the_generic_route(routes):
+    # a path that visits the labels out of position order, and a cycle, are
+    # no path domains: their orders are found on the graph
+    labels = np.arange(12)
+    scrambled = hl.WeightedDomain(labels, np.ones(12), _path_edges(
+        np.array([0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 11, 10]), 1.0))
+    cycle = hl.WeightedDomain(labels, np.ones(12), _path_edges(np.r_[labels, 0], 1.0))
+    for domain in (scrambled, cycle):
+        assert not domain.path and domain.symmetric
+        exhaustion = ball_exhaustion(domain)
+        exhaustion.nested_order().grow_to(domain.n_vertices)
+        assert exhaustion[-1].order.size == domain.n_vertices
+    assert routes and set(routes) == {"_shell"}
+
+
+@pytest.mark.parametrize("weight", [None, 0.0], ids=["absent", "zero"])
+def test_path_connectivity_errors_are_unchanged(weight):
+    # a path with the link 2 ~ 3 missing (or of weight 0) is still a path
+    # domain, and not connected; one direction of a link connects it
+    x, y, w = _path_edges(np.arange(6), 1.0)
+    link = ((x == 2) & (y == 3)) | ((x == 3) & (y == 2))
+    edges = (x, y, np.where(link, 0.0, w)) if weight == 0.0 else (x[~link], y[~link], w[~link])
+    with pytest.raises(hl.ValidationError, match="support graph is not connected"):
+        hl.WeightedDomain(range(6), np.ones(6), edges)
+    one_way = ~((x == 2) & (y == 3))
+    domain = hl.WeightedDomain(range(6), np.ones(6), (x[one_way], y[one_way], w[one_way]))
+    assert domain.path and not domain.symmetric
+    # a subset of a path that is not an interval is not connected
+    fx = hl.fixture("lat1", ambient_size=101)
+    for subset in ([0, 2], [-3, -2, 0, 1]):
+        with pytest.raises(hl.ValidationError, match="subset is not connected"):
+            hl.restrict(fx.domain, subset)
+        with pytest.raises(hl.ValidationError, match="subset is not connected"):
+            hl.Exhaustion(fx.domain, [[0], subset])
+
+
+def test_interval_level_order_reads_the_level_positions_without_ranks():
+    # a level's own order on a path takes its positions array as it is, and
+    # allocates nothing the size of the domain (a bool per vertex would be more)
+    fx = hl.fixture("rad(3)", ambient_size=100000)
+    level = fx.exhaustion[6]
+    tracemalloc.start()
+    try:
+        order = level.order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order.positions is level.positions and order._rank is None
+    assert order.size == level.size and peak < fx.domain.n_vertices

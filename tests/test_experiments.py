@@ -227,6 +227,33 @@ def test_default_reference_vertex_issues_no_second_point_query(lat1, lat1_op, mo
     assert default.extras == explicit.extras
 
 
+def test_reference_vertex_equal_to_y_issues_no_second_point_query(lat1, lat1_op, monkeypatch):
+    # y1 given equal to y (here as a NumPy integer) reads the ratio series as
+    # the default does: as many point queries, none repeated, and C and T(x)
+    # those of a second pass over the kept times
+    op_plus = hl.add_potential(lat1_op, hl.Potential.indicator(lat1.domain, [0], 1.0))
+    grid = geometric_grid(50.0, 400.0, 10)
+    queries, kernels = [], SymmetricFactor.kernels
+
+    def counted(self, ix, iy, ts):
+        queries.append((id(self), ix, iy))
+        return kernels(self, ix, iy, ts)
+
+    monkeypatch.setattr(SymmetricFactor, "kernels", counted)
+    default = hl.conjecture_ratio_series(op_plus, lat1_op, lat1.exhaustion, 0, 0, t_grid=grid)
+    calls = len(queries)
+    explicit = hl.conjecture_ratio_series(op_plus, lat1_op, lat1.exhaustion, 0, 0,
+                                          t_grid=grid, y1=np.int64(0))
+    assert calls and len(queries) == 2 * calls and len(set(queries[calls:])) == calls
+    assert explicit.extras == default.extras
+    plus, zero = (hl.HeatKernelEvaluator(op, lat1.exhaustion).heat_kernels(0, 0, explicit.t)
+                  for op in (op_plus, lat1_op))
+    rx = [p.value / z.value for p, z in zip(plus, zero, strict=True)]
+    peak = int(np.argmax(rx))
+    assert explicit.extras["domination_constant"] == f"{rx[peak]:.10g}"
+    assert explicit.extras["onset_times"] == f"0:{explicit.t[peak]:g}"
+
+
 def test_conjecture_exponential_shift_identity(lat1, lat1_op, lat1_ev):
     lam = -0.5
     op_plus = hl.shift(lat1_op, lam)  # adds the constant killing 0.5
