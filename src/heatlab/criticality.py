@@ -10,7 +10,7 @@ phi* are the ground states of the operator and its adjoint.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +78,17 @@ def default_reference_pair(exhaustion: Exhaustion):
     return x0, x0
 
 
+def _evaluator_for(op: EllipticOperator, exhaustion: Exhaustion,
+                   evaluator: HeatKernelEvaluator = None) -> HeatKernelEvaluator:
+    """``evaluator`` if it was built on this (op, exhaustion), else a
+    ValidationError; a new evaluator on them if it is None."""
+    if evaluator is None:
+        return HeatKernelEvaluator(op, exhaustion)
+    if evaluator.op is not op or evaluator.exhaustion is not exhaustion:
+        raise ValidationError("evaluator was built on another operator or exhaustion")
+    return evaluator
+
+
 def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
             evaluator: HeatKernelEvaluator = None) -> Lambda0Result:
     """Limit of the principal Dirichlet eigenvalues along the exhaustion.
@@ -91,7 +102,7 @@ def lambda0(op: EllipticOperator, exhaustion: Exhaustion, tol=None,
     lambda0 >= inf D, for nonsymmetric operators too.  The reported error is
     at most the bracket's width.
     """
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = _evaluator_for(op, exhaustion, evaluator)
     tol = check_tolerance(1e-10 if tol is None else tol)
     history = []
     values = []
@@ -178,7 +189,6 @@ class CriticalityReport:
     ground_state: np.ndarray | None = None
     adjoint_ground_state: np.ndarray | None = None
     mass: LimitResult | None = None
-    notes: list = field(default_factory=list)
 
     @property
     def label(self):
@@ -201,8 +211,6 @@ class CriticalityReport:
                 lines.append(f"mass: {self.mass.value:.12g}")
         if self.ground_state is not None:
             lines.append(f"ground_state_vertices: {np.count_nonzero(~np.isnan(self.ground_state))}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
 
     def diagnostic_rows(self):
@@ -230,7 +238,7 @@ def classify(op: EllipticOperator, exhaustion: Exhaustion, x0=None, y0=None,
     InconclusiveError when a deciding limit cannot be certified within the
     ambient truncation.
     """
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = _evaluator_for(op, exhaustion, evaluator)
     lam = lambda0(op, exhaustion, evaluator=ev)
     if lam.bracket[1] < -1e-6:
         raise NegativeLambda0Error(lam.value)
@@ -330,8 +338,10 @@ def birman_schwinger_alpha0(op: EllipticOperator, potential: Potential,
     """Oracle coupling: alpha0 = 1/rho with rho the largest positive eigenvalue
     of the matrix -G(x, z) V(z) mu(z) on the support of V, G the Green limits.
 
-    For a pure attractive V = -W this is 1/rho(W^(1/2) G W^(1/2)).
+    For a pure attractive V = -W this is 1/rho(W^(1/2) G W^(1/2)).  The
+    evaluator must be built on ``op``.
     """
+    _evaluator_for(op, evaluator.exhaustion, evaluator)
     support = potential.support
     if not support:
         raise ValidationError("potential has empty support; no coupling to find")
@@ -537,7 +547,7 @@ def ground_state_green_comparison(op_alpha: EllipticOperator, phi, y0, region,
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (op_alpha.domain.n_vertices,):
         raise ValidationError("phi must be a vertex vector over the domain's positions")
-    ev = evaluator or HeatKernelEvaluator(op_alpha, exhaustion)
+    ev = _evaluator_for(op_alpha, exhaustion, evaluator)
     greens = []
     for x in region:
         g = ev.green(x, int(y0))

@@ -274,9 +274,8 @@ class NestedOrder:
     A vertex's primary key is the first level that contains it, so every level
     S_j is a prefix of the order, and the measure form A_{S_j} of an operator
     is the leading n_j x n_j block of the deepest level's.  The first level
-    comes in Cuthill-McKee order (George & Liu 1981, ch. 4), taken without
-    running it when the level's edges join only neighbouring local indices:
-    on that path it is the local order.  Each shell S_j minus S_(j-1) comes
+    comes in Cuthill-McKee order (George & Liu 1981, ch. 4), which on a path
+    in local order is the local order.  Each shell S_j minus S_(j-1) comes
     in breadth-first order from S_(j-1), i.e. by hop distance from it (on
     intervals and balls: from S_0).  That interleaves the two sides of a
     ball's shell and keeps the band narrow: at most 3 on lat1, 1 on rad(d).
@@ -288,8 +287,8 @@ class NestedOrder:
     before it on its side, with the link weight read from its own CSR row.
     Elsewhere the shell's CSR rows are gathered into a shell graph whose
     breadth-first order is found by scipy, and the first level is reordered
-    by reverse Cuthill-McKee unless it is a path in local order.  Both give
-    the same order, band and ranks on a path.
+    by reverse Cuthill-McKee.  Both give the same order, band and ranks on a
+    path.
 
     ``grow_to(n)`` appends whole shells until the order holds n vertices, so
     it covers only the levels asked for.  ``positions`` (domain positions in
@@ -385,12 +384,9 @@ class NestedOrder:
         shell = level.positions[rank[level.positions] < 0]
         count, col, value = _csr_rows(self.domain.weights, shell)
         row = np.repeat(np.arange(shell.size), count)  # the entries' shell vertices
-        if not start:  # the whole first level: shell indices are its local indices
-            if _path_in_local_order(level, row, col):
-                order = np.arange(shell.size)  # Cuthill-McKee's order of such a path
-            else:
-                order = sp.csgraph.reverse_cuthill_mckee(
-                    self.domain.weights[shell][:, shell], symmetric_mode=True)[::-1]
+        if not start:  # the whole first level: Cuthill-McKee's order of its shell indices
+            order = sp.csgraph.reverse_cuthill_mckee(
+                self.domain.weights[shell][:, shell], symmetric_mode=True)[::-1]
         else:
             # breadth-first order of the shell from node 0, the previous level
             rank[shell] = -2 - np.arange(shell.size)  # -1 stays outside the level
@@ -407,14 +403,6 @@ class NestedOrder:
         column, partner = rank[shell][row], rank[col]
         upper = (partner >= 0) & (partner < column)
         return shell[order], column[upper], partner[upper], value[upper]
-
-
-def _path_in_local_order(level, row, col):
-    """True iff the level's edges (local rows, domain columns) that stay in it
-    join only neighbouring local indices."""
-    local = level.local_indices(col)
-    inside = local >= 0
-    return bool(np.all(np.abs(local[inside] - row[inside]) == 1))
 
 
 def _transpose(matrix):
@@ -634,7 +622,7 @@ def _path_edges(vertices, w):
             np.concatenate((vertices[1:], vertices[:-1])), np.concatenate((w, w)))
 
 
-def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> DomainFixture:
+def build_lattice_1d(n_half, measure_rule="unit", q=None) -> DomainFixture:
     """1-d lattice truncation on {-n_half, ..., n_half} with nearest-neighbor edges.
 
     ``measure_rule`` is 'unit' (mu = 1) or 'geometric' (mu(n) = q^|n|, 0 < q < 1).
@@ -644,8 +632,6 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> Do
     n_half = int(n_half)
     if n_half < 2:
         raise ValidationError("n_half must be >= 2: the exhaustion needs at least two levels")
-    if conductance <= 0:
-        raise ValidationError("conductance must be positive")
     if measure_rule == "unit":
         if q is not None:
             raise ValidationError("q is only meaningful for the geometric measure rule")
@@ -666,7 +652,7 @@ def build_lattice_1d(n_half, measure_rule="unit", q=None, conductance=1.0) -> Do
         measure = np.full(vertices.size, MEASURE_FLOOR)
         inner = slice(n_half - near, n_half + near + 1)
         measure[inner] = np.maximum(_pow(q, np.abs(vertices[inner])), MEASURE_FLOOR)
-    domain = WeightedDomain(vertices, measure, _path_edges(vertices, conductance),
+    domain = WeightedDomain(vertices, measure, _path_edges(vertices, 1.0),
                             truncated=True, name=name)
 
     # deepest Dirichlet level at n_half - 1; the full truncation is the

@@ -21,6 +21,7 @@ import numpy as np
 from .criticality import (
     Classification,
     CriticalityReport,
+    _evaluator_for,
     classify,
     critical_coupling,
     lambda0,
@@ -184,7 +185,7 @@ def theorem_limit_series(op: EllipticOperator, exhaustion, x, y, t_grid=None,
     """Series e^(lambda0 t) k(x, y, t): limit phi(x) phi*(y)/mass when the
     shifted operator is positive-critical, 0 otherwise."""
     grid = _t_grid(t_grid)
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = _evaluator_for(op, exhaustion, evaluator)
     if report is None:
         report = classify(op, exhaustion, evaluator=ev, green_tol=heat_tol)
     lam0 = report.lambda0.value
@@ -254,7 +255,7 @@ def time_shift_ratio_series(op: EllipticOperator, exhaustion, x, y, tau,
     tau = float(tau)
     if tau >= 0.0:
         raise ValidationError("tau must be negative")
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = _evaluator_for(op, exhaustion, evaluator)
     t_grid = _t_grid(t_grid)
     if not np.any(t_grid > -tau):
         raise ValidationError("t grid has no point above |tau|")
@@ -280,7 +281,7 @@ def davies_ratio_series(op: EllipticOperator, exhaustion, x, y, x0, y0,
                         heat_tol=None) -> RatioSeries:
     """Series k(x, y, t)/k(x0, y0, t); for symmetric critical operators the
     limit is the ground-state ratio phi(x) phi*(y)/(phi(x0) phi*(y0))."""
-    ev = evaluator or HeatKernelEvaluator(op, exhaustion)
+    ev = _evaluator_for(op, exhaustion, evaluator)
     grid = _t_grid(t_grid)
     limits = ev.heat_kernels(x, y, grid, tol=heat_tol)
     ref = limits if (x0, y0) == (x, y) else ev.heat_kernels(x0, y0, grid, tol=heat_tol)

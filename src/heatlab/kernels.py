@@ -458,7 +458,8 @@ class _ShiftInvertLanczos:
     B = R (A_S - sigma D_mu)^(-1) R with R = D_mu^(1/2).  The permutation to
     the shifted factor's order is orthogonal, so the process runs there: a
     step is one ``_NestedCholesky.solve`` (``dpttrs`` on every path level)
-    between two scalings by R in that order (``SymmetricFactor._krylov``).
+    between two scalings by R in that order (``SymmetricFactor._krylov``),
+    where x and y are found by one comparison pass each.
     The three-term recurrence keeps v_(j-1), v_j and, of V, the entries
     ``row`` at the row x it serves: lost orthogonality only delays the
     convergence of f(T_m) e_1 (Druskin, Greenbaum & Knizhnerman 1998).
@@ -488,13 +489,14 @@ class _ShiftInvertLanczos:
     """
 
     def __init__(self, factor, ix, iy):
-        self.shifted, self.sigma, where, self.root = factor._krylov()
+        self.shifted, self.sigma, self.root = factor._krylov()
         n = self.root.size
         self.cap = min(n, LANCZOS_CAP)  # steps the recurrence may run to
-        self.log_mu = math.log(factor.op.mu[factor.sub.positions[iy]])
-        self.at = where[ix]
+        order, (px, py) = self.shifted.nest.positions, factor.sub.positions[[ix, iy]]
+        self.log_mu = math.log(factor.op.mu[py])
+        self.at = int(np.argmax(order == px))
         self.previous, self.current = np.zeros(n), np.zeros(n)  # v_(j-1), v_j
-        self.current[where[iy]] = 1.0
+        self.current[np.argmax(order == py)] = 1.0
         self.row = np.empty(self.cap)  # v_j[x] of the steps so far
         self.row[0] = self.current[self.at]
         self.alpha, self.beta = [], []
@@ -599,9 +601,9 @@ class SymmetricFactor(_FactorBase):
 
     def _krylov(self):
         """(the one-level nest of A_S - sigma D_mu in the level's own order,
-        sigma = min D - 1; the position in that order of each local index;
-        sqrt(mu) in that order): what a Lanczos step, a point read and the
-        inverse route need."""
+        sigma = min D - 1; sqrt(mu) in that order): what a Lanczos step and
+        the inverse route need.  No map between the order and local indices
+        is kept: a point query finds x and y in ``nest.positions``."""
         if self._shifted is None:
             sigma = float(np.min(self.op.potential[self.sub.positions])) - 1.0
             shifted = _NestedCholesky(self.op, self.sub.order, sigma)
@@ -610,8 +612,7 @@ class SymmetricFactor(_FactorBase):
                     np.all(np.isfinite(a)) for a in (shifted._d, shifted._l, shifted.ab))
             if not finite:
                 raise NumericalError("shifted restriction overflows or is not positive definite")
-            local = self._locals(shifted.nest)
-            self._shifted = (shifted, sigma, np.argsort(local), np.sqrt(self.sub.mu[local]))
+            self._shifted = (shifted, sigma, np.sqrt(self.op.mu[shifted.nest.positions]))
         return self._shifted
 
     def _pair(self):
@@ -642,7 +643,7 @@ class SymmetricFactor(_FactorBase):
     def _inverse_pairs(self):
         """(lam, vecs) of H, in local order, from the dense eigendecomposition of B."""
         if self._inverse is None:
-            shifted, sigma, where, root = self._krylov()
+            shifted, sigma, root = self._krylov()
             # 2B in the level's order, built in place in one Fortran-ordered array
             b = shifted.solve(root.size, np.diag(root).T)
             b *= root[:, None]
@@ -653,6 +654,7 @@ class SymmetricFactor(_FactorBase):
             with np.errstate(divide="ignore"):
                 lam = np.where(nu2 > 0.0, 2.0 / np.maximum(nu2, 1e-300), np.inf) + sigma
             order = np.argsort(lam)
+            where = np.argsort(self._locals(shifted.nest))  # the row of each local index
             self._inverse = (lam[order], vecs[np.ix_(where, order)])
         return self._inverse
 

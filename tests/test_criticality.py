@@ -202,6 +202,36 @@ def test_classify_agrees_with_adjoint(drift):
     assert rep.lambda0.value == pytest.approx(expected, abs=1e-4)
 
 
+EVALUATOR_TAKERS = {
+    "lambda0": lambda op, ex, ev: hl.lambda0(op, ex, evaluator=ev),
+    "classify": lambda op, ex, ev: hl.classify(op, ex, evaluator=ev),
+    "theorem_limit_series": lambda op, ex, ev: hl.theorem_limit_series(op, ex, 0, 0, evaluator=ev),
+    "time_shift_ratio_series": lambda op, ex, ev: hl.time_shift_ratio_series(
+        op, ex, 0, 0, -1.0, evaluator=ev),
+    "davies_ratio_series": lambda op, ex, ev: hl.davies_ratio_series(
+        op, ex, 0, 1, 0, 0, evaluator=ev),
+    "ground_state_green_comparison": lambda op, ex, ev: crit.ground_state_green_comparison(
+        op, np.ones(op.domain.n_vertices), 0, [20], ex, evaluator=ev),
+    "birman_schwinger_alpha0": lambda op, ex, ev: crit.birman_schwinger_alpha0(
+        op, hl.Potential.indicator(op.domain, [0], -1.0), ev),
+}
+
+
+@pytest.mark.parametrize("name, mismatch", [
+    (name, mismatch) for name in EVALUATOR_TAKERS for mismatch in ("operator", "exhaustion")
+    if (name, mismatch) != ("birman_schwinger_alpha0", "exhaustion")])  # it takes no exhaustion
+def test_an_evaluator_of_another_operator_or_exhaustion_is_rejected(
+        lat1, lat1_op, lat1_plus1_ev, name, mismatch):
+    # lat1 + 1's evaluator would make classify(lat1_op, ...) say subcritical, lambda0 = 1
+    if mismatch == "operator":
+        ev = lat1_plus1_ev
+    else:
+        ev = hl.HeatKernelEvaluator(lat1_op, hl.Exhaustion(
+            lat1.domain, [level.labels for level in lat1.exhaustion]))
+    with pytest.raises(hl.ValidationError, match="another operator or exhaustion"):
+        EVALUATOR_TAKERS[name](lat1_op, lat1.exhaustion, ev)
+
+
 # -- ground states as vertex arrays ------------------------------------------------
 
 def _neville_reference(h, values):
@@ -513,8 +543,9 @@ def test_comparison_region_validation(lat1, lat1_plus1_op):
 def test_edge_domination_trivial_cases(lat1, lat1_op):
     ones = np.ones(lat1.domain.n_vertices)
     assert crit.edge_weight_domination(lat1_op, lat1_op, ones, ones) == pytest.approx(1.0)
-    doubled = hl.build_lattice_1d((lat1.domain.n_vertices - 1) // 2, "unit", conductance=2.0)
-    op2 = hl.assemble(doubled.domain)
+    labels, w = lat1.domain.labels, lat1.domain.weights.tocoo()
+    doubled = hl.WeightedDomain(labels, lat1.domain.mu, (labels[w.row], labels[w.col], 2.0 * w.data))
+    op2 = hl.assemble(doubled)
     assert crit.edge_weight_domination(op2, lat1_op, ones, ones) == pytest.approx(2.0)
 
 

@@ -108,8 +108,6 @@ def test_lattice_rejects_small_and_bad_measure():
         hl.build_lattice_1d(1, "unit")
     with pytest.raises(hl.ValidationError):
         hl.build_lattice_1d(4, "geometric", q=1.5)
-    with pytest.raises(hl.ValidationError):
-        hl.build_lattice_1d(4, "unit", conductance=-1.0)
 
 
 def test_restrict_cases():
@@ -683,6 +681,17 @@ def test_scrambled_paths_and_cycles_take_the_generic_route(routes):
         exhaustion.nested_order().grow_to(domain.n_vertices)
         assert exhaustion[-1].order.size == domain.n_vertices
     assert routes and set(routes) == {"_shell"}
+    # interval levels of a 40-vertex ring: reverse Cuthill-McKee leaves each
+    # level, a path in local order, as it is, and the shells alternate sides
+    labels = np.arange(40)
+    ring = hl.WeightedDomain(labels, np.ones(40), _path_edges(np.r_[labels, 0], 1.0))
+    assert not ring.path
+    exhaustion = hl.Exhaustion(ring, [range(4, 7), range(2, 9), range(12)])
+    order = exhaustion.nested_order()
+    order.grow_to(12)
+    assert order.positions.tolist() == [4, 5, 6, 3, 7, 2, 8, 1, 9, 0, 10, 11]
+    for level in exhaustion:
+        assert np.array_equal(level.order.positions, level.positions)
 
 
 @pytest.mark.parametrize("weight", [None, 0.0], ids=["absent", "zero"])

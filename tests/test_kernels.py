@@ -1071,14 +1071,28 @@ def test_short_basis_settles_within_twenty_steps(geo, geo_op, recurrences):
     assert len(recurrences[-1].alpha) <= 20
 
 
+def _reachable(fac, skip=("op", "sub")):
+    """The objects reachable from a factor's attributes other than ``skip``."""
+    import gc
+    import types
+
+    found, stack = {}, [v for k, v in vars(fac).items() if k not in skip]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in found or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        found[id(obj)] = obj
+        stack += gc.get_referents(obj)
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    return list(found.values())
+
+
 def test_a_point_query_leaves_only_its_coefficients():
     # a t = 3000 value walks every check up to some 200 steps; once the
     # queries return, the factor holds no recurrence and, apart from the
     # shifted factor of _krylov(), no array of n entries: only the columns'
     # settled c(t)
-    import gc
-    import types
-
     import heatlab.kernels as hk
 
     fx = hl.fixture("lat1", ambient_size=4097)
@@ -1088,20 +1102,33 @@ def test_a_point_query_leaves_only_its_coefficients():
     fac.kernel(short, short, 0.5)
     assert fac.kernel(long, long, 3000.0) == pytest.approx(special.ive(0, 6000.0), rel=1e-11,
                                                            abs=0.0)
-    found, stack = {}, [v for k, v in vars(fac).items() if k not in ("op", "sub", "_shifted")]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in found or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
-            continue
-        found[id(obj)] = obj
-        stack += gc.get_referents(obj)
-        if isinstance(obj, np.ndarray) and obj.base is not None:
-            stack.append(obj.base)
-    assert not any(isinstance(obj, hk._ShiftInvertLanczos) for obj in found.values())
-    arrays = [obj for obj in found.values() if isinstance(obj, np.ndarray)]
+    found = _reachable(fac, skip=("op", "sub", "_shifted"))
+    assert not any(isinstance(obj, hk._ShiftInvertLanczos) for obj in found)
+    arrays = [obj for obj in found if isinstance(obj, np.ndarray)]
     assert len(arrays) >= 2 and max(a.size for a in arrays) < sub.size
     assert sorted(fac._coefficients) == sorted([short, long])
     assert fac._coefficients[long][3000.0].size > 100
+
+
+def test_a_point_query_keeps_no_integer_array_of_the_level_size():
+    # x and y are found in the level's own order by comparison: the factor
+    # keeps no map between that order and local indices (on a path level the
+    # order is the level's positions array, made before the query)
+    import tracemalloc
+
+    fx = hl.fixture("lat1", ambient_size=20001)
+    sub = next(level for level in fx.exhaustion if level.size >= 10**4)
+    fac = SymmetricFactor(hl.assemble(fx.domain), sub)
+    ix, iy = sub.local_of(0), sub.local_of(3)
+    tracemalloc.start()
+    try:
+        assert fac.kernel(ix, iy, 2.0) == pytest.approx(special.ive(3, 4.0), rel=1e-11)
+        new = [obj for obj in _reachable(fac) if isinstance(obj, np.ndarray)
+               and tracemalloc.get_object_traceback(obj) is not None]
+    finally:
+        tracemalloc.stop()
+    assert any(a.size == sub.size for a in new)  # sqrt(mu) in the order, at least
+    assert not [a for a in new if a.dtype.kind in "iu" and a.size >= sub.size]
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
