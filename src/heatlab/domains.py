@@ -607,8 +607,28 @@ def _pow(base, exponent):
     """Elementwise base ** exponent (each a scalar or a 1-d array) by C's pow,
     the fixtures' documented arithmetic: ``math.pow`` on float exponents,
     which is Python's scalar power on a finite positive base; NumPy's
-    vectorised power can differ from it in the last bit."""
+    vectorised power (and even ``x * x`` for a general x) can differ from it
+    in the last bit.
+
+    Where that power is exact it is computed as a product instead: for an
+    integer exponent 0 <= k <= 53 and bases that are all multiples of 1/2
+    with (2 max|base|)^k <= 2^53, each partial product b^j = m 2^-j has an
+    integer |m| = |2b|^j <= 2^53, hence is a float, so every multiplication
+    is exact.  pow rounds once, to nearest, an internal result far closer
+    than half a float spacing to the true one, and an exact value lies half
+    a spacing from every rounding boundary, so pow returns these same bits.
+    ``rad(d)`` at unit step takes this route up to about 4.7e7 points for
+    d = 3 and 1e5 for d = 4; other steps, and lat1_geo's q^|n|, take pow."""
     base, exponent = np.asarray(base, dtype=float), np.asarray(exponent, dtype=float)
+    if exponent.ndim == 0 and exponent.item().is_integer() and 0 <= exponent <= 53:
+        k, twice = int(exponent), 2.0 * base
+        top = np.abs(twice).max(initial=0.0)
+        halves = np.isfinite(top) and np.array_equal(twice, np.floor(twice))
+        if halves and int(top) ** k <= 2 ** 53:  # in integers: a float test would round
+            power = np.ones(base.size)  # the shape pow's route returns
+            for _ in range(k):
+                power *= base
+            return power
     size = np.broadcast(base, exponent).size
     sides = (a.tolist() if a.ndim else repeat(a.item()) for a in (base, exponent))
     return np.fromiter(map(math.pow, *sides), float, size)

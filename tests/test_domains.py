@@ -8,7 +8,9 @@ Claims:
       generic graph route's bit for bit, and connectivity is a range test
     - invariant violations are rejected at construction, with the same
       message for mapping and array edges
-    - the path fixtures are bit-identical to their formulas built edge by edge
+    - the path fixtures are bit-identical to their formulas built edge by edge,
+      and the radial ones call pow only where a product of floats could round
+    - a nested order does not depend on how its growth was split
     - edge-list files round-trip, and reject a repeated edge or measure line
     - every array a domain and its levels keep matches a pinned digest of its
       bytes, dtype and shape
@@ -16,6 +18,7 @@ Claims:
 
 import hashlib
 import importlib.util
+import math
 import sys
 import tracemalloc
 import warnings
@@ -254,6 +257,12 @@ PATH_FIXTURES = {
     "rad(2)": lambda: _radial_case(2, 300, 1.0),
     "rad(3)": lambda: _radial_case(3, 300, 1.0),
     "rad(3),h=0.37": lambda: _radial_case(3, 300, 0.37),
+    # (2 max r)^(d - 1) <= 2^53 bounds the powers taken as products: rad(5)
+    # takes them for mu and w at 4000, for w alone at 4870, for neither at 6000
+    "rad(4)": lambda: _radial_case(4, 2000, 1.0),
+    "rad(5)@4000": lambda: _radial_case(5, 4000, 1.0),
+    "rad(5)@4870": lambda: _radial_case(5, 4870, 1.0),
+    "rad(5)@6000": lambda: _radial_case(5, 6000, 1.0),
     "closed_path": lambda: (closed_path_domain(17), range(17), [1.0] * 17, [1.0] * 16),
 }
 
@@ -272,6 +281,27 @@ def test_path_fixture_is_bit_identical_to_its_formulas(case):
     assert np.array_equal(fx.domain.mu, ref.mu)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(fx.domain.weights, part), getattr(ref.weights, part))
+
+
+@pytest.mark.parametrize("d, n, h, calls", [
+    (3, 100000, 1.0, 0),
+    (5, 4870, 1.0, 4871),  # the n + 1 measures: (2 (n + 1))^4 > 2^53 >= (2n + 1)^4
+    (5, 6000, 1.0, 12001),
+    (3, 300, 0.37, 601),  # radii that are no multiples of 1/2
+])
+def test_radial_powers_call_pow_only_where_a_product_could_round(d, n, h, calls, monkeypatch):
+    # the powers taken as products are exact, so pow would return the same
+    # bits; every other power is still one pow per element
+    seen = []
+    scalar_pow = math.pow
+
+    def spy(x, y):
+        seen.append(x)
+        return scalar_pow(x, y)
+
+    monkeypatch.setattr(math, "pow", spy)
+    hl.build_radial(d, n, step_h=h)
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -666,6 +696,29 @@ def test_path_orders_equal_the_generic_route(case, tmp_path, monkeypatch, routes
     slow = [domain._connected(s) for s in subsets]
     monkeypatch.setattr(domain, "path", True)
     assert [domain._connected(s) for s in subsets] == slow
+
+
+@pytest.mark.parametrize("case", ["lat1", "grid"])
+def test_nested_orders_do_not_depend_on_how_they_grew(case):
+    # in one call, one level per call, or in calls that end inside levels:
+    # the same positions, band, ranks and tridiagonal prefix (lat1's band
+    # widens from 1 to 3 on its second level)
+    domain, exhaustion = _fixture_case("lat1", 4001) if case == "lat1" else _grid_case()
+    sizes = [level.size for level in exhaustion]
+    splits = [[domain.n_vertices], sizes, [sizes[1] + 1, sizes[-2] - 1, domain.n_vertices]]
+    orders = []
+    for ends in splits:
+        order = NestedOrder(domain, exhaustion.levels)
+        for n in ends:
+            order.grow_to(n)
+        orders.append(order)
+    first = orders[0]
+    assert first.size == domain.n_vertices and first.band.shape == (first.kd, first.size)
+    for order in orders[1:]:
+        assert order.tridiagonal == first.tridiagonal and order.depth == first.depth
+        for a, b in ((order.positions, first.positions), (order.band, first.band),
+                     (order._rank, first._rank)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_scrambled_paths_and_cycles_take_the_generic_route(routes):
